@@ -20,12 +20,35 @@ Execution modes:
   the paper's key overhead reduction over whole-program dynamic slicing.
 * **full** (``track_all=True``): every state variable is persisted; used
   to model naive whole-program tracking in ablations.
+
+Compile once, run many
+----------------------
+The IR fixes at load time everything a tree-walk would re-decide per
+message: which node type a statement is, which operator an expression
+applies, whether an assignment target is in ``V_tr``.  So the first
+:meth:`Interpreter.handle` of a handler lowers its ``Stmt``/``Expr`` tree
+to nested Python closures (:class:`_HandlerCompiler`) and every later
+message of that type just calls them; the online part is table updates
+and set unions.  The compiled body is cached per message type together
+with the :class:`~repro.lang.ir.Handler` object it came from, so swapping
+a component's handler recompiles; mutating a handler's statement list in
+place after its first run is not supported.  Errors keep their place: a
+malformed node becomes a closure that raises when control reaches it.
+
+The tree-walker this replaced lives on in
+``tests/lang/_reference_interpreter.py`` as the differential oracle.
+
+The provenance cap
+------------------
+Persisted provenance sets and ``cause_uids`` are bounded by
+``max_provenance`` (:func:`_cap_taint`); see that function for which
+uids survive.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+import operator
+from typing import Callable, Dict, FrozenSet, List, NoReturn, Optional, Sequence, Set, Tuple
 
 from repro.errors import InterpreterError
 from repro.lang.ir import (
@@ -46,26 +69,30 @@ from repro.lang.ir import (
     Var,
     While,
 )
-from repro.lang.message import Message, MessageUid, UidFactory
+from repro.lang.message import UID_ORDER_KEY, Message, MessageUid, UidFactory
 
 Taint = FrozenSet[MessageUid]
 EMPTY_TAINT: Taint = frozenset()
 
 
 def _cap_taint(taint: Taint, limit: int) -> Taint:
-    """Bound a provenance set to its ``limit`` most recent uids.
+    """Bound a provenance set to its ``limit`` largest uids.
 
     Accumulator variables (counters, running exposure) are causally
     influenced by *every* past message; an unbounded provenance set would
     grow for the lifetime of the replica.  Production tracing systems
-    bound span/provenance fan-in the same way; recency is approximated by
-    the total order on uids (per-process sequence numbers).
+    bound span/provenance fan-in the same way.  Survivors are chosen by
+    the uid total order ``(address, process_id, seq)`` — deterministic,
+    and recent-first only *within* one process: across processes the
+    address decides, so the order is not a recency order.
+
+    The sort keys are built by :data:`UID_ORDER_KEY` for this call and
+    dropped with it; the comparison runs on plain tuples in C and never
+    enters ``MessageUid.__lt__``.
     """
     if len(taint) <= limit:
         return taint
-    # nlargest avoids sorting the whole (potentially large) set just to
-    # keep its tail.
-    return frozenset(heapq.nlargest(limit, taint))
+    return frozenset(sorted(taint, key=UID_ORDER_KEY)[len(taint) - limit:])
 
 
 class ReplicaState:
@@ -168,6 +195,11 @@ class Interpreter:
         dynamic tracking; ablation baseline).
     max_loop_iterations:
         Safety bound on ``While`` loops.
+    max_provenance:
+        Cap on every persisted provenance set and on ``cause_uids``.
+
+    All of the above are read when a handler is compiled (its first
+    :meth:`handle`) and are fixed for the interpreter's lifetime.
     """
 
     def __init__(
@@ -186,6 +218,9 @@ class Interpreter:
         self.max_loop_iterations = int(max_loop_iterations)
         self.max_provenance = int(max_provenance)
         self._provenance_enabled = track_all or tracked_vars is not None
+        # msg_type -> (handler, compiled body).  The handler object is
+        # kept so a replaced handler (same type, new object) recompiles.
+        self._compiled: Dict[str, Tuple[Handler, _Block]] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -202,63 +237,56 @@ class Interpreter:
         message's ``cause_uids`` is the dynamic data/control-flow closure
         of incoming-message influences (getInfo in the paper's Fig. 4).
         """
-        handler = self.component.handler_for(message.msg_type)
+        msg_type = message.msg_type
+        handler = self.component.handler_for(msg_type)
+        entry = self._compiled.get(msg_type)
+        if entry is None or entry[0] is not handler:
+            entry = self._compiled[msg_type] = (handler, _HandlerCompiler(self, handler).body())
         track = self._provenance_enabled and message.sampled
-        ctx = _InvocationContext(
-            interpreter=self,
-            state=state,
-            message=message,
-            handler=handler,
-            uid_factory=uid_factory,
-            provenance_on=track,
-        )
-        ctx.run_block(handler.body)
+        frame = _Frame(state, message, uid_factory, track)
+        entry[1](frame, EMPTY_TAINT)
+        emitted = frame.emitted
+        # One getInfo per emitted message when provenance is on.
         return HandlerOutcome(
-            emitted=ctx.emitted,
-            tracked_writes=ctx.tracked_writes,
-            total_writes=ctx.total_writes,
-            getinfo_ops=ctx.getinfo_ops,
-            statements_executed=ctx.statements_executed,
+            emitted,
+            frame.tracked_writes,
+            frame.total_writes,
+            len(emitted) if track else 0,
+            frame.statements_executed,
         )
 
 
-class _InvocationContext:
-    """One handler invocation: locals, control-taint stack, emission buffer."""
+class _Frame:
+    """One handler invocation: locals, taint tables, emission buffer."""
 
     __slots__ = (
-        "interp",
-        "state",
+        "values",
+        "provenance",
         "message",
-        "handler",
+        "fields",
         "uid_factory",
-        "provenance_on",
+        "track",
+        "trigger",
         "locals",
         "local_taint",
-        "state_taint_overlay",
-        "control_stack",
+        "overlay",
         "emitted",
         "tracked_writes",
         "total_writes",
-        "getinfo_ops",
         "statements_executed",
-        "message_taint",
     )
 
     def __init__(
-        self,
-        interpreter: Interpreter,
-        state: ReplicaState,
-        message: Message,
-        handler: Handler,
-        uid_factory: UidFactory,
-        provenance_on: bool,
+        self, state: ReplicaState, message: Message, uid_factory: UidFactory, track: bool
     ) -> None:
-        self.interp = interpreter
-        self.state = state
+        self.values = state.values
+        self.provenance = state.provenance
         self.message = message
-        self.handler = handler
+        self.fields = message.fields
         self.uid_factory = uid_factory
-        self.provenance_on = provenance_on
+        self.track = track
+        # Reading a field of the incoming message taints with its uid.
+        self.trigger: Taint = frozenset((message.uid,)) if track else EMPTY_TAINT
         self.locals: Dict[str, object] = {}
         self.local_taint: Dict[str, Taint] = {}
         # Invocation-local overlay of state-variable taints: data flowing
@@ -266,215 +294,312 @@ class _InvocationContext:
         # ordinary local dataflow and is always tracked, whether or not
         # the variable is in V_tr (persistence across invocations is what
         # V_tr gates).
-        self.state_taint_overlay: Dict[str, Taint] = {}
-        self.control_stack: List[Taint] = []
+        self.overlay: Dict[str, Taint] = {}
         self.emitted: List[Message] = []
         self.tracked_writes = 0
         self.total_writes = 0
-        self.getinfo_ops = 0
         self.statements_executed = 0
-        # Reading a field of the incoming message taints with its uid.
-        self.message_taint: Taint = frozenset({message.uid}) if provenance_on else EMPTY_TAINT
 
-    # -- execution -----------------------------------------------------------
 
-    def run_block(self, block: Sequence[Stmt]) -> None:
-        for stmt in block:
-            self.run_stmt(stmt)
+#: Compiled expression: frame -> (value, taint).  With provenance off
+#: every taint is empty, so the taint merges below cost one truth test.
+_Eval = Callable[[_Frame], Tuple[object, Taint]]
+#: Compiled statement or block: (frame, control taint) -> None.  The
+#: control taint is the union of the enclosing branch conditions' taints,
+#: passed down instead of kept on a stack.
+_Block = Callable[[_Frame, Taint], None]
 
-    def run_stmt(self, stmt: Stmt) -> None:
-        self.statements_executed += 1
+
+class _HandlerCompiler:
+    """Lowers one handler's IR tree to nested closures, once.
+
+    Everything the IR and the interpreter's configuration fix — node
+    type, operator, names, ``V_tr`` membership, the provenance cap, the
+    loop bound, the handler parameter, error strings — is resolved here.
+    What stays dynamic is what depends on the invocation: whether a name
+    is a state variable or a local (``ReplicaState`` is caller-supplied),
+    the library binding (re-registration overwrites), and every value
+    and taint.  A malformed node compiles to a closure that raises when
+    *reached*, exactly where the tree-walker raised.
+    """
+
+    def __init__(self, interpreter: Interpreter, handler: Handler) -> None:
+        self.interp = interpreter
+        self.handler = handler
+        self.where = f"{interpreter.component.name}.{handler.msg_type}"
+
+    def body(self) -> _Block:
+        return self.block(self.handler.body)
+
+    # -- statements ------------------------------------------------------------
+
+    def block(self, stmts: Sequence[Stmt]) -> _Block:
+        # Statement and write counts are block constants: a block either
+        # runs to its end or raises (and then no outcome is returned).
+        count = len(stmts)
+        writes = sum(1 for stmt in stmts if isinstance(stmt, Assign))
+        compiled = tuple(self.stmt(stmt) for stmt in stmts)
+
+        def run(f: _Frame, control: Taint) -> None:
+            f.statements_executed += count
+            f.total_writes += writes
+            for stmt in compiled:
+                stmt(f, control)
+
+        return run
+
+    def stmt(self, stmt: Stmt) -> _Block:
         if isinstance(stmt, Assign):
-            self._run_assign(stmt)
-        elif isinstance(stmt, If):
-            self._run_if(stmt)
-        elif isinstance(stmt, While):
-            self._run_while(stmt)
-        elif isinstance(stmt, Send):
-            self._run_send(stmt)
-        elif isinstance(stmt, Skip):
-            pass
-        else:
-            raise InterpreterError(f"unknown statement type {type(stmt).__name__}")
+            return self._assign(stmt)
+        if isinstance(stmt, If):
+            return self._if(stmt)
+        if isinstance(stmt, While):
+            return self._while(stmt)
+        if isinstance(stmt, Send):
+            return self._send(stmt)
+        if isinstance(stmt, Skip):
+            return _skip
+        return _raiser(f"unknown statement type {type(stmt).__name__}")
 
-    def _control_taint(self) -> Taint:
-        stack = self.control_stack
-        if not stack:
-            return EMPTY_TAINT
-        if len(stack) == 1:
-            return stack[0]
-        out: Set[MessageUid] = set()
-        for t in stack:
-            out |= t
-        return frozenset(out)
-
-    def _run_assign(self, stmt: Assign) -> None:
-        value, taint = self.eval_expr(stmt.expr)
-        if self.provenance_on:
-            control = self._control_taint()
-            if control:
-                taint = taint | control
-        else:
-            taint = EMPTY_TAINT
-        self.total_writes += 1
+    def _assign(self, stmt: Assign) -> _Block:
+        evaluate = self.expr(stmt.expr)
         target = stmt.target
-        if target in self.state.values:
-            self.state.values[target] = value
-            if self.provenance_on:
-                self.state_taint_overlay[target] = taint
-                if self.interp.track_all or target in self.interp.tracked_vars:
-                    # Persist provenance: the paper's hash-table store of
-                    # the messages that resulted in a write to the variable.
-                    self.state.provenance[target] = _cap_taint(taint, self.interp.max_provenance)
-                    self.tracked_writes += 1
-        else:
-            self.locals[target] = value
-            if self.provenance_on:
-                self.local_taint[target] = taint
+        persist = self.interp.track_all or target in self.interp.tracked_vars
+        limit = self.interp.max_provenance
 
-    def _run_if(self, stmt: If) -> None:
-        cond, taint = self.eval_expr(stmt.cond)
-        self.control_stack.append(taint if self.provenance_on else EMPTY_TAINT)
-        try:
-            if cond:
-                self.run_block(stmt.then_body)
+        def run(f: _Frame, control: Taint) -> None:
+            value, taint = evaluate(f)
+            if control and control is not taint:
+                taint = taint | control if taint else control
+            values = f.values
+            if target in values:
+                values[target] = value
+                if f.track:
+                    f.overlay[target] = taint
+                    if persist:
+                        # Persist provenance: the paper's hash-table store of
+                        # the messages that resulted in a write to the variable.
+                        f.provenance[target] = _cap_taint(taint, limit)
+                        f.tracked_writes += 1
             else:
-                self.run_block(stmt.else_body)
-        finally:
-            self.control_stack.pop()
+                f.locals[target] = value
+                if f.track:
+                    f.local_taint[target] = taint
 
-    def _run_while(self, stmt: While) -> None:
-        iterations = 0
-        while True:
-            cond, taint = self.eval_expr(stmt.cond)
-            if not cond:
-                break
-            iterations += 1
-            if iterations > self.interp.max_loop_iterations:
-                raise InterpreterError(
-                    f"{self.interp.component.name}.{self.handler.msg_type}: loop exceeded "
-                    f"{self.interp.max_loop_iterations} iterations"
-                )
-            self.control_stack.append(taint if self.provenance_on else EMPTY_TAINT)
-            try:
-                self.run_block(stmt.body)
-            finally:
-                self.control_stack.pop()
+        return run
 
-    def _run_send(self, stmt: Send) -> None:
-        values: Dict[str, object] = {}
-        taints: Set[MessageUid] = set()
-        for name, expr in stmt.fields.items():
-            value, taint = self.eval_expr(expr)
-            values[name] = value
-            taints |= taint
-        causes: Taint = EMPTY_TAINT
-        if self.provenance_on:
+    def _if(self, stmt: If) -> _Block:
+        evaluate = self.expr(stmt.cond)
+        then_body = self.block(stmt.then_body)
+        else_body = self.block(stmt.else_body)
+
+        def run(f: _Frame, control: Taint) -> None:
+            cond, taint = evaluate(f)
+            if taint and taint is not control:
+                control = control | taint if control else taint
+            if cond:
+                then_body(f, control)
+            else:
+                else_body(f, control)
+
+        return run
+
+    def _while(self, stmt: While) -> _Block:
+        evaluate = self.expr(stmt.cond)
+        body = self.block(stmt.body)
+        bound = self.interp.max_loop_iterations
+        exceeded = f"{self.where}: loop exceeded {bound} iterations"
+
+        def run(f: _Frame, control: Taint) -> None:
+            iterations = 0
+            while True:
+                cond, taint = evaluate(f)
+                if not cond:
+                    return
+                iterations += 1
+                if iterations > bound:
+                    raise InterpreterError(exceeded)
+                if taint and taint is not control:
+                    body(f, control | taint if control else taint)
+                else:
+                    body(f, control)
+
+        return run
+
+    def _send(self, stmt: Send) -> _Block:
+        fields = tuple((name, self.expr(expr)) for name, expr in stmt.fields.items())
+        msg_type = stmt.msg_type
+        dest = stmt.dest
+        src = self.interp.component.name
+        limit = self.interp.max_provenance
+
+        def run(f: _Frame, control: Taint) -> None:
+            payload: Dict[str, object] = {}
             # getInfo: the messages that directly caused this emission are
-            # the data influences on the payload plus the dynamic control
-            # influences on reaching this send, plus the triggering message.
-            control = self._control_taint()
-            if control:
-                taints |= control
-            taints |= self.message_taint
-            causes = _cap_taint(frozenset(taints), self.interp.max_provenance)
-            self.getinfo_ops += 1
-        self.emitted.append(
-            Message(
-                uid=self.uid_factory.next_uid(),
-                msg_type=stmt.msg_type,
-                src=self.interp.component.name,
-                dest=stmt.dest,
-                fields=values,
-                cause_uids=causes,
-                root_uid=self.message.root_uid or self.message.uid,
-                sampled=self.message.sampled,
+            # the triggering message, the data influences on the payload and
+            # the dynamic control influences on reaching this send.  (With
+            # provenance off all of these are empty.)
+            causes = f.trigger
+            for name, evaluate in fields:
+                payload[name], taint = evaluate(f)
+                if taint and taint is not causes:
+                    causes = causes | taint
+            if control and control is not causes:
+                causes = causes | control
+            causes = _cap_taint(causes, limit)
+            message = f.message
+            root = message.root_uid
+            f.emitted.append(
+                Message(
+                    f.uid_factory.next_uid(),
+                    msg_type,
+                    src,
+                    dest,
+                    payload,
+                    causes,
+                    message.uid if root is None else root,
+                    message.sampled,
+                )
             )
-        )
 
-    # -- expression evaluation -------------------------------------------------
+        return run
 
-    def eval_expr(self, expr: Expr) -> Tuple[object, Taint]:
+    # -- expressions -------------------------------------------------------------
+
+    def expr(self, expr: Expr) -> _Eval:
         if isinstance(expr, Const):
-            return expr.value, EMPTY_TAINT
+            constant = (expr.value, EMPTY_TAINT)
+            return lambda f: constant
         if isinstance(expr, Var):
-            return self._eval_var(expr)
+            return self._var(expr)
         if isinstance(expr, Field):
-            return self._eval_field(expr)
+            return self._field(expr)
         if isinstance(expr, BinOp):
-            return self._eval_binop(expr)
+            return self._binop(expr)
         if isinstance(expr, UnaryOp):
-            value, taint = self.eval_expr(expr.operand)
-            if expr.op == "-":
-                return -_as_number(value, expr), taint
-            return (not value), taint
+            return self._unary(expr)
         if isinstance(expr, Call):
-            return self._eval_call(expr)
-        raise InterpreterError(f"unknown expression type {type(expr).__name__}")
+            return self._call(expr)
+        return _raiser(f"unknown expression type {type(expr).__name__}")
 
-    def _eval_var(self, expr: Var) -> Tuple[object, Taint]:
+    def _var(self, expr: Var) -> _Eval:
         name = expr.name
-        if name in self.locals:
-            return self.locals[name], self.local_taint.get(name, EMPTY_TAINT)
-        if name in self.state.values:
-            if not self.provenance_on:
-                return self.state.values[name], EMPTY_TAINT
-            taint = self.state_taint_overlay.get(name)
-            if taint is None:
-                taint = self.state.provenance.get(name, EMPTY_TAINT)
-            return self.state.values[name], taint
-        raise InterpreterError(
-            f"{self.interp.component.name}.{self.handler.msg_type}: read of undefined variable {name!r}"
-        )
+        undefined = f"{self.where}: read of undefined variable {name!r}"
 
-    def _eval_field(self, expr: Field) -> Tuple[object, Taint]:
+        def evaluate(f: _Frame) -> Tuple[object, Taint]:
+            values = f.values
+            if name in values:
+                # A name is a state variable or a local, never both
+                # (assignment tests the state table first).
+                if not f.track:
+                    return values[name], EMPTY_TAINT
+                taint = f.overlay.get(name)
+                if taint is None:
+                    taint = f.provenance.get(name, EMPTY_TAINT)
+                return values[name], taint
+            local_vars = f.locals
+            if name in local_vars:
+                return local_vars[name], f.local_taint.get(name, EMPTY_TAINT)
+            raise InterpreterError(undefined)
+
+        return evaluate
+
+    def _field(self, expr: Field) -> _Eval:
         if expr.param != self.handler.param:
-            raise InterpreterError(
-                f"{self.interp.component.name}.{self.handler.msg_type}: unknown message parameter {expr.param!r}"
-            )
-        try:
-            value = self.message.fields[expr.name]
-        except KeyError:
-            raise InterpreterError(
-                f"{self.interp.component.name}.{self.handler.msg_type}: message "
-                f"{self.message.msg_type!r} has no field {expr.name!r}"
-            ) from None
-        return value, self.message_taint
+            return _raiser(f"{self.where}: unknown message parameter {expr.param!r}")
+        name = expr.name
+        where = self.where
 
-    def _eval_binop(self, expr: BinOp) -> Tuple[object, Taint]:
-        lval, ltaint = self.eval_expr(expr.left)
+        def evaluate(f: _Frame) -> Tuple[object, Taint]:
+            try:
+                return f.fields[name], f.trigger
+            except KeyError:
+                raise InterpreterError(
+                    f"{where}: message {f.message.msg_type!r} has no field {name!r}"
+                ) from None
+
+        return evaluate
+
+    def _unary(self, expr: UnaryOp) -> _Eval:
+        operand = self.expr(expr.operand)
+        apply = operator.not_ if expr.op != "-" else lambda value: -_as_number(value, expr)
+
+        def evaluate(f: _Frame) -> Tuple[object, Taint]:
+            value, taint = operand(f)
+            return apply(value), taint
+
+        return evaluate
+
+    def _binop(self, expr: BinOp) -> _Eval:
+        left = self.expr(expr.left)
+        right = self.expr(expr.right)
         op = expr.op
-        # Short-circuit logic keeps taint precise for the evaluated side.
-        if op == "and":
-            if not lval:
-                return False, ltaint
-            rval, rtaint = self.eval_expr(expr.right)
-            return bool(rval), ltaint | rtaint
-        if op == "or":
-            if lval:
-                return True, ltaint
-            rval, rtaint = self.eval_expr(expr.right)
-            return bool(rval), ltaint | rtaint
-        rval, rtaint = self.eval_expr(expr.right)
-        taint = ltaint | rtaint
-        return _apply_binop(op, lval, rval, expr), taint
+        if op in ("and", "or"):
+            # Short-circuit logic keeps taint precise for the evaluated side.
+            # ``and`` is decided by a false left operand, ``or`` by a true one.
+            decided = op == "or"
 
-    def _eval_call(self, expr: Call) -> Tuple[object, Taint]:
-        fn = self.interp.library.lookup(expr.func)
-        args: List[object] = []
-        taint: Set[MessageUid] = set()
-        for arg in expr.args:
-            value, t = self.eval_expr(arg)
-            args.append(value)
-            taint |= t
-        try:
-            result = fn(*args)
-        except Exception as exc:  # library function misuse is a program error
-            raise InterpreterError(f"library call {expr.func}({args!r}) failed: {exc}") from exc
-        return result, frozenset(taint)
+            def evaluate(f: _Frame) -> Tuple[object, Taint]:
+                lval, ltaint = left(f)
+                if (not lval) is not decided:
+                    return decided, ltaint
+                rval, rtaint = right(f)
+                if rtaint and rtaint is not ltaint:
+                    ltaint = ltaint | rtaint if ltaint else rtaint
+                return bool(rval), ltaint
+
+            return evaluate
+        apply = _binop_function(expr)
+
+        def evaluate(f: _Frame) -> Tuple[object, Taint]:
+            lval, ltaint = left(f)
+            rval, rtaint = right(f)
+            if rtaint and rtaint is not ltaint:
+                ltaint = ltaint | rtaint if ltaint else rtaint
+            return apply(lval, rval), ltaint
+
+        return evaluate
+
+    def _call(self, expr: Call) -> _Eval:
+        lookup = self.interp.library.lookup
+        func = expr.func
+        arg_evals = tuple(self.expr(arg) for arg in expr.args)
+
+        def evaluate(f: _Frame) -> Tuple[object, Taint]:
+            fn = lookup(func)
+            args: List[object] = []
+            taint = EMPTY_TAINT
+            for arg in arg_evals:
+                value, arg_taint = arg(f)
+                args.append(value)
+                if arg_taint and arg_taint is not taint:
+                    taint = taint | arg_taint if taint else arg_taint
+            try:
+                result = fn(*args)
+            except Exception as exc:  # library function misuse is a program error
+                raise InterpreterError(f"library call {func}({args!r}) failed: {exc}") from exc
+            return result, taint
+
+        return evaluate
+
+
+def _skip(f: _Frame, control: Taint) -> None:
+    pass
+
+
+def _raiser(text: str) -> Callable[..., NoReturn]:
+    """A compiled node that raises ``InterpreterError(text)`` when reached."""
+
+    def fail(*_args: object) -> NoReturn:
+        raise InterpreterError(text)
+
+    return fail
 
 
 def _as_number(value: object, expr: Expr) -> float:
+    kind = type(value)
+    if kind is int or kind is float:
+        return value
     if isinstance(value, bool):
         return float(value)
     if isinstance(value, (int, float)):
@@ -482,44 +607,49 @@ def _as_number(value: object, expr: Expr) -> float:
     raise InterpreterError(f"expected a number in {expr!r}, got {value!r}")
 
 
-def _apply_binop(op: str, lval: object, rval: object, expr: BinOp) -> object:
-    if op == "+":
-        if isinstance(lval, str) or isinstance(rval, str):
-            return f"{lval}{rval}"
-        return _as_number(lval, expr) + _as_number(rval, expr)
-    if op == "-":
-        return _as_number(lval, expr) - _as_number(rval, expr)
-    if op == "*":
-        return _as_number(lval, expr) * _as_number(rval, expr)
-    if op == "/":
-        denom = _as_number(rval, expr)
-        if denom == 0:
-            raise InterpreterError(f"division by zero in {expr!r}")
-        return _as_number(lval, expr) / denom
-    if op == "//":
-        denom = _as_number(rval, expr)
-        if denom == 0:
-            raise InterpreterError(f"division by zero in {expr!r}")
-        return _as_number(lval, expr) // denom
-    if op == "%":
-        denom = _as_number(rval, expr)
-        if denom == 0:
-            raise InterpreterError(f"modulo by zero in {expr!r}")
-        return _as_number(lval, expr) % denom
-    if op == ">":
-        return lval > rval  # type: ignore[operator]
-    if op == ">=":
-        return lval >= rval  # type: ignore[operator]
-    if op == "<":
-        return lval < rval  # type: ignore[operator]
-    if op == "<=":
-        return lval <= rval  # type: ignore[operator]
-    if op == "==":
-        return lval == rval
-    if op == "!=":
-        return lval != rval
-    if op == "min":
-        return min(lval, rval)  # type: ignore[type-var]
-    if op == "max":
-        return max(lval, rval)  # type: ignore[type-var]
-    raise InterpreterError(f"unknown binary operator {op!r}")
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_DIVISION = {
+    "/": (operator.truediv, "division"),
+    "//": (operator.floordiv, "division"),
+    "%": (operator.mod, "modulo"),
+}
+_DIRECT = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "min": min,
+    "max": max,
+}
+
+
+def _binop_function(expr: BinOp) -> Callable[[object, object], object]:
+    """The ``(left, right) -> value`` function of a non-logical operator."""
+    op = expr.op
+    direct = _DIRECT.get(op)
+    if direct is not None:
+        return direct
+    if op in _ARITHMETIC:
+        combine = _ARITHMETIC[op]
+        concatenates = op == "+"
+
+        def arithmetic(lval: object, rval: object) -> object:
+            if concatenates and (isinstance(lval, str) or isinstance(rval, str)):
+                return f"{lval}{rval}"
+            return combine(_as_number(lval, expr), _as_number(rval, expr))
+
+        return arithmetic
+    if op in _DIVISION:
+        combine, noun = _DIVISION[op]
+        by_zero = f"{noun} by zero in {expr!r}"
+
+        def divide(lval: object, rval: object) -> object:
+            denom = _as_number(rval, expr)
+            if denom == 0:
+                raise InterpreterError(by_zero)
+            return combine(_as_number(lval, expr), denom)
+
+        return divide
+    return _raiser(f"unknown binary operator {op!r}")

