@@ -515,13 +515,7 @@ class DirectCausalityTracker:
             to_sweep.append(root)
         if not to_sweep:
             return
-        abandon_many = getattr(self.store, "abandon_roots", None)
-        if abandon_many is not None:
-            removed = abandon_many(to_sweep)
-        else:
-            removed = 0
-            for root in to_sweep:
-                removed += self.store.abandon_root(root)
+        removed = self.store.abandon_roots(to_sweep)
         self._m_abandoned.inc(len(to_sweep))
         self._m_abandoned_nodes.inc(removed)
         for root in to_sweep:

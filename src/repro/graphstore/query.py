@@ -20,7 +20,7 @@ from typing import FrozenSet, List, Set, Tuple
 
 from repro.errors import GraphStoreError
 from repro.graphstore.store import EdgeTriple, GraphNode, GraphStore
-from repro.lang.message import MessageUid
+from repro.lang.message import UID_ORDER_KEY, MessageUid
 
 __all__ = [
     "CausalGraphResult",
@@ -81,7 +81,7 @@ def causal_graph_bfs(store: GraphStore, root: MessageUid) -> CausalGraphResult:
     queue: deque = deque([root])
     while queue:
         uid = queue.popleft()
-        for succ in sorted(store.iter_successors(uid)):
+        for succ in sorted(store.iter_successors(uid), key=UID_ORDER_KEY):
             hops += 1
             node = store.get_node(succ)
             if node is None:
@@ -142,7 +142,7 @@ def to_dot(store: GraphStore, root: MessageUid, title: str = "causal graph") -> 
             f'  {ids[node.uid]} [label="{node.msg_type}\\n{node.uid}"{shape}];'
         )
     for node in result.nodes:
-        for succ in sorted(store.iter_successors(node.uid)):
+        for succ in sorted(store.iter_successors(node.uid), key=UID_ORDER_KEY):
             if succ in ids:
                 lines.append(f"  {ids[node.uid]} -> {ids[succ]};")
     lines.append("}")

@@ -321,26 +321,20 @@ class ShardedGraphStore:
     def evict_graph(self, root: MessageUid) -> int:
         return self.shards[self._shard_of(root)].evict_graph(root)
 
-    def abandon_root(self, root: MessageUid) -> int:
-        return self.shards[self._shard_of(root)].abandon_root(root)
-
     def abandon_roots(self, roots: Iterable[MessageUid]) -> int:
         """Abandon many roots in one sweep, grouped (and fanned out) per shard.
 
         Each shard's O(stored nodes) scan runs once per sweep instead of
-        once per root; with ``maintenance_workers`` > 1 the per-shard
-        sweeps run concurrently.  Returns total nodes removed.
+        once per root (:meth:`GraphStore.abandon_roots`); with
+        ``maintenance_workers`` > 1 the per-shard sweeps run
+        concurrently.  Returns total nodes removed.
         """
         by_shard: List[List[MessageUid]] = [[] for _ in self.shards]
         for root in roots:
             by_shard[self._shard_of(root)].append(root)
 
         def sweep(index: int) -> int:
-            shard = self.shards[index]
-            removed = 0
-            for root in by_shard[index]:
-                removed += shard.abandon_root(root)
-            return removed
+            return self.shards[index].abandon_roots(by_shard[index])
 
         busy = [i for i, group in enumerate(by_shard) if group]
         return sum(self._fan_out(sweep, busy))

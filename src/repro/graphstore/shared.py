@@ -167,15 +167,8 @@ class StoreHub:
     def evict_graph(self, namespace: str, root: MessageUid) -> int:
         return self._stores[namespace].evict_graph(root)
 
-    def abandon_root(self, namespace: str, root: MessageUid) -> int:
-        return self._stores[namespace].abandon_root(root)
-
     def abandon_roots(self, namespace: str, roots: Sequence[MessageUid]) -> int:
-        store = self._stores[namespace]
-        abandon_many = getattr(store, "abandon_roots", None)
-        if abandon_many is not None:
-            return abandon_many(roots)
-        return sum(store.abandon_root(root) for root in roots)
+        return self._stores[namespace].abandon_roots(roots)
 
     def repair_dangling_edges(self, namespace: str) -> int:
         return self._stores[namespace].repair_dangling_edges()
@@ -403,9 +396,6 @@ class SharedGraphStoreClient:
 
     def evict_graph(self, root: MessageUid) -> int:
         return self._hub.evict_graph(self.namespace, root)
-
-    def abandon_root(self, root: MessageUid) -> int:
-        return self._hub.abandon_root(self.namespace, root)
 
     def abandon_roots(self, roots: Iterable[MessageUid]) -> int:
         return self._hub.abandon_roots(self.namespace, list(roots))

@@ -39,7 +39,7 @@ from repro.errors import GraphStoreError, StoreBackendError, TransientStoreError
 from repro.graphstore.backend import GraphStoreBackend, MemoryBackend
 from repro.graphstore.partition import HashPartitioner
 from repro.lang.ir import CLIENT
-from repro.lang.message import Message, MessageUid
+from repro.lang.message import UID_ORDER_KEY, Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -588,22 +588,42 @@ class GraphStore:
         Eviction (:meth:`evict_graph`) follows edges, so it cannot clean
         up after a *lost* root: when the external-request message is
         dropped, its descendants are stored with ``root`` in the side
-        index but nothing connects them.  The tracker's path-abandonment
-        timeout calls this to reclaim such partial graphs.  O(stored
-        nodes) per call — acceptable on the (rare) abandonment path, and
-        the store stays small because completed graphs are evicted
-        continuously.  Returns the number of nodes removed.
+        index but nothing connects them.  Single-root form of
+        :meth:`abandon_roots` (journal replay and tests); returns the
+        number of nodes removed.
         """
-        self._accumulators.pop(root, None)
-        members = [uid for uid, r in self._roots.items() if r == root]
-        removed = self._remove_all(members)
-        self._m_evictions.inc()
-        self._m_evicted_nodes.inc(removed)
-        self._m_evict_size.observe(removed)
-        if self._journal is not None:
-            self._journal.journal_abandon(root)
-            self._journal.flush()
-        return removed
+        return self.abandon_roots((root,))
+
+    def abandon_roots(self, roots: Iterable[MessageUid]) -> int:
+        """Abandon every root in ``roots`` with one pass over the root index.
+
+        The tracker's path-abandonment sweep hands over all expired roots
+        at once; their members are grouped in a single O(stored nodes)
+        scan (one dict probe per node, however many roots are doomed).
+        Each root is then reclaimed in input order exactly as a lone
+        :meth:`abandon_root` would: one eviction-telemetry tick and one
+        ``journal_abandon`` frame + flush per root.  Returns the total
+        number of nodes removed.
+        """
+        roots = list(roots)
+        doomed: Dict[MessageUid, List[MessageUid]] = {root: [] for root in roots}
+        for uid, root in self._roots.items():
+            members = doomed.get(root)
+            if members is not None:
+                members.append(uid)
+        total = 0
+        for root in roots:
+            self._accumulators.pop(root, None)
+            # pop: a root listed twice finds nothing left the second time.
+            removed = self._remove_all(doomed.pop(root, ()))
+            total += removed
+            self._m_evictions.inc()
+            self._m_evicted_nodes.inc(removed)
+            self._m_evict_size.observe(removed)
+            if self._journal is not None:
+                self._journal.journal_abandon(root)
+                self._journal.flush()
+        return total
 
     def _evict_by_traversal(self, root: MessageUid) -> int:
         """Reachability sweep (the pre-incremental eviction semantics)."""
@@ -646,7 +666,7 @@ class GraphStore:
         if not self._dangling_effects:
             return 0
         repaired = 0
-        for ghost in sorted(self._dangling_effects):
+        for ghost in sorted(self._dangling_effects, key=UID_ORDER_KEY):
             if self._node_at(ghost) is not None:
                 # The node arrived after all (defensive: add_message
                 # already clears it from the dangling set).

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.errors import GraphStoreError
+from repro.graphstore.backend import GraphStoreBackend
 from repro.graphstore.partition import HashPartitioner
+from repro.graphstore.sharded import ShardedGraphStore
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid
+from repro.telemetry import MetricsRegistry
 
 
 def _uid(seq, proc=1, host="h"):
@@ -205,3 +208,90 @@ class TestEvictGraphEdgeCases:
         store.add_message(_msg(1))
         assert store.evict_graph(_uid(77)) == 0
         assert store.node_count() == 1
+
+
+class _RecordingBackend(GraphStoreBackend):
+    """Journaling backend that only remembers the frames it was handed."""
+
+    kind = "recording"
+    journaling = True
+
+    def __init__(self):
+        self.frames = []
+
+    def journal_message(self, message):
+        pass
+
+    def journal_abandon(self, root):
+        self.frames.append(("abandon", root))
+
+    def flush(self):
+        self.frames.append(("flush",))
+
+
+class TestAbandonRoots:
+    """The one-pass sweep is the per-root loop, observably."""
+
+    @staticmethod
+    def _orphaned_store(sharded=False):
+        # Six roots whose request message was lost: their descendants are
+        # stored against the root in the side index, nothing connects them.
+        registry = MetricsRegistry()
+        backend = _RecordingBackend()
+        if sharded:
+            store = ShardedGraphStore(num_shards=3, registry=registry)
+        else:
+            store = GraphStore(registry=registry, backend=backend)
+        roots = [_uid(1000 + i, host="client") for i in range(6)]
+        seq = 0
+        for index, root in enumerate(roots):
+            for _ in range(index + 1):
+                seq += 1
+                store.add_message(_msg(seq, causes=[root], root=root))
+        return store, registry, backend, roots
+
+    @staticmethod
+    def _eviction_telemetry(registry):
+        snap = registry.snapshot()["metrics"]
+        return (
+            snap["graphstore.evictions"]["value"],
+            snap["graphstore.evicted_nodes"]["value"],
+            snap["graphstore.eviction_size_nodes"]["count"],
+        )
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_matches_the_per_root_loop(self, sharded):
+        looped, looped_reg, looped_backend, roots = self._orphaned_store(sharded)
+        swept, swept_reg, swept_backend, _ = self._orphaned_store(sharded)
+        doomed = [roots[4], roots[1], roots[3]]
+        assert swept.abandon_roots(doomed) == sum(looped.abandon_roots([r]) for r in doomed) == 11
+        assert sorted(swept.all_uids()) == sorted(looped.all_uids())
+        assert swept.node_count() == 1 + 3 + 6
+        assert self._eviction_telemetry(swept_reg) == self._eviction_telemetry(looped_reg)
+        assert self._eviction_telemetry(swept_reg) == (3, 11, 3)
+        # One abandon frame + one flush per root, in input order.
+        assert swept_backend.frames == looped_backend.frames
+        if not sharded:
+            assert swept_backend.frames == [
+                step for root in doomed for step in (("abandon", root), ("flush",))
+            ]
+
+    def test_unknown_and_repeated_roots_tick_but_remove_nothing(self):
+        store, registry, backend, roots = self._orphaned_store()
+        stranger = _uid(7, host="nobody")
+        assert store.abandon_roots([roots[2], stranger, roots[2]]) == 3
+        assert self._eviction_telemetry(registry) == (3, 3, 3)
+        assert [frame[1] for frame in backend.frames if frame[0] == "abandon"] == [
+            roots[2], stranger, roots[2]
+        ]
+        assert store.abandon_roots([]) == 0
+        assert self._eviction_telemetry(registry) == (3, 3, 3)
+
+    def test_sweep_drops_the_roots_accumulators(self):
+        store = GraphStore(registry=MetricsRegistry())
+        root = store.add_message(_msg(1, src=EXTERNAL)).uid
+        store.add_message(_msg(2, causes=[root], root=root))
+        assert store.completed_signature(root) is not None
+        assert store.abandon_roots([root]) == 2
+        assert store.completed_signature(root) is None
+        assert store.node_count() == 0
