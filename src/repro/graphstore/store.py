@@ -651,6 +651,10 @@ class GraphStore:
                 out_set = self._out_edges.get(pred)
                 if out_set is not None:
                     out_set.discard(uid)
+                    if not out_set:
+                        # ``pred`` may never be stored (a stale provenance
+                        # uid), so nothing else would reclaim its entry.
+                        del self._out_edges[pred]
 
     def repair_dangling_edges(self) -> int:
         """Detach raw edges whose effect node was never stored.

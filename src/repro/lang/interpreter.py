@@ -84,7 +84,9 @@ def _cap_taint(taint: Taint, limit: int) -> Taint:
     bound span/provenance fan-in the same way.  Survivors are chosen by
     the uid total order ``(address, process_id, seq)`` — deterministic,
     and recent-first only *within* one process: across processes the
-    address decides, so the order is not a recency order.
+    address decides, so the order is not a recency order.  A send
+    therefore exempts its triggering message from the cap (see
+    ``_HandlerCompiler._send``); persisted provenance is capped as is.
 
     The sort keys are built by :data:`UID_ORDER_KEY` for this call and
     dropped with it; the comparison runs on plain tuples in C and never
@@ -446,7 +448,12 @@ class _HandlerCompiler:
                     causes = causes | taint
             if control and control is not causes:
                 causes = causes | control
-            causes = _cap_taint(causes, limit)
+            if len(causes) > limit:
+                # The cap may drop any influence but the trigger: a message
+                # without an edge to the message that caused it falls out of
+                # its request's causal graph, and everything after it too.
+                trigger = f.trigger
+                causes = _cap_taint(causes - trigger, limit - 1) | trigger
             message = f.message
             root = message.root_uid
             f.emitted.append(

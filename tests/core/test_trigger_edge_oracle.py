@@ -1,0 +1,78 @@
+"""Every message keeps an edge to the message that triggered it.
+
+Baquero's "Causality is Graphically Simple" invariant, checked end to end
+with an oracle that shares nothing with the graph store: the runtime
+computes each request's signature from the messages it *emitted*
+(``RequestTrace.signature``); the tracker derives it from what the store
+*connected* to the root (``completed_signature``).  They agree only if no
+hop of the path was cut off its root — which is what happened when the
+provenance cap dropped a send's triggering uid from ``cause_uids`` once an
+accumulator variable's provenance passed ``max_provenance``.  A cut-off
+node is also never evicted, so the second half of the oracle is that the
+store and every one of its indexes are empty after the last completion.
+"""
+
+import random
+
+import pytest
+
+from repro.apps.catalog import SCENARIOS, load_scenario
+from repro.core.causal_graph import DirectCausalityTracker
+from repro.core.dca import analyze_application
+from repro.graphstore.sharded import ShardedGraphStore
+from repro.graphstore.store import GraphStore
+from repro.sim.runtime import ApplicationRuntime
+from repro.telemetry import MetricsRegistry
+
+REQUESTS_PER_CLASS = 200
+
+
+class _SignatureLog:
+    """Stands in for the profiler: remembers what the tracker recorded."""
+
+    def __init__(self):
+        self.signatures = []
+
+    def record(self, signature, time_minutes):
+        self.signatures.append(signature)
+
+
+def _make_store(shards, registry):
+    if shards == 1:
+        return GraphStore(registry=registry)
+    return ShardedGraphStore(num_shards=shards, registry=registry)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_tracker_signature_matches_runtime_and_store_drains(scenario, shards):
+    loaded = load_scenario(scenario)
+    runtime = ApplicationRuntime(
+        loaded.app,
+        dca_result=analyze_application(loaded.app),
+        overhead_model=loaded.overhead_model,
+    )
+    registry = MetricsRegistry()
+    store = _make_store(shards, registry)
+    log = _SignatureLog()
+    tracker = DirectCausalityTracker(log, store=store, registry=registry)
+
+    # Classes interleave in a seeded order so the shared accumulators
+    # (risk exposure, tick counts, ...) mix provenance from every path.
+    schedule = [cls for cls in loaded.classes for _ in range(REQUESTS_PER_CLASS)]
+    random.Random(20160627).shuffle(schedule)
+    for index, request in enumerate(schedule):
+        tracker.advance_to(index / 60.0)
+        trace = runtime.execute_request(request, sampled=True)
+        for message in trace.messages[1:]:
+            assert trace.messages[0].uid == message.root_uid
+            assert message.cause_uids, f"{message} lost every cause"
+        tracker.observe_all(trace.messages)
+        assert len(log.signatures) == index + 1, f"request {index} ({request.name}) never completed"
+        assert log.signatures[-1] == trace.signature, (index, request.name)
+
+    assert tracker.completed_paths == len(schedule)
+    assert store.node_count() == 0
+    for shard in getattr(store, "shards", [store]):
+        for name in ("_roots", "_reach", "_in_edges", "_out_edges", "_accumulators"):
+            assert not getattr(shard, name), f"{name} retains {len(getattr(shard, name))} entries"

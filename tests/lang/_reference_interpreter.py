@@ -274,8 +274,12 @@ class _InvocationContext:
             control = self._control_taint()
             if control:
                 taints |= control
-            taints |= self.message_taint
-            causes = _cap_taint(frozenset(taints), self.interp.max_provenance)
+            # The triggering message is exempt from the cap.
+            taints -= self.message_taint
+            causes = (
+                _cap_taint(frozenset(taints), self.interp.max_provenance - 1)
+                | self.message_taint
+            )
             self.getinfo_ops += 1
         self.emitted.append(
             Message(

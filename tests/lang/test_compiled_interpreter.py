@@ -33,7 +33,7 @@ from repro.lang.ir import (
     While,
     default_library,
 )
-from repro.lang.message import Message, UidFactory
+from repro.lang.message import Message, MessageUid, UidFactory
 
 from tests.lang._reference_interpreter import ReferenceInterpreter
 
@@ -352,3 +352,31 @@ def test_replaced_handler_recompiles():
     component.add_handler(Handler("go", "m", [Assign("a", 7)]))
     assert interp.handle(state, message, uids).emitted == []
     assert state.values["a"] == 7
+
+
+def test_send_never_caps_out_its_trigger():
+    """Past the cap, ``cause_uids`` keeps the trigger and the largest of the rest."""
+    body = [
+        Assign("acc", Var("acc") + Field("m", "x")),
+        Send("out", CLIENT, {"total": Var("acc")}),
+    ]
+    component = Component("comp", STATE, [Handler("go", "m", body)])
+    interp = Interpreter(component, default_library(), tracked_vars={"acc"}, max_provenance=3)
+    state = ReplicaState.from_component(component)
+    uids = UidFactory("10.0.0.1", 1)
+    high = UidFactory("10.0.0.9", 9)  # sorts above everything from "10.0.0.2"
+    low = UidFactory("10.0.0.2", 1)
+    for _ in range(5):
+        message = Message(high.next_uid(), "go", EXTERNAL, "comp", {"x": 1})
+        interp.handle(state, message, uids)
+    assert len(state.provenance["acc"]) == 3
+
+    message = Message(low.next_uid(), "go", EXTERNAL, "comp", {"x": 1})
+    (sent,) = interp.handle(state, message, uids).emitted
+    assert message.uid in sent.cause_uids
+    assert len(sent.cause_uids) == 3
+    assert sent.cause_uids - {message.uid} == {
+        MessageUid("10.0.0.9", 9, 4), MessageUid("10.0.0.9", 9, 5)
+    }
+    # Persisted provenance is capped by the total order alone.
+    assert message.uid not in state.provenance["acc"]
