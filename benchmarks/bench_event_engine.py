@@ -5,10 +5,18 @@ DCA-100% manager — the costliest configuration, every request sampled —
 for 320 simulated minutes with ``max_live_traces_per_class=16`` under
 both engines, asserts bit-identical ``IntervalRecord`` streams, and
 pins the tentpole claim CI gates on: the event engine's converged
-replay must deliver at least a **10x aggregate** wall-clock speedup
+replay must deliver at least a **6x aggregate** wall-clock speedup
 over the suite, with a per-scenario sanity floor of 4x (zookeeper's
 headroom is capped by the shared per-interval manager/demand/serve
 work that no ingestion strategy can remove).
+
+The ratio's numerator is the *live* path, so it falls whenever live
+execution gets cheaper: the floor was 10x (measured ~15x) until handlers
+were compiled to closures, which took the tick suite from ~13.7 s to
+~8.2 s while the event suite went from ~0.87 s to ~0.80 s — both faster,
+ratio ~10x.  The floor keeps the same 1.5x headroom under the measured
+value; the event engine's absolute time is gated separately
+(``test_bench_event_engine_suite`` against ``benchmarks/baseline.json``).
 
 The per-engine wall times also feed the regression gate: a change that
 slows the event engine (or quietly speeds up tick by breaking it)
@@ -32,9 +40,9 @@ DURATION_MINUTES = 320
 MAX_LIVE = 16
 SEED = 7
 
-#: CI-gated floors (measured headroom: ~23x/10x/6x per scenario,
-#: ~15x aggregate on the baseline machine).
-MIN_AGGREGATE_SPEEDUP = 10.0
+#: CI-gated floors (measured: ~15x/7.5x/7.5x per scenario, 9-11x
+#: aggregate on the baseline machine).
+MIN_AGGREGATE_SPEEDUP = 6.0
 MIN_SCENARIO_SPEEDUP = 4.0
 
 

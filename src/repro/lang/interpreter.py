@@ -243,7 +243,7 @@ class Interpreter:
         handler = self.component.handler_for(msg_type)
         entry = self._compiled.get(msg_type)
         if entry is None or entry[0] is not handler:
-            entry = self._compiled[msg_type] = (handler, _HandlerCompiler(self, handler).body())
+            entry = self._compiled[msg_type] = (handler, _HandlerCompiler(self, handler).block(handler.body))
         track = self._provenance_enabled and message.sampled
         frame = _Frame(state, message, uid_factory, track)
         entry[1](frame, EMPTY_TAINT)
@@ -330,9 +330,6 @@ class _HandlerCompiler:
         self.handler = handler
         self.where = f"{interpreter.component.name}.{handler.msg_type}"
 
-    def body(self) -> _Block:
-        return self.block(self.handler.body)
-
     # -- statements ------------------------------------------------------------
 
     def block(self, stmts: Sequence[Stmt]) -> _Block:
@@ -360,7 +357,7 @@ class _HandlerCompiler:
         if isinstance(stmt, Send):
             return self._send(stmt)
         if isinstance(stmt, Skip):
-            return _skip
+            return lambda f, control: None
         return _raiser(f"unknown statement type {type(stmt).__name__}")
 
     def _assign(self, stmt: Assign) -> _Block:
@@ -590,10 +587,6 @@ class _HandlerCompiler:
         return evaluate
 
 
-def _skip(f: _Frame, control: Taint) -> None:
-    pass
-
-
 def _raiser(text: str) -> Callable[..., NoReturn]:
     """A compiled node that raises ``InterpreterError(text)`` when reached."""
 
@@ -604,9 +597,6 @@ def _raiser(text: str) -> Callable[..., NoReturn]:
 
 
 def _as_number(value: object, expr: Expr) -> float:
-    kind = type(value)
-    if kind is int or kind is float:
-        return value
     if isinstance(value, bool):
         return float(value)
     if isinstance(value, (int, float)):
