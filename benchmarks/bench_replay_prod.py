@@ -39,7 +39,7 @@ SEED = 7
 NUM_SHARDS = 4
 WRITE_BATCH_SIZE = 32
 
-#: CI-gated floors (measured ~14x/9x/8x per scenario, ~10x aggregate).
+#: CI-gated floors (measured ~17x/10x/10x per scenario, ~13x aggregate).
 MIN_AGGREGATE_SPEEDUP = 3.0
 MIN_SCENARIO_SPEEDUP = 2.0
 

@@ -669,7 +669,7 @@ class LogBackend(GraphStoreBackend):
             elif op == OP_EVICT:
                 store.evict_graph(*args)
             elif op == OP_ABANDON:
-                store.abandon_root(*args)
+                store.abandon_roots(args)
             else:
                 store.repair_dangling_edges()
             count += 1

@@ -81,7 +81,12 @@ def causal_graph_bfs(store: GraphStore, root: MessageUid) -> CausalGraphResult:
     queue: deque = deque([root])
     while queue:
         uid = queue.popleft()
-        for succ in sorted(store.iter_successors(uid), key=UID_ORDER_KEY):
+        succs = list(store.iter_successors(uid))
+        if len(succs) > 1:
+            # A chain link has nothing to order; building its key tuple
+            # costs more than the key saves on real fan-outs.
+            succs.sort(key=UID_ORDER_KEY)
+        for succ in succs:
             hops += 1
             node = store.get_node(succ)
             if node is None:

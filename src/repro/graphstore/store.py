@@ -589,8 +589,8 @@ class GraphStore:
         up after a *lost* root: when the external-request message is
         dropped, its descendants are stored with ``root`` in the side
         index but nothing connects them.  Single-root form of
-        :meth:`abandon_roots` (journal replay and tests); returns the
-        number of nodes removed.
+        :meth:`abandon_roots`, which every caller under ``src/`` uses;
+        returns the number of nodes removed.
         """
         return self.abandon_roots((root,))
 

@@ -24,7 +24,6 @@ call and lets them go.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from typing import FrozenSet, Mapping, Optional
@@ -38,7 +37,6 @@ from repro.errors import IRError
 UID_ORDER_KEY = operator.attrgetter("address", "process_id", "seq")
 
 
-@functools.total_ordering
 class MessageUid:
     """Globally unique message identifier.
 
@@ -85,14 +83,30 @@ class MessageUid:
             and self.address == other.address
         )
 
-    # ``<`` (and ``<=``/``>``/``>=`` via ``total_ordering``) stay for API
-    # compatibility; sorting code passes ``key=UID_ORDER_KEY`` instead, so
-    # no hot path pays a Python-level call per comparison.
+    def __ne__(self, other: object) -> bool:
+        result = self.__eq__(other)
+        if result is NotImplemented:
+            return result
+        return not result
+
+    # The rich comparisons stay for API compatibility; sorting code
+    # passes ``key=UID_ORDER_KEY`` instead, so no hot path pays a
+    # Python-level call per comparison.
+
+    def _key(self):
+        return (self.address, self.process_id, self.seq)
 
     def __lt__(self, other: "MessageUid") -> bool:
-        if not isinstance(other, MessageUid):
-            return NotImplemented
-        return UID_ORDER_KEY(self) < UID_ORDER_KEY(other)
+        return self._key() < other._key()
+
+    def __le__(self, other: "MessageUid") -> bool:
+        return self._key() <= other._key()
+
+    def __gt__(self, other: "MessageUid") -> bool:
+        return self._key() > other._key()
+
+    def __ge__(self, other: "MessageUid") -> bool:
+        return self._key() >= other._key()
 
     def __repr__(self) -> str:
         return f"MessageUid(address={self.address!r}, process_id={self.process_id!r}, seq={self.seq!r})"
@@ -187,6 +201,12 @@ class Message:
             and self.root_uid == other.root_uid
             and self.sampled == other.sampled
         )
+
+    def __ne__(self, other: object) -> bool:
+        result = self.__eq__(other)
+        if result is NotImplemented:
+            return result
+        return not result
 
     def with_causes(self, causes: FrozenSet[MessageUid]) -> "Message":
         """Copy of this message with ``cause_uids`` replaced."""
