@@ -15,6 +15,7 @@ from repro.graphstore.query import causal_graph_bfs
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid
+from repro.telemetry import MetricsRegistry
 
 
 def _linear_chain(store, length, start_seq=1):
@@ -47,13 +48,15 @@ def test_bench_uid_index_lookup(benchmark):
 
 
 def test_bench_edge_insertion(benchmark):
-    def insert_chain():
-        store = GraphStore()
-        _linear_chain(store, 500)
-        return store
+    registry = MetricsRegistry()
+    edges = registry.counter("graphstore.edges_added")
 
-    store = benchmark(insert_chain)
-    assert store.edge_count == 499
+    def insert_chain():
+        before = edges.value
+        _linear_chain(GraphStore(registry=registry), 500)
+        return edges.value - before
+
+    assert benchmark(insert_chain) == 499
 
 
 @pytest.mark.parametrize("size", [100, 1000])
@@ -71,13 +74,15 @@ def test_bfs_work_is_linear_in_graph_size(benchmark):
     with causal-graph size — the measurable form of the O(1)-hop claim."""
 
     def measure():
+        registry = MetricsRegistry()
+        lookups = registry.counter("graphstore.index_lookups")
         work = {}
         for size in (200, 400, 800):
-            store = GraphStore()
+            store = GraphStore(registry=registry)
             root = _linear_chain(store, size)
-            before = store.index_lookups
+            before = lookups.value
             causal_graph_bfs(store, root.uid)
-            work[size] = store.index_lookups - before
+            work[size] = lookups.value - before
         return work
 
     work = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -20,11 +20,14 @@ Failure semantics
 The tracker is the component that faces the unreliable substrate, so the
 recovery mechanisms live here:
 
-* **Retry + dead-letter** — a graph-store write that raises
-  :class:`~repro.errors.TransientStoreError` is retried up to
-  ``max_write_retries`` times with exponential (simulated) backoff;
-  exhausted messages are *dead-lettered*: counted and dropped, never
-  allowed to crash the pipeline.
+* **Retry + dead-letter** — the tracker alone admits store writes
+  (:meth:`DirectCausalityTracker._submit`): it rolls the injector's
+  store-write channel once per attempt, retries a failed write up to
+  ``max_write_retries`` times with exponential (simulated) backoff,
+  and only then hands the message to the store or the batched
+  pipeline, which never fail a write themselves.  Exhausted messages
+  are *dead-lettered*: counted and parked, never allowed to crash the
+  pipeline.
 * **Path-abandonment timeout** — a root whose causal path has not
   completed within ``path_timeout_minutes`` is abandoned: its partial
   graph is reclaimed from the store and counted, instead of pinning
@@ -59,10 +62,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.paths import signature_from_edges
-from repro.errors import TransientStoreError
 from repro.faults.injector import FaultInjector
 from repro.graphstore.pipeline import BatchedWritePipeline, DeadLetterQueue
-from repro.graphstore.sharded import ShardedGraphStore
 from repro.graphstore.store import GraphStore
 from repro.lang.message import Message, MessageUid
 from repro.profiling.profiler import CausalPathProfiler
@@ -88,8 +89,9 @@ class DirectCausalityTracker:
         components share a single snapshot surface.
     fault_injector:
         Optional :class:`~repro.faults.injector.FaultInjector` rolled per
-        message for the drop/duplicate/delay/edge-loss channels (the
-        store consults the same injector for write failures).
+        message for the drop/duplicate/delay/edge-loss channels, per
+        write attempt for store-write failures, and per completed path
+        for profiler-flush loss.
     path_timeout_minutes:
         When set, roots first seen more than this many minutes ago that
         have not completed are abandoned during :meth:`advance_to`.
@@ -168,16 +170,17 @@ class DirectCausalityTracker:
         # root can never resurrect or be abandoned twice.
         self._abandoned_roots: Dict[MessageUid, None] = {}
         self._max_abandoned_roots = 4096
-        #: Optional :class:`~repro.sim.tap.SimTap`; emit-only, installed
-        #: by the engine via :meth:`attach_tap` (chaos runs only).
+        #: Optional :class:`~repro.sim.tap.SimTap`, set by the engine
+        #: (chaos runs only).  Emit-only: a tapped tracker makes exactly
+        #: the same decisions and RNG draws as an untapped one.
         self.tap = None
         # (due_minute, message) queue of fault-delayed messages.
         self._delayed: List[Tuple[float, Message]] = []
         self._now_minutes = 0.0
         # Per-message fault rolls only when a message channel can fire;
         # the plain fast path additionally requires no injector at all
-        # (an attached injector can fail store writes, which need the
-        # retry wrapper) and no timeout bookkeeping.
+        # (an attached injector can fail store writes, which need
+        # _submit's admission) and no timeout bookkeeping.
         self._message_faults = (
             fault_injector is not None and fault_injector.plan.any_message_faults
         )
@@ -191,20 +194,11 @@ class DirectCausalityTracker:
                 batch_size=self.write_batch_size,
                 flush_interval_minutes=flush_interval_minutes,
                 registry=self.telemetry,
-                fault_injector=fault_injector,
-                max_write_retries=self.max_write_retries,
-                retry_backoff_ms=self.retry_backoff_ms,
-                dead_letters=self.dead_letters,
             )
-            # The pipeline owns the write-fault roll and the retry/
-            # dead-letter bookkeeping, so both observe paths route
-            # through submit().
             self._write = self._pipeline.submit
-            self._submit = self._pipeline.submit
         else:
             self._pipeline = None
             self._write = self.store.add_message
-            self._submit = self._store_with_retry
         # Completion is edge-triggered by response-node insertion.
         self.store.subscribe_path_complete(self._mark_complete)
 
@@ -212,17 +206,6 @@ class DirectCausalityTracker:
     def completed_paths(self) -> int:
         """Causal paths this tracker has closed (registry-backed)."""
         return int(self._m_completed.value - self._base_completed)
-
-    def attach_tap(self, tap) -> None:
-        """Install a :class:`~repro.sim.tap.SimTap` on the write path.
-
-        Emit-only: a tapped tracker makes exactly the same decisions and
-        RNG draws as an untapped one.  The pipeline shares the tap so
-        dead letters are reported wherever the write-fault roll lives.
-        """
-        self.tap = tap
-        if self._pipeline is not None:
-            self._pipeline.tap = tap
 
     @property
     def supports_snapshot_replay(self) -> bool:
@@ -253,17 +236,7 @@ class DirectCausalityTracker:
         (journal included) before freezing — see
         :meth:`drain_pipeline` and :mod:`repro.sim.events`.
         """
-        if not self._plain_path:
-            return False
-        store = self.store
-        if type(store) is ShardedGraphStore:
-            if any(shard.backend_kind != "memory" for shard in store.shards):
-                return False
-        elif type(store) is not GraphStore:
-            return False
-        elif getattr(store, "backend_kind", "memory") != "memory":
-            return False
-        return True
+        return self._plain_path and self.store.backend_kind == "memory"
 
     @property
     def buffered_writes(self) -> int:
@@ -433,37 +406,51 @@ class DirectCausalityTracker:
             self.tap.emit("late_message_discarded", root=repr(root), uid=repr(message.uid))
         return True
 
-    def _store_with_retry(self, message: Message) -> bool:
-        """Write with bounded retry; dead-letter on exhaustion.
+    def _submit(self, message: Message) -> bool:
+        """Admit one store write: fault roll, retry, dead-letter, write.
 
-        Returns whether the message made it into the store.  Backoff is
-        simulated (counted, not slept): the monitoring host must keep
-        draining its queue during a store brownout.
+        The only place the store-write fault channel is rolled: one roll
+        per attempt, in arrival order, until an attempt succeeds or
+        ``max_write_retries`` retries are exhausted — so the seeded
+        decision stream, and with it every retry, backoff and
+        dead-letter count, is the same at any shard count, batch size
+        or backend.  An admitted message goes to ``self._write`` (the
+        store, or the batched pipeline), neither of which can fail it.
+        Returns whether the message was delivered.  Backoff is simulated
+        (counted, not slept): the monitoring host must keep draining its
+        queue during a store brownout.
 
-        A uid that is *already stored* (an earlier duplicate copy
-        landed) is never dead-lettered: the message was delivered, so a
-        permanent failure of the redundant copy is counted as
+        A uid that is *already delivered* (an earlier duplicate copy is
+        stored, or waiting in a pipeline buffer) is never dead-lettered:
+        a permanent failure of the redundant copy is counted as
         ``tracker.duplicate_dead_letters_suppressed`` instead — without
         this, the same uid would be accounted as both stored (and so a
         member of a completable path) and dead-lettered.
         """
-        for attempt in range(self.max_write_retries + 1):
-            try:
-                self.store.add_message(message)
-                return True
-            except TransientStoreError:
-                if attempt == self.max_write_retries:
-                    break
-                self._m_retries.inc()
-                self._m_backoff_ms.inc(self.retry_backoff_ms * (2 ** attempt))
-        if self.store.contains(message.uid):
+        injector = self.fault_injector
+        max_retries = self.max_write_retries
+        failures = 0
+        if injector is not None:
+            while failures <= max_retries and injector.should_fail_store_write():
+                failures += 1
+        if failures:
+            retries = min(failures, max_retries)
+            self._m_retries.inc(retries)
+            self._m_backoff_ms.inc(self.retry_backoff_ms * ((1 << retries) - 1))
+        if failures <= max_retries:
+            self._write(message)
+            return True
+        uid = message.uid
+        if (
+            self._pipeline is not None and self._pipeline.is_buffered(uid)
+        ) or self.store.contains(uid):
             self._m_dup_suppressed.inc()
             return True
         self._m_dead_letters.inc()
         self.dead_letters.append(message)
         if self.tap is not None:
-            root = message.root_uid if message.root_uid is not None else message.uid
-            self.tap.emit("dead_letter", uid=repr(message.uid), root=repr(root))
+            root = message.root_uid if message.root_uid is not None else uid
+            self.tap.emit("dead_letter", uid=repr(uid), root=repr(root))
         return False
 
     def _deliver_due(self) -> None:

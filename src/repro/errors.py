@@ -28,15 +28,6 @@ class GraphStoreError(ReproError):
     """Raised on invalid graph-store operations (unknown uid, bad query)."""
 
 
-class TransientStoreError(GraphStoreError):
-    """A graph-store write failed transiently (injected or real).
-
-    Callers on the write path (the tracker) retry these with bounded
-    backoff before dead-lettering the message; any other
-    :class:`GraphStoreError` is a programming error and propagates.
-    """
-
-
 class StoreBackendError(GraphStoreError):
     """A graph-store backend artifact is missing, torn, or malformed.
 

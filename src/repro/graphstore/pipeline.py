@@ -16,26 +16,21 @@ buffers are flushed
   before processing path completions, so batching never delays a
   completion past the flush that observes it).
 
-Batching amortises the per-write fixed costs — flush timing, batch
-telemetry, retry/backoff bookkeeping, fault-window evaluation — across
-the batch, while preserving the tracker's semantics exactly:
+Batching amortises the per-write fixed costs — flush timing and batch
+telemetry — across the batch, while preserving per-root ordering: all
+messages of one root route to one shard and each shard buffer is FIFO,
+so per-root arrival order is preserved; shards flush in index order, so
+the interleaving is deterministic.
 
-* **Ordering** — all messages of one root route to one shard and each
-  shard buffer is FIFO, so per-root arrival order is preserved; shards
-  flush in index order, so the interleaving is deterministic.
-* **Exactly-once + dead-letter** — the store-write fault channel is
-  rolled at :meth:`submit` time, in arrival order, with the same
-  roll-per-attempt pattern the unbatched retry loop uses, so the seeded
-  decision stream (and therefore every retry, backoff and dead-letter
-  count) is identical to unbatched ingest at *any* batch size.
-  Dead-lettered messages are parked in a bounded
-  :class:`DeadLetterQueue` instead of being silently dropped.
+The pipeline only buffers and writes.  Write admission — the
+store-write fault roll, retries, and parking exhausted messages in the
+bounded :class:`DeadLetterQueue` — happens in the tracker *before*
+:meth:`BatchedWritePipeline.submit`, so a submitted message is always
+written.
 
 The pipeline writes through ``store.shards`` (a
 :class:`~repro.graphstore.sharded.ShardedGraphStore`) or treats a plain
-:class:`~repro.graphstore.store.GraphStore` as a single shard; either
-way the write targets must carry no fault injector of their own (the
-pipeline owns the write-fault roll).
+:class:`~repro.graphstore.store.GraphStore` as a single shard.
 """
 
 from __future__ import annotations
@@ -142,10 +137,6 @@ class BatchedWritePipeline:
         batch_size: int = 32,
         flush_interval_minutes: float = 1.0,
         registry: Optional[MetricsRegistry] = None,
-        fault_injector=None,
-        max_write_retries: int = 3,
-        retry_backoff_ms: float = 5.0,
-        dead_letters: Optional[DeadLetterQueue] = None,
     ) -> None:
         if batch_size < 1:
             raise GraphStoreError(f"batch_size must be >= 1, got {batch_size}")
@@ -156,51 +147,22 @@ class BatchedWritePipeline:
         self.store = store
         self.batch_size = int(batch_size)
         self.flush_interval_minutes = float(flush_interval_minutes)
-        self.fault_injector = fault_injector
-        self.max_write_retries = int(max_write_retries)
-        self.retry_backoff_ms = float(retry_backoff_ms)
         shards = getattr(store, "shards", None)
         self._targets = list(shards) if shards is not None else [store]
-        for target in self._targets:
-            if target.fault_injector is not None:
-                raise GraphStoreError(
-                    "batched write targets must not roll their own fault "
-                    "injector (the pipeline owns the write-fault channel)"
-                )
         if len(self._targets) > 1:
             self._route = store.shard_index_of
         else:
             self._route = None
         self._buffers: List[List[Message]] = [[] for _ in self._targets]
         self._buffered = 0
-        # Uids currently sitting in a buffer: the dead-letter
-        # suppression check must see writes that have been accepted but
-        # not yet flushed into the store.
-        self._buffered_uids: set = set()
         self._last_flush_minute = 0.0
-        #: Optional :class:`~repro.sim.tap.SimTap` (shared with the
-        #: tracker via ``attach_tap``); emit-only.
-        self.tap = None
         self.telemetry = registry if registry is not None else get_registry()
-        self.dead_letters = (
-            dead_letters
-            if dead_letters is not None
-            else DeadLetterQueue(registry=self.telemetry)
-        )
         self._m_batches = self.telemetry.counter("store.write_batches")
         self._m_batched = self.telemetry.counter("store.batched_writes")
         self._m_batch_size = self.telemetry.histogram(
             "store.write_batch_size", buckets=BATCH_SIZE_BUCKETS
         )
         self._flush_timer = self.telemetry.timer("store.flush_seconds")
-        # Retry/dead-letter bookkeeping shares the tracker's counter
-        # names so the fault CLI summary reads the same either way.
-        self._m_retries = self.telemetry.counter("tracker.store_write_retries")
-        self._m_backoff_ms = self.telemetry.counter("tracker.retry_backoff_ms")
-        self._m_dead_letters = self.telemetry.counter("tracker.dead_letters")
-        self._m_dup_suppressed = self.telemetry.counter(
-            "tracker.duplicate_dead_letters_suppressed"
-        )
 
     # -- write side --------------------------------------------------------------
 
@@ -209,48 +171,18 @@ class BatchedWritePipeline:
         """Messages currently waiting in shard buffers."""
         return self._buffered
 
-    def submit(self, message: Message) -> bool:
-        """Buffer one message for its shard; returns False when dead-lettered.
+    def is_buffered(self, uid) -> bool:
+        """Whether a message with ``uid`` is waiting in a shard buffer.
 
-        The write-fault channel is rolled here (arrival order) with the
-        unbatched retry-loop's exact roll pattern: one roll per attempt
-        until success or ``max_write_retries`` retries are exhausted.
-        Surviving messages are buffered; exhausted ones go to the
-        dead-letter queue immediately.
+        Asked by the tracker's duplicate-suppression check, which must
+        see writes accepted but not yet flushed into the store.  A scan
+        of at most ``num_shards * batch_size`` messages, paid only when
+        a write exhausts its retries.
         """
-        injector = self.fault_injector
-        if injector is not None:
-            failures = 0
-            max_retries = self.max_write_retries
-            while failures <= max_retries and injector.should_fail_store_write():
-                failures += 1
-            if failures:
-                retries = min(failures, max_retries)
-                self._m_retries.inc(retries)
-                backoff = self.retry_backoff_ms
-                self._m_backoff_ms.inc(backoff * ((1 << retries) - 1))
-                if failures > max_retries:
-                    # Same suppression rule as the unbatched retry loop:
-                    # a uid an earlier duplicate copy already delivered
-                    # (buffered or flushed) is not a dead letter — the
-                    # write is redundant, not lost.
-                    if message.uid in self._buffered_uids or self.store.contains(
-                        message.uid
-                    ):
-                        self._m_dup_suppressed.inc()
-                        return True
-                    self._m_dead_letters.inc()
-                    self.dead_letters.append(message)
-                    if self.tap is not None:
-                        root = (
-                            message.root_uid
-                            if message.root_uid is not None
-                            else message.uid
-                        )
-                        self.tap.emit(
-                            "dead_letter", uid=repr(message.uid), root=repr(root)
-                        )
-                    return False
+        return any(m.uid == uid for buffer in self._buffers for m in buffer)
+
+    def submit(self, message: Message) -> None:
+        """Buffer one message for its shard; flush the shard when full."""
         route = self._route
         index = 0 if route is None else route(
             message.uid if message.root_uid is None else message.root_uid
@@ -258,10 +190,8 @@ class BatchedWritePipeline:
         buffer = self._buffers[index]
         buffer.append(message)
         self._buffered += 1
-        self._buffered_uids.add(message.uid)
         if len(buffer) >= self.batch_size:
             self._flush_shard(index)
-        return True
 
     # -- flush triggers ----------------------------------------------------------
 

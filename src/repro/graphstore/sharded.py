@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import GraphStoreError, TransientStoreError
+from repro.errors import GraphStoreError
 from repro.graphstore.backend import GraphStoreBackend
 from repro.graphstore.partition import HashPartitioner
 from repro.graphstore.store import (
@@ -88,11 +88,6 @@ class ShardedGraphStore:
         As for :class:`GraphStore`.  All shards report into the same
         registry, so the ``graphstore.*`` counters aggregate across the
         fleet.
-    fault_injector:
-        Write-failure channel rolled *once per* :meth:`add_message`
-        **before** routing (the shards themselves are built fault-free),
-        so the injected-failure decision stream is identical to a single
-        store's regardless of the shard count.
     maintenance_workers:
         When > 1, :meth:`repair_dangling_edges` and
         :meth:`abandon_roots` fan out over shards on a thread pool of
@@ -111,7 +106,6 @@ class ShardedGraphStore:
         num_partitions: int = 4,
         on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         registry: Optional[MetricsRegistry] = None,
-        fault_injector=None,
         maintenance_workers: int = 0,
         backends: Optional[Sequence[GraphStoreBackend]] = None,
     ) -> None:
@@ -125,7 +119,6 @@ class ShardedGraphStore:
         self._router = HashPartitioner(self.num_shards)
         self._shard_of = self._router.partition_of
         self.telemetry = registry if registry is not None else get_registry()
-        self.fault_injector = fault_injector
         self.maintenance_workers = int(maintenance_workers)
         self._path_complete_subscribers: List[Callable[[MessageUid], None]] = []
         if on_path_complete is not None:
@@ -134,19 +127,12 @@ class ShardedGraphStore:
             GraphStore(
                 num_partitions=num_partitions,
                 registry=self.telemetry,
-                fault_injector=None,
                 backend=backends[index] if backends is not None else None,
             )
             for index in range(self.num_shards)
         ]
         for shard in self.shards:
             shard.subscribe_path_complete(self._notify_path_complete)
-        # Facade-level baselines for the legacy per-instance tallies (the
-        # shards share one registry, so per-shard deltas would each count
-        # the whole fleet's traffic).
-        self._m_nodes = self.telemetry.counter("graphstore.nodes_added")
-        self._m_edges = self.telemetry.counter("graphstore.edges_added")
-        self._m_cross = self.telemetry.counter("graphstore.cross_partition_edges")
         self._m_lookups = self.telemetry.counter("graphstore.index_lookups")
         self._m_cross_shard_reads = self.telemetry.counter("graphstore.cross_shard_reads")
         # Handles the BFS query path expects on any store-like object.
@@ -155,9 +141,6 @@ class ShardedGraphStore:
         self._m_extract_size = self.telemetry.histogram(
             "graphstore.extracted_graph_size_nodes", buckets=GRAPH_SIZE_BUCKETS
         )
-        self._base_edges = self._m_edges.value
-        self._base_cross = self._m_cross.value
-        self._base_lookups = self._m_lookups.value
 
     # -- routing -----------------------------------------------------------------
 
@@ -186,33 +169,10 @@ class ShardedGraphStore:
         for callback in self._path_complete_subscribers:
             callback(root)
 
-    # -- legacy per-instance tallies ----------------------------------------------
-
-    @property
-    def edge_count(self) -> int:
-        """Edges recorded through this facade (all shards)."""
-        return int(self._m_edges.value - self._base_edges)
-
-    @property
-    def cross_partition_edges(self) -> int:
-        return int(self._m_cross.value - self._base_cross)
-
-    @property
-    def index_lookups(self) -> int:
-        return int(self._m_lookups.value - self._base_lookups)
-
     # -- writes ---------------------------------------------------------------
 
     def add_message(self, message: Message) -> GraphNode:
-        """Route ``message`` to its root's shard and insert it there.
-
-        The write-failure fault channel is rolled here (pre-routing, no
-        state mutated on failure) so unbatched sharded ingest consumes
-        the injector's decision stream exactly as a single store would.
-        """
-        injector = self.fault_injector
-        if injector is not None and injector.should_fail_store_write():
-            raise TransientStoreError(f"injected write failure for {message.uid}")
+        """Route ``message`` to its root's shard and insert it there."""
         root = message.root_uid
         shard = self.shards[self._shard_of(message.uid if root is None else root)]
         return shard.add_message(message)
@@ -351,8 +311,14 @@ class ShardedGraphStore:
 
     @property
     def backend_kind(self) -> str:
-        """Backend kind shared by the shard fleet (``memory``/``log``)."""
-        return self.shards[0].backend_kind
+        """Backend kind shared by the shard fleet (``memory``/``log``).
+
+        ``mixed`` when the shards disagree, so a fleet with any
+        journaling shard never reads as ``memory`` (the replay
+        eligibility check relies on that).
+        """
+        kinds = {shard.backend_kind for shard in self.shards}
+        return kinds.pop() if len(kinds) == 1 else "mixed"
 
     def recover(self) -> int:
         """Replay every shard's journal (shard-index order); returns total ops.

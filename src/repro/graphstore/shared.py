@@ -16,10 +16,8 @@ This module reproduces that shape dependency-free with the stdlib:
 * :class:`SharedGraphStoreClient` is a drop-in store facade for the
   tracker and the batched write pipeline: it duck-types the store
   surface (writes, per-root reads, maintenance, completion
-  subscriptions) over proxy calls and keeps the *decision-owning* state
-  local — the fault injector rolls client-side before any RPC (exactly
-  where the sharded facade rolls it), and path-complete subscribers
-  fire client-side from the completion roots each write call returns.
+  subscriptions) over proxy calls; path-complete subscribers fire
+  client-side from the completion roots each write call returns.
 
 Concurrency rules
 -----------------
@@ -42,7 +40,7 @@ import tempfile
 from multiprocessing.managers import BaseManager
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import StoreBackendError, TransientStoreError
+from repro.errors import StoreBackendError
 from repro.graphstore.partition import HashPartitioner
 from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
@@ -158,10 +156,6 @@ class StoreHub:
     def graph_members(self, namespace: str, root: MessageUid) -> Tuple[MessageUid, ...]:
         return self._stores[namespace].graph_members(root)
 
-    def tallies(self, namespace: str) -> Tuple[int, int, int]:
-        store = self._stores[namespace]
-        return store.edge_count, store.cross_partition_edges, store.index_lookups
-
     # -- maintenance -------------------------------------------------------------
 
     def evict_graph(self, namespace: str, root: MessageUid) -> int:
@@ -240,14 +234,7 @@ def connect_hub(address: str, authkey: bytes):
 
 
 class _SharedShard:
-    """Per-shard write handle the batched pipeline targets directly.
-
-    Carries ``fault_injector = None`` because the pipeline owns the
-    write-fault roll when batching (the same ownership rule the
-    in-process shards follow).
-    """
-
-    fault_injector = None
+    """Per-shard write handle the batched pipeline targets directly."""
 
     def __init__(self, client: "SharedGraphStoreClient", index: int) -> None:
         self._client = client
@@ -262,9 +249,8 @@ class SharedGraphStoreClient:
 
     Drop-in for :class:`~repro.graphstore.store.GraphStore` /
     :class:`~repro.graphstore.sharded.ShardedGraphStore` on the tracker
-    and pipeline surface.  The fault injector (when attached) rolls
-    locally before each unbatched write RPC; completion subscribers fire
-    locally from the roots each write returns; telemetry counters the
+    and pipeline surface.  Completion subscribers fire locally from
+    the roots each write returns; telemetry counters the
     server accumulates for this namespace are merged into the local
     registry at :meth:`close`.
     """
@@ -277,7 +263,6 @@ class SharedGraphStoreClient:
         num_shards: int = 1,
         num_partitions: int = 4,
         registry: Optional[MetricsRegistry] = None,
-        fault_injector=None,
         on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         owned_server: Optional[SharedStoreServer] = None,
     ) -> None:
@@ -286,7 +271,6 @@ class SharedGraphStoreClient:
         self.namespace = namespace
         self.num_shards = int(num_shards)
         self.telemetry = registry if registry is not None else get_registry()
-        self.fault_injector = fault_injector
         self._owned_server = owned_server
         self._manager = _StoreManager(address=address, authkey=authkey)
         self._manager.connect()
@@ -325,9 +309,6 @@ class SharedGraphStoreClient:
     # -- writes ------------------------------------------------------------------
 
     def add_message(self, message: Message) -> None:
-        injector = self.fault_injector
-        if injector is not None and injector.should_fail_store_write():
-            raise TransientStoreError(f"injected write failure for {message.uid}")
         self._notify(self._hub.add_message(self.namespace, message))
 
     def add_messages(self, messages: Sequence[Message]) -> int:
@@ -377,20 +358,6 @@ class SharedGraphStoreClient:
 
     def graph_members(self, root: MessageUid) -> Tuple[MessageUid, ...]:
         return tuple(self._hub.graph_members(self.namespace, root))
-
-    # -- legacy tallies ----------------------------------------------------------
-
-    @property
-    def edge_count(self) -> int:
-        return self._hub.tallies(self.namespace)[0]
-
-    @property
-    def cross_partition_edges(self) -> int:
-        return self._hub.tallies(self.namespace)[1]
-
-    @property
-    def index_lookups(self) -> int:
-        return self._hub.tallies(self.namespace)[2]
 
     # -- maintenance -------------------------------------------------------------
 

@@ -33,17 +33,14 @@ the equivalence tests compare against.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.errors import GraphStoreError, StoreBackendError, TransientStoreError
+from repro.errors import GraphStoreError, StoreBackendError
 from repro.graphstore.backend import GraphStoreBackend, MemoryBackend
 from repro.graphstore.partition import HashPartitioner
 from repro.lang.ir import CLIENT
 from repro.lang.message import UID_ORDER_KEY, Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.injector import FaultInjector
 
 #: Bucket bounds for eviction / extraction size histograms (node counts).
 GRAPH_SIZE_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500)
@@ -140,15 +137,7 @@ class GraphStore:
         subscribers register via :meth:`subscribe_path_complete`.
     registry:
         Telemetry registry the store reports into (the process default
-        when omitted).  Legacy per-instance tallies (``edge_count``,
-        ``index_lookups``, ``cross_partition_edges``) are exposed as
-        baseline-delta properties over the shared counters.
-    fault_injector:
-        Optional :class:`~repro.faults.injector.FaultInjector`.  When its
-        write-failure channel fires, :meth:`add_message` raises
-        :class:`~repro.errors.TransientStoreError` *before* mutating any
-        state, modelling a lost write to the (remote) store — callers
-        retry or dead-letter.
+        when omitted).
     backend:
         Optional :class:`~repro.graphstore.backend.GraphStoreBackend`.
         The default (:class:`~repro.graphstore.backend.MemoryBackend`)
@@ -163,7 +152,6 @@ class GraphStore:
         num_partitions: int = 4,
         on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         registry: Optional[MetricsRegistry] = None,
-        fault_injector: Optional["FaultInjector"] = None,
         backend: Optional[GraphStoreBackend] = None,
     ) -> None:
         self._partitioner = HashPartitioner(num_partitions)
@@ -183,7 +171,6 @@ class GraphStore:
         self._path_complete_subscribers: List[Callable[[MessageUid], None]] = []
         if on_path_complete is not None:
             self._path_complete_subscribers.append(on_path_complete)
-        self.fault_injector = fault_injector
         self.backend = backend if backend is not None else MemoryBackend()
         # The hot path pays one is-None check; only journaling backends
         # receive the per-mutation hooks.  ``_journal_write`` is the
@@ -213,9 +200,6 @@ class GraphStore:
         self._m_extract_size = self.telemetry.histogram(
             "graphstore.extracted_graph_size_nodes", buckets=GRAPH_SIZE_BUCKETS
         )
-        self._base_edges = self._m_edges.value
-        self._base_cross = self._m_cross.value
-        self._base_lookups = self._m_lookups.value
 
     # -- subscriptions -----------------------------------------------------------
 
@@ -232,23 +216,6 @@ class GraphStore:
         for callback in self._path_complete_subscribers:
             callback(root)
 
-    # -- legacy per-instance tallies (now registry-backed) -----------------------
-
-    @property
-    def edge_count(self) -> int:
-        """Edges recorded by *this* store instance."""
-        return int(self._m_edges.value - self._base_edges)
-
-    @property
-    def cross_partition_edges(self) -> int:
-        """Edges of this instance whose endpoints hash to different partitions."""
-        return int(self._m_cross.value - self._base_cross)
-
-    @property
-    def index_lookups(self) -> int:
-        """uid hash-index lookups served by this instance."""
-        return int(self._m_lookups.value - self._base_lookups)
-
     # -- writes ---------------------------------------------------------------
 
     def add_message(self, message: Message) -> GraphNode:
@@ -261,13 +228,7 @@ class GraphStore:
         arriving nodes connected to their root (directly, or retroactively
         once a late cause closes a gap) contribute their hop triple and
         their uid to the root's accumulator.
-
-        Raises :class:`~repro.errors.TransientStoreError` (with no state
-        mutated) when the attached fault injector fails this write.
         """
-        injector = self.fault_injector
-        if injector is not None and injector.should_fail_store_write():
-            raise TransientStoreError(f"injected write failure for {message.uid}")
         uid = message.uid
         root_uid = message.root_uid
         root = uid if root_uid is None else root_uid
@@ -364,12 +325,7 @@ class GraphStore:
         return node
 
     def add_messages(self, messages: Iterable[Message]) -> int:
-        """Bulk insert a batch of messages; returns how many were stored.
-
-        The write-fault roll of :meth:`add_message` applies per message,
-        so callers that pre-roll fault decisions (the batched write
-        pipeline) must target a store built without an injector.
-        """
+        """Bulk insert a batch of messages; returns how many were stored."""
         add = self.add_message
         count = 0
         for message in messages:
@@ -718,10 +674,9 @@ class GraphStore:
 
         Call on a *fresh* store opened over an existing log directory
         (``LogBackend(..., create=False)``).  Replay detaches the
-        journal (ops must not re-journal), the fault injector (recovery
-        is not a run — no seeded decision stream may be consumed), and
-        the completion subscribers (completions already fired in the
-        crashed process; replay must not re-trigger the profiler).
+        journal (ops must not re-journal) and the completion subscribers
+        (completions already fired in the crashed process; replay must
+        not re-trigger the profiler).
         Telemetry counters do tick during replay — recovery is real work
         this process performs — so recover into a private registry when
         counter deltas matter.  Returns the number of ops replayed.
@@ -736,7 +691,6 @@ class GraphStore:
             )
         journal, self._journal = self._journal, None
         journal_write, self._journal_write = self._journal_write, None
-        injector, self.fault_injector = self.fault_injector, None
         subscribers = self._path_complete_subscribers
         self._path_complete_subscribers = []
         try:
@@ -744,7 +698,6 @@ class GraphStore:
         finally:
             self._journal = journal
             self._journal_write = journal_write
-            self.fault_injector = injector
             self._path_complete_subscribers = subscribers
 
     def close(self) -> None:

@@ -189,16 +189,14 @@ class DCABundle:
         ``registry`` threads one telemetry surface through the store,
         tracker, and profiler (the process default when omitted).  When a
         ``fault_plan`` is supplied, one injector is shared by the tracker
-        (message channels), the store (write failures), and the engine
-        (scheduled node crashes), so a single seed fixes every fault
-        decision of the run.
+        (message channels, store-write failures, profiler-flush loss)
+        and the engine (scheduled node crashes), so a single seed fixes
+        every fault decision of the run.
 
         ``num_shards`` > 1 replaces the single store with a
         :class:`~repro.graphstore.sharded.ShardedGraphStore`;
         ``write_batch_size`` > 1 puts the batched write pipeline in front
-        of it.  The injector's write-fault channel then moves with the
-        roll owner (facade when unbatched, pipeline when batched) so the
-        seeded fault stream is configuration-independent.
+        of it.
 
         ``store_backend`` selects the persistence seam
         (:mod:`repro.graphstore.backend`): ``log`` journals every store
@@ -227,10 +225,6 @@ class DCABundle:
         injector = None
         if fault_plan is not None:
             injector = FaultInjector(fault_plan, registry=profiler.telemetry)
-        # The write-fault roll lives with whichever layer performs the
-        # store write: the batched pipeline (batch > 1) or the store
-        # itself (unbatched), never both.
-        store_injector = injector if write_batch_size <= 1 else None
         if store_backend not in STORE_BACKENDS:
             raise SimulationError(
                 f"unknown store backend {store_backend!r}; choose from {STORE_BACKENDS}"
@@ -259,7 +253,6 @@ class DCABundle:
                 namespace=store_namespace or "default",
                 num_shards=num_shards,
                 registry=registry,
-                fault_injector=store_injector,
                 owned_server=owned_server,
             )
         elif num_shards > 1:
@@ -273,7 +266,6 @@ class DCABundle:
             store = ShardedGraphStore(
                 num_shards=num_shards,
                 registry=registry,
-                fault_injector=store_injector,
                 maintenance_workers=maintenance_workers,
                 backends=backends,
             )
@@ -283,9 +275,7 @@ class DCABundle:
                 if store_dir is None:
                     raise SimulationError("log store backend requires store_dir")
                 backend = make_backend("log", store_dir, registry=registry)
-            store = GraphStore(
-                registry=registry, fault_injector=store_injector, backend=backend
-            )
+            store = GraphStore(registry=registry, backend=backend)
         tracker = DirectCausalityTracker(
             profiler,
             store=store,
@@ -331,17 +321,17 @@ class ClusterSimulator:
         self.dca = dca
         self.htrace = htrace
         #: Optional :class:`~repro.sim.tap.SimTap` shared with every hook
-        #: point (cluster groups, tracker/pipeline, staleness detector).
+        #: point (cluster groups, tracker, staleness detector).
         #: Emit-only: installing it never changes simulation behaviour.
         self.tap = tap
         if tap is not None:
             if dca is not None:
-                dca.tracker.attach_tap(tap)
+                dca.tracker.tap = tap
             detector = getattr(manager, "staleness_detector", None)
             if detector is not None:
                 detector.tap = tap
         # The engine owns the injector clock and the crash schedule; the
-        # tracker/store side shares the same injector via the DCA bundle.
+        # tracker shares the same injector via the DCA bundle.
         if faults is not None:
             self.faults = faults
         elif dca is not None:

@@ -153,6 +153,31 @@ def _manager_downshift_mode(manager) -> Optional[str]:
     return getattr(detector, "downshift_mode", None)
 
 
+def replay_refusal(sim) -> Optional[str]:
+    """Why ``sim`` may not use converged replay, or ``None`` when it may.
+
+    The one eligibility predicate (see the module docstring): consulted
+    when the runner decides whether to build a :class:`ReplayIngestor`,
+    when the ingestor is constructed, and again at the freeze cutover.
+    """
+    if sim.dca is None:
+        return "ReplayIngestor requires a DCA bundle"
+    if sim.faults is not None or sim.dca.fault_injector is not None:
+        return "ReplayIngestor requires a fault-free configuration"
+    if not sim.dca.tracker.supports_snapshot_replay:
+        return "tracker configuration does not support snapshot replay"
+    if sim.dca.profiler.mode != "exact":
+        # Frozen record ops replay as one batched profiler.record per
+        # logical execution; that is additive for exact buckets but
+        # changes space-saving promotion/eviction order in sketch
+        # modes, so sketch-mode runs (and managers that may downshift
+        # into one mid-run) keep full-fidelity ingestion.
+        return "ReplayIngestor requires the exact profiler mode"
+    if _manager_downshift_mode(sim.manager) is not None:
+        return "ReplayIngestor cannot run with a staleness precision downshift configured"
+    return None
+
+
 def metric_base_name(key: str) -> str:
     """Strip the label suffix from a rendered registry key."""
     return key.split("{", 1)[0]
@@ -347,22 +372,9 @@ class ReplayIngestor:
     """
 
     def __init__(self, sim, active_classes=None) -> None:
-        if sim.dca is None:
-            raise ValueError("ReplayIngestor requires a DCA bundle")
-        if sim.faults is not None or sim.dca.fault_injector is not None:
-            raise ValueError("ReplayIngestor requires a fault-free configuration")
-        if not sim.dca.tracker.supports_snapshot_replay:
-            raise ValueError("tracker configuration does not support snapshot replay")
-        if sim.dca.profiler.mode != "exact":
-            # Frozen record ops replay as one batched profiler.record per
-            # logical execution; that is additive for exact buckets but
-            # changes space-saving promotion/eviction order in sketch
-            # modes, so sketch-mode runs keep full-fidelity ingestion.
-            raise ValueError("ReplayIngestor requires the exact profiler mode")
-        if _manager_downshift_mode(sim.manager) is not None:
-            raise ValueError(
-                "ReplayIngestor cannot run with a staleness precision downshift configured"
-            )
+        refusal = replay_refusal(sim)
+        if refusal is not None:
+            raise ValueError(refusal)
         self.sim = sim
         self.registry = sim.telemetry
         if active_classes is None:
@@ -381,13 +393,12 @@ class ReplayIngestor:
         sampled = self.sim._dca_tick(now, arrivals, self._ingest_class)
         if (
             not self.replaying
-            and self.sim.dca.profiler.mode == "exact"
+            and all(s.converged for s in self.states.values())
             # Re-checked at the cutover (not just construction): if the
             # tracker's store/backend configuration changed under us —
             # e.g. a journaling backend was swapped in mid-run — freezing
             # would silently stop feeding the durable log.
-            and self.sim.dca.tracker.supports_snapshot_replay
-            and all(s.converged for s in self.states.values())
+            and replay_refusal(self.sim) is None
         ):
             self._freeze_all(now)
         return sampled
@@ -560,19 +571,9 @@ class EventDrivenRunner:
         #: Built lazily in :meth:`run` once the arrival schedule (and
         #: with it the set of classes that ever receive traffic) is known.
         self.ingestor: Optional[ReplayIngestor] = None
-        self._replay_eligible = (
-            sim.dca is not None
-            and sim.faults is None
-            and sim.dca.fault_injector is None
-            and sim.dca.tracker.supports_snapshot_replay
-            # Sketch-mode profilers (and managers that may downshift into
-            # one mid-run) are ineligible: batched replayed record ops
-            # would not compose with space-saving promotion order.  Such
-            # runs still use the event engine with full-fidelity
-            # ingestion — literally the tick loop's code.
-            and sim.dca.profiler.mode == "exact"
-            and _manager_downshift_mode(sim.manager) is None
-        )
+        # Ineligible runs still use the event engine, with full-fidelity
+        # ingestion — literally the tick loop's code.
+        self._replay_eligible = replay_refusal(sim) is None
 
     # -- boundary snapping ------------------------------------------------------
 

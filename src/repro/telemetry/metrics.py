@@ -16,11 +16,13 @@ Design constraints:
 * **Cheap on the hot path** — incrementing a counter is one float add;
   metric instruments are created once and cached on the instrumented
   object, not looked up per event.
-* **Monotonic counters + per-instance baselines** — several runtime
-  objects (graph stores, trackers) historically exposed per-instance
-  tallies (``edge_count`` …).  Those objects capture the counter value
-  at construction time and report the delta, so many instances can share
-  one registry while keeping their legacy attribute semantics.
+* **Monotonic counters, per-run registries** — counters only grow, so
+  a per-run figure is read from a registry private to that run.  The
+  few per-instance properties that remain
+  (``DirectCausalityTracker.completed_paths``,
+  ``CausalPathProfiler.unmatched_observations``) capture the counter
+  value at construction and report the delta, so several instances can
+  share one registry.
 """
 
 from __future__ import annotations

@@ -17,11 +17,19 @@ seeded sharded+batched integration run:
 
 import pytest
 
-from repro.graphstore.pipeline import BatchedWritePipeline, DeadLetterQueue
+from repro.core.causal_graph import DirectCausalityTracker
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.graphstore.pipeline import DeadLetterQueue
 from repro.graphstore.store import GraphStore
-from repro.lang.ir import EXTERNAL
+from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid
+from repro.profiling.profiler import CausalPathProfiler
+from repro.sim.tap import SimTap
 from repro.telemetry import MetricsRegistry
+
+#: Unbatched, and through the batched pipeline.
+BATCH_SIZES = (1, 8)
 
 
 def _msg(seq, root_seq=None):
@@ -35,10 +43,14 @@ def _msg(seq, root_seq=None):
     )
 
 
-class _ScriptedInjector:
-    """Fails store writes per a scripted sequence, then succeeds."""
+class _ScriptedInjector(FaultInjector):
+    """Fails store writes per a scripted sequence, then succeeds.
+
+    Every other channel is the real injector's under an empty plan: off.
+    """
 
     def __init__(self):
+        super().__init__(FaultPlan(), registry=MetricsRegistry())
         self.script = []
 
     def fail_next(self, count):
@@ -81,72 +93,103 @@ class TestDeadLetterQueuePurge:
 
 
 class TestPipelineDuplicateSuppression:
-    def _pipeline(self, registry, injector, batch_size=8):
-        store = GraphStore(registry=registry)
-        return BatchedWritePipeline(
-            store,
-            batch_size=batch_size,
+    """The tracker's suppression rule, unbatched and through the pipeline."""
+
+    def _tracker(self, registry, injector, batch_size):
+        return DirectCausalityTracker(
+            CausalPathProfiler({}, registry=registry),
+            store=GraphStore(registry=registry),
             registry=registry,
             fault_injector=injector,
             max_write_retries=3,
+            write_batch_size=batch_size,
         )
 
     def test_buffered_uid_is_suppressed_not_dead_lettered(self):
         registry = MetricsRegistry()
         injector = _ScriptedInjector()
-        pipeline = self._pipeline(registry, injector)
+        tracker = self._tracker(registry, injector, batch_size=8)
         message = _msg(1)
-        assert pipeline.submit(message) is True
-        assert pipeline.buffered == 1
+        tracker.observe_message(message)
+        assert tracker.buffered_writes == 1
+        assert tracker.store.node_count() == 0
         # A duplicate copy of the same uid exhausts its retries...
         injector.fail_next(4)
-        assert pipeline.submit(message) is True
+        tracker.observe_message(message)
         # ...and is suppressed: redundant, not lost.
         assert registry.get("tracker.dead_letters").value == 0
         assert (
             registry.get("tracker.duplicate_dead_letters_suppressed").value == 1
         )
-        assert len(pipeline.dead_letters) == 0
+        assert len(tracker.dead_letters) == 0
 
     def test_flushed_uid_is_suppressed_via_store_lookup(self):
+        for batch_size in BATCH_SIZES:
+            registry = MetricsRegistry()
+            injector = _ScriptedInjector()
+            tracker = self._tracker(registry, injector, batch_size)
+            message = _msg(1)
+            tracker.observe_message(message)
+            tracker.drain_pipeline()
+            assert tracker.buffered_writes == 0
+            assert tracker.store.contains(message.uid)
+            injector.fail_next(4)
+            tracker.observe_message(message)
+            assert registry.get("tracker.dead_letters").value == 0
+            assert (
+                registry.get("tracker.duplicate_dead_letters_suppressed").value == 1
+            )
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_evicted_uid_is_dead_lettered_not_suppressed(self, batch_size):
+        """Once a uid's graph is evicted the uid is gone, batched or not:
+        a late copy that exhausts its retries is a real loss.  (The
+        pipeline used to remember every uid it had ever buffered and
+        answered "delivered" here.)"""
         registry = MetricsRegistry()
         injector = _ScriptedInjector()
-        pipeline = self._pipeline(registry, injector, batch_size=1)
-        message = _msg(1)
-        pipeline.submit(message)  # batch_size=1: flushed into the store
-        assert pipeline.buffered == 0
-        injector.fail_next(4)
-        assert pipeline.submit(message) is True
-        assert registry.get("tracker.dead_letters").value == 0
-        assert (
-            registry.get("tracker.duplicate_dead_letters_suppressed").value == 1
+        tracker = self._tracker(registry, injector, batch_size)
+        root = _msg(1)
+        response = Message(
+            MessageUid("h", 9, 2), "r", "B", CLIENT,
+            cause_uids=frozenset({root.uid}), root_uid=root.uid,
         )
+        tracker.observe_all([root, response])
+        assert tracker.completed_paths == 1
+        assert tracker.store.node_count() == 0  # evicted
+        injector.fail_next(4)
+        tracker.observe_message(response)
+        assert registry.get("tracker.duplicate_dead_letters_suppressed").value == 0
+        assert registry.get("tracker.dead_letters").value == 1
 
     def test_fresh_uid_still_dead_letters(self):
-        registry = MetricsRegistry()
-        injector = _ScriptedInjector()
-        pipeline = self._pipeline(registry, injector)
-        injector.fail_next(4)
-        assert pipeline.submit(_msg(1)) is False
-        assert registry.get("tracker.dead_letters").value == 1
-        assert registry.get("tracker.duplicate_dead_letters_suppressed").value == 0
-        assert len(pipeline.dead_letters) == 1
+        for batch_size in BATCH_SIZES:
+            registry = MetricsRegistry()
+            injector = _ScriptedInjector()
+            tracker = self._tracker(registry, injector, batch_size)
+            injector.fail_next(4)
+            tracker.observe_message(_msg(1))
+            assert registry.get("tracker.dead_letters").value == 1
+            assert registry.get("tracker.store_write_retries").value == 3
+            assert registry.get("tracker.duplicate_dead_letters_suppressed").value == 0
+            assert len(tracker.dead_letters) == 1
+            assert tracker.buffered_writes == 0
+            assert tracker.store.node_count() == 0
 
     def test_dead_letter_emits_tap_event(self):
-        from repro.sim.tap import SimTap
-
-        registry = MetricsRegistry()
-        injector = _ScriptedInjector()
-        pipeline = self._pipeline(registry, injector)
-        tap = SimTap()
-        pipeline.tap = tap
-        injector.fail_next(4)
-        message = _msg(2, root_seq=1)
-        pipeline.submit(message)
-        assert tap.counts == {"dead_letter": 1}
-        event = tap.events[0]
-        assert event.data["uid"] == repr(message.uid)
-        assert event.data["root"] == repr(message.root_uid)
+        for batch_size in BATCH_SIZES:
+            registry = MetricsRegistry()
+            injector = _ScriptedInjector()
+            tracker = self._tracker(registry, injector, batch_size)
+            tap = SimTap()
+            tracker.tap = tap
+            injector.fail_next(4)
+            message = _msg(2, root_seq=1)
+            tracker.observe_message(message)
+            assert tap.counts == {"dead_letter": 1}
+            event = tap.events[0]
+            assert event.data["uid"] == repr(message.uid)
+            assert event.data["root"] == repr(message.root_uid)
 
 
 class TestShardedBatchedAccountingPinned:
@@ -176,7 +219,6 @@ class TestShardedBatchedAccountingPinned:
             ExperimentConfig,
             build_simulator,
         )
-        from repro.faults.plan import FaultPlan
 
         plan = FaultPlan(
             seed=7,

@@ -13,7 +13,6 @@ from repro.core.causal_graph import DirectCausalityTracker
 from repro.core.dca import analyze_application
 from repro.core.elasticity import ProfileStalenessDetector, StalenessPolicy
 from repro.core.paths import enumerate_causal_paths
-from repro.errors import TransientStoreError
 from repro.faults import FaultInjector, FaultPlan
 from repro.graphstore.store import GraphStore
 from repro.lang.message import MessageUid
@@ -34,7 +33,7 @@ def _pipeline(pipeline_app, plan=None, path_timeout=None, **tracker_kwargs):
     injector = FaultInjector(plan, registry=registry) if plan is not None else None
     tracker = DirectCausalityTracker(
         profiler,
-        store=GraphStore(registry=registry, fault_injector=injector),
+        store=GraphStore(registry=registry),
         registry=registry,
         fault_injector=injector,
         path_timeout_minutes=path_timeout,
@@ -47,16 +46,21 @@ class TestRetryDeadLetter:
     def test_transient_failures_absorbed_by_retry(self, pipeline_app):
         # ~30% failure per attempt: with 3 retries the chance a message
         # exhausts all 4 attempts is under 1%, so (almost) every message
-        # lands and every path completes.
+        # lands and every path completes — unbatched and batched alike.
         plan = FaultPlan(seed=1, store_write_failure_rate=0.30)
-        runtime, _, tracker, registry = _pipeline(pipeline_app, plan)
-        for _ in range(25):
-            trace = runtime.execute_request(REQUEST, sampled=True)
-            tracker.observe_all(trace.messages)
-        assert registry.get("tracker.store_write_retries").value > 0
-        assert registry.get("tracker.retry_backoff_ms").value > 0
-        assert tracker.completed_paths + registry.get("tracker.dead_letters").value > 0
-        assert tracker.completed_paths >= 20
+        for batch_size in (1, 16):
+            runtime, _, tracker, registry = _pipeline(
+                pipeline_app, plan, write_batch_size=batch_size
+            )
+            for _ in range(25):
+                trace = runtime.execute_request(REQUEST, sampled=True)
+                tracker.observe_all(trace.messages)
+            assert registry.get("tracker.store_write_retries").value > 0
+            assert registry.get("tracker.retry_backoff_ms").value > 0
+            assert (
+                tracker.completed_paths + registry.get("tracker.dead_letters").value > 0
+            )
+            assert tracker.completed_paths >= 20
 
     def test_exhausted_retries_dead_letter_without_crashing(self, pipeline_app):
         plan = FaultPlan(seed=1, store_write_failure_rate=1.0)
@@ -71,11 +75,29 @@ class TestRetryDeadLetter:
         assert sum(profiler.counts(0.0).values()) == 0
 
     def test_non_transient_store_errors_propagate(self, pipeline_app):
-        runtime, _, tracker, _ = _pipeline(pipeline_app)
-        with pytest.raises(TransientStoreError):
-            # Direct injection: retry wraps only the store write; a raise
-            # from anywhere else is a programming error and must escape.
-            raise TransientStoreError("synthetic")
+        # Only the injector's write-fault roll is retried; an exception
+        # out of the store write itself is a programming error and must
+        # escape observe_all, uncounted.
+        class BrokenStore(GraphStore):
+            def add_message(self, message):
+                raise RuntimeError("store bug")
+
+        runtime, _, _, _ = _pipeline(pipeline_app)
+        trace = runtime.execute_request(REQUEST, sampled=True)
+        for batch_size in (1, 16):
+            registry = MetricsRegistry()
+            tracker = DirectCausalityTracker(
+                CausalPathProfiler({}, registry=registry),
+                store=BrokenStore(registry=registry),
+                registry=registry,
+                fault_injector=FaultInjector(FaultPlan(seed=1), registry=registry),
+                write_batch_size=batch_size,
+            )
+            with pytest.raises(RuntimeError, match="store bug"):
+                tracker.observe_all(trace.messages)
+            assert registry.get("tracker.store_write_retries").value == 0
+            assert registry.get("tracker.dead_letters").value == 0
+            assert len(tracker.dead_letters) == 0
 
 
 class TestPathTimeoutAbandonment:
@@ -155,7 +177,7 @@ class TestEdgeLossAndDuplication:
         tracker.observe_all(trace.messages)  # must not raise
         with_causes = sum(1 for m in trace.messages if m.cause_uids)
         assert registry.get("faults.edges_lost").value == with_causes
-        assert tracker.store.edge_count == 0
+        assert registry.get("graphstore.edges_added").value == 0
 
     def test_duplicates_do_not_double_count_paths(self, pipeline_app):
         plan = FaultPlan(seed=0, message_duplicate_rate=1.0)

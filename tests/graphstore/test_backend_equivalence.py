@@ -47,12 +47,11 @@ def server():
     srv.shutdown()
 
 
-def _build_store(kind, registry, tmp_path, server, namespace, shards=1,
-                 injector=None):
+def _build_store(kind, registry, tmp_path, server, namespace, shards=1):
     if kind == "shared":
         return SharedGraphStoreClient(
             server.address, server.authkey, namespace=namespace,
-            num_shards=shards, registry=registry, fault_injector=injector,
+            num_shards=shards, registry=registry,
         )
     if shards > 1:
         backends = (
@@ -60,14 +59,13 @@ def _build_store(kind, registry, tmp_path, server, namespace, shards=1,
             if kind == "log" else None
         )
         return ShardedGraphStore(
-            num_shards=shards, registry=registry, fault_injector=injector,
-            backends=backends,
+            num_shards=shards, registry=registry, backends=backends,
         )
     backend = (
         make_backend("log", str(tmp_path / namespace), registry=registry)
         if kind == "log" else None
     )
-    return GraphStore(registry=registry, fault_injector=injector, backend=backend)
+    return GraphStore(registry=registry, backend=backend)
 
 
 def _run_store(kind, stored, roots, tmp_path, server, namespace, shards=1,
@@ -103,11 +101,7 @@ def _run_tracker(kind, stored, plan, tmp_path, server, namespace, shards,
                  batch_size):
     registry = MetricsRegistry()
     injector = FaultInjector(plan, registry=registry)
-    store_injector = injector if batch_size == 1 else None
-    store = _build_store(
-        kind, registry, tmp_path, server, namespace, shards=shards,
-        injector=store_injector,
-    )
+    store = _build_store(kind, registry, tmp_path, server, namespace, shards=shards)
     profiler = CausalPathProfiler({}, registry=registry)
     tracker = DirectCausalityTracker(
         profiler, store=store, registry=registry, fault_injector=injector,

@@ -77,12 +77,6 @@ class TestBatchedWritePipeline:
         with pytest.raises(GraphStoreError):
             BatchedWritePipeline(store, flush_interval_minutes=0.0)
 
-    def test_rejects_targets_with_their_own_injector(self):
-        injector = FaultInjector(FaultPlan(store_write_failure_rate=0.5))
-        store = GraphStore(registry=MetricsRegistry(), fault_injector=injector)
-        with pytest.raises(GraphStoreError):
-            BatchedWritePipeline(store, registry=store.telemetry)
-
     def test_size_bound_flush(self):
         registry = MetricsRegistry()
         store = GraphStore(registry=registry)
@@ -127,49 +121,59 @@ class TestBatchedWritePipeline:
         assert store.completed_signature(root.uid) is not None
 
     def test_preroll_matches_unbatched_retry_bookkeeping(self):
-        """Pipeline pre-roll must consume the injector stream and produce
-        the retry/backoff/dead-letter counters exactly as the unbatched
-        tracker retry loop does for the same seed."""
-        messages = _roots(60)
-
-        def unbatched():
-            registry = MetricsRegistry()
-            injector = FaultInjector(
-                FaultPlan(seed=3, store_write_failure_rate=0.4), registry=registry
-            )
-            store = GraphStore(registry=registry, fault_injector=injector)
-            profiler = CausalPathProfiler({}, registry=registry)
-            tracker = DirectCausalityTracker(
-                profiler, store=store, registry=registry, fault_injector=injector
-            )
-            tracker.observe_all(messages)
-            return registry
-
-        def batched():
+        """The tracker's pre-roll must consume the injector stream and
+        produce the retry/backoff/dead-letter ledger of the store-side
+        roll it replaced, batched or not.  The pinned values are what
+        that roll (``GraphStore.add_message`` raising into the tracker's
+        retry loop) produced for this seed before it was removed."""
+        for batch_size in (1, 16):
             registry = MetricsRegistry()
             injector = FaultInjector(
                 FaultPlan(seed=3, store_write_failure_rate=0.4), registry=registry
             )
             store = GraphStore(registry=registry)
-            pipeline = BatchedWritePipeline(
-                store, batch_size=16, registry=registry, fault_injector=injector
+            profiler = CausalPathProfiler({}, registry=registry)
+            tracker = DirectCausalityTracker(
+                profiler,
+                store=store,
+                registry=registry,
+                fault_injector=injector,
+                write_batch_size=batch_size,
             )
-            for msg in messages:
-                pipeline.submit(msg)
-            pipeline.flush()
-            return registry
+            tracker.observe_all(_roots(60))
+            ledger = {
+                key: registry.counter(key).value
+                for key in (
+                    "faults.store_write_failures",
+                    "tracker.store_write_retries",
+                    "tracker.retry_backoff_ms",
+                    "tracker.dead_letters",
+                )
+            }
+            assert ledger == {
+                "faults.store_write_failures": 37,
+                "tracker.store_write_retries": 34,
+                "tracker.retry_backoff_ms": 300.0,
+                "tracker.dead_letters": 3,
+            }, batch_size
+            assert [m.uid.seq for m in tracker.dead_letters] == [14, 26, 33]
+            assert store.node_count() == 57
 
-        keys = (
-            "faults.store_write_failures",
-            "tracker.store_write_retries",
-            "tracker.retry_backoff_ms",
-            "tracker.dead_letters",
+    def test_flushed_buffers_leave_no_uids_behind(self):
+        """A flushed message is no longer "buffered": once its graph is
+        evicted, a late duplicate that exhausts its retries is lost, not
+        suppressed — the answer the unbatched path gives."""
+        pipeline = BatchedWritePipeline(
+            GraphStore(registry=MetricsRegistry()), batch_size=4
         )
-        a, b = unbatched(), batched()
-        assert {k: a.counter(k).value for k in keys} == {
-            k: b.counter(k).value for k in keys
-        }
-        assert a.counter("tracker.dead_letters").value > 0
+        messages = _roots(6)
+        for msg in messages:
+            pipeline.submit(msg)
+        assert pipeline.is_buffered(messages[5].uid)
+        assert not pipeline.is_buffered(messages[0].uid)  # size-flushed
+        pipeline.flush()
+        assert pipeline.buffered == 0
+        assert not any(pipeline.is_buffered(m.uid) for m in messages)
 
 
 class TestTrackerDeadLetterCap:
@@ -178,7 +182,7 @@ class TestTrackerDeadLetterCap:
         injector = FaultInjector(
             FaultPlan(store_write_failure_rate=1.0), registry=registry
         )
-        store = GraphStore(registry=registry, fault_injector=injector)
+        store = GraphStore(registry=registry)
         profiler = CausalPathProfiler({}, registry=registry)
         tracker = DirectCausalityTracker(
             profiler,

@@ -151,13 +151,10 @@ def _run_tracker(stored, num_shards, batch_size, plan):
     """Full tracker over one stream; returns observable outcome + telemetry."""
     registry = MetricsRegistry()
     injector = FaultInjector(plan, registry=registry)
-    store_injector = injector if batch_size == 1 else None
     if num_shards > 1:
-        store = ShardedGraphStore(
-            num_shards=num_shards, registry=registry, fault_injector=store_injector
-        )
+        store = ShardedGraphStore(num_shards=num_shards, registry=registry)
     else:
-        store = GraphStore(registry=registry, fault_injector=store_injector)
+        store = GraphStore(registry=registry)
     profiler = CausalPathProfiler({}, registry=registry)
     tracker = DirectCausalityTracker(
         profiler,
@@ -188,9 +185,9 @@ def _run_tracker(stored, num_shards, batch_size, plan):
 def test_fault_plan_outcomes_identical_across_configurations(seed):
     """One seeded fault plan → one outcome, at any shard/batch config.
 
-    The write-fault channel is rolled in arrival order with the retry
-    loop's roll-per-attempt pattern wherever the roll lives (store,
-    facade, or pipeline), so retries, dead letters and completions are
+    The tracker rolls the write-fault channel in arrival order, one
+    roll per attempt, before the write reaches the store, facade or
+    pipeline, so retries, dead letters and completions are
     bit-identical across configurations.
     """
     rng = random.Random(seed + 9000)

@@ -66,14 +66,15 @@ class TestGraphStore:
             store.require_node(_uid(99))
 
     def test_edges_from_causes(self):
-        store = GraphStore()
+        registry = MetricsRegistry()
+        store = GraphStore(registry=registry)
         root = _msg(1, src=EXTERNAL, dest="A")
         child = _msg(2, src="A", dest="B", causes=[root.uid], root=root.uid)
         store.add_message(root)
         store.add_message(child)
         assert store.successors(root.uid) == {child.uid}
         assert store.predecessors(child.uid) == {root.uid}
-        assert store.edge_count == 1
+        assert registry.counter("graphstore.edges_added").value == 1
 
     def test_self_edge_rejected(self):
         store = GraphStore()
@@ -121,7 +122,8 @@ class TestGraphStore:
         assert store.get_node(b.uid) is not None
 
     def test_cross_partition_edge_counter(self):
-        store = GraphStore(num_partitions=2)
+        registry = MetricsRegistry()
+        store = GraphStore(num_partitions=2, registry=registry)
         msgs = [_msg(i) for i in range(1, 30)]
         prev = None
         for m in msgs:
@@ -129,15 +131,18 @@ class TestGraphStore:
                 m = m.with_causes(frozenset({prev.uid}))
             store.add_message(m)
             prev = m
-        assert 0 < store.cross_partition_edges <= store.edge_count
+        cross = registry.counter("graphstore.cross_partition_edges").value
+        assert 0 < cross <= registry.counter("graphstore.edges_added").value
 
     def test_index_lookup_counter(self):
-        store = GraphStore()
+        registry = MetricsRegistry()
+        store = GraphStore(registry=registry)
         msg = _msg(1)
         store.add_message(msg)
-        before = store.index_lookups
+        lookups = registry.counter("graphstore.index_lookups")
+        before = lookups.value
         store.get_node(msg.uid)
-        assert store.index_lookups == before + 1
+        assert lookups.value == before + 1
 
     def test_subscribe_path_complete_multiple_subscribers_in_order(self):
         calls = []

@@ -3,9 +3,10 @@
 Converged replay freezes a telemetry delta and stops feeding the store;
 with a journaling backend that would leave the durable log silently
 incomplete (records for replayed executions simply never written).  The
-eligibility gate lives in ``supports_snapshot_replay`` and is enforced
-twice: at :class:`~repro.sim.events.ReplayIngestor` construction and
-re-checked at the freeze cutover.  These tests pin both seams plus the
+eligibility gate lives in ``supports_snapshot_replay``, which the one
+eligibility predicate (``repro.sim.events.replay_refusal``) consults at
+:class:`~repro.sim.events.ReplayIngestor` construction and again at the
+freeze cutover.  These tests pin both seams plus the
 event runner's fallback to full-fidelity ingestion.
 """
 
@@ -15,7 +16,7 @@ import pytest
 
 from repro.apps.catalog import load_scenario
 from repro.evalx.experiment import ExperimentConfig, build_simulator
-from repro.sim.events import EventDrivenRunner, ReplayIngestor
+from repro.sim.events import EventDrivenRunner, ReplayIngestor, replay_refusal
 from repro.telemetry import MetricsRegistry
 
 
@@ -59,16 +60,17 @@ def test_event_runner_falls_back_to_full_ingestion(tmp_path):
 
 
 def test_freeze_cutover_rechecks_eligibility():
-    """Introspection pin: the cutover re-reads ``supports_snapshot_replay``.
+    """Introspection pin: the cutover re-evaluates ``replay_refusal``.
 
     Construction-time checks alone would miss a store/backend swap after
-    the ingestor was built; the freeze condition must consult the
-    tracker's *live* eligibility.  Pinned on source (the check has no
-    behavioural trace in an eligible run) so a refactor that drops the
-    re-check fails here, not in a silent-data-loss postmortem.
+    the ingestor was built; the freeze condition must consult the one
+    eligibility predicate — and through it the tracker's *live*
+    ``supports_snapshot_replay`` — again.  Pinned on source (the check
+    has no behavioural trace in an eligible run) so a refactor that
+    drops the re-check fails here, not in a silent-data-loss postmortem.
     """
-    source = inspect.getsource(ReplayIngestor.ingest)
-    assert "supports_snapshot_replay" in source
+    assert "replay_refusal(self.sim)" in inspect.getsource(ReplayIngestor.ingest)
+    assert "supports_snapshot_replay" in inspect.getsource(replay_refusal)
 
 
 def test_frozen_run_would_skip_journal_writes(tmp_path):
