@@ -11,7 +11,7 @@ Clotho's chaos matrix.  The grid is the cartesian product of
   interval boundaries (the half-open ``active_at`` contract),
 * **crash schedules** — scheduled node-crash shapes,
 * **store configurations** — (shards, batch size) pairs,
-* **engines** — tick oracle and discrete-event fast path, and
+* **engines** — tick oracle and converged-replay fast path, and
 * **profiler modes** — exact and topk precision tiers.
 
 Every cell is fully determined by its **grid index** plus the run-level

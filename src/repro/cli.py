@@ -230,8 +230,9 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine", choices=ENGINES, default="tick",
-        help="run-loop implementation: the fixed-tick oracle or the "
-        "discrete-event fast path (bit-identical results per seed)",
+        help="DCA ingestion: 'tick' re-executes every sampled request "
+        "(the oracle); 'event' is the same loop with converged-replay "
+        "ingestion (bit-identical results per seed)",
     )
     parser.add_argument(
         "--profiler-mode", choices=PROFILER_MODES, default="exact",

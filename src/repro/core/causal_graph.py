@@ -271,27 +271,30 @@ class DirectCausalityTracker:
                 flush_journal()
         return written
 
-    def next_delayed_due_minutes(self) -> Optional[float]:
-        """Earliest due time among fault-delayed messages, or ``None``.
-
-        The event engine polls this after each interval to schedule a
-        delivery event at the interval boundary the due time lands on.
-        """
-        if not self._delayed:
-            return None
-        return min(eta for eta, _ in self._delayed)
-
     def deliver_delayed(self, now_minutes: float) -> None:
-        """Deliver fault-delayed messages due at ``now_minutes``.
+        """Deliver fault-delayed messages whose due time has passed.
 
-        Event-engine entry point: advances the tracker clock and runs
-        only the delayed-delivery slice of the maintenance pass, so a
-        delivery event at an interval boundary reproduces exactly what
-        the tick loop's :meth:`advance_to` would have done there.
+        The delayed-delivery slice of :meth:`advance_to`'s maintenance
+        pass.  A delayed message is delivered exactly once — the fault
+        channels are not re-rolled, so a finite delay can never become
+        an infinite one.
         """
-        self._now_minutes = float(now_minutes)
-        if self._delayed:
-            self._deliver_due()
+        now = self._now_minutes = float(now_minutes)
+        due = [m for eta, m in self._delayed if eta <= now]
+        if not due:
+            return
+        self._delayed = [(eta, m) for eta, m in self._delayed if eta > now]
+        for message in due:
+            if self._abandoned_roots and self._discard_if_abandoned(message):
+                continue
+            if self._submit(message) and self.path_timeout_minutes is not None:
+                root = message.root_uid
+                if root is None:
+                    root = message.uid
+                if root not in self._root_first_seen:
+                    self._root_first_seen[root] = now
+        self._m_delivered_late.inc(len(due))
+        self.flush()
 
     def advance_to(self, time_minutes: float) -> None:
         """Advance the tracker clock and run the maintenance pass.
@@ -307,7 +310,7 @@ class DirectCausalityTracker:
         if self._plain_path:
             return
         if self._delayed:
-            self._deliver_due()
+            self.deliver_delayed(self._now_minutes)
         if self.path_timeout_minutes is not None:
             self._abandon_expired()
         self.store.repair_dangling_edges()
@@ -452,30 +455,6 @@ class DirectCausalityTracker:
             root = message.root_uid if message.root_uid is not None else uid
             self.tap.emit("dead_letter", uid=repr(uid), root=repr(root))
         return False
-
-    def _deliver_due(self) -> None:
-        """Deliver fault-delayed messages whose due time has passed.
-
-        A delayed message is delivered exactly once — the fault channels
-        are not re-rolled, so a finite delay can never become an
-        infinite one.
-        """
-        now = self._now_minutes
-        due = [m for eta, m in self._delayed if eta <= now]
-        if not due:
-            return
-        self._delayed = [(eta, m) for eta, m in self._delayed if eta > now]
-        for message in due:
-            if self._abandoned_roots and self._discard_if_abandoned(message):
-                continue
-            if self._submit(message) and self.path_timeout_minutes is not None:
-                root = message.root_uid
-                if root is None:
-                    root = message.uid
-                if root not in self._root_first_seen:
-                    self._root_first_seen[root] = now
-        self._m_delivered_late.inc(len(due))
-        self.flush()
 
     def _abandon_expired(self) -> None:
         """Abandon roots whose path has been open longer than the timeout."""

@@ -69,8 +69,8 @@ class ExperimentConfig:
     num_shards: int = 1
     #: Store-write batch size (1 = unbatched writes, the old behaviour).
     write_batch_size: int = 1
-    #: Run-loop implementation: "tick" (the oracle) or "event" (the
-    #: discrete-event fast path); both are bit-identical per seed.
+    #: "tick" (the oracle) or "event" (the same loop with
+    #: converged-replay ingestion); both are bit-identical per seed.
     engine: str = "tick"
     #: Profiler precision tier ("exact", "topk", "component") and
     #: space-saving summary size for the topk tier.

@@ -15,7 +15,7 @@ snapshot as the recovery counters (``tracker.dead_letters``,
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.telemetry import MetricsRegistry, get_registry
@@ -132,19 +132,6 @@ class FaultInjector:
         return False
 
     # -- scheduled node crashes (engine hook) ------------------------------------
-
-    def pending_crash_minutes(self) -> List[float]:
-        """Distinct minutes of not-yet-fired scheduled crashes, in order.
-
-        The event engine schedules one crash event per distinct minute;
-        :meth:`node_crashes_due` then consumes the schedule exactly as the
-        tick loop would, so the monotonic cursor semantics are shared.
-        """
-        minutes: List[float] = []
-        for crash in self.plan.node_crashes[self._crash_cursor:]:
-            if not minutes or crash.minute != minutes[-1]:
-                minutes.append(crash.minute)
-        return minutes
 
     def node_crashes_due(self, now_minutes: float) -> Dict[str, int]:
         """Component → nodes to crash, for crashes scheduled at or before now.

@@ -113,14 +113,12 @@ class FaultPlan:
         window — the outage has ended and recovery machinery (retry
         success, staleness re-engagement) must see a healthy system at
         that boundary.  Both engines evaluate this at the same clock
-        values: the tick loop calls ``advance_to`` at interval
-        boundaries, and the event engine snaps crash/delivery timestamps
-        *up* to those same boundaries before rolling any channel
-        (``EventDrivenRunner._snap_up``), so a window ending exactly on
-        a boundary can neither double-fire nor silently skip faults at
-        the edge.  ``tests/faults/test_window_boundaries.py`` pins this
-        at exact boundary minutes under both engines.  Scheduled node
-        crashes deliberately ignore the window (see
+        values — ``advance_to`` is only ever called at interval
+        boundaries, by the one superstep they share — so a window ending
+        exactly on a boundary can neither double-fire nor silently skip
+        faults at the edge.  ``tests/faults/test_window_boundaries.py``
+        pins this at exact boundary minutes under both engines.
+        Scheduled node crashes deliberately ignore the window (see
         :meth:`FaultInjector.node_crashes_due`).
         """
         return self.start_minute <= minute < self.end_minute

@@ -4,7 +4,6 @@ from repro.sim.cluster import Cluster, ComponentGroup, DeploymentSpec
 from repro.sim.engine import ENGINES, ClusterSimulator, DCABundle, SimulationConfig
 from repro.sim.events import (
     EventDrivenRunner,
-    EventQueue,
     ReplayIngestor,
     is_volatile_metric_key,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "DeploymentSpec",
     "ENGINES",
     "EventDrivenRunner",
-    "EventQueue",
     "IntervalRecord",
     "ParityReport",
     "ReplayIngestor",

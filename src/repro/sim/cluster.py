@@ -98,10 +98,6 @@ class ComponentGroup:
             )
         self._draining = [(eta, c) for eta, c in self._draining if eta > now_minutes]
 
-    def transition_times(self) -> List[float]:
-        """ETAs of in-flight provisioning/draining completions."""
-        return [eta for eta, _ in self._pending] + [eta for eta, _ in self._draining]
-
     def fail_nodes(self, count: int) -> int:
         """Crash up to ``count`` ready nodes (failure injection).
 
@@ -219,18 +215,6 @@ class Cluster:
                 self.provision_delay_minutes,
                 self.deprovision_delay_minutes,
             )
-
-    def pending_transition_times(self) -> List[float]:
-        """Sorted distinct ETAs of replica start/stop completions.
-
-        The event engine turns each into a cluster-transition event so
-        provisioning pipelines mature at their exact deadline instead of
-        being polled every interval.
-        """
-        times = set()
-        for group in self.groups.values():
-            times.update(group.transition_times())
-        return sorted(times)
 
     def fail_component(self, component: str, count: int) -> int:
         """Crash up to ``count`` ready nodes of ``component``.

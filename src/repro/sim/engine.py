@@ -64,8 +64,8 @@ from repro.workloads.generator import WorkloadGenerator
 #: statistically correct.
 INTERVAL_MINUTES = 1.0
 
-#: The two run-loop implementations: the fixed-tick oracle and the
-#: discrete-event engine (:mod:`repro.sim.events`).
+#: The two engines: the fixed-tick oracle, and the same loop with
+#: converged-replay ingestion (:mod:`repro.sim.events`).
 ENGINES = ("tick", "event")
 
 
@@ -84,10 +84,10 @@ class SimulationConfig:
     max_live_traces_per_class: int = 1
     node_failure_rate_per_min: float = 0.0
     failure_seed: int = 0
-    #: Which run loop drives the simulation: the fixed-tick oracle or the
-    #: discrete-event engine.  Both produce bit-identical results (the
-    #: ``engine-parity`` CI job enforces it); the event engine is the
-    #: fast path.
+    #: ``tick`` re-executes every sampled request; ``event`` walks the
+    #: same intervals but stops re-executing a request class once its
+    #: effects have converged.  Both produce bit-identical results (the
+    #: ``engine-parity`` CI job enforces it); ``event`` is the fast path.
     engine: str = "tick"
     #: Length of one observation interval in simulated minutes.  All
     #: per-minute rates are converted through this value.
@@ -115,6 +115,13 @@ class SimulationConfig:
             )
         if self.store_backend == "log" and self.store_dir is None:
             raise SimulationError("store_backend 'log' requires store_dir")
+        if self.max_live_traces_per_class < 1:
+            # 0 would sample (and charge overhead for) requests whose
+            # paths are never executed, so the profiler starves silently.
+            raise SimulationError(
+                "max_live_traces_per_class must be >= 1, "
+                f"got {self.max_live_traces_per_class}"
+            )
         if not 0 < self.req_min_utilization <= 1:
             raise SimulationError(
                 f"req_min_utilization must be in (0, 1], got {self.req_min_utilization}"
@@ -367,6 +374,10 @@ class ClusterSimulator:
         self._recent_totals: List[float] = []
         self._failure_rng = _random.Random(self.config.failure_seed * 1_000_003 + 17)
         self.nodes_failed_total = 0
+        #: The ``event`` engine's runner, kept after :meth:`run` for
+        #: introspection (tests, benchmarks, CLI stats); ``None`` under
+        #: ``tick``.
+        self.event_runner = None
         # Clock of the last random-failure roll; the first interval's
         # exposure window is one full interval, exactly as before.
         self._last_failure_roll = -self.config.interval_minutes
@@ -407,10 +418,8 @@ class ClusterSimulator:
             if self.config.engine == "event":
                 from repro.sim.events import EventDrivenRunner
 
-                runner = EventDrivenRunner(self)
-                # Kept for introspection (tests, benchmarks, CLI stats).
-                self.event_runner = runner
-                return runner.run()
+                self.event_runner = EventDrivenRunner(self)
+                return self.event_runner.run()
             result = SimulationResult(manager_name=self.manager.name, application=self.app.name)
             interval = self.config.interval_minutes
             for k in range(self.config.num_intervals):
@@ -443,12 +452,11 @@ class ClusterSimulator:
     ) -> None:
         """Run one full observation interval at ``now`` and record it.
 
-        This is the shared superstep of both engines: the tick loop calls
-        it at every boundary; the event engine calls it from its
-        interval-boundary events (optionally swapping the DCA
-        ``ingestor`` for its replay fast path and supplying pre-drawn
-        ``arrivals``).  Keeping one body guarantees tick/event parity by
-        construction for everything outside DCA ingestion.
+        This is the shared superstep of both engines, called at every
+        interval boundary; the event engine may swap the DCA ``ingestor``
+        for its replay fast path and supplies pre-drawn ``arrivals``.
+        Keeping one body guarantees tick/event parity by construction
+        for everything outside DCA ingestion.
         """
         with self._step_timer:
             record, observation = self._step(now, ingestor=ingestor, arrivals=arrivals)

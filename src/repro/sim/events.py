@@ -1,14 +1,14 @@
-"""The discrete-event simulation engine.
+"""The ``event`` engine: the tick loop with converged-replay ingestion.
 
-The tick loop (:meth:`~repro.sim.engine.ClusterSimulator.run`) walks
-every interval boundary and re-executes every sampled request through
-the real interpreters.  That is the *oracle*: simple, obviously
-faithful, and O(duration x sampled traffic).  This module is the fast
-path: a priority queue of timestamped events — interval boundaries,
-replica start/stop completions, scheduled node crashes, fault-delayed
-message deliveries — drained in timestamp order, plus a *converged
-replay* fast path that stops re-executing a request class once its
-per-execution effects have provably stopped changing.
+The simulator observes and acts once per monitoring interval: nothing
+reads cluster, fault or tracker state between interval boundaries.  So
+``engine="event"`` walks the same boundaries through the same superstep
+(:meth:`~repro.sim.engine.ClusterSimulator.run_interval`) as
+``engine="tick"`` and differs in exactly one thing — DCA ingestion may
+go through a :class:`ReplayIngestor`, which stops re-executing a request
+class through the real interpreters once its per-execution effects have
+provably stopped changing.  The tick loop stays the *oracle*: simple,
+obviously faithful, and O(duration x sampled traffic).
 
 Parity contract
 ---------------
@@ -17,23 +17,12 @@ For any seeded configuration, ``engine="event"`` must produce results
 **bit-identical** to ``engine="tick"``: the same ``IntervalRecord``
 stream, the same telemetry snapshot (modulo the volatile keys below),
 the same fault/recovery counters.  CI's ``engine-parity`` job enforces
-this on every scenario.  The design rules that make it hold:
-
-* Both engines share one superstep
-  (:meth:`~repro.sim.engine.ClusterSimulator.run_interval`), so
-  everything outside DCA ingestion is identical by construction.
-* Arrivals are pre-drawn with the exact scalar RNG calls of the tick
-  loop (:meth:`~repro.workloads.generator.WorkloadGenerator.arrivals_series`).
-* Every fault channel draws from its own seeded RNG stream, so events
-  that only touch disjoint channels may be reordered freely; events on
-  the *same* channel keep their tick-relative order.
-* Mid-interval events whose effects the tick loop would only apply at
-  the next boundary — scheduled node crashes batched by
-  ``node_crashes_due`` and fault-delayed deliveries performed by
-  ``advance_to`` — are *snapped up* to that boundary, with a queue
-  priority that reproduces the tick loop's intra-boundary order.
-* Replica start/stop completions fire at their exact ETA; nothing reads
-  cluster state between boundaries, so early maturation is unobservable.
+this on every scenario.  Outside replay it holds because both engines
+run the same code; the one rule left to maintain is that arrivals are
+pre-drawn with the exact scalar RNG calls of the tick loop
+(:meth:`~repro.workloads.generator.WorkloadGenerator.arrivals_series`),
+which is how the set of classes that ever receive traffic is known
+before the first interval runs.
 
 Volatile telemetry keys — excluded from parity comparison *and* from
 replay capture:
@@ -97,24 +86,9 @@ the tick loop's code.
 
 from __future__ import annotations
 
-import math
-from heapq import heappop, heappush
-from itertools import count as _counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.sim.metrics import SimulationResult
-
-# -- intra-timestamp event priorities -----------------------------------------
-#
-# Events at the same timestamp drain in priority order; the order mirrors
-# the tick loop's intra-boundary sequence (cluster.advance, then node
-# crashes, then delayed deliveries inside tracker.advance_to, then the
-# interval body).
-
-P_CLUSTER_TRANSITION = 0
-P_NODE_CRASH = 1
-P_DELAYED_DELIVERY = 2
-P_INTERVAL = 3
 
 #: Consecutive identical (delta, fingerprint) executions required before
 #: a class cuts over to replay.  Must exceed the longest false plateau
@@ -191,41 +165,6 @@ def is_volatile_metric_key(key: str) -> bool:
         or base.startswith(VOLATILE_METRIC_PREFIX)
         or base in VOLATILE_METRIC_KEYS
     )
-
-
-class EventQueue:
-    """Min-heap of timestamped events with a deterministic tiebreak.
-
-    Events order by ``(time, priority, seq)``: ``seq`` is a monotonically
-    increasing insertion counter, so events equal in time and priority
-    drain in insertion order and the schedule is fully deterministic —
-    payloads are never compared.
-    """
-
-    __slots__ = ("_heap", "_seq", "pushed")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, str, object]] = []
-        self._seq = _counter()
-        self.pushed = 0
-
-    def push(self, time: float, priority: int, kind: str, data: object = None) -> None:
-        heappush(self._heap, (float(time), int(priority), next(self._seq), kind, data))
-        self.pushed += 1
-
-    def pop(self) -> Optional[Tuple[float, int, int, str, object]]:
-        if not self._heap:
-            return None
-        return heappop(self._heap)
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 # -- telemetry capture for converged replay -----------------------------------
@@ -550,49 +489,28 @@ class ReplayIngestor:
 
 
 class EventDrivenRunner:
-    """Drains the event queue for one simulation run.
+    """Runs one simulation under ``engine="event"``.
 
-    Built by :meth:`ClusterSimulator.run` when ``config.engine`` is
-    ``"event"``; owns the queue, the follow-up scheduling rules, and the
-    optional replay ingestor.
+    Built by :meth:`ClusterSimulator.run`; kept on the simulator as
+    ``event_runner`` so tests, benchmarks and CLI stats can read the
+    replay ingestor's counters after the run.
     """
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self.queue = EventQueue()
-        self.events_processed: Dict[str, int] = {
-            "interval": 0,
-            "cluster-transition": 0,
-            "node-crash": 0,
-            "delayed-delivery": 0,
-        }
-        self._transition_times: set = set()
-        self._delivery_times: set = set()
-        #: Built lazily in :meth:`run` once the arrival schedule (and
-        #: with it the set of classes that ever receive traffic) is known.
+        self.events_processed: Dict[str, int] = {"interval": 0}
+        #: Built in :meth:`run` once the arrival schedule (and with it
+        #: the set of classes that ever receive traffic) is known.
         self.ingestor: Optional[ReplayIngestor] = None
-        # Ineligible runs still use the event engine, with full-fidelity
-        # ingestion — literally the tick loop's code.
+        # Ineligible runs keep full-fidelity ingestion — literally the
+        # tick loop's code.
         self._replay_eligible = replay_refusal(sim) is None
-
-    # -- boundary snapping ------------------------------------------------------
-
-    def _snap_up(self, t: float) -> float:
-        """First interval boundary at or after ``t`` (clamped at 0)."""
-        interval = self.sim.config.interval_minutes
-        k = math.ceil(t / interval - 1e-9)
-        return max(0.0, k * interval)
-
-    # -- run loop ---------------------------------------------------------------
 
     def run(self) -> SimulationResult:
         sim = self.sim
         cfg = sim.config
         result = SimulationResult(manager_name=sim.manager.name, application=sim.app.name)
-        interval = cfg.interval_minutes
-        n = cfg.num_intervals
-        horizon = (n - 1) * interval
-        boundaries = [k * interval for k in range(n)]
+        boundaries = [k * cfg.interval_minutes for k in range(cfg.num_intervals)]
         arrivals = sim.generator.arrivals_series(boundaries)
         if self._replay_eligible:
             active = {
@@ -602,71 +520,8 @@ class EventDrivenRunner:
                 if arrived > 0
             }
             self.ingestor = ReplayIngestor(sim, active_classes=active)
-        for k, t in enumerate(boundaries):
-            self.queue.push(t, P_INTERVAL, "interval", k)
-        if sim.faults is not None:
-            # Scheduled crashes batch at the boundary the tick loop would
-            # consume them at, preserving the tick's mature-then-crash
-            # order against in-flight provisioning.
-            crash_boundaries = []
-            for minute in sim.faults.pending_crash_minutes():
-                t = self._snap_up(minute)
-                if t <= horizon and (not crash_boundaries or t != crash_boundaries[-1]):
-                    crash_boundaries.append(t)
-                    self.queue.push(t, P_NODE_CRASH, "node-crash", None)
         ingest = self.ingestor.ingest if self.ingestor is not None else None
-        while True:
-            event = self.queue.pop()
-            if event is None:
-                break
-            time_, _priority, _seq, kind, data = event
-            self.events_processed[kind] += 1
-            # Stamp the tap clock per event (run_interval restamps it in
-            # _step) so hooks fired by crash/transition/delivery handlers
-            # carry the event's timestamp, matching tick-loop emissions.
-            if sim.tap is not None:
-                sim.tap.now = time_
-            if kind == "interval":
-                sim.run_interval(time_, result, ingestor=ingest, arrivals=arrivals[data])
-                self._schedule_followups(time_, horizon)
-            elif kind == "cluster-transition":
-                sim.cluster.advance(time_)
-            elif kind == "node-crash":
-                sim.faults.advance_to(time_)
-                for comp, crashed in sorted(sim.faults.node_crashes_due(time_).items()):
-                    sim.nodes_failed_total += sim.cluster.fail_component(comp, crashed)
-            elif kind == "delayed-delivery":
-                # Window state must match what the boundary will see
-                # before any delivered message is (re)processed.
-                if sim.faults is not None:
-                    sim.faults.advance_to(time_)
-                sim.dca.tracker.deliver_delayed(time_)
-                self._schedule_delivery(time_, horizon)
+        for t, arrived in zip(boundaries, arrivals):
+            sim.run_interval(t, result, ingestor=ingest, arrivals=arrived)
+            self.events_processed["interval"] += 1
         return result
-
-    # -- follow-up scheduling ---------------------------------------------------
-
-    def _schedule_followups(self, now: float, horizon: float) -> None:
-        # Replica start/stop completions mature at their exact ETA;
-        # nothing observes cluster state between boundaries, so firing
-        # early relative to the tick loop's boundary poll is invisible.
-        for eta in self.sim.cluster.pending_transition_times():
-            if now < eta <= horizon and eta not in self._transition_times:
-                self._transition_times.add(eta)
-                self.queue.push(eta, P_CLUSTER_TRANSITION, "cluster-transition", None)
-        self._schedule_delivery(now, horizon)
-
-    def _schedule_delivery(self, now: float, horizon: float) -> None:
-        if self.sim.dca is None:
-            return
-        eta = self.sim.dca.tracker.next_delayed_due_minutes()
-        if eta is None:
-            return
-        # The tick loop delivers at the first boundary *after* the
-        # enqueueing one whose time has reached the due time.
-        t = self._snap_up(eta)
-        if t <= now:
-            t = now + self.sim.config.interval_minutes
-        if t <= horizon and t not in self._delivery_times:
-            self._delivery_times.add(t)
-            self.queue.push(t, P_DELAYED_DELIVERY, "delayed-delivery", None)

@@ -1,6 +1,6 @@
 """Tick-vs-event engine equivalence checking (the parity oracle).
 
-The discrete-event engine (:mod:`repro.sim.events`) claims bit-identical
+The event engine (:mod:`repro.sim.events`) claims bit-identical
 results to the fixed-tick loop for any seeded configuration.  This
 module is the claim's enforcement surface: it builds the *same* seeded
 experiment twice — once per engine, each with a fresh telemetry
@@ -217,9 +217,7 @@ def run_engine_parity(
         snapshots[engine] = registry.snapshot()
         failed_totals[engine] = simulator.nodes_failed_total
         if engine == "event":
-            ingestor = getattr(
-                getattr(simulator, "event_runner", None), "ingestor", None
-            )
+            ingestor = simulator.event_runner.ingestor
             replay_engaged = None if ingestor is None else ingestor.replaying
             replayed_executions = 0 if ingestor is None else ingestor.replayed_executions
 

@@ -2,10 +2,10 @@
 
 The scenario-suite parity tests (``test_engine_parity.py``) cover the
 paper configurations; these tests pin down the boundary conditions the
-discrete-event engine must handle exactly like the tick oracle:
+event engine must handle exactly like the tick oracle:
 
 * one-interval runs (nothing ever matures or delivers),
-* non-unit ``interval_minutes`` (boundary snapping, rate conversion),
+* non-unit ``interval_minutes`` (boundary spacing, rate conversion),
 * fault delays landing exactly on an interval boundary,
 * the event-clocked ``_inject_failures`` roll (pinned seeded counts),
 * the converged-replay cutover machinery itself.
@@ -72,6 +72,16 @@ def _assert_pair_parity(pair):
     assert pair["tick"][0].nodes_failed_total == pair["event"][0].nodes_failed_total
 
 
+def _assert_delayed_deliveries(pair):
+    """Both engines delivered the same, non-zero number of delayed messages."""
+    delivered = {
+        engine: pair[engine][2]["metrics"]["tracker.delayed_messages_delivered"]["value"]
+        for engine in ("tick", "event")
+    }
+    assert delivered["event"] > 0
+    assert delivered["event"] == delivered["tick"]
+
+
 class TestDurationEdges:
     def test_single_interval_run(self):
         pair = _run_pair("hedwig", "DCA-100%", duration_minutes=1)
@@ -83,9 +93,15 @@ class TestDurationEdges:
         with pytest.raises(SimulationError):
             SimulationConfig(duration_minutes=0)
 
+    @pytest.mark.parametrize("live", [0, -3])
+    def test_no_live_traces_rejected(self, live):
+        """< 1 would sample requests but never execute one: a starved profiler."""
+        with pytest.raises(SimulationError):
+            SimulationConfig(max_live_traces_per_class=live)
+
 
 class TestNonUnitIntervals:
-    """interval_minutes != 1.0: snapping and rate conversion must agree."""
+    """interval_minutes != 1.0: spacing and rate conversion must agree."""
 
     @pytest.mark.parametrize("interval_minutes", [0.5, 2.0])
     def test_parity(self, interval_minutes):
@@ -137,15 +153,10 @@ class TestBoundaryDelays:
             path_timeout_minutes=5.0,
         )
         _assert_pair_parity(pair)
-        event_sim = pair["event"][0]
-        runner = event_sim.event_runner
-        assert runner.events_processed["delayed-delivery"] > 0
-        metrics = pair["event"][2]["metrics"]
-        delivered = metrics["tracker.delayed_messages_delivered"]["value"]
-        assert delivered > 0
+        _assert_delayed_deliveries(pair)
 
     def test_fractional_delay(self):
-        """A mid-interval ETA must snap up to the *next* boundary, like tick."""
+        """A mid-interval ETA is delivered at the *next* boundary, like tick."""
         plan = FaultPlan(seed=11, message_delay_rate=0.6, message_delay_minutes=1.5)
         pair = _run_pair(
             "hedwig",
@@ -155,7 +166,7 @@ class TestBoundaryDelays:
             path_timeout_minutes=5.0,
         )
         _assert_pair_parity(pair)
-        assert pair["event"][0].event_runner.events_processed["delayed-delivery"] > 0
+        _assert_delayed_deliveries(pair)
 
 
 class TestEventClockedFailureRolls:
@@ -204,7 +215,10 @@ class TestReplayCutover:
             path_timeout_minutes=5.0,
         )
         _assert_pair_parity(pair)
-        assert pair["event"][0].event_runner.ingestor is None
+        runner = pair["event"][0].event_runner
+        assert runner.ingestor is None
+        # A refused run is the tick loop: one pass per interval, nothing else.
+        assert runner.events_processed == {"interval": 40}
 
     def test_replay_disabled_for_baseline_managers(self):
         pair = _run_pair("hedwig", "CloudWatch", duration_minutes=40)

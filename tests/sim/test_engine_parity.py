@@ -1,7 +1,7 @@
 """Seeded tick-vs-event equivalence over the scenario suite.
 
 These tests *are* the parity oracle gate: for each seeded
-configuration the tick loop and the discrete-event engine must produce
+configuration the tick loop and the event engine must produce
 bit-identical ``IntervalRecord`` streams, telemetry snapshots (modulo
 the documented volatile keys) and fault counters.  CI's
 ``engine-parity`` job runs them with ``PARITY_DURATION=450`` (the full
