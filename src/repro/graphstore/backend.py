@@ -73,7 +73,7 @@ import zlib
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import StoreBackendError
-from repro.lang.message import UID_ORDER_KEY, Message, MessageUid
+from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
 
 #: The selectable backend kinds (`--store-backend`).
@@ -308,7 +308,7 @@ def _message_parts(message: Message):
             causes = tuple(causes)
             cause_key = causes[0].address
         else:
-            causes = sorted(causes, key=UID_ORDER_KEY)
+            causes = sorted(causes)
             cause_key = tuple(cause.address for cause in causes)
         key = (
             flags, uid.address, message.msg_type, message.src, message.dest,

@@ -10,8 +10,6 @@ partition-locality statistics.
 
 from __future__ import annotations
 
-import zlib
-
 from repro.errors import GraphStoreError
 from repro.lang.message import MessageUid
 
@@ -19,9 +17,11 @@ from repro.lang.message import MessageUid
 class HashPartitioner:
     """Maps message uids to partitions with a stable (non-salted) hash.
 
-    ``zlib.crc32`` is used instead of :func:`hash` because Python salts
-    string hashes per process; determinism across runs is required for
-    reproducible simulations.
+    The hash is ``zlib.crc32`` of ``"address/process_id/seq"`` rather than
+    :func:`hash`, because Python salts string hashes per process and
+    reproducible simulations need the same routing in every run.  It is
+    intrinsic to the uid, so :class:`~repro.lang.message.MessageUid`
+    computes it once at construction and carries it as its fourth item.
     """
 
     def __init__(self, num_partitions: int) -> None:
@@ -30,15 +30,5 @@ class HashPartitioner:
         self.num_partitions = int(num_partitions)
 
     def partition_of(self, uid: MessageUid) -> int:
-        """Partition index for ``uid`` (stable across processes).
-
-        The crc of the uid triple is intrinsic to the uid, so it is
-        computed once and cached on the uid itself — ``add_message`` and
-        ``get_node`` hash the same uid repeatedly on the hot path.
-        """
-        crc = uid._crc
-        if crc is None:
-            key = f"{uid.address}/{uid.process_id}/{uid.seq}".encode("utf-8")
-            crc = zlib.crc32(key)
-            object.__setattr__(uid, "_crc", crc)
-        return crc % self.num_partitions
+        """Partition index for ``uid`` (stable across processes)."""
+        return uid[3] % self.num_partitions

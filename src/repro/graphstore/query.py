@@ -20,7 +20,7 @@ from typing import FrozenSet, List, Set, Tuple
 
 from repro.errors import GraphStoreError
 from repro.graphstore.store import EdgeTriple, GraphNode, GraphStore
-from repro.lang.message import UID_ORDER_KEY, MessageUid
+from repro.lang.message import MessageUid
 
 __all__ = [
     "CausalGraphResult",
@@ -81,12 +81,7 @@ def causal_graph_bfs(store: GraphStore, root: MessageUid) -> CausalGraphResult:
     queue: deque = deque([root])
     while queue:
         uid = queue.popleft()
-        succs = list(store.iter_successors(uid))
-        if len(succs) > 1:
-            # A chain link has nothing to order; building its key tuple
-            # costs more than the key saves on real fan-outs.
-            succs.sort(key=UID_ORDER_KEY)
-        for succ in succs:
+        for succ in sorted(store.iter_successors(uid)):
             hops += 1
             node = store.get_node(succ)
             if node is None:
@@ -147,7 +142,7 @@ def to_dot(store: GraphStore, root: MessageUid, title: str = "causal graph") -> 
             f'  {ids[node.uid]} [label="{node.msg_type}\\n{node.uid}"{shape}];'
         )
     for node in result.nodes:
-        for succ in sorted(store.iter_successors(node.uid), key=UID_ORDER_KEY):
+        for succ in sorted(store.iter_successors(node.uid)):
             if succ in ids:
                 lines.append(f"  {ids[node.uid]} -> {ids[succ]};")
     lines.append("}")

@@ -8,7 +8,7 @@ single :class:`~repro.graphstore.store.GraphStore` reproduces the hash
 ``num_shards`` independent ``GraphStore`` instances, routed by the
 **root uid** of each message through the same
 :class:`~repro.graphstore.partition.HashPartitioner` (and therefore the
-same cached crc32) the in-store partitioning already uses.
+same crc32, carried on the uid) the in-store partitioning already uses.
 
 Routing rule
 ------------

@@ -8,6 +8,20 @@ inserted — "the computation of this causal graph is triggered at the
 graph store when the edge corresponding to [the] last message in the
 causal path … is stored" (Section IV-B).
 
+One index, one record per uid
+-----------------------------
+The store keeps a single dict, ``uid → record``.  A record holds
+everything known about that uid — the node (``None`` while the uid is
+only named as someone's cause), the root it was recorded against, its
+adjacency, the roots it is connected to and, on a stored root, the
+path's accumulator — and neighbours are referenced as *records*, which
+hash by identity.  ``add_message`` therefore hashes a uid once for the
+message and once per cause; edge insertion, reach propagation and
+eviction never hash a uid again.  Adjacency is an insertion-ordered dict
+(not a set): the order in which a late cause's successors are connected
+decides member and hop order, and must not depend on memory addresses or
+``PYTHONHASHSEED``.
+
 Hot-path design (the incremental-signature pipeline)
 ----------------------------------------------------
 Path completion used to cost a full BFS over the stored graph per
@@ -16,8 +30,7 @@ accumulator holding
 
 * the canonical ``(src, msg_type, dest)`` edge-triple set of every node
   **connected to the root** (insertion-ordered dict keys, deduplicated),
-* the member-uid list of those connected nodes (what eviction removes),
-* the root node's message type (the path's request type).
+* the member list of those connected nodes (what eviction removes).
 
 Connectivity mirrors exactly what :func:`~repro.graphstore.query.causal_graph_bfs`
 computes: a node is connected iff it can be reached from the root
@@ -33,13 +46,15 @@ the equivalence tests compare against.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import GraphStoreError, StoreBackendError
 from repro.graphstore.backend import GraphStoreBackend, MemoryBackend
 from repro.graphstore.partition import HashPartitioner
 from repro.lang.ir import CLIENT
-from repro.lang.message import UID_ORDER_KEY, Message, MessageUid
+from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
 
 #: Bucket bounds for eviction / extraction size histograms (node counts).
@@ -109,18 +124,43 @@ class _RootAccumulator:
     """Incremental per-root causal-path state (see module docstring).
 
     ``edges`` is an insertion-ordered dict used as a deduplicated set of
-    canonical hop triples; ``members`` the uids of nodes connected to the
-    root (the eviction set); ``root_type`` the root node's message type,
-    ``None`` until the root node itself is stored (a completion without a
-    stored root is discarded, matching the BFS-era ``GraphStoreError``).
+    canonical hop triples; ``members`` the records of nodes connected to
+    the root (the eviction set), in first-connection order.
     """
 
-    __slots__ = ("edges", "members", "root_type")
+    __slots__ = ("edges", "members")
 
     def __init__(self) -> None:
         self.edges: Dict[EdgeTriple, None] = {}
-        self.members: List[MessageUid] = []
-        self.root_type: Optional[str] = None
+        self.members: List["_Record"] = []
+
+
+class _Record:
+    """Everything the store knows about one uid (see module docstring).
+
+    ``node`` is ``None`` while the uid is only known as an edge endpoint:
+    a cause that has not arrived (or never will), or the effect of a raw
+    :meth:`GraphStore.add_edge`.  ``reach`` is the set of *root records*
+    the node is connected to (``None`` until the node is stored) and
+    ``acc`` the accumulator of a stored root.  ``preds``/``succs`` are
+    insertion-ordered dicts keyed by neighbour record.  Records hash by
+    identity, so once ``index.get(uid)`` has found one, nothing
+    downstream hashes a uid again.  ``live`` turns false when the record
+    leaves the index; a dead record drops its references.
+    """
+
+    __slots__ = ("uid", "partition", "node", "root", "reach", "preds", "succs", "acc", "live")
+
+    def __init__(self, uid: MessageUid, partition: int) -> None:
+        self.uid = uid
+        self.partition = partition
+        self.node: Optional[GraphNode] = None
+        self.root: Optional[MessageUid] = None
+        self.reach: Optional[Set["_Record"]] = None
+        self.preds: Dict["_Record", None] = {}
+        self.succs: Dict["_Record", None] = {}
+        self.acc: Optional[_RootAccumulator] = None
+        self.live = True
 
 
 class GraphStore:
@@ -156,17 +196,14 @@ class GraphStore:
     ) -> None:
         self._partitioner = HashPartitioner(num_partitions)
         self._partition_of = self._partitioner.partition_of
-        self._partitions: List[Dict[MessageUid, GraphNode]] = [dict() for _ in range(num_partitions)]
-        self._out_edges: Dict[MessageUid, Set[MessageUid]] = {}
-        self._in_edges: Dict[MessageUid, Set[MessageUid]] = {}
-        self._roots: Dict[MessageUid, MessageUid] = {}
-        # Incremental-signature state: per-root accumulators, the set of
-        # roots each present node is connected to, and the effect uids of
-        # raw add_edge() calls whose node is absent (their presence
-        # forces evict_graph back onto the traversal path, because only
-        # the traversal can follow edges *through* such ghosts).
-        self._accumulators: Dict[MessageUid, _RootAccumulator] = {}
-        self._reach: Dict[MessageUid, Set[MessageUid]] = {}
+        # The one index.  It holds a record for every stored node and for
+        # every uid a live edge names; ``_stored`` counts the former.
+        self._index: Dict[MessageUid, _Record] = {}
+        self._stored = 0
+        # Effect uids of raw add_edge() calls whose node is absent (their
+        # presence forces evict_graph back onto the traversal path,
+        # because only the traversal can follow edges *through* such
+        # ghosts).
         self._dangling_effects: Set[MessageUid] = set()
         self._path_complete_subscribers: List[Callable[[MessageUid], None]] = []
         if on_path_complete is not None:
@@ -218,6 +255,13 @@ class GraphStore:
 
     # -- writes ---------------------------------------------------------------
 
+    def _record_for(self, uid: MessageUid) -> _Record:
+        """The record of ``uid``, created node-less if the uid is new."""
+        rec = self._index.get(uid)
+        if rec is None:
+            self._index[uid] = rec = _Record(uid, self._partition_of(uid))
+        return rec
+
     def add_message(self, message: Message) -> GraphNode:
         """Insert the node for ``message`` and edges from each of its causes.
 
@@ -227,41 +271,33 @@ class GraphStore:
         per-root signature accumulator is updated in the same pass:
         arriving nodes connected to their root (directly, or retroactively
         once a late cause closes a gap) contribute their hop triple and
-        their uid to the root's accumulator.
+        their record to the root's accumulator.
         """
         uid = message.uid
         root_uid = message.root_uid
-        root = uid if root_uid is None else root_uid
-        # Node metadata beyond the message triple lives in side indexes
-        # (``root_of``); no per-node info dict is allocated on this path.
         node = GraphNode(uid, message.msg_type, message.src, message.dest)
-        uid_partition = self._partition_of(uid)
-        self._partitions[uid_partition][uid] = node
+        rec = self._record_for(uid)
+        if rec.node is None:
+            self._stored += 1
+            rec.reach = set()
+            if self._dangling_effects:
+                self._dangling_effects.discard(uid)
+        # A duplicate delivery lands in the record it already has.
+        rec.node = node
+        rec.root = uid if root_uid is None else root_uid
         self._m_nodes.inc()
-        self._roots[uid] = root
-        if self._dangling_effects:
-            self._dangling_effects.discard(uid)
-        reach = self._reach.get(uid)
-        if reach is None:
-            reach = set()
-            self._reach[uid] = reach
-        accumulators = self._accumulators
-        gained: Optional[Set[MessageUid]] = None
-        # Cheap equality: compare the cached hashes before falling back to
-        # the (Python-level) __eq__ call; roots usually arrive with
-        # root_uid=None so the identity branch dominates.
-        if uid is root or (uid._hash == root._hash and uid == root):
-            acc = accumulators.get(root)
-            if acc is None:
-                accumulators[root] = acc = _RootAccumulator()
-            acc.root_type = message.msg_type
-            gained = {root}
-        preds = self._in_edges.get(uid)
+        reach = rec.reach
+        gained: Optional[Set[_Record]] = None
+        if root_uid is None or root_uid == uid:
+            if rec.acc is None:
+                rec.acc = _RootAccumulator()
+            gained = {rec}
+        preds = rec.preds
         if preds:
             # Out-of-order arrival: effects already recorded edges to this
             # node before it was stored; inherit their connectivity now.
             for pred in preds:
-                pred_reach = self._reach.get(pred)
+                pred_reach = pred.reach
                 if pred_reach:
                     if gained is None:
                         gained = set(pred_reach)
@@ -270,49 +306,45 @@ class GraphStore:
         if gained:
             gained -= reach
             if gained:
-                self._gain_reach(uid, node, gained)
+                self._gain_reach(rec, gained)
         causes = message.cause_uids
         if causes:
-            # Inlined add_edge loop: the effect node (this one) is known
-            # to be present, its partition is already hashed, and the
-            # edge counters are batched per message instead of per edge.
-            out_edges = self._out_edges
-            reach_index = self._reach
-            inn = self._in_edges.get(uid)
-            if inn is None:
-                self._in_edges[uid] = inn = set()
+            # Inlined add_edge loop: the effect record (this one) is in
+            # hand and the edge counters are batched per message.
+            index = self._index
+            partition_of = self._partition_of
+            partition = rec.partition
             # Successors of this node cannot change inside the loop (the
-            # loop only touches the causes' out-edge sets), so the
+            # loop only touches the causes' successor dicts), so the
             # no-cascade fast path is decided once.
-            uid_succs = out_edges.get(uid)
+            has_succs = bool(rec.succs)
             triple = (node.src, node.msg_type, node.dest)
             cross = 0
             for cause in causes:
-                if cause._hash == uid._hash and cause == uid:
+                cause_rec = index.get(cause)
+                if cause_rec is None:
+                    index[cause] = cause_rec = _Record(cause, partition_of(cause))
+                elif cause_rec is rec:
                     raise GraphStoreError(f"self-causation edge on {cause}")
-                out = out_edges.get(cause)
-                if out is None:
-                    out_edges[cause] = out = set()
-                out.add(uid)
-                inn.add(cause)
-                if self._partition_of(cause) != uid_partition:
+                cause_rec.succs[rec] = None
+                preds[cause_rec] = None
+                if cause_rec.partition != partition:
                     cross += 1
-                cause_reach = reach_index.get(cause)
+                cause_reach = cause_rec.reach
                 if cause_reach:
                     new = cause_reach if not reach else cause_reach - reach
                     if new:
-                        if uid_succs:
-                            self._gain_reach(uid, node, new)
+                        if has_succs:
+                            self._gain_reach(rec, new)
                         else:
                             # In-order arrival: no effects yet, nothing to
                             # cascade — accumulate in place.
                             reach.update(new)
-                            for r in new:
-                                acc = accumulators.get(r)
-                                if acc is None:
-                                    accumulators[r] = acc = _RootAccumulator()
-                                acc.edges[triple] = None
-                                acc.members.append(uid)
+                            for root_rec in new:
+                                acc = root_rec.acc
+                                if acc is not None:
+                                    acc.edges[triple] = None
+                                    acc.members.append(rec)
             self._m_edges.inc(len(causes))
             if cross:
                 self._m_cross.inc(cross)
@@ -321,7 +353,7 @@ class GraphStore:
             # subscribers run (a subscriber may journal an eviction).
             self._journal_write(message)
         if node.is_response:
-            self._notify_path_complete(root)
+            self._notify_path_complete(rec.root)
         return node
 
     def add_messages(self, messages: Iterable[Message]) -> int:
@@ -350,96 +382,76 @@ class GraphStore:
         """Record a directed causal edge ``cause → effect``."""
         if cause == effect:
             raise GraphStoreError(f"self-causation edge on {cause}")
-        out = self._out_edges.get(cause)
-        if out is None:
-            self._out_edges[cause] = out = set()
-        out.add(effect)
-        inn = self._in_edges.get(effect)
-        if inn is None:
-            self._in_edges[effect] = inn = set()
-        inn.add(cause)
+        cause_rec = self._record_for(cause)
+        effect_rec = self._record_for(effect)
+        cause_rec.succs[effect_rec] = None
+        effect_rec.preds[cause_rec] = None
         self._m_edges.inc()
-        if self._partition_of(cause) != self._partition_of(effect):
+        if cause_rec.partition != effect_rec.partition:
             self._m_cross.inc()
         if self._journal is not None:
             self._journal.journal_edge(cause, effect)
-        effect_reach = self._reach.get(effect)
-        if effect_reach is None:
+        if effect_rec.node is None:
             # Raw edge to a node that is not (yet) stored; remember it so
             # eviction keeps its traversal semantics for such ghosts.
             self._dangling_effects.add(effect)
             return
-        cause_reach = self._reach.get(cause)
+        cause_reach = cause_rec.reach
         if cause_reach:
-            new = cause_reach - effect_reach
+            new = cause_reach - effect_rec.reach
             if new:
-                self._gain_reach(effect, self._node_at(effect), new)
+                self._gain_reach(effect_rec, new)
 
-    def _gain_reach(
-        self, uid: MessageUid, node: GraphNode, new_roots: Set[MessageUid]
-    ) -> None:
-        """Mark ``uid`` reachable from ``new_roots`` and cascade forward.
+    def _gain_reach(self, rec: _Record, new_roots: Set[_Record]) -> None:
+        """Mark ``rec`` reachable from ``new_roots`` and cascade forward.
 
-        ``new_roots`` must be disjoint from the node's current reach set.
-        Each (node, root) pair is processed at most once over the life of
-        the graph, so the total accumulation work is O(edges) — the same
-        asymptotics a single BFS pays, amortised over insertions.
+        ``new_roots`` must be disjoint from the record's current reach
+        set.  Each (node, root) pair is processed at most once over the
+        life of the graph, so the total accumulation work is O(edges) —
+        the same asymptotics a single BFS pays, amortised over
+        insertions.  A root that was removed while a survivor still
+        carried it (``acc is None``) accumulates nothing.
         """
-        if not self._out_edges.get(uid):
-            # In-order arrival (the common case): the node has no effects
-            # yet, so nothing can cascade — skip the worklist machinery.
-            self._reach[uid].update(new_roots)
-            triple = (node.src, node.msg_type, node.dest)
-            accumulators = self._accumulators
-            for root in new_roots:
-                acc = accumulators.get(root)
-                if acc is None:
-                    accumulators[root] = acc = _RootAccumulator()
-                acc.edges[triple] = None
-                acc.members.append(uid)
-            return
-        stack: List[Tuple[MessageUid, GraphNode, Set[MessageUid]]] = [(uid, node, new_roots)]
-        accumulators = self._accumulators
-        reach_index = self._reach
-        out_edges = self._out_edges
+        stack: List[Tuple[_Record, Set[_Record]]] = [(rec, new_roots)]
         while stack:
-            uid, node, roots = stack.pop()
-            reach = reach_index[uid]
-            roots = roots - reach
-            if not roots:
-                continue
+            rec, roots = stack.pop()
+            reach = rec.reach
+            if reach:
+                roots = roots - reach
+                if not roots:
+                    continue
             reach.update(roots)
+            node = rec.node
             triple = (node.src, node.msg_type, node.dest)
-            for root in roots:
-                acc = accumulators.get(root)
-                if acc is None:
-                    accumulators[root] = acc = _RootAccumulator()
-                acc.edges[triple] = None
-                acc.members.append(uid)
-            succs = out_edges.get(uid)
-            if succs:
-                for succ in succs:
-                    succ_reach = reach_index.get(succ)
-                    if succ_reach is None:
-                        continue  # effect node absent (sampled away)
-                    delta = roots - succ_reach
-                    if delta:
-                        stack.append((succ, self._node_at(succ), delta))
+            for root_rec in roots:
+                acc = root_rec.acc
+                if acc is not None:
+                    acc.edges[triple] = None
+                    acc.members.append(rec)
+            # In-order arrival (the common case) has no successors yet
+            # and ends here; successors cascade in insertion order.
+            for succ in rec.succs:
+                if succ.node is None:
+                    continue  # effect node absent (sampled away)
+                delta = roots - succ.reach
+                if delta:
+                    stack.append((succ, delta))
 
     def _node_at(self, uid: MessageUid) -> Optional[GraphNode]:
         """Internal node fetch that does not count as an index lookup."""
-        return self._partitions[self._partition_of(uid)].get(uid)
+        rec = self._index.get(uid)
+        return None if rec is None else rec.node
 
     # -- reads ------------------------------------------------------------------
 
     def get_node(self, uid: MessageUid) -> Optional[GraphNode]:
         """O(1) hash-index lookup of a node by uid."""
         self._m_lookups.inc()
-        return self._partitions[self._partition_of(uid)].get(uid)
+        return self._node_at(uid)
 
     def contains(self, uid: MessageUid) -> bool:
         """Whether ``uid``'s node is stored (no index-lookup accounting)."""
-        return self._partitions[self._partition_of(uid)].get(uid) is not None
+        return self._node_at(uid) is not None
 
     def require_node(self, uid: MessageUid) -> GraphNode:
         node = self.get_node(uid)
@@ -448,20 +460,21 @@ class GraphStore:
         return node
 
     def successors(self, uid: MessageUid) -> Set[MessageUid]:
-        """Effects directly caused by ``uid`` (defensive copy)."""
-        return set(self._out_edges.get(uid, ()))
+        """Effects directly caused by ``uid`` (a fresh set)."""
+        return set(self.iter_successors(uid))
 
     def predecessors(self, uid: MessageUid) -> Set[MessageUid]:
-        """Direct causes of ``uid`` (defensive copy)."""
-        return set(self._in_edges.get(uid, ()))
+        """Direct causes of ``uid`` (a fresh set)."""
+        return set(self.iter_predecessors(uid))
 
     def iter_successors(self, uid: MessageUid) -> Iterator[MessageUid]:
-        """Copy-free iteration over the effects of ``uid``.
+        """Copy-free iteration over the effects of ``uid``, in edge-insertion order.
 
         Do not mutate the store while iterating; use :meth:`successors`
         when a stable snapshot is needed.
         """
-        return iter(self._out_edges.get(uid, ()))
+        rec = self._index.get(uid)
+        return iter(()) if rec is None else (succ.uid for succ in rec.succs)
 
     def iter_predecessors(self, uid: MessageUid) -> Iterator[MessageUid]:
         """Copy-free iteration over the direct causes of ``uid``.
@@ -469,18 +482,21 @@ class GraphStore:
         Do not mutate the store while iterating; use :meth:`predecessors`
         when a stable snapshot is needed.
         """
-        return iter(self._in_edges.get(uid, ()))
+        rec = self._index.get(uid)
+        return iter(()) if rec is None else (pred.uid for pred in rec.preds)
 
     def node_count(self) -> int:
-        return sum(len(p) for p in self._partitions)
+        return self._stored
 
     def root_of(self, uid: MessageUid) -> Optional[MessageUid]:
         """Root (external request) uid recorded for ``uid``, if any."""
-        return self._roots.get(uid)
+        rec = self._index.get(uid)
+        return None if rec is None else rec.root
 
     def all_uids(self) -> Iterable[MessageUid]:
-        for part in self._partitions:
-            yield from part.keys()
+        for uid, rec in self._index.items():
+            if rec.node is not None:
+                yield uid
 
     # -- incremental signatures ---------------------------------------------------
 
@@ -497,21 +513,21 @@ class GraphStore:
         needing the canonical (sorted) form sort the handful of
         component-level hops themselves.
         """
-        acc = self._accumulators.get(root)
-        if acc is None or acc.root_type is None:
+        rec = self._index.get(root)
+        if rec is None or rec.acc is None:
             return None
         self._m_signature_reads.inc()
-        return acc.root_type, tuple(acc.edges)
+        return rec.node.msg_type, tuple(rec.acc.edges)
 
     def graph_members(self, root: MessageUid) -> Tuple[MessageUid, ...]:
         """Uids currently accumulated as connected to ``root``.
 
         Exposed for tests and debugging; eviction consumes the same list.
         """
-        acc = self._accumulators.get(root)
-        if acc is None:
+        rec = self._index.get(root)
+        if rec is None or rec.acc is None:
             return ()
-        return tuple(acc.members)
+        return tuple(member.uid for member in rec.acc.members)
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -520,16 +536,15 @@ class GraphStore:
 
         Returns the number of nodes removed.  The simulation calls this
         after the profiler has consumed a completed path.  When ``root``
-        has an accumulator (the hot path), the member list is dropped
-        directly — no re-traversal; otherwise (root never stored, or raw
-        dangling edges present) the legacy reachability sweep runs.
+        is stored (the hot path), its accumulator's member list is
+        dropped directly — no re-traversal; otherwise (root never stored,
+        or raw dangling edges present) the legacy reachability sweep runs.
         """
-        acc = self._accumulators.get(root)
-        if acc is None or acc.root_type is None or self._dangling_effects:
-            removed = self._evict_by_traversal(root)
+        rec = self._index.get(root)
+        if rec is None or rec.acc is None or self._dangling_effects:
+            removed = self._evict_by_traversal(rec)
         else:
-            del self._accumulators[root]
-            removed = self._remove_all(acc.members)
+            removed = self._remove_all(rec.acc.members)
         self._m_evictions.inc()
         self._m_evicted_nodes.inc(removed)
         self._m_evict_size.observe(removed)
@@ -543,33 +558,32 @@ class GraphStore:
 
         Eviction (:meth:`evict_graph`) follows edges, so it cannot clean
         up after a *lost* root: when the external-request message is
-        dropped, its descendants are stored with ``root`` in the side
-        index but nothing connects them.  Single-root form of
+        dropped, its descendants are stored with ``root`` in their
+        records but nothing connects them.  Single-root form of
         :meth:`abandon_roots`, which every caller under ``src/`` uses;
         returns the number of nodes removed.
         """
         return self.abandon_roots((root,))
 
     def abandon_roots(self, roots: Iterable[MessageUid]) -> int:
-        """Abandon every root in ``roots`` with one pass over the root index.
+        """Abandon every root in ``roots`` with one pass over the index.
 
         The tracker's path-abandonment sweep hands over all expired roots
-        at once; their members are grouped in a single O(stored nodes)
-        scan (one dict probe per node, however many roots are doomed).
-        Each root is then reclaimed in input order exactly as a lone
+        at once; their members are grouped in a single O(index) scan (one
+        dict probe per record, however many roots are doomed).  Each root
+        is then reclaimed in input order exactly as a lone
         :meth:`abandon_root` would: one eviction-telemetry tick and one
         ``journal_abandon`` frame + flush per root.  Returns the total
         number of nodes removed.
         """
         roots = list(roots)
-        doomed: Dict[MessageUid, List[MessageUid]] = {root: [] for root in roots}
-        for uid, root in self._roots.items():
-            members = doomed.get(root)
+        doomed: Dict[Optional[MessageUid], List[_Record]] = {root: [] for root in roots}
+        for rec in self._index.values():
+            members = doomed.get(rec.root)
             if members is not None:
-                members.append(uid)
+                members.append(rec)
         total = 0
         for root in roots:
-            self._accumulators.pop(root, None)
             # pop: a root listed twice finds nothing left the second time.
             removed = self._remove_all(doomed.pop(root, ()))
             total += removed
@@ -581,36 +595,24 @@ class GraphStore:
                 self._journal.flush()
         return total
 
-    def _evict_by_traversal(self, root: MessageUid) -> int:
-        """Reachability sweep (the pre-incremental eviction semantics)."""
-        frontier = [root]
-        seen: Set[MessageUid] = set()
-        while frontier:
-            uid = frontier.pop()
-            if uid in seen:
-                continue
-            seen.add(uid)
-            frontier.extend(self._out_edges.get(uid, ()))
-        return self._remove_all(seen)
+    def _evict_by_traversal(self, root_rec: Optional[_Record]) -> int:
+        """Reachability sweep (the pre-incremental eviction semantics).
 
-    def _unlink_edges(self, uid: MessageUid) -> None:
-        """Drop every in/out edge touching ``uid`` from both indexes."""
-        succs = self._out_edges.pop(uid, None)
-        if succs:
-            for succ in succs:
-                in_set = self._in_edges.get(succ)
-                if in_set is not None:
-                    in_set.discard(uid)
-        preds = self._in_edges.pop(uid, None)
-        if preds:
-            for pred in preds:
-                out_set = self._out_edges.get(pred)
-                if out_set is not None:
-                    out_set.discard(uid)
-                    if not out_set:
-                        # ``pred`` may never be stored (a stale provenance
-                        # uid), so nothing else would reclaim its entry.
-                        del self._out_edges[pred]
+        Follows successor edges through node-less records too, which is
+        what makes it the only correct eviction while raw-edge ghosts
+        exist.
+        """
+        if root_rec is None:
+            return 0
+        frontier = [root_rec]
+        seen: Dict[_Record, None] = {}
+        while frontier:
+            rec = frontier.pop()
+            if rec in seen:
+                continue
+            seen[rec] = None
+            frontier.extend(rec.succs)
+        return self._remove_all(seen)
 
     def repair_dangling_edges(self) -> int:
         """Detach raw edges whose effect node was never stored.
@@ -626,12 +628,14 @@ class GraphStore:
         if not self._dangling_effects:
             return 0
         repaired = 0
-        for ghost in sorted(self._dangling_effects, key=UID_ORDER_KEY):
-            if self._node_at(ghost) is not None:
-                # The node arrived after all (defensive: add_message
-                # already clears it from the dangling set).
-                continue
-            self._unlink_edges(ghost)
+        for ghost in sorted(self._dangling_effects):
+            rec = self._index.get(ghost)
+            if rec is not None:
+                if rec.node is not None:
+                    # The node arrived after all (defensive: add_message
+                    # already clears it from the dangling set).
+                    continue
+                self._discard((rec,))
             repaired += 1
         self._dangling_effects.clear()
         if repaired:
@@ -641,26 +645,45 @@ class GraphStore:
             self._journal.flush()
         return repaired
 
-    def _remove_all(self, uids: Iterable[MessageUid]) -> int:
-        removed = 0
-        partitions = self._partitions
-        partition_of = self._partition_of
-        roots = self._roots
-        reach_index = self._reach
-        accumulators = self._accumulators
-        for uid in uids:
-            part = partitions[partition_of(uid)]
-            if part.pop(uid, None) is None:
+    def _remove_all(self, records: Iterable[_Record]) -> int:
+        """Remove the stored nodes among ``records``; returns how many."""
+        dying = []
+        for rec in records:
+            if rec.node is None:
                 continue  # never stored, or already swept by an overlapping graph
-            removed += 1
-            self._unlink_edges(uid)
-            del roots[uid]
-            del reach_index[uid]
-            # The uid may itself be the root of an accumulator (bridged
-            # graphs); dropping it keeps completed_signature honest.
-            if accumulators:
-                accumulators.pop(uid, None)
-        return removed
+            rec.node = None
+            dying.append(rec)
+        self._stored -= len(dying)
+        self._discard(dying)
+        return len(dying)
+
+    def _discard(self, dying: Sequence[_Record]) -> None:
+        """Take ``dying`` records out of the index and off their neighbours.
+
+        The whole batch is marked dead first, so the edges *inside* a
+        completed graph cost one flag test per end; only live neighbours
+        are unlinked.  A node-less predecessor left with no edge at all
+        (a cause that was never stored) goes with its last successor.
+        Dead records drop their references: adjacency, reach sets and
+        member lists point at each other, and refcounting alone should
+        free an evicted graph.
+        """
+        index = self._index
+        for rec in dying:
+            rec.live = False
+            del index[rec.uid]
+        for rec in dying:
+            for succ in rec.succs:
+                if succ.live:
+                    del succ.preds[rec]
+            for pred in rec.preds:
+                if pred.live:
+                    pred_succs = pred.succs
+                    del pred_succs[rec]
+                    if not pred_succs and pred.node is None and not pred.preds:
+                        pred.live = False
+                        del index[pred.uid]
+            rec.preds = rec.succs = rec.reach = rec.acc = None
 
     # -- backend lifecycle ---------------------------------------------------------
 
@@ -684,7 +707,7 @@ class GraphStore:
         backend = self.backend
         if not backend.journaling:
             return 0
-        if self.node_count() or self._roots:
+        if self._index:
             raise StoreBackendError(
                 "recover() requires an empty store — open a fresh store over "
                 "the existing log directory first"

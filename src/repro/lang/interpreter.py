@@ -69,7 +69,7 @@ from repro.lang.ir import (
     Var,
     While,
 )
-from repro.lang.message import UID_ORDER_KEY, Message, MessageUid, UidFactory
+from repro.lang.message import Message, MessageUid, UidFactory
 
 Taint = FrozenSet[MessageUid]
 EMPTY_TAINT: Taint = frozenset()
@@ -88,13 +88,11 @@ def _cap_taint(taint: Taint, limit: int) -> Taint:
     therefore exempts its triggering message from the cap (see
     ``_HandlerCompiler._send``); persisted provenance is capped as is.
 
-    The sort keys are built by :data:`UID_ORDER_KEY` for this call and
-    dropped with it; the comparison runs on plain tuples in C and never
-    enters ``MessageUid.__lt__``.
+    Uids are tuples, so the sort compares them in C with no key.
     """
     if len(taint) <= limit:
         return taint
-    return frozenset(sorted(taint, key=UID_ORDER_KEY)[len(taint) - limit:])
+    return frozenset(sorted(taint)[len(taint) - limit:])
 
 
 class ReplicaState:

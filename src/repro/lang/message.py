@@ -8,117 +8,68 @@ repeatable.
 
 Both :class:`MessageUid` and :class:`Message` sit on the DCA hot path —
 every observed message allocates one of each, and every uid is hashed
-many times (graph-store dicts, edge sets, taint sets).  They are
-hand-rolled ``__slots__`` classes rather than dataclasses: the uid
-computes its hash once at construction, and equality short-circuits on
-identity, which the interpreter's taint sets and the store's hash index
-hit constantly.
-
-Ordering is the exception: a uid stores no sort key (one more slot per
-uid costs ~10 MB of peak RSS on the journaling workloads).  Code that
-needs the uid total order — the provenance cap, canonical journal bytes,
-deterministic BFS and repair sweeps — sorts with :data:`UID_ORDER_KEY`,
-which builds the ``(address, process_id, seq)`` tuples in C for the one
-call and lets them go.
+many times (the graph-store index, taint sets).  A uid is therefore a
+``tuple`` subclass: hashing, equality and the ``(address, process_id,
+seq)`` total order all run in C, so ``sorted(uids)`` needs no key and no
+dict probe enters the interpreter.  :class:`Message` is a hand-rolled
+``__slots__`` class rather than a dataclass for the same reason.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+import zlib
+from operator import itemgetter
 from typing import FrozenSet, Mapping, Optional
 
 from repro.errors import IRError
 
-#: The one total order on uids — ``(address, process_id, seq)`` — as a
-#: C-level sort key: ``sorted(uids, key=UID_ORDER_KEY)``.  The key tuple
-#: exists only for the duration of the sort; nothing is cached on the
-#: uid.  ``MessageUid``'s rich comparisons define the same order.
-UID_ORDER_KEY = operator.attrgetter("address", "process_id", "seq")
+_crc32 = zlib.crc32
+_tuple_new = tuple.__new__
 
 
-class MessageUid:
+class MessageUid(tuple):
     """Globally unique message identifier.
 
     Mirrors the paper's ``〈IPAddress, ProcessId, PerProcessSequenceNumber〉``
     triple.  ``address`` is a simulated host address, ``process_id`` the
     simulated process, and ``seq`` a per-process counter.
 
-    Instances are immutable; ``_hash`` is computed once at construction
-    (uids are hashed on every graph-store and taint-set operation) and
-    ``_crc`` lazily caches the stable partition hash the
-    :class:`~repro.graphstore.partition.HashPartitioner` derives from the
-    triple.
+    Instances are immutable 4-tuples ``(address, process_id, seq, crc)``.
+    The private fourth item is the stable partition hash
+    ``crc32(f"{address}/{process_id}/{seq}")`` that
+    :class:`~repro.graphstore.partition.HashPartitioner` routes by,
+    computed once at construction; being a function of the triple it
+    changes neither equality nor the ``(address, process_id, seq)`` order.
     """
 
-    __slots__ = ("address", "process_id", "seq", "_hash", "_crc")
+    __slots__ = ()
 
-    def __init__(self, address: str, process_id: int, seq: int) -> None:
-        object.__setattr__(self, "address", address)
-        object.__setattr__(self, "process_id", process_id)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "_hash", hash((address, process_id, seq)))
-        object.__setattr__(self, "_crc", None)
+    def __new__(cls, address: str, process_id: int, seq: int) -> "MessageUid":
+        crc = _crc32(f"{address}/{process_id}/{seq}".encode("utf-8"))
+        return _tuple_new(cls, (address, process_id, seq, crc))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"MessageUid is immutable (cannot set {name!r})")
+    address = property(itemgetter(0))
+    process_id = property(itemgetter(1))
+    seq = property(itemgetter(2))
 
     def __reduce__(self):
-        # The immutable __setattr__ breaks the default slot-state
-        # unpickling; rebuild through __init__ instead (the shared-store
-        # backend ships uids across a multiprocessing proxy boundary).
-        return (MessageUid, (self.address, self.process_id, self.seq))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if not isinstance(other, MessageUid):
-            return NotImplemented
-        return (
-            self.seq == other.seq
-            and self.process_id == other.process_id
-            and self.address == other.address
-        )
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    # The rich comparisons stay for API compatibility; sorting code
-    # passes ``key=UID_ORDER_KEY`` instead, so no hot path pays a
-    # Python-level call per comparison.
-
-    def _key(self):
-        return (self.address, self.process_id, self.seq)
-
-    def __lt__(self, other: "MessageUid") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "MessageUid") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "MessageUid") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "MessageUid") -> bool:
-        return self._key() >= other._key()
+        # Rebuild through the three-argument constructor (the default
+        # tuple pickling would hand __new__ the raw 4-tuple); the
+        # shared-store backend ships uids across a process boundary.
+        return (MessageUid, (self[0], self[1], self[2]))
 
     def __repr__(self) -> str:
-        return f"MessageUid(address={self.address!r}, process_id={self.process_id!r}, seq={self.seq!r})"
+        return f"MessageUid(address={self[0]!r}, process_id={self[1]!r}, seq={self[2]!r})"
 
     def __str__(self) -> str:
-        return f"{self.address}/{self.process_id}#{self.seq}"
+        return f"{self[0]}/{self[1]}#{self[2]}"
 
 
 class UidFactory:
     """Deterministic producer of per-process message uids."""
 
-    __slots__ = ("address", "process_id", "_seq")
+    __slots__ = ("address", "process_id", "_seq", "_crc_prefix")
 
     def __init__(self, address: str, process_id: int) -> None:
         if not address:
@@ -126,9 +77,16 @@ class UidFactory:
         self.address = address
         self.process_id = int(process_id)
         self._seq = itertools.count(1)
+        # crc32 is a running checksum: hashing the per-process prefix
+        # once leaves only the sequence digits to hash per uid.
+        self._crc_prefix = _crc32(f"{address}/{self.process_id}/".encode("utf-8"))
 
     def next_uid(self) -> MessageUid:
-        return MessageUid(self.address, self.process_id, next(self._seq))
+        seq = next(self._seq)
+        return _tuple_new(
+            MessageUid,
+            (self.address, self.process_id, seq, _crc32(b"%d" % seq, self._crc_prefix)),
+        )
 
 
 _EMPTY_FIELDS: Mapping[str, object] = {}

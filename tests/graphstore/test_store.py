@@ -1,5 +1,9 @@
 """Unit tests for the partitioned causal-graph store."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import GraphStoreError
@@ -300,3 +304,76 @@ class TestAbandonRoots:
         assert store.abandon_roots([root]) == 2
         assert store.completed_signature(root) is None
         assert store.node_count() == 0
+
+    def test_abandoned_root_leaves_nothing_behind_a_bridged_survivor(self):
+        """A survivor bridged into an abandoned graph still carries that root in
+        its reach set; what it causes later must not resurrect state for it."""
+        store = GraphStore(registry=MetricsRegistry())
+        a = _msg(1, "reqA", src=EXTERNAL, dest="A")
+        b = _msg(2, "reqB", src=EXTERNAL, dest="A")
+        a1 = _msg(3, "stepA", src="A", dest="B", causes=[a.uid], root=a.uid)
+        x = _msg(4, "bridge", src="B", dest="C", causes=[b.uid, a1.uid], root=b.uid)
+        for m in (a, b, a1, x):
+            store.add_message(m)
+        assert store.graph_members(a.uid) == (a.uid, a1.uid, x.uid)
+
+        assert store.abandon_roots([a.uid]) == 2
+        y = _msg(5, "reply", src="C", dest=CLIENT, causes=[x.uid], root=b.uid)
+        store.add_message(y)
+
+        assert store.graph_members(a.uid) == ()
+        assert store.completed_signature(a.uid) is None
+        assert store.completed_signature(b.uid) == (
+            "reqB",
+            ((EXTERNAL, "reqB", "A"), ("B", "bridge", "C"), ("C", "reply", CLIENT)),
+        )
+        assert store.evict_graph(b.uid) == 3
+        assert store.node_count() == 0
+        assert not store._index
+
+
+_FAN_OUT_SCRIPT = """
+import random
+from repro.graphstore.store import GraphStore
+from repro.lang.ir import CLIENT, EXTERNAL
+from repro.lang.message import Message, MessageUid
+from repro.telemetry import MetricsRegistry
+
+store = GraphStore(registry=MetricsRegistry())
+root = MessageUid("client.external", 0, 1)
+mid = MessageUid("10.0.0.1", 1, 1)
+# Eight children of ``mid`` and a grandchild each, all stored before
+# ``mid`` and the root: connecting them is one cascade through mid's
+# successors, so its order is the adjacency's iteration order.
+stream = []
+for i in range(8):
+    child = MessageUid(f"10.0.{i}.2", i + 2, 1)
+    stream.append(Message(child, f"c{i}", "M", f"W{i}", cause_uids=frozenset({mid}), root_uid=root))
+    stream.append(Message(MessageUid(f"10.0.{i}.3", i + 2, 2), f"g{i}", f"W{i}", CLIENT,
+                          cause_uids=frozenset({child}), root_uid=root))
+random.Random(11).shuffle(stream)
+stream.append(Message(mid, "fan", "F", "M", cause_uids=frozenset({root}), root_uid=root))
+stream.append(Message(root, "req", EXTERNAL, "F"))
+for message in stream:
+    store.add_message(message)
+members = store.graph_members(root)
+assert len(members) == 18, len(members)
+print([str(uid) for uid in members])
+print(store.completed_signature(root))
+"""
+
+
+def test_member_and_hop_order_do_not_depend_on_the_hash_seed():
+    """An out-of-order fan-out connects in arrival order in every process
+    (string hashes — hence uid hashes — are salted by PYTHONHASHSEED)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-c", _FAN_OUT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("10.0.") == 17

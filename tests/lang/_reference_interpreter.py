@@ -3,12 +3,13 @@
 This is the walker that lived in ``repro.lang.interpreter`` before handlers
 were lowered to closures: it re-dispatches on the IR node type for every
 statement and expression, keeps an explicit control-taint stack, and caps
-provenance with ``heapq.nlargest`` over ``MessageUid.__lt__``.  It shares
+provenance with ``heapq.nlargest`` over the uids' rich comparisons.  It shares
 nothing with the compiled form except the data classes (``ReplicaState``,
 ``HandlerOutcome``, ``Message``), so the differential suite in
 ``test_compiled_interpreter.py`` compares two independent implementations
 of the same semantics — including the uid total order, which the compiled
-path takes from ``UID_ORDER_KEY`` and this one from the rich comparisons.
+path reaches through an unkeyed ``sorted`` and this one through a heap (both
+native tuple comparisons now that a uid is a tuple).
 """
 
 from __future__ import annotations

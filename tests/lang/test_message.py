@@ -1,8 +1,13 @@
 """Unit tests for message uids and the message model."""
 
+import pickle
+import random
+import zlib
+
 import pytest
 
 from repro.errors import IRError
+from repro.graphstore.partition import HashPartitioner
 from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid, UidFactory
 
@@ -22,6 +27,15 @@ class TestUidFactory:
         with pytest.raises(IRError):
             UidFactory("", 1)
 
+    def test_factory_uids_are_constructor_uids(self):
+        # The factory hashes its "address/pid/" prefix once and continues
+        # the crc per sequence number; the result must be the uid the
+        # three-argument constructor builds, partition hash included.
+        factory = UidFactory("10.0.0.7", 12)
+        for _ in range(1200):
+            uid = factory.next_uid()
+            assert tuple(uid) == tuple(MessageUid(uid.address, uid.process_id, uid.seq))
+
 
 class TestMessageUid:
     def test_equality_and_hash(self):
@@ -36,6 +50,63 @@ class TestMessageUid:
 
     def test_str_format(self):
         assert str(MessageUid("h", 2, 7)) == "h/2#7"
+
+    def test_repr_format(self):
+        assert repr(MessageUid("h", 2, 7)) == "MessageUid(address='h', process_id=2, seq=7)"
+
+    def test_immutable(self):
+        uid = MessageUid("h", 2, 7)
+        for name in ("address", "process_id", "seq", "anything_else"):
+            with pytest.raises(AttributeError):
+                setattr(uid, name, 1)
+
+
+class TestMessageUidContract:
+    """What the rest of the system relies on, over 1 000 random triples."""
+
+    @pytest.fixture(scope="class")
+    def triples(self):
+        rng = random.Random(20160627)
+        hosts = [f"10.{rng.randrange(256)}.0.{rng.randrange(256)}" for _ in range(40)]
+        hosts += ["client.external", "h", "hé"]
+        triples = [
+            (rng.choice(hosts), rng.randrange(0, 64), rng.randrange(1, 10**rng.randrange(1, 12)))
+            for _ in range(1000)
+        ]
+        # Repeats on purpose: equal triples must behave as one uid.
+        return triples + triples[:50]
+
+    def test_partition_is_the_crc_of_the_triple(self, triples):
+        for n in (1, 4, 7):
+            partitioner = HashPartitioner(n)
+            for a, p, s in triples:
+                expected = zlib.crc32(f"{a}/{p}/{s}".encode("utf-8")) % n
+                assert partitioner.partition_of(MessageUid(a, p, s)) == expected
+
+    def test_sorts_as_the_triples_do(self, triples):
+        uids = [MessageUid(*t) for t in triples]
+        assert [(u.address, u.process_id, u.seq) for u in sorted(uids)] == sorted(triples)
+
+    def test_equality_and_hash_follow_the_triple(self, triples):
+        by_triple = {}
+        for t in triples:
+            by_triple.setdefault(t, []).append(MessageUid(*t))
+        for t, same in by_triple.items():
+            assert all(u == same[0] and hash(u) == hash(same[0]) for u in same)
+            assert not any(u != same[0] for u in same)
+        distinct = [same[0] for same in by_triple.values()]
+        assert len(set(distinct)) == len(distinct) == len(by_triple)
+        assert all(a != b for a, b in zip(distinct, distinct[1:]))
+
+    def test_pickle_round_trip(self, triples):
+        partitioner = HashPartitioner(7)
+        for t in triples[:200]:
+            uid = MessageUid(*t)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                clone = pickle.loads(pickle.dumps(uid, protocol))
+                assert type(clone) is MessageUid
+                assert clone == uid and hash(clone) == hash(uid)
+                assert partitioner.partition_of(clone) == partitioner.partition_of(uid)
 
 
 class TestMessage:
