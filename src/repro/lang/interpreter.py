@@ -41,7 +41,8 @@ The tree-walker this replaced lives on in
 The provenance cap
 ------------------
 Persisted provenance sets and ``cause_uids`` are bounded by
-``max_provenance`` (:func:`_cap_taint`); see that function for which
+``max_provenance`` (:func:`_cap_taint`); see that function for what is
+left to bound once completed requests retire their uids, and for which
 uids survive.
 """
 
@@ -78,14 +79,19 @@ EMPTY_TAINT: Taint = frozenset()
 def _cap_taint(taint: Taint, limit: int) -> Taint:
     """Bound a provenance set to its ``limit`` largest uids.
 
-    Accumulator variables (counters, running exposure) are causally
-    influenced by *every* past message; an unbounded provenance set would
-    grow for the lifetime of the replica.  Production tracing systems
-    bound span/provenance fan-in the same way.  Survivors are chosen by
-    the uid total order ``(address, process_id, seq)`` — deterministic,
-    and recent-first only *within* one process: across processes the
-    address decides, so the order is not a recency order.  A send
-    therefore exempts its triggering message from the cap (see
+    An accumulator variable (counter, running exposure) is causally
+    influenced by *every* message that wrote it.  The runtime subtracts
+    a request's uids from the tables when the request responds
+    (``ApplicationRuntime._retire``), so there the cap bounds what is
+    left: accumulators fed by requests that never respond — their uids
+    stay live for the lifetime of the replica — and fan-in wider than
+    ``limit`` inside one request.  (A bare ``handle()`` caller knows no
+    request boundaries and gets no retirement.)  Production tracing
+    systems bound span/provenance fan-in the same way.  Survivors are
+    chosen by the uid total order ``(address, process_id, seq)`` —
+    deterministic, and recent-first only *within* one process: across
+    processes the address decides, so the order is not a recency order.
+    A send therefore exempts its triggering message from the cap (see
     ``_HandlerCompiler._send``); persisted provenance is capped as is.
 
     Uids are tuples, so the sort compares them in C with no key.

@@ -30,9 +30,10 @@ replay capture:
 * keys whose base name ends in ``_seconds``: wall-clock timer
   histograms; they measure the host, not the simulation;
 * ``graphstore.cross_partition_edges``: a uid-hash *layout* diagnostic
-  whose value depends on stale provenance uids retained by capped
-  per-node cause sets — it varies a few counts per execution forever
-  and cannot converge by design.
+  — whether an edge's two ends hash to the same partition depends on
+  the sequence numbers in both uids, which are fresh every execution,
+  so it varies a few counts per execution forever and cannot converge
+  by design.
 
 Converged replay
 ----------------
@@ -60,9 +61,11 @@ bucket merges — all integral, so float sums stay exact) and feeds the
 profiler through the same
 :meth:`~repro.profiling.profiler.CausalPathProfiler.record` call the
 tick loop makes.  The streak is deliberately long: measured workloads
-show per-class transients of up to 30 executions (capped provenance
-sets filling) before the per-execution effects settle, so the
-threshold must comfortably exceed them.
+show per-class transients of 16 executions — one interval's live
+traces, until every class has completed once and the extremes of the
+shared ``graphstore.eviction_size_nodes`` histogram stop moving —
+before the per-execution effects settle, so the threshold must
+comfortably exceed them.
 
 Replay is only eligible when ingestion is pure counting — no fault
 injector, no path timeout, a memory-backend store
@@ -92,7 +95,8 @@ from repro.sim.metrics import SimulationResult
 
 #: Consecutive identical (delta, fingerprint) executions required before
 #: a class cuts over to replay.  Must exceed the longest false plateau
-#: observed in the scenario suite (15) with generous margin.
+#: observed in the scenario suite (16, one interval's live traces) with
+#: generous margin.
 REPLAY_CONVERGENCE_STREAK = 48
 
 #: Registry keys excluded from parity comparison and replay capture
@@ -252,10 +256,9 @@ class _ClassReplayState:
         self.executions = 0
         self.last_trace = None
         #: The profiler.record calls one execution makes: [(signature,
-        #: count), ...].  Not necessarily just this class's own path —
-        #: stale cross-trace cause edges can complete *other* request
-        #: types' graphs during this class's ingestion; replay must
-        #: reproduce those completions exactly.
+        #: count), ...].  Observed, not assumed: replay must reproduce
+        #: exactly what ingestion did.  (Completed requests retire their
+        #: uids, so an execution completes its own graph only.)
         self.record_ops: List[tuple] = []
         self.signature = None
         self.counter_ops: List[tuple] = []
@@ -369,8 +372,7 @@ class ReplayIngestor:
         nodes_before = tracker.store.node_count()
         for _ in range(live):
             # Spy on the profiler so the frozen state knows exactly
-            # which path completions one execution produces (including
-            # cross-trace completions of other request types).
+            # which path completions one execution produces.
             record_ops: List[tuple] = []
             original_record = profiler.record
             def recording_spy(signature, time_minutes, count=1, _orig=original_record, _ops=record_ops):

@@ -6,14 +6,16 @@ message counts (the basis of the mesoscale demand model), per-component
 instrumentation cost (when DCA-instrumented), and the causal path
 signature.  The runtime owns per-component replica state and per-process
 uid factories, so traces are deterministic and uids match the paper's
-``〈address, process, seq〉`` scheme.
+``〈address, process, seq〉`` scheme.  It also owns request boundaries: a
+request that responds retires its uids from the provenance tables
+(:meth:`ApplicationRuntime._retire`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.dca import DCAResult
 from repro.core.instrument import InstrumentedComponent, OverheadModel
@@ -21,7 +23,7 @@ from repro.core.paths import PathSignature, signature_from_edges
 from repro.errors import SimulationError
 from repro.lang.interpreter import Interpreter, ReplicaState
 from repro.lang.ir import CLIENT, EXTERNAL, Application
-from repro.lang.message import Message, UidFactory
+from repro.lang.message import Message, MessageUid, UidFactory
 from repro.workloads.generator import RequestClass
 
 
@@ -54,8 +56,8 @@ class RequestTrace:
         cause-set sizes — the event engine requires a run of identical
         fingerprints (alongside identical telemetry deltas) before it
         cuts a class over to converged replay.  Uid *values* are
-        deliberately excluded: stale provenance uids vary per execution
-        even after the structure has converged.
+        deliberately excluded: every execution draws fresh sequence
+        numbers, so they differ after the structure has converged.
         """
         return tuple(
             (m.msg_type, m.src, m.dest, len(m.cause_uids), m.sampled)
@@ -166,6 +168,8 @@ class ApplicationRuntime:
             for child in emitted:
                 messages.append(child)
                 queue.append((child, depth + 1))
+        if responses and sampled and self.instrumented:
+            self._retire(messages, comp_messages)
         edges = {(m.src, m.msg_type, m.dest) for m in messages}
         return RequestTrace(
             request_class=request.name,
@@ -178,6 +182,28 @@ class ApplicationRuntime:
             responses=responses,
             depth=max_depth,
         )
+
+    def _retire(self, messages: List[Message], touched: Iterable[str]) -> None:
+        """Subtract a completed request's uids from the replicas it touched.
+
+        A response to ``CLIENT`` is the condition on which the tracker
+        extracts and evicts the request's causal graph, so none of its
+        uids can lie on a path anyone reads again.  Invariant: persisted
+        provenance — and therefore every ``cause_uids`` — names only
+        messages of the current request or of requests still open (ended
+        without a response, like Fig. 4's ``msg1``).  Exact subtraction,
+        not a clear: an open request's uids must survive the completion
+        of later ones.  Tables holding only empty sets (no cross-request
+        accumulator in ``V_tr``) are skipped without building the uid set.
+        """
+        retired: Optional[FrozenSet[MessageUid]] = None
+        for component in touched:
+            provenance = self._states[component].provenance
+            for var, taint in provenance.items():
+                if taint:
+                    if retired is None:
+                        retired = frozenset(m.uid for m in messages)
+                    provenance[var] = taint - retired
 
     def _dispatch(self, component: str, message: Message) -> Tuple[List[Message], float, int]:
         state = self._states[component]

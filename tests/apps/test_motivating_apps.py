@@ -44,6 +44,25 @@ class TestUniversalSearch:
         result = analyze_application(search_app)
         assert "partial_sum" in result.per_component["aggregator"].v_tr
 
+    def test_join_lists_exactly_its_own_requests_partial_results(self, search_app):
+        # Intra-request fan-in survives retirement and nothing else does:
+        # the aggregator's emission is caused by the partial results *this*
+        # request folded into partial_sum, on the first request and the last.
+        runtime = ApplicationRuntime(search_app, dca_result=analyze_application(search_app))
+        fan_in = {"web_search": WEB_SHARDS + 1, "news_search": NEWS_SHARDS + 1, "image_search": 1}
+        classes = universal_search.request_classes()
+        for index in range(300):
+            cls = classes[index % 3]
+            trace = runtime.execute_request(cls, sampled=True)
+            (ranked,) = [m for m in trace.messages if m.msg_type == "ranked_candidates"]
+            partials = {
+                m.uid
+                for m in trace.messages
+                if m.dest == "aggregator" and m.msg_type != "spell_result"
+            }
+            assert ranked.cause_uids == partials, (index, cls.name)
+            assert len(partials) == fan_in[cls.name]
+
 
 class TestEcommerce:
     def test_two_conditional_flows_are_disjoint_midtier(self, shop_app):

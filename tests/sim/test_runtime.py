@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.dca import analyze_application
 from repro.errors import SimulationError
+from repro.lang.builder import AppBuilder, ComponentBuilder, field, var
+from repro.lang.ir import CLIENT
 from repro.sim.runtime import ApplicationRuntime
 from repro.workloads.generator import RequestClass
 
@@ -93,3 +95,54 @@ class TestInstrumentedExecution:
             RequestClass("web", "search", {"kind": "web", "terms": "q"})
         )
         assert trace.component_messages["query-index"] == WEB_SHARDS
+
+
+class TestRetirement:
+    """A completed request retires its uids; an open one keeps them."""
+
+    def test_open_request_outlives_later_completions(self, fig4_app, fig4_dca):
+        # Fig. 4 through the runtime: msg1 writes z and never answers, so
+        # it stays open and every later msg2 emits msg3 caused by both.
+        runtime = ApplicationRuntime(fig4_app, dca_result=fig4_dca)
+        opened = runtime.execute_request(RequestClass("m1", "msg1", {"x": 150}))
+        assert opened.responses == 0
+        msg1 = opened.messages[0]
+        for _ in range(3):
+            trace = runtime.execute_request(RequestClass("m2", "msg2", {"y": 200}))
+            assert trace.responses == 1
+            msg2, msg3 = trace.messages[0], trace.messages[1]
+            assert msg3.msg_type == "msg3"
+            assert msg3.cause_uids == {msg1.uid, msg2.uid}
+
+    def test_cap_bounds_open_request_accumulators(self):
+        # What max_provenance is still for: `feed` never answers, so its
+        # uids are never retired and pile up in `acc` until the cap.
+        comp = ComponentBuilder("C", service_cost=1.0).state("acc", 0)
+        with comp.on("feed", "m") as h:
+            h.assign("acc", var("acc") + field("m", "x"))
+        with comp.on("ask", "m") as h:
+            h.assign("acc", var("acc") + field("m", "y"))
+            h.send("answer", CLIENT, {"acc": var("acc")})
+        app = AppBuilder("cap").component(comp).entry("feed", "C").entry("ask", "C").build()
+        dca = analyze_application(app)
+        assert dca.per_component["C"].v_tr == frozenset({"acc"})
+        runtime = ApplicationRuntime(app, dca_result=dca)
+        provenance = runtime._states["C"].provenance
+
+        feeds = set()
+        for _ in range(100):
+            trace = runtime.execute_request(RequestClass("feed", "feed", {"x": 1}))
+            assert trace.responses == 0
+            feeds.add(trace.messages[0].uid)
+        assert len(provenance["acc"]) == 32
+
+        asked = set()
+        for _ in range(5):
+            trace = runtime.execute_request(RequestClass("ask", "ask", {"y": 1}))
+            ask, answer = trace.messages
+            assert len(answer.cause_uids) == 32
+            assert ask.uid in answer.cause_uids
+            assert not answer.cause_uids & asked
+            assert provenance["acc"] <= feeds
+            assert len(provenance["acc"]) == 31
+            asked.add(ask.uid)
