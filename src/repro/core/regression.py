@@ -45,21 +45,31 @@ class LinearCapacityModel:
 
     Features: machine characteristics + external workload (requests/min)
     + observed throughput + observed latency (+ intercept).  The model
-    refits lazily from a bounded history window, so early noisy samples
-    age out as the workload evolves.
+    refits lazily from a bounded history window held as one in-place
+    design matrix, so early noisy samples age out as the workload
+    evolves and a fit never re-marshals the history.  The ridge term is
+    required, not optional: on a homogeneous cluster the machine columns
+    are constants, collinear with the intercept, and the unregularised
+    Gram matrix is singular for every history.
     """
 
     FEATURES = ("cpu_ghz", "ram_gb", "network_gbps", "workload", "throughput", "latency_ms")
 
     def __init__(self, ridge: float = 1e-3, max_history: int = 2_000) -> None:
-        if ridge < 0:
-            raise ElasticityError(f"ridge must be >= 0, got {ridge}")
+        if ridge <= 0:
+            raise ElasticityError(f"ridge must be > 0, got {ridge}")
         if max_history < 8:
             raise ElasticityError(f"max_history must be >= 8, got {max_history}")
         self.ridge = float(ridge)
         self.max_history = int(max_history)
-        self._x: List[List[float]] = []
-        self._y: List[float] = []
+        # The window, oldest row first: ``[features..., 1]`` rows written
+        # in place, so the intercept column of ones is never rewritten.
+        # Capacity doubles up to ``max_history``; a full window slides
+        # down one row.  ``_query`` is predict's scratch row.
+        self._design = np.ones((min(16, self.max_history), len(self.FEATURES) + 1))
+        self._y = np.empty(len(self._design))
+        self._n = 0
+        self._query = np.ones(len(self.FEATURES) + 1)
         self._coef: Optional[np.ndarray] = None
         self._dirty = False
 
@@ -77,22 +87,26 @@ class LinearCapacityModel:
         if machines_needed < 0:
             raise ElasticityError(f"machines_needed must be >= 0, got {machines_needed}")
         row = machine.feature_vector() + [float(workload), float(throughput), float(latency_ms)]
-        self._x.append(row)
-        self._y.append(float(machines_needed))
-        if len(self._x) > self.max_history:
-            self._x.pop(0)
-            self._y.pop(0)
+        n = self._n
+        if n == self.max_history:
+            n -= 1
+            self._design[:n] = self._design[1 : n + 1]
+            self._y[:n] = self._y[1 : n + 1]
+        elif n == len(self._y):
+            grow = min(n, self.max_history - n)
+            self._design = np.concatenate([self._design, np.ones((grow, self._design.shape[1]))])
+            self._y = np.concatenate([self._y, np.empty(grow)])
+        self._design[n, :-1] = row
+        self._y[n] = machines_needed
+        self._n = n + 1
         self._dirty = True
 
     @property
     def sample_count(self) -> int:
-        return len(self._y)
+        return self._n
 
     def _fit(self) -> None:
-        x = np.asarray(self._x, dtype=float)
-        y = np.asarray(self._y, dtype=float)
-        ones = np.ones((x.shape[0], 1))
-        design = np.hstack([x, ones])
+        design, y = self._design[: self._n], self._y[: self._n]
         gram = design.T @ design + self.ridge * np.eye(design.shape[1])
         self._coef = np.linalg.solve(gram, design.T @ y)
         self._dirty = False
@@ -112,19 +126,17 @@ class LinearCapacityModel:
         samples have been observed — callers fall back to a reactive rule
         during cold start.
         """
-        if len(self._y) < 8:
+        if self._n < 8:
             raise ElasticityError(
-                f"capacity model has only {len(self._y)} samples; needs >= 8 to predict"
+                f"capacity model has only {self._n} samples; needs >= 8 to predict"
             )
         if self._dirty or self._coef is None:
             self._fit()
-        row = np.asarray(
-            machine.feature_vector() + [float(workload), float(throughput), float(latency_ms), 1.0],
-            dtype=float,
-        )
+        row = self._query
+        row[:-1] = machine.feature_vector() + [float(workload), float(throughput), float(latency_ms)]
         assert self._coef is not None
         return float(max(0.0, row @ self._coef))
 
     def ready(self) -> bool:
         """Whether the model has enough samples to predict."""
-        return len(self._y) >= 8
+        return self._n >= 8

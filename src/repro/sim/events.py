@@ -55,12 +55,17 @@ Per-class cutover would be unsound — request classes share replica
 state (uid factories, provenance taints, component caches), so
 skipping one class's executions perturbs the traces of classes still
 executing.  Until the global cutover the event engine's ingestion is
-*exactly* the tick loop's; after it, each "execution" applies the
-frozen delta directly (counter increments, gauge sets, histogram
-bucket merges — all integral, so float sums stay exact) and feeds the
-profiler through the same
-:meth:`~repro.profiling.profiler.CausalPathProfiler.record` call the
-tick loop makes.  The streak is deliberately long: measured workloads
+*exactly* the tick loop's; after it, each class applies its frozen
+delta once per interval, scaled by that interval's live executions
+(counter increments, gauge sets, one
+:meth:`~repro.telemetry.metrics.Histogram.accumulate` per histogram,
+whose sum is checked integral at the freeze so that scaling it equals
+adding it execution by execution), and feeds the profiler through the
+same :meth:`~repro.profiling.profiler.CausalPathProfiler.record` call
+the tick loop makes.  A frozen histogram min/max is the converged
+*running* extreme of the shared instrument (4.0/9.0 on marketcetera
+and hedwig, 3.0/9.0 on zookeeper), not the execution's own.  The
+streak is deliberately long: measured workloads
 show per-class transients of 16 executions — one interval's live
 traces, until every class has completed once and the extremes of the
 shared ``graphstore.eviction_size_nodes`` histogram stop moving —
@@ -227,6 +232,22 @@ def _delta(before: Dict[str, tuple], after: Dict[str, tuple]) -> Dict[str, tuple
             if dcount or dsum or any(dbuckets) or post[4:] != prev[4:]:
                 diff[key] = ("h", dcount, dsum, dbuckets, post[4], post[5])
     return diff
+
+
+def _histogram_op(metric, entry: tuple) -> Optional[tuple]:
+    """Compile one converged histogram delta into ``accumulate`` arguments.
+
+    Checked once here rather than per replayed execution: the bucket
+    tuple fits the instrument, and ``dsum`` is integral — which is what
+    makes ``sum += dsum * live`` the same float as ``live`` successive
+    adds.  ``None`` for a fractional ``dsum``: the run must stay live.
+    """
+    _, dcount, dsum, dbuckets, post_min, post_max = entry
+    if len(dbuckets) != len(metric.bounds) + 1:
+        raise RuntimeError(f"histogram {metric.key!r}: {len(dbuckets)} bucket deltas")
+    if not float(dsum).is_integer():
+        return None
+    return (metric, dcount, dsum, dbuckets, post_min, post_max)
 
 
 class _ClassReplayState:
@@ -438,6 +459,7 @@ class ReplayIngestor:
                 # far); an active class always executes before cutover
                 # because its streak can only grow by executing.
                 raise RuntimeError("cannot freeze a class that never executed")
+            state.counter_ops, state.gauge_ops, state.histogram_ops = [], [], []
             for key, entry in sorted(state.reference_delta.items()):
                 if metric_base_name(key) in _PROFILER_LIVE_KEYS:
                     continue  # profiler.record maintains these live
@@ -447,19 +469,10 @@ class ReplayIngestor:
                 elif entry[0] == "g":
                     state.gauge_ops.append((metric, entry[1]))
                 else:
-                    _, dcount, dsum, dbuckets, post_min, post_max = entry
-                    merge_data = {
-                        "count": dcount,
-                        "sum": dsum,
-                        "min": post_min,
-                        "max": post_max,
-                        "buckets": {
-                            str(bound): dbuckets[i]
-                            for i, bound in enumerate(metric.bounds)
-                        },
-                    }
-                    merge_data["buckets"]["+Inf"] = dbuckets[-1]
-                    state.histogram_ops.append((metric, merge_data))
+                    op = _histogram_op(metric, entry)
+                    if op is None:
+                        return  # retried next interval; ops are rebuilt
+                    state.histogram_ops.append(op)
             state.signature = state.last_trace.signature
         self.replaying = True
         self.cutover_minute = now
@@ -470,13 +483,11 @@ class ReplayIngestor:
             metric.inc(amount * live)
         for metric, value in state.gauge_ops:
             metric.set(value)
-        # Histograms merge once per replayed execution so count/sum
-        # accumulate through the same sequence of adds as live
-        # execution (all replayed observations are integral, so the
-        # float sums agree exactly).
-        for _ in range(live):
-            for metric, merge_data in state.histogram_ops:
-                metric.merge(merge_data)
+        # One scaled pass per class per interval (``dsum`` is integral,
+        # checked at the freeze).  min/max are the shared instrument's
+        # converged running extremes, so re-folding them is a no-op.
+        for metric, *delta in state.histogram_ops:
+            metric.accumulate(*delta, times=live)
         self.replayed_executions += live
         # Path completions go through the real profiler so its window
         # buckets (the DCA managers' decision input) stay live; counts

@@ -180,7 +180,7 @@ class Histogram(Metric):
     """
 
     kind = "histogram"
-    _MUTATORS = ("observe", "merge")
+    _MUTATORS = ("observe", "merge", "accumulate")
 
     def __init__(
         self,
@@ -261,6 +261,7 @@ class Histogram(Metric):
 
         The bucket boundaries must match exactly; counts, sums and
         extrema combine as if every sample had been observed here.
+        Parses and validates the wire dict, then accumulates.
         """
         buckets = data["buckets"]
         bounds = tuple(sorted(float(b) for b in buckets if b != "+Inf"))
@@ -269,17 +270,32 @@ class Histogram(Metric):
                 f"histogram {self.key!r}: cannot merge mismatched buckets "
                 f"{bounds} into {self.bounds}"
             )
-        for i, bound in enumerate(self.bounds):
-            self._bucket_counts[i] += int(buckets[str(bound)])
-        self._bucket_counts[-1] += int(buckets.get("+Inf", 0))
-        self._count += int(data["count"])
-        self._sum += float(data["sum"])
-        other_min = data.get("min")
-        if other_min is not None:
-            self._min = other_min if self._min is None else min(self._min, other_min)
-        other_max = data.get("max")
-        if other_max is not None:
-            self._max = other_max if self._max is None else max(self._max, other_max)
+        tallies = [int(buckets[str(bound)]) for bound in self.bounds]
+        tallies.append(int(buckets.get("+Inf", 0)))
+        self._accumulate(
+            int(data["count"]), float(data["sum"]), tallies, data.get("min"), data.get("max")
+        )
+
+    def accumulate(self, count, total, buckets, low, high, times=1) -> None:
+        """Fold ``times`` copies of an already-typed delta into this one.
+
+        ``buckets`` is one integer tally per bound plus overflow, in
+        ``bounds`` order (the caller checks its length).  Scaling equals
+        ``times`` successive adds only for an integral ``total``.
+        """
+        self._accumulate(count, total, buckets, low, high, times)
+
+    def _accumulate(self, count, total, buckets, low, high, times=1) -> None:
+        # Unlocked: ``merge`` and ``accumulate`` sit behind one non-reentrant
+        # lock on thread-safe registries, so neither may call the other.
+        for i, tally in enumerate(buckets):
+            self._bucket_counts[i] += tally * times
+        self._count += count * times
+        self._sum += total * times
+        if low is not None:
+            self._min = low if self._min is None else min(self._min, low)
+        if high is not None:
+            self._max = high if self._max is None else max(self._max, high)
 
     def to_dict(self) -> Dict[str, object]:
         buckets = {str(b): c for b, c in zip(self.bounds, self._bucket_counts)}

@@ -1,5 +1,6 @@
 """Thread-safety stress tests and snapshot-merge tests for telemetry."""
 
+import sys
 import threading
 
 import pytest
@@ -65,6 +66,47 @@ class TestThreadSafeRegistry:
             t.join()
         assert len({id(c) for c in seen}) == 1
         assert registry.counter("race.counter").value == THREADS
+
+    def test_histogram_merge_and_accumulate_do_not_self_deadlock(self):
+        """Both mutators are bound behind one non-reentrant lock: if either
+        called the other through ``self`` it would block forever."""
+        hist = MetricsRegistry(thread_safe=True).histogram("h", buckets=(1, 10))
+        assert {"merge", "accumulate"} <= set(vars(hist))  # both are locked
+
+        def both():
+            hist.observe(5)
+            hist.merge(hist.to_dict())
+            hist.accumulate(1, 5.0, (0, 1, 0), 5.0, 5.0, times=3)
+
+        worker = threading.Thread(target=both, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert hist.count == 5 and hist.sum == 25.0
+
+    def test_concurrent_accumulates_lose_no_count(self):
+        hist = MetricsRegistry(thread_safe=True).histogram("h", buckets=(1, 10))
+        barrier = threading.Barrier(THREADS)
+
+        def accumulate():
+            barrier.wait()
+            for _ in range(1_000):
+                hist.accumulate(2, 12.0, (1, 0, 1), 1.0, 11.0, times=3)
+
+        threads = [threading.Thread(target=accumulate, daemon=True) for _ in range(THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert hist.count == THREADS * 1_000 * 6
+        assert hist.sum == THREADS * 1_000 * 36.0
+        assert hist.bucket_counts == (THREADS * 3_000, 0, THREADS * 3_000)
 
     def test_unlocked_registry_stays_lock_free(self):
         """The default registry must not pay for locks it didn't ask for."""

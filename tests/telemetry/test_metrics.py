@@ -1,6 +1,7 @@
 """Unit tests for the dependency-free telemetry registry."""
 
 import json
+import random
 
 import pytest
 
@@ -100,6 +101,88 @@ class TestHistogram:
         assert h.percentile(0.0) == 0.0
         assert h.percentile(0.5) == 0.0
         assert h.percentile(1.0) == 0.0
+
+
+BOUNDS = (1, 2, 4, 8, 16)
+
+
+def _observed(values, name="delta"):
+    h = Histogram(name, buckets=BOUNDS)
+    for v in values:
+        h.observe(v)
+    return h
+
+
+def _typed(h):
+    d = h.to_dict()
+    return d["count"], d["sum"], h.bucket_counts, d["min"], d["max"]
+
+
+class TestHistogramAccumulate:
+    """``merge`` is parse + validate + accumulate; replay calls the
+    accumulate step directly, scaled.  For integral observations one
+    accumulate scaled by ``k`` must equal ``k`` successive merges."""
+
+    # Integer streams that between them hit the first bucket, an interior
+    # bucket, the last bound exactly, and the overflow bucket.
+    STREAMS = [
+        [1],
+        [3, 3, 4],
+        [16],
+        [17, 40],
+        [random.Random(5).randint(0, 40) for _ in range(25)] + [1, 3, 16, 17],
+    ]
+    # Pre-fills whose extremes lie outside, inside, and astride the delta's.
+    PREFILLS = [[], [0, 100], [5, 6], [0, 5], [6, 100]]
+
+    @pytest.mark.parametrize("k", [1, 7, 16])
+    @pytest.mark.parametrize("prefill", PREFILLS)
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_scaled_accumulate_equals_sequential_merges(self, stream, prefill, k):
+        delta = _observed(stream)
+        merged, scaled = _observed(prefill, "h"), _observed(prefill, "h")
+        for _ in range(k):
+            merged.merge(delta.to_dict())
+        scaled.accumulate(*_typed(delta), times=k)
+        assert scaled.to_dict() == merged.to_dict()
+        assert merged.count == len(prefill) + k * len(stream)
+
+    def test_unscaled_accumulate_equals_merge_for_fractional_sums(self):
+        delta = _observed([0.25, 3.5, 16.125])
+        merged, accumulated = _observed([0.1], "h"), _observed([0.1], "h")
+        merged.merge(delta.to_dict())
+        accumulated.accumulate(*_typed(delta))
+        assert accumulated.to_dict() == merged.to_dict()
+
+    def test_empty_delta_leaves_extremes_alone(self):
+        h = _observed([3, 9], "h")
+        before = h.to_dict()
+        h.merge(_observed([]).to_dict())
+        h.accumulate(0, 0.0, (0,) * (len(BOUNDS) + 1), None, None, times=16)
+        assert h.to_dict() == before
+
+    def test_merge_still_rejects_mismatched_bounds(self):
+        h = _observed([3], "h")
+        other = Histogram("delta", buckets=(1, 2, 4, 8))
+        other.observe(3)
+        with pytest.raises(TelemetryError, match="mismatched buckets"):
+            h.merge(other.to_dict())
+        assert h.to_dict() == _observed([3], "h").to_dict()  # untouched
+
+    def test_merge_snapshot_round_trips_a_registry(self):
+        source = MetricsRegistry()
+        source.counter("c", {"k": "v"}).inc(3)
+        source.gauge("g").set(2.5)
+        hist = source.histogram("h", buckets=BOUNDS)
+        for v in (0, 3, 16, 40, 0.5):
+            hist.observe(v)
+        target = MetricsRegistry()
+        target.merge_snapshot(source.snapshot())
+        assert target.snapshot() == source.snapshot()
+        target.merge_snapshot(source.snapshot())
+        assert target.histogram("h", buckets=BOUNDS).bucket_counts == tuple(
+            2 * c for c in hist.bucket_counts
+        )
 
 
 class TestTimer:
