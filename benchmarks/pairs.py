@@ -1,0 +1,144 @@
+"""Alternating parent/change pairs through ``python3 -m e2e_bench measure``.
+
+    python3 benchmarks/pairs.py <parent-ref> [--workload W ...] [--pairs N] [--seed S]
+
+The protocol every performance claim in this repository is made under
+(ROADMAP ground rules; the choosing-metrics guide, section 8): clone
+``<parent-ref>`` into a temporary directory, then for each workload run
+``--pairs`` pairs of one parent run and one run of this working tree —
+same seed, the manifest's ``run_seconds``, untraced — flipping which
+side goes first every pair, because the host drifts between a slow and a
+faster state for tens of seconds at a time.  Per end-to-end metric of ``BENCHMARK.json`` it
+prints each side's median and quartiles, the pairs the change won, every
+run, and one verdict:
+
+* ``better (every run)`` — every change run reads better than every
+  parent run;
+* ``better`` — the change wins at least nine tenths of the pairs (ties
+  count for neither side) and the medians differ by more than the
+  distance between the parent's quartiles: the rule for claiming a gain;
+* ``no worse`` — the change's median is within the metric's bound of the
+  parent's and neither side's own spread exceeds that bound;
+* ``unresolved`` — a side's spread exceeds the bound, so the pairs can
+  show neither a regression nor its absence;
+* ``worse`` — the change's median is worse by more than the bound.
+
+Only *calls* the benchmark, so it lives outside ``e2e_bench/``.  The
+temporary clone honours ``TMPDIR``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from typing import Dict, List, Sequence
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _quartiles(values: Sequence[float]) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0]
+    low, _median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, high
+
+
+def _spread(values: Sequence[float]) -> float:
+    """Inter-quartile distance as a share of the median."""
+    low, high = _quartiles(values)
+    return (high - low) / abs(statistics.median(values))
+
+
+def verdict(parent: Sequence[float], change: Sequence[float], better: str, bound: float) -> tuple:
+    """``(wins, losses, verdict)`` for one metric over paired runs."""
+    sign = 1.0 if better == "higher" else -1.0
+    old = [sign * value for value in parent]
+    new = [sign * value for value in change]
+    wins = sum(c > p for p, c in zip(old, new))
+    losses = sum(c < p for p, c in zip(old, new))
+    if min(new) > max(old):
+        return wins, losses, "better (every run)"
+    old_median, new_median = statistics.median(old), statistics.median(new)
+    low, high = _quartiles(old)
+    if wins >= 0.9 * len(old) and new_median - old_median > high - low:
+        return wins, losses, "better"
+    noisy = max(_spread(old), _spread(new)) > bound
+    if (old_median - new_median) / abs(old_median) > bound:
+        every_run_worse = max(new) < min(old)
+        return wins, losses, "unresolved" if noisy and not every_run_worse else "worse"
+    return wins, losses, "unresolved" if noisy else "no worse"
+
+
+def measure(checkout: str, workload: str, seed: int, seconds: float) -> Dict[str, object]:
+    """One untraced ``measure`` run in ``checkout``; its JSON result line."""
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "e2e_bench", "measure", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        ],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"pairs: measure failed in {checkout}:\n{done.stdout}{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_ref", help="git ref of the parent commit")
+    parser.add_argument(
+        "--workload", action="append",
+        choices=[entry["name"] for entry in manifest["workloads"]],
+        help="repeatable; default: every workload",
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    workloads = args.workload or [entry["name"] for entry in manifest["workloads"]]
+    seconds = float(manifest["run_seconds"])  # the benchmark's run length, not a knob
+
+    clone = tempfile.mkdtemp(prefix="pairs-parent-")
+    try:
+        subprocess.run(["git", "clone", "-q", REPO_ROOT, clone], check=True)
+        subprocess.run(["git", "-C", clone, "checkout", "-q", args.parent_ref], check=True)
+        sides = {"parent": clone, "change": REPO_ROOT}
+        for workload in workloads:
+            runs: Dict[str, List[Dict[str, object]]] = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+                    runs[side].append(measure(sides[side], workload, args.seed, seconds))
+            failed = {side: sum(run["failed"] for run in runs[side]) for side in runs}
+            print(f"\n{workload}  seed {args.seed}, {args.pairs} pairs x {seconds:g} s, "
+                  f"failed parent/change {failed['parent']}/{failed['change']}")
+            for metric in manifest["end_to_end"]:
+                name = metric["name"]
+                values = {
+                    side: [run["metrics"][name]["value"] for run in runs[side]] for side in runs
+                }
+                wins, losses, word = verdict(
+                    values["parent"], values["change"], metric["better"], metric["bound"]
+                )
+                print(f"  {name} ({metric['unit']}, {metric['better']} is better, "
+                      f"bound {metric['bound']:.0%}): {word}; change won {wins}, "
+                      f"lost {losses} of {args.pairs}")
+                for side in ("parent", "change"):
+                    low, high = _quartiles(values[side])
+                    print(f"    {side:6s} median {statistics.median(values[side]):.4g} "
+                          f"quartiles {low:.4g}..{high:.4g}  runs "
+                          + " ".join(f"{value:.4g}" for value in values[side]))
+    finally:
+        shutil.rmtree(clone, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

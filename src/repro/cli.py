@@ -29,8 +29,8 @@ from repro.evalx.experiment import (
     MANAGER_NAMES,
     ExperimentConfig,
     MergedProfile,
+    build_simulator,
     run_all_managers,
-    run_manager,
 )
 from repro.faults import FAULT_SCENARIOS, build_fault_plan
 from repro.graphstore.backend import BACKENDS as STORE_BACKENDS
@@ -314,17 +314,19 @@ def _cmd_overhead(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     config = _experiment_config(args)
-    result = run_manager(scenario, args.manager, config)
+    simulator = build_simulator(scenario, args.manager, config)
+    result = simulator.run()
     print(f"{args.manager} over {args.duration} minutes of {args.scenario}:")
     print(f"  agility            : {result.agility():.2f}")
     print(f"  SLA violations     : {result.sla_violation_percent():.2f}%")
     print(f"  zero-agility ticks : {100 * result.zero_agility_fraction():.1f}%")
     print(f"  runtime overhead   : {100 * result.overhead_mean():.2f}%")
+    if simulator.event_runner is not None:
+        print(f"replay: {simulator.event_runner.replay_report()}")
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    from repro.evalx.experiment import build_simulator
     from repro.telemetry import MetricsRegistry
 
     scenario = load_scenario(args.scenario)
@@ -366,7 +368,7 @@ _FAULT_SUMMARY_KEYS = (
 
 def _cmd_faults(args) -> int:
     from repro.core.elasticity import DCAManagerConfig, StalenessPolicy
-    from repro.evalx.experiment import DCA_RATES, build_simulator
+    from repro.evalx.experiment import DCA_RATES
     from repro.telemetry import MetricsRegistry
 
     if args.parity_diffs:

@@ -211,14 +211,17 @@ class DirectCausalityTracker:
     def supports_snapshot_replay(self) -> bool:
         """Whether the event engine may replay converged ingestion deltas.
 
-        The replay fast path freezes a converged per-execution telemetry
-        delta and stops feeding the store, so it is only sound when no
+        The replay fast path freezes a converged per-execution effect
+        and stops feeding the store, so it is only sound when no
         per-message state can diverge from the frozen template: no fault
         injector (message channels and store-write rolls consume seeded
         RNG streams), no path timeout (per-root age bookkeeping), and a
-        memory-backend store (a journaling backend must see every
-        mutation; replay skips store writes entirely, so a frozen run
-        would leave the durable log silently incomplete).
+        store whose durable side replay can keep complete — the memory
+        backend (nothing durable) or the ``log`` backend, whose frames
+        replay renders from the uid counters and writes through
+        :meth:`~repro.graphstore.backend.LogBackend.append_frame`.  Any
+        other journaling backend (``shared``, a mixed fleet, one this
+        list does not know) must see every mutation and stays refused.
 
         Sharded stores and the batched write pipeline *are* eligible:
         :meth:`observe_all` ends every execution with :meth:`flush`,
@@ -236,7 +239,7 @@ class DirectCausalityTracker:
         (journal included) before freezing — see
         :meth:`drain_pipeline` and :mod:`repro.sim.events`.
         """
-        return self._plain_path and self.store.backend_kind == "memory"
+        return self._plain_path and self.store.backend_kind in ("memory", "log")
 
     @property
     def buffered_writes(self) -> int:

@@ -48,6 +48,21 @@ string fields (addresses, type, endpoints) ahead of the fixed-width
 simulation's vocabulary is tiny) and is cached as one pre-encoded
 skeleton, leaving only one struct pack per journaled message.
 
+One append path
+---------------
+Every record reaches the segment files through
+:meth:`LogBackend.append_frame` (skeleton entry + packed uid tail) and
+:meth:`LogBackend.flush`: the ``journal_*`` hooks the store drives, and
+the event engine's converged replay (:mod:`repro.sim.events`), which
+renders a frozen request class's frames from the runtime's uid counters
+instead of re-executing the request.  The closed check, record/byte
+accounting, the ``flush_bytes`` auto-flush and rotate-between-flushes
+therefore exist once, and a replayed journal is byte-identical to a
+live one.  ``flush_tap`` and :func:`frame_parts` are the read side of
+that seam: what a live execution flushed, split back into skeleton
+entries and uid tails; :func:`pack_tail` packs a tail again, so the
+tail encoding stays in this module.
+
 Durability and crash-recovery contract
 --------------------------------------
 ``flush()`` is the durability point: buffered frames are written to the
@@ -159,8 +174,8 @@ class MemoryBackend(GraphStoreBackend):
     """The default in-process backend: no journal, no persistence.
 
     Exists so every store has a ``backend`` with a ``kind`` (the replay
-    eligibility checks key off it) while the write path stays exactly
-    the pre-backend code.
+    eligibility check keys off it: ``memory`` and ``log`` are eligible)
+    while the write path stays exactly the pre-backend code.
     """
 
     kind = "memory"
@@ -193,7 +208,7 @@ def _encode_str(text: str) -> bytes:
 
 
 def _encode_uid(uid: MessageUid) -> bytes:
-    return _encode_str(uid.address) + _U64Q.pack(uid.process_id, uid.seq)
+    return _encode_str(uid[0]) + _U64Q.pack(uid[1], uid[2])
 
 
 #: Pre-encoded ``OP_MESSAGE`` string blocks keyed by the record's string
@@ -215,11 +230,19 @@ _TAIL6 = struct.Struct("<6Q")
 _TAIL_STRUCTS: dict = {2: _U64Q, 4: _TAIL4, 6: _TAIL6}
 
 
-def _tail_struct(count: int) -> struct.Struct:
+def pack_tail(values) -> bytes:
+    """Pack a uid tail from its flat ``process_id, seq, ...`` ints.
+
+    The tail encoding for every width without a dedicated struct above:
+    odd-shaped records in :func:`_message_parts`, and all the tails of
+    one execution at once when converged replay renders a frozen class
+    (:mod:`repro.sim.events`) — which therefore packs nothing itself.
+    """
+    count = len(values)
     cached = _TAIL_STRUCTS.get(count)
     if cached is None:
         cached = _TAIL_STRUCTS[count] = struct.Struct("<%dQ" % count)
-    return cached
+    return cached.pack(*values)
 
 
 class _Reader:
@@ -282,14 +305,13 @@ def _message_parts(message: Message):
             else _FLAG_HAS_ROOT
         )
         key = (
-            flags, uid.address, message.msg_type, message.src,
-            message.dest, root.address, cause.address,
+            flags, uid[0], message.msg_type, message.src, message.dest,
+            root[0], cause[0],
         )
         entry = _SKELETON_CACHE.get(key)
         if entry is not None:
             return entry, _TAIL6.pack(
-                uid.process_id, uid.seq, root.process_id, root.seq,
-                cause.process_id, cause.seq,
+                uid[1], uid[2], root[1], root[2], cause[1], cause[2]
             )
         causes = (cause,)
     else:
@@ -306,28 +328,28 @@ def _message_parts(message: Message):
             cause_key = None
         elif n == 1:
             causes = tuple(causes)
-            cause_key = causes[0].address
+            cause_key = causes[0][0]
         else:
             causes = sorted(causes)
-            cause_key = tuple(cause.address for cause in causes)
+            cause_key = tuple(cause[0] for cause in causes)
         key = (
-            flags, uid.address, message.msg_type, message.src, message.dest,
-            None if root is None else root.address, cause_key,
+            flags, uid[0], message.msg_type, message.src, message.dest,
+            None if root is None else root[0], cause_key,
         )
         entry = _SKELETON_CACHE.get(key)
     if entry is None:
         parts = [
             _MSG_PREFIXES[flags],
-            _encode_str(uid.address),
+            _encode_str(uid[0]),
             _encode_str(message.msg_type),
             _encode_str(message.src),
             _encode_str(message.dest),
         ]
         if root is not None:
-            parts.append(_encode_str(root.address))
+            parts.append(_encode_str(root[0]))
         parts.append(_U32.pack(n))
         for cause in causes:
-            parts.append(_encode_str(cause.address))
+            parts.append(_encode_str(cause[0]))
         skeleton = b"".join(parts)
         entry = (skeleton, len(skeleton), _CRC32(skeleton))
         if len(_SKELETON_CACHE) < _SKELETON_CACHE_MAX:
@@ -335,19 +357,18 @@ def _message_parts(message: Message):
     if root is not None and n == 1:
         cause = causes[0]
         return entry, _TAIL6.pack(
-            uid.process_id, uid.seq, root.process_id, root.seq,
-            cause.process_id, cause.seq,
+            uid[1], uid[2], root[1], root[2], cause[1], cause[2]
         )
     if root is None and n == 0:
-        return entry, _U64Q.pack(uid.process_id, uid.seq)
-    tails = [uid.process_id, uid.seq]
+        return entry, _U64Q.pack(uid[1], uid[2])
+    tails = [uid[1], uid[2]]
     if root is not None:
-        tails.append(root.process_id)
-        tails.append(root.seq)
+        tails.append(root[1])
+        tails.append(root[2])
     for cause in causes:
-        tails.append(cause.process_id)
-        tails.append(cause.seq)
-    return entry, _tail_struct(len(tails)).pack(*tails)
+        tails.append(cause[1])
+        tails.append(cause[2])
+    return entry, pack_tail(tails)
 
 
 def encode_message(message: Message) -> bytes:
@@ -414,6 +435,42 @@ def decode_payload(payload: bytes):
     return op, args
 
 
+def frame_parts(blob: bytes) -> List[Tuple[Tuple[bytes, int, int], List[MessageUid], bytes]]:
+    """Invert one flushed blob into ``(skeleton_entry, uids, tail)`` per frame.
+
+    What :meth:`LogBackend.append_frame` needs to write each frame
+    again: the payload split into its string block (as a
+    :data:`_SKELETON_CACHE`-shaped entry) and the packed
+    ``<process_id, seq>`` tail, with the uids the tail names, in tail
+    order — uid, root, sorted causes for a message; the root for an
+    eviction or abandonment; none for a repair.  Converged replay
+    (:mod:`repro.sim.events`) reads a warm-up execution's flushes with
+    this to learn the frames it will render.  An edge record's uids are
+    interleaved with their addresses and a repair has none: both come
+    back all skeleton, frames that repeat verbatim or not at all.
+    """
+    parts = []
+    pos = 0
+    while pos < len(blob):
+        length, _crc = FRAME_HEADER.unpack_from(blob, pos)
+        pos += _FRAME_OVERHEAD
+        payload = blob[pos:pos + length]
+        pos += length
+        op, args = decode_payload(payload)
+        if op == OP_MESSAGE:
+            (message,) = args
+            uids = [message.uid]
+            if message.root_uid is not None:
+                uids.append(message.root_uid)
+            uids += sorted(message.cause_uids)
+        else:
+            uids = [] if op == OP_EDGE else list(args)
+        split = length - _U64Q.size * len(uids)
+        skeleton = payload[:split]
+        parts.append(((skeleton, split, _CRC32(skeleton)), uids, payload[split:]))
+    return parts
+
+
 class LogBackend(GraphStoreBackend):
     """Append-only segmented binary log under one directory.
 
@@ -476,6 +533,10 @@ class LogBackend(GraphStoreBackend):
         self._buffered_records = 0
         self._closed = False
         self._fh = None
+        #: Optional ``callable(backend, blob)`` handed every flushed
+        #: blob.  Emit-only; converged replay sets it around warm-up
+        #: executions to observe what each one wrote, flush by flush.
+        self.flush_tap = None
         os.makedirs(directory, exist_ok=True)
         existing = self._segment_indices()
         if create:
@@ -678,28 +739,22 @@ class LogBackend(GraphStoreBackend):
 
     # -- journal hooks -----------------------------------------------------------
 
-    def _append(self, payload: bytes) -> None:
-        if self._closed:
-            raise StoreBackendError("log backend is closed (write after close)")
-        # Frame header and payload are buffered as two entries (the
-        # flush-time join concatenates them); skipping the per-record
-        # concat keeps the hot path allocation-light.
-        buffer = self._buffer
-        buffer.append(_FRAME_PACK(len(payload), _CRC32(payload)))
-        buffer.append(payload)
-        self._buffered_bytes += len(payload) + _FRAME_OVERHEAD
-        self._buffered_records += 1
-        if self._buffered_bytes >= self.flush_bytes:
-            self.flush()
+    def append_frame(self, entry: Tuple[bytes, int, int], tail: bytes) -> None:
+        """Buffer one frame whose payload is ``entry``'s skeleton + ``tail``.
 
-    def journal_message(self, message: Message) -> None:
-        # The per-message hot path: ``_append`` inlined to spare a call,
-        # and the frame crc finished incrementally from the skeleton's
-        # cached partial crc — the full payload is never materialised
-        # (the flush-time join concatenates header + skeleton + tail).
+        The one append path: every ``journal_*`` hook lands here, and so
+        does converged replay when it renders a frozen class's frames
+        (:mod:`repro.sim.events`) — the closed check, the record/byte
+        accounting and the ``flush_bytes`` auto-flush exist once.
+        ``entry`` is a :data:`_SKELETON_CACHE`-shaped ``(skeleton,
+        length, crc)`` triple; the frame crc is finished incrementally
+        from the cached partial crc and the payload is never
+        materialised (the flush-time join concatenates header +
+        skeleton + tail, which keeps the hot path allocation-light).
+        """
         if self._closed:
             raise StoreBackendError("log backend is closed (write after close)")
-        (skeleton, skeleton_len, skeleton_crc), tail = _message_parts(message)
+        skeleton, skeleton_len, skeleton_crc = entry
         length = skeleton_len + len(tail)
         buffer = self._buffer
         buffer.append(_FRAME_PACK(length, _CRC32(tail, skeleton_crc)))
@@ -709,6 +764,12 @@ class LogBackend(GraphStoreBackend):
         self._buffered_records += 1
         if self._buffered_bytes >= self.flush_bytes:
             self.flush()
+
+    def _append(self, payload: bytes) -> None:
+        self.append_frame((payload, len(payload), _CRC32(payload)), b"")
+
+    def journal_message(self, message: Message) -> None:
+        self.append_frame(*_message_parts(message))
 
     def journal_edge(self, cause: MessageUid, effect: MessageUid) -> None:
         self._append(bytes((OP_EDGE,)) + _encode_uid(cause) + _encode_uid(effect))
@@ -736,6 +797,8 @@ class LogBackend(GraphStoreBackend):
         self._buffered_bytes = 0
         self._buffered_records = 0
         self._fh.write(blob)
+        if self.flush_tap is not None:
+            self.flush_tap(self, blob)
         self._m_flushes.inc()
         self._m_bytes.inc(len(blob))
         self._sync(force=self.fsync == "flush")

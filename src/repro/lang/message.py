@@ -17,7 +17,6 @@ dict probe enters the interpreter.  :class:`Message` is a hand-rolled
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from operator import itemgetter
 from typing import FrozenSet, Mapping, Optional
@@ -67,22 +66,32 @@ class MessageUid(tuple):
 
 
 class UidFactory:
-    """Deterministic producer of per-process message uids."""
+    """Deterministic producer of per-process message uids.
 
-    __slots__ = ("address", "process_id", "_seq", "_crc_prefix")
+    ``position`` is the last sequence number handed out (0 before the
+    first).  It is the process's whole uid state, so a caller that knows
+    how many uids a stretch of execution would have drawn can skip the
+    stretch with :meth:`advance` and the next uid is the same one.
+    """
+
+    __slots__ = ("address", "process_id", "position", "_crc_prefix")
 
     def __init__(self, address: str, process_id: int) -> None:
         if not address:
             raise IRError("UidFactory requires a non-empty address")
         self.address = address
         self.process_id = int(process_id)
-        self._seq = itertools.count(1)
+        self.position = 0
         # crc32 is a running checksum: hashing the per-process prefix
         # once leaves only the sequence digits to hash per uid.
         self._crc_prefix = _crc32(f"{address}/{self.process_id}/".encode("utf-8"))
 
+    def advance(self, n: int) -> None:
+        """Skip ``n`` sequence numbers, as ``n`` ``next_uid`` calls would."""
+        self.position += n
+
     def next_uid(self) -> MessageUid:
-        seq = next(self._seq)
+        self.position = seq = self.position + 1
         return _tuple_new(
             MessageUid,
             (self.address, self.process_id, seq, _crc32(b"%d" % seq, self._crc_prefix)),

@@ -42,14 +42,15 @@ During warmup every live trace of every class is executed for real
 while the engine records (a) the per-execution telemetry delta
 (captured by diffing the registry around the execution), (b) the
 trace's uid-free
-:meth:`~repro.sim.runtime.RequestTrace.structural_fingerprint`, and
+:meth:`~repro.sim.runtime.RequestTrace.structural_fingerprint`,
 (c) the *ingestion residue* — a shard/batch-invariant tuple of what
 the execution left behind in the write machinery (pipeline buffer
-depth, pending completions, dead-letter depth, net store growth).
+depth, pending completions, dead-letter depth, net store growth), and
+(d) on a journaling store, the *journal frames* it wrote (below).
 Cutover is **global and atomic**: only once *every* active class has
 shown :data:`REPLAY_CONVERGENCE_STREAK` consecutive executions with an
-identical delta, fingerprint, *and* residue does the engine freeze
-them all — after first draining the batched write pipeline (journal
+identical delta, fingerprint, residue *and* frames does the engine
+freeze them all — after first draining the batched write pipeline (journal
 flush included) so no buffered write is stranded by the freeze.
 Per-class cutover would be unsound — request classes share replica
 state (uid factories, provenance taints, component caches), so
@@ -72,11 +73,40 @@ shared ``graphstore.eviction_size_nodes`` histogram stop moving —
 before the per-execution effects settle, so the threshold must
 comfortably exceed them.
 
+Replay writes the journal.  The paper names a message ``<address,
+process, per-process sequence number>``, so a converged execution's
+journal frames are a pure function of the per-process counters: same
+skeleton bytes, same flush points, only the ``seq`` fields advance.  On
+the ``log`` backend the ingestor therefore observes what each warm-up
+execution *actually wrote* to each shard's
+:class:`~repro.graphstore.backend.LogBackend` — the flushed blobs, in
+order, flush boundaries included (segments rotate *between* flushes) —
+and reduces them to a :class:`_JournalEffect`: per frame the skeleton
+entry plus, for every uid in its tail, a ``(counter, offset)`` reference
+relative to that :class:`~repro.lang.message.UidFactory`'s position at
+the start of the execution.  An execution counts toward the streak only
+if its effect equals the reference *and* rendering it at the current
+positions gives back the written tails, so a class whose frames name a
+uid from outside the execution (a cause from a still-open earlier
+request), touch more than the root's shard, or come with net store
+growth simply never converges, and the run stays live.  The freeze
+resolves the backends afresh and sends back to warm-up any class whose
+observed frames do not match them — one that converged before a backend
+was swapped in or out and has not executed since.  After the
+cutover ``_apply`` renders the effect ``live`` times through the
+backend's one append path (``append_frame`` + ``flush``: accounting,
+auto-flush and rotation are shared with live journaling), routing each
+execution by its root uid exactly as the sharded store does, and
+advances the uid counters so they stay authoritative.  Every segment
+file of every shard is byte-identical to the tick engine's
+(``tests/sim/test_replay_journal.py``).
+
 Replay is only eligible when ingestion is pure counting — no fault
-injector, no path timeout, a memory-backend store
-(:attr:`~repro.core.causal_graph.DirectCausalityTracker.supports_snapshot_replay`),
-and an ``exact``-mode profiler whose manager cannot downshift it into a
-sketch mode mid-run (batched replayed ``profiler.record`` ops are
+injector, no path timeout, a memory- or log-backend store
+(:attr:`~repro.core.causal_graph.DirectCausalityTracker.supports_snapshot_replay`;
+``shared`` and any journaling backend replay cannot render frames for
+stay refused), and an ``exact``-mode profiler whose manager cannot
+downshift it into a sketch mode mid-run (batched replayed ``profiler.record`` ops are
 additive for exact buckets but would perturb space-saving
 promotion/eviction order).  Sharded stores and the batched write
 pipeline are eligible: ``observe_all`` drains the pipeline at the end
@@ -94,8 +124,10 @@ the tick loop's code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
+from repro.graphstore.backend import frame_parts, pack_tail
+from repro.lang.message import MessageUid
 from repro.sim.metrics import SimulationResult
 
 #: Consecutive identical (delta, fingerprint) executions required before
@@ -250,14 +282,69 @@ def _histogram_op(metric, entry: tuple) -> Optional[tuple]:
     return (metric, dcount, dsum, dbuckets, post_min, post_max)
 
 
+def _journals(store) -> tuple:
+    """``(backends, route)``: the shards' journaling backends in shard order
+    (all of them or, on memory, none — a mixed fleet is refused before this
+    is asked) and the root uid -> shard index routing.
+
+    Resolved from the store at every use during warm-up and once more at
+    the freeze — never cached across them: the cutover re-checks
+    eligibility precisely because a backend may be swapped in mid-run.
+    """
+    backends = [shard.backend for shard in getattr(store, "shards", (store,))]
+    backends = [backend for backend in backends if backend.journaling]
+    return backends, getattr(store, "shard_index_of", lambda root: 0)
+
+
+class _JournalEffect(NamedTuple):
+    """The journal frames one execution of a class writes, as a template.
+
+    A frame is a fixed skeleton plus a tail of packed uids, and a
+    converged execution's uids are its own: each is a ``(counter index,
+    offset)`` reference — the position of one of the runtime's uid
+    counters at the start of the execution, plus ``0 < offset <=
+    stride``.  That makes the frames a pure function of the counter
+    positions, which :meth:`tails` renders for any execution.
+    """
+
+    #: How far one execution moves each uid counter.
+    strides: tuple
+    #: Reference to the root uid, which routes the execution to a shard.
+    root: tuple
+    #: Every reference of every frame's tail, in write order.
+    refs: list
+    #: Per flush, per frame: ``(skeleton entry, slice of tails())``.  Flush
+    #: boundaries belong here: segments rotate *between* flushes.
+    blobs: list
+
+    def tails(self, factories, positions: List[int]) -> bytes:
+        """Every frame's packed ``<process_id, seq>`` tail, concatenated, for
+        the execution that starts with the uid counters at ``positions``."""
+        args: List[int] = []
+        for index, offset in self.refs:
+            args += (factories[index].process_id, positions[index] + offset)
+        return pack_tail(args)
+
+
+#: What :meth:`_ClassReplayState.note` compares, in order, under the
+#: names the ``repro simulate`` replay line uses.
+_STREAK_PARTS = (
+    "telemetry delta", "trace fingerprint", "profiler records", "ingestion residue",
+    "journal frames",
+)
+#: ... and the name for frames that fit no :class:`_JournalEffect` at all.
+_UNFIT_FRAMES = (
+    "journal frames, which cite a uid from outside the execution, "
+    "leave the root's shard or come with net store growth"
+)
+
+
 class _ClassReplayState:
     """Per-request-class convergence tracking and frozen replay ops."""
 
     __slots__ = (
-        "reference_delta",
-        "reference_fingerprint",
-        "reference_records_key",
-        "reference_residue",
+        "reference",
+        "blocker",
         "streak",
         "executions",
         "last_trace",
@@ -269,10 +356,10 @@ class _ClassReplayState:
     )
 
     def __init__(self) -> None:
-        self.reference_delta: Optional[Dict[str, tuple]] = None
-        self.reference_fingerprint: Optional[tuple] = None
-        self.reference_records_key: Optional[tuple] = None
-        self.reference_residue: Optional[tuple] = None
+        #: The last streak-resetting execution's :data:`_STREAK_PARTS`.
+        self.reference: tuple = (None,) * len(_STREAK_PARTS)
+        #: The part that reset the streak last.
+        self.blocker = _STREAK_PARTS[0]
         self.streak = 0
         self.executions = 0
         self.last_trace = None
@@ -290,6 +377,16 @@ class _ClassReplayState:
     def converged(self) -> bool:
         return self.streak >= REPLAY_CONVERGENCE_STREAK
 
+    @property
+    def reference_delta(self) -> Dict[str, tuple]:
+        return self.reference[0]
+
+    @property
+    def journal(self):
+        """What an execution writes to the journal: a
+        :class:`_JournalEffect`, or ``()`` on a store that keeps none."""
+        return self.reference[4]
+
     def note(
         self,
         delta: Dict[str, tuple],
@@ -297,24 +394,23 @@ class _ClassReplayState:
         trace,
         record_ops: List[tuple],
         residue: tuple,
+        journal,
     ) -> None:
+        """Count one execution; ``journal`` is ``None`` when its frames
+        fit no :class:`_JournalEffect`, which never counts as a repeat."""
         self.executions += 1
         self.last_trace = trace
         records_key = tuple(
             (sig.request_type, sig.edges, count) for sig, count in record_ops
         )
-        if (
-            delta == self.reference_delta
-            and fingerprint == self.reference_fingerprint
-            and records_key == self.reference_records_key
-            and residue == self.reference_residue
-        ):
+        observed = (delta, fingerprint, records_key, residue, journal)
+        if journal is not None and observed == self.reference:
             self.streak += 1
         else:
-            self.reference_delta = delta
-            self.reference_fingerprint = fingerprint
-            self.reference_records_key = records_key
-            self.reference_residue = residue
+            self.blocker = _UNFIT_FRAMES if journal is None else next(
+                name for name, new, old in zip(_STREAK_PARTS, observed, self.reference) if new != old
+            )
+            self.reference = observed
             self.record_ops = list(record_ops)
             self.streak = 1
 
@@ -349,6 +445,10 @@ class ReplayIngestor:
         self.cutover_minute: Optional[float] = None
         self.replayed_executions = 0
         self.live_executions = 0
+        self._factories = sim.dca.runtime.uid_factories
+        self._factory_index = {(f.address, f.process_id): i for i, f in enumerate(self._factories)}
+        #: Where replay writes journal frames: ``_journals`` at the freeze.
+        self._journals: tuple = ([], None)
 
     # -- entry point (same signature as ClusterSimulator._run_dca_tick) --------
 
@@ -359,8 +459,8 @@ class ReplayIngestor:
             and all(s.converged for s in self.states.values())
             # Re-checked at the cutover (not just construction): if the
             # tracker's store/backend configuration changed under us —
-            # e.g. a journaling backend was swapped in mid-run — freezing
-            # would silently stop feeding the durable log.
+            # e.g. a backend replay cannot write frames for was swapped
+            # in mid-run — freezing would silently stop feeding its log.
             and replay_refusal(self.sim) is None
         ):
             self._freeze_all(now)
@@ -391,6 +491,7 @@ class ReplayIngestor:
         last_trace = None
         before = _capture(self.registry)
         nodes_before = tracker.store.node_count()
+        journals, route = _journals(tracker.store)
         for _ in range(live):
             # Spy on the profiler so the frozen state knows exactly
             # which path completions one execution produces.
@@ -400,11 +501,19 @@ class ReplayIngestor:
                 _ops.append((signature, count))
                 return _orig(signature, time_minutes, count=count)
             profiler.record = recording_spy
+            # ... and, on a journaling store, on every flush: what each
+            # shard's journal was handed, blob by blob.
+            written: List[tuple] = []
+            for backend in journals:
+                backend.flush_tap = lambda backend, blob: written.append((backend, blob))
+            start = [factory.position for factory in self._factories]
             try:
                 last_trace = sim.dca.runtime.execute_request(request, sampled=True)
                 tracker.observe_all(last_trace.messages)
             finally:
                 profiler.record = original_record
+                for backend in journals:
+                    backend.flush_tap = None
             after = _capture(self.registry)
             nodes_after = tracker.store.node_count()
             # Shard/batch-invariant ingestion residue: what this
@@ -421,12 +530,21 @@ class ReplayIngestor:
                 tracker.dead_letters.depth,
                 nodes_after - nodes_before,
             )
+            journal = ()
+            if journals:
+                # Net store growth would leave the live store unlike the
+                # one the replayed journal recovers to.
+                root = last_trace.messages[0].uid
+                journal = None if residue[3] else self._journal_effect(
+                    written, journals[route(root)], root, start
+                )
             state.note(
                 _delta(before, after),
                 last_trace.structural_fingerprint(),
                 last_trace,
                 record_ops,
                 residue,
+                journal,
             )
             before = after
             nodes_before = nodes_after
@@ -434,6 +552,35 @@ class ReplayIngestor:
         if remainder > 0 and last_trace is not None:
             # Same shortcut as the tick loop (no injector by construction).
             sim.dca.profiler.record(last_trace.signature, now, count=remainder)
+
+    def _journal_effect(self, written: List[tuple], owner, root: MessageUid, start: List[int]):
+        """Reduce the blobs one execution flushed to a :class:`_JournalEffect`.
+
+        ``None`` unless every blob went to ``owner``, the backend of the
+        shard ``root`` routes to, every uid in every frame was drawn by
+        this execution (``start`` holds the uid counters before it), and
+        rendering the effect at ``start`` gives back the written tails.
+        """
+        strides = tuple(f.position - at for f, at in zip(self._factories, start))
+
+        def ref(uid):
+            index = self._factory_index.get(uid[:2])
+            if index is not None and 0 < uid[2] - start[index] <= strides[index]:
+                return index, uid[2] - start[index]
+
+        refs, blobs, tails = [], [], bytearray()
+        for backend, blob in written:
+            if backend is not owner:
+                return None
+            blobs.append([])
+            for entry, uids, tail in frame_parts(blob):
+                blobs[-1].append((entry, slice(len(tails), len(tails) + len(tail))))
+                refs += map(ref, uids)
+                tails += tail
+        effect = _JournalEffect(strides, ref(root), refs, blobs)
+        if None in refs or effect.root is None or effect.tails(self._factories, start) != tails:
+            return None
+        return effect
 
     def _freeze_all(self, now: float) -> None:
         """Atomic cutover: turn every class's stable delta into direct ops.
@@ -447,11 +594,17 @@ class ReplayIngestor:
         ``observe_all`` ends in a flush, which the residue fingerprint
         pins at ``buffered_writes == 0``), so the drain emits no
         telemetry and cannot perturb parity.
+
+        May decline and leave the run live, to be retried once every
+        class has converged again: a fractional counter amount or
+        histogram sum, or a class whose frames were observed on other
+        journaling backends than the store has now.
         """
         tracker = self.sim.dca.tracker
         tracker.drain_pipeline()
         if tracker.buffered_writes:
             raise RuntimeError("write pipeline still buffered after cutover drain")
+        journals = _journals(tracker.store)
         by_key = {metric.key: metric for metric in self.registry}
         for state in self.states.values():
             if state.last_trace is None:
@@ -459,12 +612,22 @@ class ReplayIngestor:
                 # far); an active class always executes before cutover
                 # because its streak can only grow by executing.
                 raise RuntimeError("cannot freeze a class that never executed")
+            if bool(state.journal) != bool(journals[0]):
+                # Converged on what another backend (or none) was handed
+                # and idle since the swap: frozen, its frames would never
+                # reach the journal.  It has to be observed again.
+                state.streak, state.blocker = 0, _STREAK_PARTS[-1]
+                return
             state.counter_ops, state.gauge_ops, state.histogram_ops = [], [], []
             for key, entry in sorted(state.reference_delta.items()):
                 if metric_base_name(key) in _PROFILER_LIVE_KEYS:
                     continue  # profiler.record maintains these live
                 metric = by_key[key]
                 if entry[0] == "c":
+                    if not float(entry[1]).is_integer():
+                        # ``inc(amount * live)`` is ``live`` successive
+                        # ``inc(amount)`` only for an integral amount.
+                        return  # stays live, like a fractional histogram sum
                     state.counter_ops.append((metric, entry[1]))
                 elif entry[0] == "g":
                     state.gauge_ops.append((metric, entry[1]))
@@ -474,6 +637,7 @@ class ReplayIngestor:
                         return  # retried next interval; ops are rebuilt
                     state.histogram_ops.append(op)
             state.signature = state.last_trace.signature
+        self._journals = journals
         self.replaying = True
         self.cutover_minute = now
 
@@ -489,6 +653,8 @@ class ReplayIngestor:
         for metric, *delta in state.histogram_ops:
             metric.accumulate(*delta, times=live)
         self.replayed_executions += live
+        if state.journal:
+            self._replay_journal(state.journal, live)
         # Path completions go through the real profiler so its window
         # buckets (the DCA managers' decision input) stay live; counts
         # batch across the replayed executions (buckets are additive).
@@ -499,6 +665,31 @@ class ReplayIngestor:
             # The tick loop's shortcut: remaining sampled requests of
             # the class follow the last live trace's path.
             profiler.record(state.signature, now, count=remainder)
+
+    def _replay_journal(self, journal: _JournalEffect, live: int) -> None:
+        """Write ``live`` executions' frames and move the uid counters past them.
+
+        Through :meth:`~repro.graphstore.backend.LogBackend.append_frame`
+        and ``flush``, the calls a live execution's frames go through:
+        accounting, auto-flush and rotation are the backend's, not ours.
+        """
+        factories = self._factories
+        positions = [factory.position for factory in factories]
+        backends, route = self._journals
+        root_index, root_offset = journal.root
+        root = factories[root_index]
+        for _ in range(live):
+            backend = backends[route(
+                MessageUid(root.address, root.process_id, positions[root_index] + root_offset)
+            )]
+            tails = journal.tails(factories, positions)
+            for frames in journal.blobs:
+                for entry, span in frames:
+                    backend.append_frame(entry, tails[span])
+                backend.flush()
+            positions = [at + stride for at, stride in zip(positions, journal.strides)]
+        for factory, stride in zip(factories, journal.strides):
+            factory.advance(stride * live)
 
 
 class EventDrivenRunner:
@@ -538,3 +729,22 @@ class EventDrivenRunner:
             sim.run_interval(t, result, ingestor=ingest, arrivals=arrived)
             self.events_processed["interval"] += 1
         return result
+
+    def replay_report(self) -> str:
+        """Whether converged replay engaged and, if not, what held it (after the run)."""
+        ingestor = self.ingestor
+        if ingestor is not None and ingestor.replaying:
+            return (
+                f"engaged at minute {ingestor.cutover_minute:g} "
+                f"({ingestor.live_executions} live, {ingestor.replayed_executions} replayed)"
+            )
+        refusal = replay_refusal(self.sim)
+        if ingestor is None or refusal is not None:
+            return f"not engaged — {refusal}"
+        for name, state in ingestor.states.items():
+            if not state.converged:
+                return (
+                    f"not engaged — class {name}: {state.streak}/{REPLAY_CONVERGENCE_STREAK} "
+                    f"identical executions, streak last reset by its {state.blocker}"
+                )
+        return "not engaged — a converged counter or histogram delta is fractional"

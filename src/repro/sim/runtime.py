@@ -119,6 +119,13 @@ class ApplicationRuntime:
     def instrumented(self) -> bool:
         return self.dca_result is not None
 
+    @property
+    def uid_factories(self) -> Tuple[UidFactory, ...]:
+        """Every uid counter of the runtime: the external client's, then one
+        per component in name order.  Their ``position``s are the whole uid
+        state, which converged replay advances instead of executing."""
+        return (self._external_uids, *self._uid_factories.values())
+
     def reset_state(self) -> None:
         """Reset all replica state (values and provenance) to initials."""
         for name, component in self.app.components.items():

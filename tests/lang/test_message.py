@@ -36,6 +36,17 @@ class TestUidFactory:
             uid = factory.next_uid()
             assert tuple(uid) == tuple(MessageUid(uid.address, uid.process_id, uid.seq))
 
+    def test_advance_skips_what_next_uid_would_have_drawn(self):
+        # position is the whole uid state: skipping n draws and drawing
+        # them leave the factory handing out the same next uid.
+        drawn, skipped = UidFactory("10.0.0.7", 12), UidFactory("10.0.0.7", 12)
+        assert drawn.position == 0
+        for _ in range(37):
+            drawn.next_uid()
+        skipped.advance(37)
+        assert skipped.position == drawn.position == 37
+        assert tuple(skipped.next_uid()) == tuple(drawn.next_uid())
+
 
 class TestMessageUid:
     def test_equality_and_hash(self):

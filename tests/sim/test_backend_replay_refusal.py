@@ -1,13 +1,17 @@
-"""The replay fast path must refuse journaling store backends.
+"""Which store backends the replay fast path accepts, and which it refuses.
 
-Converged replay freezes a telemetry delta and stops feeding the store;
-with a journaling backend that would leave the durable log silently
-incomplete (records for replayed executions simply never written).  The
-eligibility gate lives in ``supports_snapshot_replay``, which the one
-eligibility predicate (``repro.sim.events.replay_refusal``) consults at
+Converged replay freezes a per-execution effect and stops feeding the
+store.  On the ``log`` backend the effect carries the execution's journal
+frames, which replay renders from the uid counters and writes through
+``LogBackend.append_frame`` — so the durable log stays complete and
+``log`` is eligible.  Any other journaling backend (the ``shared`` store
+facade, a backend replay cannot render frames for) would be left
+silently incomplete and stays refused.  The gate lives in
+``supports_snapshot_replay``, which the one eligibility predicate
+(``repro.sim.events.replay_refusal``) consults at
 :class:`~repro.sim.events.ReplayIngestor` construction and again at the
-freeze cutover.  These tests pin both seams plus the
-event runner's fallback to full-fidelity ingestion.
+freeze cutover.  These tests pin both seams plus the event runner's
+fallback to full-fidelity ingestion.
 """
 
 import inspect
@@ -16,8 +20,16 @@ import pytest
 
 from repro.apps.catalog import load_scenario
 from repro.evalx.experiment import ExperimentConfig, build_simulator
+from repro.graphstore.backend import GraphStoreBackend
 from repro.sim.events import EventDrivenRunner, ReplayIngestor, replay_refusal
 from repro.telemetry import MetricsRegistry
+
+
+class _OpaqueJournal(GraphStoreBackend):
+    """A journaling backend replay knows nothing about: no frames to render."""
+
+    kind = "opaque"
+    journaling = True
 
 
 def _simulator(backend, tmp_path, engine="event"):
@@ -30,18 +42,28 @@ def _simulator(backend, tmp_path, engine="event"):
     )
 
 
+def _opaque_simulator(tmp_path):
+    """A memory simulator whose store reports an unknown journaling backend
+    (what a backend swapped in behind the tracker looks like)."""
+    simulator = _simulator("memory", tmp_path)
+    simulator.dca.tracker.store.backend = _OpaqueJournal()
+    return simulator
+
+
 def test_supports_snapshot_replay_is_backend_gated(tmp_path):
-    assert _simulator("memory", tmp_path).dca.tracker.supports_snapshot_replay
-    for backend in ("log", "shared"):
+    for backend, eligible in (("memory", True), ("log", True), ("shared", False)):
         simulator = _simulator(backend, tmp_path)
         try:
-            assert not simulator.dca.tracker.supports_snapshot_replay, backend
+            assert simulator.dca.tracker.supports_snapshot_replay is eligible, backend
         finally:
             simulator.dca.tracker.store.close()
+    assert not _opaque_simulator(tmp_path).dca.tracker.supports_snapshot_replay
 
 
 def test_replay_ingestor_refuses_journaling_backend(tmp_path):
-    simulator = _simulator("log", tmp_path)
+    with pytest.raises(ValueError, match="snapshot replay"):
+        ReplayIngestor(_opaque_simulator(tmp_path))
+    simulator = _simulator("shared", tmp_path)
     try:
         with pytest.raises(ValueError, match="snapshot replay"):
             ReplayIngestor(simulator)
@@ -50,13 +72,19 @@ def test_replay_ingestor_refuses_journaling_backend(tmp_path):
 
 
 def test_event_runner_falls_back_to_full_ingestion(tmp_path):
-    simulator = _simulator("log", tmp_path, engine="event")
-    runner = EventDrivenRunner(simulator)
-    assert not runner._replay_eligible
-    simulator.dca.tracker.store.close()
+    assert not EventDrivenRunner(_opaque_simulator(tmp_path))._replay_eligible
+    simulator = _simulator("shared", tmp_path)
+    try:
+        assert not EventDrivenRunner(simulator)._replay_eligible
+    finally:
+        simulator.dca.tracker.store.close()
 
-    eligible = EventDrivenRunner(_simulator("memory", tmp_path, engine="event"))
-    assert eligible._replay_eligible
+    for backend in ("memory", "log"):
+        simulator = _simulator(backend, tmp_path)
+        try:
+            assert EventDrivenRunner(simulator)._replay_eligible, backend
+        finally:
+            simulator.dca.tracker.store.close()
 
 
 def test_freeze_cutover_rechecks_eligibility():
@@ -73,17 +101,33 @@ def test_freeze_cutover_rechecks_eligibility():
     assert "supports_snapshot_replay" in inspect.getsource(replay_refusal)
 
 
-def test_frozen_run_would_skip_journal_writes(tmp_path):
-    """Why the gate exists: replay executes nothing, so nothing journals.
+def test_frozen_run_would_skip_journal_writes(tmp_path, monkeypatch):
+    """The converse of why the gate used to refuse ``log``: replay executes
+    nothing, yet everything journals.
 
-    A memory-backend event run cuts over to replay; if that were allowed
-    on the log backend, every post-cutover execution would be absent
-    from the log.  Assert the premise: the eligible run really does stop
-    live-executing after convergence.
+    A log-backend event run cuts over, and from the cutover on the
+    journal still gains exactly one frame per observed message and one
+    per eviction — rendered by replay, not written by the store.
     """
-    simulator = _simulator("memory", tmp_path, engine="event")
+    simulator = _simulator("log", tmp_path, engine="event")
     simulator.config.duration_minutes = 120
+    registry = simulator.telemetry
+    keys = ("graphstore.backend_records", "tracker.messages_observed", "graphstore.evictions")
+    at_cutover = {}
+    freeze_all = ReplayIngestor._freeze_all
+
+    def spy_freeze(self, now):
+        freeze_all(self, now)
+        if self.replaying:
+            at_cutover.update({key: registry.counter(key).value for key in keys})
+
+    monkeypatch.setattr(ReplayIngestor, "_freeze_all", spy_freeze)
     simulator.run()
     ingestor = simulator.event_runner.ingestor
     assert ingestor is not None and ingestor.replaying
     assert ingestor.replayed_executions > 0
+    records, observed, evictions = (
+        registry.counter(key).value - at_cutover[key] for key in keys
+    )
+    assert observed > 0 and evictions == ingestor.replayed_executions
+    assert records == observed + evictions

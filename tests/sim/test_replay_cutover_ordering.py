@@ -15,6 +15,8 @@ import inspect
 from repro.apps.catalog import load_scenario
 from repro.core.causal_graph import DirectCausalityTracker
 from repro.evalx.experiment import ExperimentConfig, build_simulator
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.graphstore.backend import LogBackend
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import CLIENT, EXTERNAL
@@ -144,16 +146,22 @@ class TestLogBackendDurabilityPoint:
 
 
 class TestJournalingBackendsStayIneligible:
-    """Relaxed eligibility covers sharded/batched *memory* stores only;
-    a journaling backend must still refuse the replay fast path (the
-    freeze would silently stop feeding the durable log)."""
+    """The ``log`` backend is eligible exactly where a memory store is:
+    its frames ride the frozen effect, but only pure-counting ingestion
+    has a frozen effect — a path timeout or a fault injector still
+    refuses, sharded/batched or not."""
 
     def test_log_backend_refused_even_when_batched(self, tmp_path):
-        registry = MetricsRegistry()
-        backend = LogBackend(str(tmp_path), registry=registry)
-        store = GraphStore(registry=registry, backend=backend)
-        profiler = CausalPathProfiler({}, registry=registry)
-        tracker = DirectCausalityTracker(
-            profiler, store=store, registry=registry, write_batch_size=32
-        )
-        assert not tracker.supports_snapshot_replay
+        def tracker(name, **options):
+            registry = MetricsRegistry()
+            backend = LogBackend(str(tmp_path / name), registry=registry)
+            store = GraphStore(registry=registry, backend=backend)
+            profiler = CausalPathProfiler({}, registry=registry)
+            return DirectCausalityTracker(
+                profiler, store=store, registry=registry, write_batch_size=32, **options
+            )
+
+        assert tracker("plain").supports_snapshot_replay
+        assert not tracker("timeout", path_timeout_minutes=5).supports_snapshot_replay
+        injector = FaultInjector(FaultPlan(seed=1, store_write_failure_rate=0.1))
+        assert not tracker("faulted", fault_injector=injector).supports_snapshot_replay

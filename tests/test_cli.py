@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -46,6 +48,30 @@ class TestSimulate:
     def test_unknown_manager_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "hedwig", "--manager", "Kubernetes"])
+
+    def test_event_engine_says_whether_replay_engaged(self, tmp_path, capsys):
+        base = ["simulate", "hedwig", "--manager", "DCA-100%", "--engine", "event"]
+        assert main(
+            base + ["--duration", "60", "--store-backend", "log", "--store-dir", str(tmp_path)]
+        ) == 0
+        # (The CLI reports into the process-wide registry, whose histogram
+        # extremes earlier runs may have settled: the minute is not pinned.)
+        assert re.search(
+            r"replay: engaged at minute \d+ \(\d+ live, \d+ replayed\)", capsys.readouterr().out
+        )
+        # Too short to converge: the line names the class and what reset it.
+        assert main(base + ["--duration", "20"]) == 0
+        assert re.search(
+            r"replay: not engaged — class \w+: \d+/48 identical executions, "
+            r"streak last reset by its telemetry delta",
+            capsys.readouterr().out,
+        )
+        # Refused outright: the eligibility predicate's own reason.
+        assert main(base + ["--duration", "5", "--store-backend", "shared"]) == 0
+        assert "replay: not engaged — tracker configuration" in capsys.readouterr().out
+        # The tick engine has no replay to report on.
+        assert main(base[:-2] + ["--duration", "5"]) == 0
+        assert "replay:" not in capsys.readouterr().out
 
 
 class TestMetrics:
