@@ -1,19 +1,30 @@
-"""Sketch-tier profiler gates: read throughput, memory scaling, ε bound.
+"""Sketch-tier profiler gates: read cost, memory scaling, ε bound.
 
 Synthetic Zipf traffic over 10k–20k causal paths (the "million-path"
-regime scaled to CI budgets) drives three gated claims:
+regime scaled to CI budgets) drives the gated claims:
 
-* the optimised ``exact`` read (running window totals) is ≥2x the
-  pre-PR O(paths × window) scan, retained as
-  ``CausalPathProfiler._scan_counts`` — measured ~18x;
-* the ``topk`` sketch read also beats the pre-PR scan once the window
-  is loaded (≥8 buckets/path on average) — measured ~2x, gated at 1.5x
-  for CI jitter;
+* the ``exact`` tier's ``counts()`` (running window totals) is ≥2x a
+  full-window ``counts_between(now - window, now)``, which walks every
+  minute table — measured ~7x — and the two agree cell for cell;
 * sketch memory is O(k): near-flat when the path population doubles
-  (gated ≤1.3x, measured ~1.1x) and well under the exact tier's
-  bucket state (gated ≤0.7x, measured ~0.55x);
-* measured hot-path probability error stays ≤ the documented ε
+  (gated ≤1.3x, measured ~1.1x);
+* the ``topk`` estimates lose no mass, and measured hot-path probability
+  error stays ≤ the documented ε
   (:data:`HOT_PATH_PROBABILITY_EPSILON`).
+
+Two ratio asserts that used to live here lost their premise when the
+tiers moved onto one epoch ring (``WindowedCounts``) and were deleted
+rather than re-tuned.  ``topk counts() ≥ 1.5x the full scan`` compared
+the sketch with a per-path bucket walk; the scan now adds up ~60 minute
+tables and is ~4x faster than it was, while the sketch read (one
+count-min estimate per tail path) is unchanged.  ``sketch state ≤ 0.7x
+the exact state`` assumed an ``OrderedDict`` per *registered* path; the
+ring holds one cell per (path, minute) *actually recorded*, so at this
+load (120k records, 90 minutes) the exact window is ~1.5–2 MB against a
+~5 MB sketch.  The sketch is the smaller tier only once the cells
+recorded per window outgrow ``k`` entries plus the count-min tables —
+that is what the O(k) flatness assert is about.  ms/read and bytes for
+every tier stay in ``extra_info``.
 
 The wall times land in ``BENCH_profiler_sketch.json`` and feed the
 regression gate alongside the other benchmark files.
@@ -41,9 +52,7 @@ SEED = 7
 READS = 10
 
 MIN_EXACT_SPEEDUP = 2.0
-MIN_TOPK_SPEEDUP = 1.5
 MAX_MEMORY_SCALING = 1.3
-MAX_SKETCH_TO_EXACT = 0.7
 HOT_PATHS_CHECKED = 20
 
 
@@ -113,31 +122,24 @@ def _deep_size(obj, seen=None):
     return size
 
 
-def _exact_state_bytes(profiler):
-    """The exact tier's windowed count state (what the sketch replaces)."""
-    return sum(
-        _deep_size(part)
-        for part in (
-            profiler._buckets,
-            profiler._totals,
-            profiler._epoch_pids,
-            profiler._epoch_heap,
-            profiler._sample_epochs,
-        )
-    )
+def state_bytes(profiler):
+    """The active tier's windowed count state, whatever the mode."""
+    return _deep_size(profiler._tier)
 
 
 def test_bench_counts_read_throughput(benchmark):
-    """Optimised exact + topk reads vs the pre-PR scan, plus the ε check."""
+    """Exact running totals vs the full-window walk, plus the ε check."""
 
     def measure():
         exact = _build(N_PATHS, N_RECORDS, "exact")
         topk = _build(N_PATHS, N_RECORDS, "topk")
         now = STREAM_MINUTES
-        scan_seconds, reference = _read_seconds(exact._scan_counts, now)
         exact_seconds, optimised = _read_seconds(exact.counts, now)
+        scan_seconds, reference = _read_seconds(
+            lambda end: exact.counts_between(end - exact.window_minutes, end), now
+        )
         topk_seconds, estimates = _read_seconds(topk.counts, now)
-        assert optimised == reference, "optimised exact read diverged from scan"
+        assert optimised == reference, "running totals diverged from the full-window walk"
         return {
             "scan_seconds": scan_seconds,
             "exact_seconds": exact_seconds,
@@ -150,7 +152,6 @@ def test_bench_counts_read_throughput(benchmark):
     out = run_once(benchmark, measure)
 
     exact_speedup = out["scan_seconds"] / out["exact_seconds"]
-    topk_speedup = out["scan_seconds"] / out["topk_seconds"]
     reference, estimates = out["reference"], out["estimates"]
     n_exact = sum(reference.values())
     n_topk = sum(estimates.values())
@@ -165,32 +166,25 @@ def test_bench_counts_read_throughput(benchmark):
     benchmark.extra_info["exact_ms"] = round(out["exact_seconds"] * 1e3, 3)
     benchmark.extra_info["topk_ms"] = round(out["topk_seconds"] * 1e3, 3)
     benchmark.extra_info["exact_speedup"] = round(exact_speedup, 2)
-    benchmark.extra_info["topk_speedup"] = round(topk_speedup, 2)
     benchmark.extra_info["hot_path_error"] = round(hot_error, 5)
     benchmark.extra_info["sketch_evictions"] = out["evictions"]
 
     print()
     print(
         format_table(
-            ["read path", "ms/read", "speedup vs scan"],
+            ["read path", "ms/read"],
             [
-                ["pre-PR scan", f"{out['scan_seconds'] * 1e3:.2f}", "1.0x"],
-                ["exact (running totals)", f"{out['exact_seconds'] * 1e3:.2f}",
-                 f"{exact_speedup:.1f}x"],
-                ["topk (sketch)", f"{out['topk_seconds'] * 1e3:.2f}",
-                 f"{topk_speedup:.1f}x"],
+                ["exact counts_between (full window)", f"{out['scan_seconds'] * 1e3:.2f}"],
+                ["exact counts (running totals)", f"{out['exact_seconds'] * 1e3:.2f}"],
+                ["topk counts (sketch)", f"{out['topk_seconds'] * 1e3:.2f}"],
             ],
         )
     )
     print(f"hot-path probability error: {hot_error:.5f} (ε = {HOT_PATH_PROBABILITY_EPSILON})")
 
     assert exact_speedup >= MIN_EXACT_SPEEDUP, (
-        f"exact counts() only {exact_speedup:.2f}x over the pre-PR scan at "
-        f"{N_PATHS} paths (need {MIN_EXACT_SPEEDUP}x)"
-    )
-    assert topk_speedup >= MIN_TOPK_SPEEDUP, (
-        f"topk counts() only {topk_speedup:.2f}x over the pre-PR scan at "
-        f"{N_PATHS} paths (need {MIN_TOPK_SPEEDUP}x)"
+        f"exact counts() only {exact_speedup:.2f}x over the full-window "
+        f"counts_between at {N_PATHS} paths (need {MIN_EXACT_SPEEDUP}x)"
     )
     assert n_topk >= n_exact, "estimate sum lost mass vs the exact total"
     assert hot_error <= HOT_PATH_PROBABILITY_EPSILON, (
@@ -200,7 +194,7 @@ def test_bench_counts_read_throughput(benchmark):
 
 
 def test_bench_sketch_memory_scaling(benchmark):
-    """Sketch state must be O(k): flat in paths, well under exact buckets."""
+    """Sketch state must be O(k): flat when the path population doubles."""
 
     def measure():
         sizes = {}
@@ -208,10 +202,7 @@ def test_bench_sketch_memory_scaling(benchmark):
             exact = _build(n_paths, 120_000, "exact")
             topk = _build(n_paths, 120_000, "topk")
             topk.counts(STREAM_MINUTES)
-            sizes[n_paths] = {
-                "exact": _exact_state_bytes(exact),
-                "sketch": _deep_size(topk._sketch),
-            }
+            sizes[n_paths] = {"exact": state_bytes(exact), "sketch": state_bytes(topk)}
         return sizes
 
     sizes = run_once(benchmark, measure)
@@ -230,13 +221,9 @@ def test_bench_sketch_memory_scaling(benchmark):
 
     print()
     print(format_table(["paths", "exact state", "sketch state"], rows))
-    print(f"sketch scaling 10k→20k paths: {scaling:.2f}x; sketch/exact: {ratio:.2f}")
+    print(f"sketch scaling 10k→20k paths: {scaling:.2f}x; sketch/exact: {ratio:.2f} (reported)")
 
     assert scaling <= MAX_MEMORY_SCALING, (
         f"sketch memory grew {scaling:.2f}x when paths doubled "
         f"(need ≤{MAX_MEMORY_SCALING}x for the O(k) claim)"
-    )
-    assert ratio <= MAX_SKETCH_TO_EXACT, (
-        f"sketch state is {ratio:.2f}x the exact bucket state "
-        f"(need ≤{MAX_SKETCH_TO_EXACT}x)"
     )

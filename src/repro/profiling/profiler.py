@@ -6,15 +6,21 @@ whenever the graph store completes a causal graph, the path's counter is
 incremented.  Counts are kept in a sliding time window (60 minutes by
 default, "configurable") and feed causal probability.
 
-The profiler exposes three precision modes, switchable at runtime (the
-staleness detector uses this to shed cost under load — see
-``StalenessPolicy.downshift_mode``):
+The window itself is :class:`~repro.profiling.sketches.WindowedCounts`
+(one ring of per-minute tables; a minute expires whole once the window
+is advanced past it).  The profiler holds exactly one *tier* over it and
+forwards ``record`` / ``counts`` / ``counts_between`` /
+``sample_total_between`` / ``merge`` to it; the precision mode only says
+which tier that is, and is switchable at runtime (the staleness detector
+uses this to shed cost under load — see
+``StalenessPolicy.downshift_mode``) by swapping the tier and replaying
+the old one's ``events()`` into the new one:
 
 ``exact``
-    The default, and bit-identical to the original implementation's
-    observable behaviour: per-minute buckets per path, plus running
-    per-path window totals (maintained on record/prune) so ``counts()``
-    is O(paths) instead of O(paths × window).
+    The default (:class:`~repro.profiling.sketches.ExactPathWindow`):
+    the ring keyed by path id, every registered path listed in
+    registration order.  ``counts()`` copies the ring's running totals,
+    so it is O(paths), not O(paths × window).
 ``topk``
     Bounded memory: the ``k`` hottest paths live in a windowed
     space-saving summary, the tail in a windowed count-min sketch, and
@@ -22,10 +28,15 @@ staleness detector uses this to shed cost under load — see
     causal probabilities stay within the documented ε of exact mode
     (:data:`~repro.profiling.sketches.HOT_PATH_PROBABILITY_EPSILON`).
 ``component``
-    The cheapest tier (D²ABS-style coarsest level): counts collapsed to
-    per-component windowed totals; ``counts()``/``counts_between()``
-    are keyed by *component name* and :meth:`component_weight_estimates`
-    feeds the manager directly.
+    The cheapest tier (D²ABS-style coarsest level): the ring keyed by
+    component name; ``counts()``/``counts_between()`` are keyed by
+    *component name* and :meth:`component_weight_estimates` feeds the
+    manager directly.
+
+What is left of the mode outside the tier is what is *about* the mode:
+the component tier files a path under its components, per-path telemetry
+is an exact-tier export, ``component_weight_estimates`` validates its
+caller, and the checkpoint names which state slot it wrote.
 
 Per-path completion counters (``profiler.path_completions{path=…}``) are
 an exact-tier export: sketch modes deliberately do not keep per-path
@@ -37,16 +48,15 @@ exported instead via the ``profiler.sketch_evictions`` and
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.paths import PathSignature
 from repro.errors import ProfilingError
 from repro.profiling.sketches import (
     DEFAULT_TOPK_K,
     ComponentActivitySummary,
+    ExactPathWindow,
     TopKPathSummary,
 )
 from repro.telemetry import MetricsRegistry, get_registry
@@ -54,6 +64,15 @@ from repro.telemetry import MetricsRegistry, get_registry
 #: Precision tiers, cheapest last.  ``exact`` is the bit-identical
 #: default; the others trade per-path fidelity for bounded memory.
 PROFILER_MODES: Tuple[str, ...] = ("exact", "topk", "component")
+
+#: The checkpoint slot each tier's ``to_state()`` is written to.
+_STATE_SLOT = {"exact": "buckets", "topk": "sketch", "component": "components"}
+_TIER_CLASS = {
+    "exact": ExactPathWindow,
+    "topk": TopKPathSummary,
+    "component": ComponentActivitySummary,
+}
+PathTier = Union[ExactPathWindow, TopKPathSummary, ComponentActivitySummary]
 
 
 @dataclass(frozen=True)
@@ -128,30 +147,14 @@ class CausalPathProfiler:
         # Cached per-path completion counters, so record() never pays a
         # get-or-create registry lookup (label sorting + key render).
         self._m_completions: Dict[str, object] = {}
-        # Exact-mode state.  _buckets holds path_id -> OrderedDict[minute
-        # bucket -> count] exactly as before; _totals mirrors each path's
-        # in-window sum, _epoch_pids/_epoch_heap index which paths have a
-        # given minute so the read path can advance the whole window in
-        # O(expired entries), and _sample_epochs keeps the exact scalar
-        # per-minute completion totals every mode maintains.
-        self._buckets: Dict[str, "OrderedDict[int, int]"] = {}
-        self._totals: Dict[str, int] = {}
-        self._epoch_pids: Dict[int, List[str]] = {}
-        self._epoch_heap: List[int] = []
-        self._max_bucket: Optional[int] = None
-        self._sample_epochs: "OrderedDict[int, int]" = OrderedDict()
-        self._sample_total = 0
-        # Sketch-mode state (built lazily by set_mode / the constructor).
         self._topk_k = int(topk)
-        self._sketch: Optional[TopKPathSummary] = None
-        self._component_summary: Optional[ComponentActivitySummary] = None
         self._components_by_pid: Dict[str, Tuple[str, ...]] = {}
-        self._mode = "exact"
+        # The one windowed summary; set_mode swaps it.
+        self._mode = mode
+        self._tier: PathTier = self._new_tier(mode, self._topk_k)
         for req_type, signatures in sorted(static_paths.items()):
             for sig in signatures:
                 self._register(sig)
-        if mode != "exact":
-            self.set_mode(mode, topk=topk)
         #: Minute of the most recent :meth:`record` call (``None`` until
         #: the first).  Staleness detectors use this to distinguish "no
         #: recent samples because traffic is low" from "the sampled-path
@@ -170,7 +173,7 @@ class CausalPathProfiler:
     @property
     def sketch_evictions(self) -> int:
         """Space-saving evictions since the sketch was (re)built."""
-        return self._sketch.evictions if self._sketch is not None else 0
+        return self._tier.evictions
 
     @property
     def unmatched_observations(self) -> int:
@@ -189,8 +192,6 @@ class CausalPathProfiler:
         if pid not in self._paths:
             self._paths[pid] = signature
             self._by_identity[(signature.request_type, signature.edges)] = pid
-            self._buckets[pid] = OrderedDict()
-            self._totals[pid] = 0
             sigs = self._by_request.get(signature.request_type)
             if sigs is None:
                 self._by_request[signature.request_type] = [signature]
@@ -218,17 +219,28 @@ class CausalPathProfiler:
 
     # -- precision modes --------------------------------------------------------
 
-    def set_mode(self, mode: str, topk: Optional[int] = None) -> None:
-        """Switch precision tier at runtime, carrying over window state.
+    def _new_tier(self, mode: str, k: int) -> PathTier:
+        if mode == "topk":
+            return TopKPathSummary(k=k, window_minutes=self.window_minutes)
+        return _TIER_CLASS[mode](self.window_minutes)
 
-        * exact → topk/component: current buckets are replayed into the
-          fresh sketch (in epoch order), so a downshift under load keeps
-          the window's history instead of starting cold.
-        * topk → exact: monitored entries are materialised back into
-          buckets; the count-min tail cannot be attributed to individual
-          paths and is dropped (the tail re-accumulates within a window).
-        * component → anything: per-path identity was already collapsed,
-          so the new tier starts empty.
+    def _tier_key(self, pid: str):
+        """What the active tier files ``pid`` under."""
+        return self._components_of(pid) if self._mode == "component" else pid
+
+    def set_mode(self, mode: str, topk: Optional[int] = None) -> None:
+        """Switch precision tier at runtime: swap the tier, replay its events.
+
+        The new tier is fed ``old.events()`` in minute order, so what
+        carries over is whatever the old tier can still attribute to a
+        path: ``exact`` yields every cell (a downshift under load keeps
+        the window's history instead of starting cold), ``topk`` its
+        monitored entries (the count-min tail is dropped and
+        re-accumulates within a window — also on a ``topk`` resize),
+        ``component`` nothing (per-path identity was already collapsed,
+        so whatever follows it starts empty).  ``topk`` means something
+        only in ``topk`` mode: elsewhere a same-mode call records it and
+        keeps the tier.
         """
         if mode not in PROFILER_MODES:
             raise ProfilingError(
@@ -237,95 +249,18 @@ class CausalPathProfiler:
         k = self._topk_k if topk is None else int(topk)
         if k < 1:
             raise ProfilingError(f"topk must be >= 1, got {k}")
-        if mode == self._mode and k == self._topk_k:
+        old_k, self._topk_k = self._topk_k, k
+        if mode == self._mode and (mode != "topk" or k == old_k):
             return
-        old = self._mode
-        self._topk_k = k
-        if mode == "topk":
-            sketch = TopKPathSummary(k=k, window_minutes=self.window_minutes)
-            if old == "exact":
-                for epoch, pid, count in self._exact_events():
-                    sketch.record(pid, count, float(epoch))
-            elif old == "topk" and self._sketch is not None:
-                # Resize: reseed from the monitored entries (the count-min
-                # tail re-accumulates within a window).
-                events = sorted(
-                    (epoch, entry.key, count)
-                    for entry in self._sketch.topk.entries()
-                    for epoch, count in entry.epochs.items()
-                )
-                for epoch, pid, count in events:
-                    sketch.record(pid, count, float(epoch))
-            # component → topk starts cold: per-path identity is gone.
-            self._clear_exact()
-            self._sketch = sketch
-            self._component_summary = None
-        elif mode == "component":
-            summary = ComponentActivitySummary(self.window_minutes)
-            if old == "exact":
-                for epoch, pid, count in self._exact_events():
-                    summary.record(self._components_of(pid), count, float(epoch))
-            elif old == "topk" and self._sketch is not None:
-                events = sorted(
-                    (epoch, entry.key, count)
-                    for entry in self._sketch.topk.entries()
-                    for epoch, count in entry.epochs.items()
-                )
-                for epoch, pid, count in events:
-                    if pid in self._paths:
-                        summary.record(self._components_of(pid), count, float(epoch))
-            self._clear_exact()
-            self._component_summary = summary
-            self._sketch = None
-        else:  # exact
-            self._clear_exact()
-            if old == "topk" and self._sketch is not None:
-                for entry in sorted(self._sketch.topk.entries(), key=lambda e: e.key):
-                    if entry.key in self._buckets and entry.epochs:
-                        self._buckets[entry.key] = OrderedDict(sorted(entry.epochs.items()))
-                self._reindex()
-            self._sketch = None
-            self._component_summary = None
+        old = self._tier
         self._mode = mode
-        self._m_evictions.set(float(self.sketch_evictions))
-
-    def _exact_events(self) -> List[Tuple[int, str, int]]:
-        """All exact bucket entries as (epoch, pid, count), epoch-ordered."""
-        return sorted(
-            (epoch, pid, count)
-            for pid, buckets in self._buckets.items()
-            for epoch, count in buckets.items()
-        )
-
-    def _clear_exact(self) -> None:
-        for pid in self._buckets:
-            self._buckets[pid] = OrderedDict()
-            self._totals[pid] = 0
-        self._epoch_pids = {}
-        self._epoch_heap = []
-        self._max_bucket = None
-        self._sample_epochs = OrderedDict()
-        self._sample_total = 0
-
-    def _reindex(self) -> None:
-        """Rebuild running totals + epoch indexes from ``_buckets``."""
-        totals = {pid: 0 for pid in self._paths}
-        epoch_pids: Dict[int, List[str]] = {}
-        scalar: Dict[int, int] = {}
-        max_bucket: Optional[int] = None
-        for pid, buckets in self._buckets.items():
-            for epoch, count in buckets.items():
-                totals[pid] += count
-                epoch_pids.setdefault(epoch, []).append(pid)
-                scalar[epoch] = scalar.get(epoch, 0) + count
-                if max_bucket is None or epoch > max_bucket:
-                    max_bucket = epoch
-        self._totals = totals
-        self._epoch_pids = epoch_pids
-        self._epoch_heap = sorted(epoch_pids)  # a sorted list is a valid heap
-        self._sample_epochs = OrderedDict(sorted(scalar.items()))
-        self._sample_total = sum(scalar.values())
-        self._max_bucket = max_bucket
+        self._tier = self._new_tier(mode, k)
+        for epoch, pid, count in old.events():
+            # A sketch restored from a checkpoint may monitor ids this
+            # profiler never registered; they have no components to file.
+            if pid in self._paths:
+                self._tier.record(self._tier_key(pid), count, float(epoch))
+        self._m_evictions.set(float(self._tier.evictions))
 
     # -- recording ---------------------------------------------------------------
 
@@ -346,80 +281,19 @@ class CausalPathProfiler:
             self._m_unmatched.inc()
         if self.last_record_minutes is None or time_minutes > self.last_record_minutes:
             self.last_record_minutes = float(time_minutes)
+        self._tier.record(self._tier_key(pid), count, time_minutes)
         if self._mode == "exact":
-            self._record_exact(pid, count, time_minutes)
-        elif self._mode == "topk":
-            sketch = self._sketch
-            sketch.record(pid, count, time_minutes)
-            self._m_evictions.set(float(sketch.evictions))
+            completions = self._m_completions.get(pid)
+            if completions is None:
+                completions = self.telemetry.counter(
+                    "profiler.path_completions", labels={"path": pid}
+                )
+                self._m_completions[pid] = completions
+            completions.inc(count)
         else:
-            self._component_summary.record(self._components_of(pid), count, time_minutes)
+            self._m_evictions.set(float(self._tier.evictions))
         self._m_recordings.inc(count)
         return pid
-
-    def _record_exact(self, pid: str, count: int, time_minutes: float) -> None:
-        bucket = int(time_minutes)
-        buckets = self._buckets[pid]
-        if bucket in buckets:
-            buckets[bucket] += count
-        else:
-            buckets[bucket] = count
-            pids = self._epoch_pids.get(bucket)
-            if pids is None:
-                self._epoch_pids[bucket] = [pid]
-                heappush(self._epoch_heap, bucket)
-            else:
-                pids.append(pid)
-        self._totals[pid] += count
-        if self._max_bucket is None or bucket > self._max_bucket:
-            self._max_bucket = bucket
-        self._sample_epochs[bucket] = self._sample_epochs.get(bucket, 0) + count
-        self._sample_total += count
-        self._prune(pid, buckets, time_minutes)
-        completions = self._m_completions.get(pid)
-        if completions is None:
-            completions = self.telemetry.counter("profiler.path_completions", labels={"path": pid})
-            self._m_completions[pid] = completions
-        completions.inc(count)
-
-    def _prune(self, pid: str, buckets: "OrderedDict[int, int]", now: float) -> None:
-        horizon = now - self.window_minutes
-        while buckets:
-            oldest = next(iter(buckets))
-            if oldest < horizon:
-                self._totals[pid] -= buckets.pop(oldest)
-            else:
-                break
-        while self._sample_epochs:
-            oldest = next(iter(self._sample_epochs))
-            if oldest < horizon:
-                self._sample_total -= self._sample_epochs.pop(oldest)
-            else:
-                break
-
-    def _advance_window(self, horizon: float) -> None:
-        """Expire every bucket strictly older than ``horizon`` (all paths).
-
-        Same predicate as :meth:`_prune`, but driven from the shared
-        epoch index so a read touches only the entries that actually
-        expired — this is what keeps the ``counts()`` fast path a plain
-        running-total copy.
-        """
-        heap = self._epoch_heap
-        while heap and heap[0] < horizon:
-            epoch = heappop(heap)
-            for pid in self._epoch_pids.pop(epoch, ()):
-                buckets = self._buckets.get(pid)
-                if buckets is not None:
-                    count = buckets.pop(epoch, None)
-                    if count is not None:
-                        self._totals[pid] -= count
-        while self._sample_epochs:
-            oldest = next(iter(self._sample_epochs))
-            if oldest < horizon:
-                self._sample_total -= self._sample_epochs.pop(oldest)
-            else:
-                break
 
     # -- reading -----------------------------------------------------------------
 
@@ -431,31 +305,8 @@ class CausalPathProfiler:
         pinned to the exact windowed total (see
         :class:`~repro.profiling.sketches.TopKPathSummary`).
         """
-        if self._mode == "topk":
-            out = self._sketch.counts(list(self._paths), now_minutes)
-            self._m_estimate_error.set(self._sketch.probability_error_bound())
-            return out
-        if self._mode == "component":
-            self._m_estimate_error.set(0.0)
-            return self._component_summary.totals(now_minutes)
-        self._m_estimate_error.set(0.0)
-        horizon = now_minutes - self.window_minutes
-        self._advance_window(horizon)
-        if self._max_bucket is None or now_minutes >= self._max_bucket:
-            return dict(self._totals)
-        # A read earlier than the newest bucket (a replayed/past read)
-        # cannot use the running totals; fall back to the full scan.
-        return self._scan_counts(now_minutes)
-
-    def _scan_counts(self, now_minutes: float) -> Dict[str, int]:
-        """The pre-optimisation O(paths × window) read, kept as the
-        correctness fallback for reads into the past and as the
-        benchmark's reference implementation."""
-        horizon = now_minutes - self.window_minutes
-        out: Dict[str, int] = {}
-        for pid, buckets in self._buckets.items():
-            total = sum(c for minute, c in buckets.items() if horizon <= minute <= now_minutes)
-            out[pid] = total
+        out = self._tier.counts(self._paths, now_minutes)
+        self._m_estimate_error.set(self._tier.probability_error_bound())
         return out
 
     def counts_between(self, start_minutes: float, end_minutes: float) -> Dict[str, int]:
@@ -464,37 +315,23 @@ class CausalPathProfiler:
         Elasticity managers use a short recent horizon for the *mix*
         estimate (so they adapt to hot-path shifts) while the full window
         backs the long-term causal probabilities; both reads share the
-        same buckets.  Keyed like :meth:`counts` (component names in
+        same minute tables.  Keyed like :meth:`counts` (component names in
         ``component`` mode).
         """
         if end_minutes < start_minutes:
             raise ProfilingError(f"empty interval [{start_minutes}, {end_minutes}]")
-        if self._mode == "topk":
-            return self._sketch.counts_between(list(self._paths), start_minutes, end_minutes)
-        if self._mode == "component":
-            return self._component_summary.totals_between(start_minutes, end_minutes)
-        out: Dict[str, int] = {}
-        for pid, buckets in self._buckets.items():
-            total = sum(c for minute, c in buckets.items() if start_minutes <= minute <= end_minutes)
-            out[pid] = total
-        return out
+        return self._tier.counts_between(self._paths, start_minutes, end_minutes)
 
     def sample_total_between(self, start_minutes: float, end_minutes: float) -> int:
         """Exact number of recorded completions in ``[start, end]``.
 
-        Maintained as a scalar per-minute ring in *every* mode, so
-        staleness detection keeps its exact sample-flow signal even when
+        The window's per-minute mass, kept exactly by *every* tier, so
+        staleness detection keeps its sample-flow signal even when
         per-path counts are sketched or collapsed to components.
         """
         if end_minutes < start_minutes:
             raise ProfilingError(f"empty interval [{start_minutes}, {end_minutes}]")
-        if self._mode == "topk":
-            return self._sketch.sample_total_between(start_minutes, end_minutes)
-        if self._mode == "component":
-            return self._component_summary.sample_total_between(start_minutes, end_minutes)
-        return sum(
-            c for e, c in self._sample_epochs.items() if start_minutes <= e <= end_minutes
-        )
+        return self._tier.sample_total_between(start_minutes, end_minutes)
 
     def component_weight_estimates(self, now_minutes: float) -> Dict[str, float]:
         """``component``-mode ``w_c`` estimates (touch fraction per component).
@@ -506,7 +343,7 @@ class CausalPathProfiler:
             raise ProfilingError(
                 f"component_weight_estimates requires component mode, profiler is in {self._mode!r}"
             )
-        return self._component_summary.weights(now_minutes)
+        return self._tier.weights(now_minutes)
 
     def snapshot(self, now_minutes: float) -> ProfileSnapshot:
         return ProfileSnapshot(
@@ -526,11 +363,10 @@ class CausalPathProfiler:
         partition of the sweep and merges them back — in whatever
         precision mode the sweep asked for, instead of forcing exact.
         Both sides must share the mode and window (and ``k`` in ``topk``
-        mode); exact buckets add per minute and reindex, sketches merge
-        via their mergeable-summary operations
-        (:mod:`repro.profiling.sketches`), component tables add per
-        epoch.  Dynamic-registration/unmatched tallies carry over;
-        per-path ``profiler.path_completions`` counters do *not* — they
+        mode, which the summaries check); the tiers fold minute by
+        minute via their mergeable-summary operations
+        (:mod:`repro.profiling.sketches`).
+        Dynamic-registration/unmatched tallies carry over; per-path ``profiler.path_completions`` counters do *not* — they
         live in each worker's telemetry registry, whose snapshot the
         runner merges separately (double-counting them here would skew
         the sweep's telemetry).
@@ -546,25 +382,8 @@ class CausalPathProfiler:
             )
         for sig in other._paths.values():
             self._register(sig)
-        if self._mode == "exact":
-            for pid, buckets in other._buckets.items():
-                if not buckets:
-                    continue
-                mine = self._buckets[pid]
-                for epoch, count in buckets.items():
-                    mine[epoch] = mine.get(epoch, 0) + count
-                self._buckets[pid] = OrderedDict(sorted(mine.items()))
-            self._reindex()
-        elif self._mode == "topk":
-            if other._topk_k != self._topk_k:
-                raise ProfilingError(
-                    f"cannot merge topk profilers of different k: "
-                    f"{self._topk_k} vs {other._topk_k}"
-                )
-            self._sketch.merge(other._sketch)
-            self._m_evictions.set(float(self._sketch.evictions))
-        else:
-            self._component_summary.merge(other._component_summary)
+        self._tier.merge(other._tier)
+        self._m_evictions.set(float(self._tier.evictions))
         if other.dynamic_registrations:
             self._m_dynamic.inc(other.dynamic_registrations)
         if other.unmatched_observations:
@@ -601,19 +420,19 @@ class CausalPathProfiler:
                 }
                 for sig in self._paths.values()
             ],
-            "buckets": {
-                pid: sorted(buckets.items()) for pid, buckets in self._buckets.items()
-            },
+            "buckets": {pid: [] for pid in self._paths},
             "last_record_minutes": self.last_record_minutes,
             "dynamic_registrations": self.dynamic_registrations,
             "unmatched_observations": self.unmatched_observations,
-            "sketch": self._sketch.to_state() if self._sketch is not None else None,
-            "components": (
-                self._component_summary.to_state()
-                if self._component_summary is not None
-                else None
-            ),
+            "sketch": None,
+            "components": None,
         }
+        state = self._tier.to_state()
+        if self._mode == "exact":
+            # Pid-major, every registered path present: the ring transposed.
+            payload["buckets"].update(state)
+        else:
+            payload[_STATE_SLOT[self._mode]] = state
         return json.dumps(payload)
 
     @classmethod
@@ -652,27 +471,16 @@ class CausalPathProfiler:
             mode=mode,
             topk=topk,
         )
-        for pid, buckets in payload["buckets"].items():
-            if pid not in profiler._buckets:
+        for pid in payload["buckets"]:
+            if pid not in profiler._paths:
                 raise ProfilingError(f"checkpoint references unknown path id {pid!r}")
-            profiler._buckets[pid] = OrderedDict(
-                (int(minute), int(count)) for minute, count in buckets
-            )
-        profiler._reindex()
+        state = payload.get(_STATE_SLOT[mode])
+        if state is not None:
+            profiler._tier = _TIER_CLASS[mode].from_state(state, profiler.window_minutes)
+            profiler._m_evictions.set(float(profiler._tier.evictions))
         if version >= 2:
             last = payload.get("last_record_minutes")
             profiler.last_record_minutes = None if last is None else float(last)
-            sketch_state = payload.get("sketch")
-            if sketch_state is not None:
-                profiler._sketch = TopKPathSummary.from_state(
-                    sketch_state, profiler.window_minutes
-                )
-                profiler._m_evictions.set(float(profiler._sketch.evictions))
-            component_state = payload.get("components")
-            if component_state is not None:
-                profiler._component_summary = ComponentActivitySummary.from_state(
-                    component_state, profiler.window_minutes
-                )
         profiler._m_dynamic.inc(int(payload.get("dynamic_registrations", 0)))
         profiler._m_unmatched.inc(int(payload.get("unmatched_observations", 0)))
         return profiler

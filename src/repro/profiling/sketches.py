@@ -1,46 +1,65 @@
-"""Bounded-memory sliding-window summaries for the causal-path profiler.
+"""The profiler's sliding window and the precision tiers built on it.
 
-At production path cardinality the profiler cannot afford one exact
-per-minute bucket map per path: memory is O(paths × window) and every
-``counts()`` read walks all of it.  This module provides the sketch tier
-behind the profiler's precision modes (see
-:mod:`repro.profiling.profiler`):
+The paper has one window — causal probability is a path's share of the
+completions counted "over a sliding (60-minute, configurable) window" —
+and so does this module: :class:`WindowedCounts`, a ring of per-minute
+``{key: count}`` tables with a per-minute *mass*, running per-key totals
+and one total.  It is the only place that knows how a minute enters and
+leaves the window; everything else says what it keys the ring by:
 
-* :class:`WindowedCountMinSketch` — a dependency-free count-min sketch
-  whose counters are kept per minute in a ring of epoch tables plus one
-  aggregate table.  Recording updates both; when an epoch slides out of
-  the window its table is subtracted from the aggregate and dropped, so
-  pruning is O(table) per *epoch*, independent of how many paths or
-  buckets passed through the window.
-* :class:`SpaceSavingTopK` — a space-saving summary of the ``k``
-  heaviest keys.  Each monitored entry carries its own per-minute epoch
-  ring, and a shared epoch → keys index lets the window advance touch
-  only the entries that actually have counts in the expiring minute.
-* :class:`TopKPathSummary` — the combination the profiler's ``topk``
-  mode uses: hot paths live in the space-saving summary (near-exact,
-  per-entry error bound), the tail lives in the count-min sketch, and an
-  *exact* scalar per-epoch total anchors the probability denominator so
-  hot-path causal probabilities stay within
-  :data:`HOT_PATH_PROBABILITY_EPSILON` of the exact profiler.
-* :class:`ComponentActivitySummary` — the cheapest tier (``component``
-  mode): per-component windowed totals only, in the spirit of D²ABS's
-  coarsest cost-effectiveness level.
+* :class:`ExactPathWindow` (``exact`` mode) — keyed by path id.  Memory
+  is one cell per (path, minute) actually recorded.
+* :class:`ComponentActivitySummary` (``component`` mode, the cheapest
+  tier, in the spirit of D²ABS's coarsest cost-effectiveness level) —
+  keyed by component name; a completion is filed under every component
+  on its path and counts once in the mass.
+* :class:`WindowedCountMinSketch` — keyed by flat cell index
+  (``row * width + column``), with a dense list as the running totals,
+  so an estimate is ``depth`` index reads and expiring a minute is one
+  subtract-and-drop, O(non-zero cells of that minute).
+* :class:`TopKPathSummary` (``topk`` mode) — hot paths live in a
+  :class:`SpaceSavingTopK` (near-exact, per-entry error bound), the tail
+  in the count-min sketch, and a key-less ring keeps the *exact*
+  per-minute mass that anchors the probability denominator, so hot-path
+  causal probabilities stay within :data:`HOT_PATH_PROBABILITY_EPSILON`
+  of the exact tier.  That mass is also the sample-flow signal
+  (``sample_total_between``) every tier answers exactly.
+* :class:`SpaceSavingTopK` stays entry-major: each monitored key carries
+  its own per-minute counts (plus a shared epoch → keys index for
+  expiry), because an eviction must drop a key's whole history in O(1);
+  on the ring it would cost a visit to every live minute.
 
-All structures share the exact profiler's window semantics: counts land
-in ``int(time_minutes)`` buckets and an epoch is pruned once it is
-*strictly* older than ``now - window_minutes`` (a bucket exactly on the
-horizon is still inside the window).  Like the exact bucket store, the
-epoch rings assume record times are (mostly) monotone — the simulator's
-clock is.
+Tier protocol
+-------------
+
+The three tiers the profiler can hold answer the same calls:
+``record(key, count, t)``, ``counts(keys, now)``,
+``counts_between(keys, start, end)``, ``sample_total_between(start,
+end)``, ``events()`` (what the tier can still attribute to a path, as
+``(epoch, key, count)`` in minute order — a mode switch replays it into
+the new tier), ``merge(other)``, ``evictions``,
+``probability_error_bound()`` and ``to_state()`` / ``from_state()``.
+
+Window rule
+-----------
+
+Counts land in ``int(time_minutes)`` minutes, and a minute expires —
+whole, for every key at once — when the window is advanced to a time it
+is *strictly* older than ``time - window_minutes`` of (a minute exactly
+on the horizon is still inside).  ``record`` and ``counts`` advance;
+``counts_between`` does not.  So a read at a time earlier than one the
+window has already been shown sees the window ending at the newest time
+shown; every caller under ``src/`` reads at a monotone clock.
 
 Mergeability
 ------------
 
 Every summary here is a *mergeable summary*: per-worker instances built
 over a partition of one record stream fold into a single instance whose
-estimates match a sketch of the whole stream (count-min exactly, by
-linearity; space-saving within the absent side's floor — see
-:meth:`SpaceSavingTopK.merge`).  Merges are epoch-aligned so the sliding
+estimates match a summary of the whole stream (the ring and count-min
+exactly, by linearity; space-saving within the absent side's floor — see
+:meth:`SpaceSavingTopK.merge`).  Merges are minute-aligned (they land in
+past minutes, which the ring sorts back into place) so the sliding
 window keeps expiring correctly afterwards, and deterministic (sorted
 union order, ``(total, key)`` eviction tiebreak) so parallel sweeps stay
 reproducible.  This is what lets the parallel experiment runner keep
@@ -66,8 +85,8 @@ For a window holding ``N`` recorded completions:
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import OrderedDict, defaultdict
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ProfilingError
 
@@ -94,24 +113,195 @@ def _epoch_of(time_minutes: float) -> int:
     return int(time_minutes)
 
 
-class WindowedCountMinSketch:
-    """Count-min sketch over a sliding window of per-minute epochs.
+class WindowedCounts:
+    """The sliding window: ``epoch → {key: count}``, oldest minute first.
 
-    One aggregate table answers :meth:`estimate` in O(depth); the ring
-    of per-epoch (sparse) tables exists so expiring a minute is a single
-    subtract-and-drop, O(non-zero cells of that minute).
+    The one place that knows how a minute enters and leaves the window.
+    Besides the per-minute tables it keeps a per-minute *mass* (each
+    :meth:`add` counts once, however many keys it touches — a completion
+    filed under three components is still one completion), running
+    per-key :attr:`totals` over the live minutes and their :attr:`total`
+    mass.  ``totals`` may be any container indexable by key that answers
+    ``+=`` on a missing key: the default grows on first touch and never
+    drops a key (so a key keeps its first-touch position when its total
+    returns to zero — callers sum floats in that order); the count-min
+    sketch hands in a dense list.
+
+    Expiry rule: :meth:`advance` drops whole minutes *strictly* older
+    than ``now - window_minutes``, from the front; nothing else expires.
+    A read at a time earlier than one already shown therefore sees the
+    window ending at the newest time shown, not its own.
     """
 
-    __slots__ = (
-        "window_minutes",
-        "width",
-        "depth",
-        "_agg",
-        "_epochs",
-        "_epoch_totals",
-        "_salt_bases",
-        "total",
-    )
+    __slots__ = ("window_minutes", "epochs", "mass", "totals", "total")
+
+    def __init__(self, window_minutes: float, totals=None) -> None:
+        if window_minutes <= 0:
+            raise ProfilingError(f"window_minutes must be positive, got {window_minutes}")
+        self.window_minutes = float(window_minutes)
+        self.epochs: "OrderedDict[int, Dict[Hashable, int]]" = OrderedDict()
+        self.mass: Dict[int, int] = {}
+        self.totals = defaultdict(int) if totals is None else totals
+        self.total = 0
+
+    def advance(self, time_minutes: float) -> None:
+        """Expire minutes strictly older than the window ending now."""
+        horizon = time_minutes - self.window_minutes
+        epochs = self.epochs
+        while epochs:
+            oldest = next(iter(epochs))
+            if oldest >= horizon:
+                break
+            totals = self.totals
+            for key, count in epochs.pop(oldest).items():
+                totals[key] -= count
+            self.total -= self.mass.pop(oldest)
+
+    def _minute(self, epoch: int) -> Dict[Hashable, int]:
+        """Open minute ``epoch``, sorted into place if it arrives late
+        (:meth:`advance` pops from the front)."""
+        late = bool(self.epochs) and epoch < next(reversed(self.epochs))
+        table = self.epochs[epoch] = {}
+        self.mass[epoch] = 0
+        if late:
+            self.epochs = OrderedDict(sorted(self.epochs.items()))
+        return table
+
+    def add(self, keys: Iterable[Hashable], count: int, time_minutes: float) -> None:
+        """Count ``count`` under every key, once in the minute's mass."""
+        # The profiler's hot path: spelled out rather than routed through
+        # put(), which costs a third of a record at one key per call.
+        self.advance(time_minutes)
+        epoch = int(time_minutes)
+        table = self.epochs.get(epoch)
+        if table is None:
+            table = self._minute(epoch)
+        totals = self.totals
+        for key in keys:
+            table[key] = table.get(key, 0) + count
+            totals[key] += count
+        self.mass[epoch] += count
+        self.total += count
+
+    def put(self, epoch: int, cells: Iterable[Tuple[Hashable, int]], mass: int) -> None:
+        """Add ``cells`` and ``mass`` to minute ``epoch`` without expiring:
+        merges and restores land in past minutes."""
+        table = self.epochs.get(epoch)
+        if table is None:
+            table = self._minute(epoch)
+        totals = self.totals
+        for key, count in cells:
+            table[key] = table.get(key, 0) + count
+            totals[key] += count
+        self.mass[epoch] += mass
+        self.total += mass
+
+    def between(self, start_minutes: float, end_minutes: float) -> Dict[Hashable, int]:
+        """Per-key counts over the live minutes in ``[start, end]``."""
+        out: Dict[Hashable, int] = {}
+        for epoch, table in self.epochs.items():
+            if start_minutes <= epoch <= end_minutes:
+                for key, count in table.items():
+                    out[key] = out.get(key, 0) + count
+        return out
+
+    def mass_between(self, start_minutes: float, end_minutes: float) -> int:
+        return sum(m for e, m in self.mass.items() if start_minutes <= e <= end_minutes)
+
+    def merge(self, other: "WindowedCounts") -> None:
+        """Fold ``other`` in minute by minute, so expiry keeps working."""
+        if other.window_minutes != self.window_minutes:
+            raise ProfilingError(
+                "cannot merge windows of different length: "
+                f"{self.window_minutes} vs {other.window_minutes}"
+            )
+        for epoch, table in other.epochs.items():
+            self.put(epoch, table.items(), other.mass[epoch])
+
+    def to_state(self) -> Tuple[List[object], List[Tuple[int, int]]]:
+        """The ``(cells, mass)`` pair the checkpoint formats embed."""
+        cells = [[epoch, sorted(table.items())] for epoch, table in self.epochs.items()]
+        return cells, sorted(self.mass.items())
+
+    def load(self, cells, mass) -> None:
+        """Inverse of :meth:`to_state` (into an empty window)."""
+        tables = {int(epoch): items for epoch, items in cells}
+        for epoch, count in mass:
+            self.put(int(epoch), tables.get(int(epoch), ()), int(count))
+
+
+class ExactPathWindow:
+    """The ``exact`` tier: the window keyed by path id, nothing estimated."""
+
+    __slots__ = ("ring",)
+    evictions = 0
+
+    def __init__(self, window_minutes: float = 60.0) -> None:
+        self.ring = WindowedCounts(window_minutes)
+
+    def record(self, key: str, count: int, time_minutes: float) -> None:
+        self.ring.add((key,), count, time_minutes)
+
+    def counts(self, keys: Iterable[str], now_minutes: float) -> Dict[str, int]:
+        """Every key (zeros included, in ``keys`` order) over the window."""
+        ring = self.ring
+        ring.advance(now_minutes)
+        if ring.epochs and now_minutes < next(reversed(ring.epochs)):
+            # A read into the past cannot use the running totals.
+            return self.counts_between(keys, now_minutes - ring.window_minutes, now_minutes)
+        out = dict.fromkeys(keys, 0)
+        out.update(ring.totals)
+        return out
+
+    def counts_between(
+        self, keys: Iterable[str], start_minutes: float, end_minutes: float
+    ) -> Dict[str, int]:
+        out = dict.fromkeys(keys, 0)
+        out.update(self.ring.between(start_minutes, end_minutes))
+        return out
+
+    def sample_total_between(self, start_minutes: float, end_minutes: float) -> int:
+        return self.ring.mass_between(start_minutes, end_minutes)
+
+    def probability_error_bound(self) -> float:
+        return 0.0
+
+    def events(self) -> Iterator[Tuple[int, str, int]]:
+        """Every cell as ``(epoch, key, count)``, in ``(epoch, key)`` order."""
+        for epoch, table in self.ring.epochs.items():
+            for key, count in sorted(table.items()):
+                yield epoch, key, count
+
+    def merge(self, other: "ExactPathWindow") -> None:
+        self.ring.merge(other.ring)
+
+    def to_state(self) -> Dict[str, List[List[int]]]:
+        """Key-major ``{key: [[epoch, count], ...]}`` — the checkpoint's
+        ``"buckets"``, a transposition of the ring."""
+        out: Dict[str, List[List[int]]] = {}
+        for epoch, key, count in self.events():
+            out.setdefault(key, []).append([epoch, count])
+        return out
+
+    @classmethod
+    def from_state(cls, state: Dict[str, object], window_minutes: float) -> "ExactPathWindow":
+        tier = cls(window_minutes)
+        for key, buckets in state.items():
+            for epoch, count in buckets:
+                tier.ring.put(int(epoch), ((key, int(count)),), int(count))
+        return tier
+
+
+class WindowedCountMinSketch:
+    """Count-min sketch over the sliding window, keyed by flat cell index.
+
+    The window's running totals *are* the aggregate table (a dense list,
+    so :meth:`estimate` stays O(depth) index reads); the per-minute
+    (sparse) tables exist so expiring a minute is one subtract-and-drop,
+    O(non-zero cells of that minute).
+    """
+
+    __slots__ = ("width", "depth", "ring", "_salt_bases")
 
     def __init__(
         self,
@@ -119,27 +309,23 @@ class WindowedCountMinSketch:
         width: int = DEFAULT_CMS_WIDTH,
         depth: int = DEFAULT_CMS_DEPTH,
     ) -> None:
-        if window_minutes <= 0:
-            raise ProfilingError(f"window_minutes must be positive, got {window_minutes}")
         if width < 8:
             raise ProfilingError(f"count-min width must be >= 8, got {width}")
         if not 1 <= depth <= len(_SALTS):
             raise ProfilingError(f"count-min depth must be in [1, {len(_SALTS)}], got {depth}")
-        self.window_minutes = float(window_minutes)
         self.width = int(width)
         self.depth = int(depth)
-        self._agg: List[int] = [0] * (self.width * self.depth)
-        # epoch -> sparse {flat index -> count}; insertion order is
-        # chronological under the monotone-clock contract.
-        self._epochs: "OrderedDict[int, Dict[int, int]]" = OrderedDict()
-        self._epoch_totals: Dict[int, int] = {}
+        self.ring = WindowedCounts(window_minutes, totals=[0] * (self.width * self.depth))
         # (salt, row offset) pairs, precomputed so the read loop does no
         # per-row arithmetic beyond the hash itself.
         self._salt_bases: Tuple[Tuple[int, int], ...] = tuple(
             (_SALTS[row], row * self.width) for row in range(self.depth)
         )
-        #: Windowed tail mass (sum of all counts currently in the ring).
-        self.total = 0
+
+    @property
+    def total(self) -> int:
+        """Windowed tail mass (sum of all counts currently in the ring)."""
+        return self.ring.total
 
     def _indexes(self, key: str) -> List[int]:
         data = key.encode("utf-8")
@@ -149,35 +335,14 @@ class WindowedCountMinSketch:
         ]
 
     def advance(self, time_minutes: float) -> None:
-        """Expire epochs strictly older than the window ending now."""
-        horizon = time_minutes - self.window_minutes
-        while self._epochs:
-            oldest = next(iter(self._epochs))
-            if oldest >= horizon:
-                break
-            table = self._epochs.pop(oldest)
-            agg = self._agg
-            for idx, c in table.items():
-                agg[idx] -= c
-            self.total -= self._epoch_totals.pop(oldest)
+        self.ring.advance(time_minutes)
 
     def add(self, key: str, count: int, time_minutes: float) -> None:
-        self.advance(time_minutes)
-        epoch = _epoch_of(time_minutes)
-        table = self._epochs.get(epoch)
-        if table is None:
-            table = self._epochs[epoch] = {}
-            self._epoch_totals[epoch] = 0
-        agg = self._agg
-        for idx in self._indexes(key):
-            table[idx] = table.get(idx, 0) + count
-            agg[idx] += count
-        self._epoch_totals[epoch] += count
-        self.total += count
+        self.ring.add(self._indexes(key), count, time_minutes)
 
     def estimate(self, key: str) -> int:
         """Windowed count estimate (never an underestimate)."""
-        agg = self._agg
+        agg = self.ring.totals
         width = self.width
         data = key.encode("utf-8")
         best = -1
@@ -194,7 +359,7 @@ class WindowedCountMinSketch:
         """Estimate over the sub-range ``start <= minute <= end``."""
         idxs = self._indexes(key)
         total = 0
-        for epoch, table in self._epochs.items():
+        for epoch, table in self.ring.epochs.items():
             if start_minutes <= epoch <= end_minutes:
                 total += min(table.get(idx, 0) for idx in idxs)
         return total
@@ -210,59 +375,25 @@ class WindowedCountMinSketch:
         same geometry (width, depth — and therefore the same salt rows)
         yields *exactly* the sketch of the concatenated streams, so a
         per-worker partition of a record stream merges without any added
-        error.  Epochs are aligned minute by minute so windowed expiry
-        keeps working after the merge; the ring is re-sorted because the
-        other side may contribute minutes older than our newest.
+        error.
         """
         if (other.width, other.depth) != (self.width, self.depth):
             raise ProfilingError(
                 "cannot merge count-min sketches of different geometry: "
                 f"{self.width}x{self.depth} vs {other.width}x{other.depth}"
             )
-        if other.window_minutes != self.window_minutes:
-            raise ProfilingError(
-                "cannot merge count-min sketches with different windows: "
-                f"{self.window_minutes} vs {other.window_minutes}"
-            )
-        agg = self._agg
-        for epoch, table in other._epochs.items():
-            mine = self._epochs.get(epoch)
-            if mine is None:
-                mine = self._epochs[epoch] = {}
-                self._epoch_totals[epoch] = 0
-            for idx, c in table.items():
-                mine[idx] = mine.get(idx, 0) + c
-                agg[idx] += c
-            epoch_total = other._epoch_totals[epoch]
-            self._epoch_totals[epoch] += epoch_total
-            self.total += epoch_total
-        # Restore the chronological insertion order advance() relies on.
-        self._epochs = OrderedDict(sorted(self._epochs.items()))
+        self.ring.merge(other.ring)
 
     # -- persistence (checkpoint format v2) ------------------------------------
 
     def to_state(self) -> Dict[str, object]:
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "epochs": [
-                [epoch, sorted(table.items())] for epoch, table in self._epochs.items()
-            ],
-            "epoch_totals": sorted(self._epoch_totals.items()),
-        }
+        cells, mass = self.ring.to_state()
+        return {"width": self.width, "depth": self.depth, "epochs": cells, "epoch_totals": mass}
 
     @classmethod
     def from_state(cls, state: Dict[str, object], window_minutes: float) -> "WindowedCountMinSketch":
         sketch = cls(window_minutes, width=int(state["width"]), depth=int(state["depth"]))
-        totals = {int(e): int(t) for e, t in state["epoch_totals"]}
-        for epoch, cells in state["epochs"]:
-            epoch = int(epoch)
-            table = {int(idx): int(c) for idx, c in cells}
-            sketch._epochs[epoch] = table
-            for idx, c in table.items():
-                sketch._agg[idx] += c
-            sketch._epoch_totals[epoch] = totals.get(epoch, 0)
-            sketch.total += sketch._epoch_totals[epoch]
+        sketch.ring.load(state["epochs"], state["epoch_totals"])
         return sketch
 
 
@@ -456,12 +587,13 @@ class TopKPathSummary:
     A record goes to the space-saving summary when its path is already
     monitored; otherwise it lands in the count-min tail, and the path is
     promoted into the summary when its tail estimate overtakes the
-    current minimum (the classic space-saving admission rule).  An exact
-    scalar per-epoch total is kept alongside so reads can pin the
-    probability denominator — see :meth:`counts`.
+    current minimum (the classic space-saving admission rule).  A
+    key-less window (:attr:`flow`) keeps the exact per-minute mass
+    alongside so reads can pin the probability denominator — see
+    :meth:`counts`.
     """
 
-    __slots__ = ("window_minutes", "topk", "cms", "_sample_epochs", "sample_total")
+    __slots__ = ("window_minutes", "topk", "cms", "flow")
 
     def __init__(
         self,
@@ -473,30 +605,27 @@ class TopKPathSummary:
         self.window_minutes = float(window_minutes)
         self.topk = SpaceSavingTopK(k, window_minutes)
         self.cms = WindowedCountMinSketch(window_minutes, width=cms_width, depth=cms_depth)
-        # Exact scalar totals per epoch: O(window) integers, regardless
-        # of path cardinality.
-        self._sample_epochs: "OrderedDict[int, int]" = OrderedDict()
-        self.sample_total = 0
+        # Exact mass per epoch: O(window) integers, regardless of path
+        # cardinality.
+        self.flow = WindowedCounts(window_minutes)
 
     @property
     def evictions(self) -> int:
         return self.topk.evictions
 
+    @property
+    def sample_total(self) -> int:
+        """Exact number of completions in the window."""
+        return self.flow.total
+
     def advance(self, time_minutes: float) -> None:
         self.topk.advance(time_minutes)
         self.cms.advance(time_minutes)
-        horizon = time_minutes - self.window_minutes
-        while self._sample_epochs:
-            oldest = next(iter(self._sample_epochs))
-            if oldest >= horizon:
-                break
-            self.sample_total -= self._sample_epochs.pop(oldest)
+        self.flow.advance(time_minutes)
 
     def record(self, key: str, count: int, time_minutes: float) -> None:
         self.advance(time_minutes)
-        epoch = _epoch_of(time_minutes)
-        self._sample_epochs[epoch] = self._sample_epochs.get(epoch, 0) + count
-        self.sample_total += count
+        self.flow.put(_epoch_of(time_minutes), (), count)
         if self.topk.increment(key, count, time_minutes):
             return
         self.cms.add(key, count, time_minutes)
@@ -515,11 +644,9 @@ class TopKPathSummary:
 
     def sample_total_between(self, start_minutes: float, end_minutes: float) -> int:
         """Exact number of recorded completions in ``[start, end]``."""
-        return sum(
-            c for e, c in self._sample_epochs.items() if start_minutes <= e <= end_minutes
-        )
+        return self.flow.mass_between(start_minutes, end_minutes)
 
-    def counts(self, keys: Sequence[str], now_minutes: float) -> Dict[str, int]:
+    def counts(self, keys: Iterable[str], now_minutes: float) -> Dict[str, int]:
         """Windowed estimates for ``keys``, summing to the exact total.
 
         Monitored paths report their space-saving totals; the remaining
@@ -537,7 +664,7 @@ class TopKPathSummary:
         )
 
     def counts_between(
-        self, keys: Sequence[str], start_minutes: float, end_minutes: float
+        self, keys: Iterable[str], start_minutes: float, end_minutes: float
     ) -> Dict[str, int]:
         return self._estimates(
             keys,
@@ -585,14 +712,23 @@ class TopKPathSummary:
         """Worst-case hot-path probability overestimate right now."""
         return self.topk.max_error() / max(1, self.sample_total)
 
+    def events(self) -> List[Tuple[int, str, int]]:
+        """The monitored entries' cells in ``(epoch, key)`` order; the
+        count-min tail cannot be attributed to a key and is not replayed."""
+        return sorted(
+            (epoch, entry.key, count)
+            for entry in self.topk.entries()
+            for epoch, count in entry.epochs.items()
+        )
+
     def merge(self, other: "TopKPathSummary") -> None:
         """Fold a peer summary (e.g. another worker's) into this one.
 
         All three constituents merge independently: the space-saving
         union re-evicts to ``k`` deterministically, the count-min tables
-        add exactly (linearity), and the exact per-epoch scalar totals
-        add minute by minute — so :meth:`counts` keeps pinning the
-        merged estimates to the *combined* exact windowed total.
+        add exactly (linearity), and the exact per-epoch mass adds
+        minute by minute — so :meth:`counts` keeps pinning the merged
+        estimates to the *combined* exact windowed total.
         """
         if other.window_minutes != self.window_minutes:
             raise ProfilingError(
@@ -601,10 +737,7 @@ class TopKPathSummary:
             )
         self.topk.merge(other.topk)
         self.cms.merge(other.cms)
-        for epoch, count in other._sample_epochs.items():
-            self._sample_epochs[epoch] = self._sample_epochs.get(epoch, 0) + count
-            self.sample_total += count
-        self._sample_epochs = OrderedDict(sorted(self._sample_epochs.items()))
+        self.flow.merge(other.flow)
 
     # -- persistence (checkpoint format v2) ------------------------------------
 
@@ -612,7 +745,7 @@ class TopKPathSummary:
         return {
             "topk": self.topk.to_state(),
             "cms": self.cms.to_state(),
-            "sample_epochs": list(self._sample_epochs.items()),
+            "sample_epochs": self.flow.to_state()[1],
         }
 
     @classmethod
@@ -620,73 +753,63 @@ class TopKPathSummary:
         summary = cls(k=int(state["topk"]["k"]), window_minutes=window_minutes)
         summary.topk = SpaceSavingTopK.from_state(state["topk"], window_minutes)
         summary.cms = WindowedCountMinSketch.from_state(state["cms"], window_minutes)
-        for epoch, count in state["sample_epochs"]:
-            summary._sample_epochs[int(epoch)] = int(count)
-            summary.sample_total += int(count)
+        summary.flow.load((), state["sample_epochs"])
         return summary
 
 
 class ComponentActivitySummary:
-    """The ``component`` tier: windowed per-component totals only.
+    """The ``component`` tier: the window keyed by component name.
 
     The cheapest precision level — memory is O(components × window) and
     entirely independent of path cardinality.  ``weights`` divides each
-    component's touch count by the exact number of recorded completions,
-    matching the ``w_c`` the DCA manager derives from per-path causal
-    probabilities (a completion touching a component contributes its
-    full probability mass either way).
+    component's touch count by the exact number of recorded completions
+    (the window's mass), matching the ``w_c`` the DCA manager derives
+    from per-path causal probabilities (a completion touching a
+    component contributes its full probability mass either way).
     """
 
-    __slots__ = ("window_minutes", "_epochs", "_epoch_requests", "_totals", "request_total")
+    __slots__ = ("ring",)
+    evictions = 0
 
     def __init__(self, window_minutes: float = 60.0) -> None:
-        if window_minutes <= 0:
-            raise ProfilingError(f"window_minutes must be positive, got {window_minutes}")
-        self.window_minutes = float(window_minutes)
-        self._epochs: "OrderedDict[int, Dict[str, int]]" = OrderedDict()
-        self._epoch_requests: Dict[int, int] = {}
-        self._totals: Dict[str, int] = {}
-        self.request_total = 0
+        self.ring = WindowedCounts(window_minutes)
+
+    @property
+    def request_total(self) -> int:
+        return self.ring.total
 
     def advance(self, time_minutes: float) -> None:
-        horizon = time_minutes - self.window_minutes
-        while self._epochs:
-            oldest = next(iter(self._epochs))
-            if oldest >= horizon:
-                break
-            for comp, count in self._epochs.pop(oldest).items():
-                self._totals[comp] -= count
-            self.request_total -= self._epoch_requests.pop(oldest)
+        self.ring.advance(time_minutes)
 
     def record(self, components: Iterable[str], count: int, time_minutes: float) -> None:
-        self.advance(time_minutes)
-        epoch = _epoch_of(time_minutes)
-        table = self._epochs.get(epoch)
-        if table is None:
-            table = self._epochs[epoch] = {}
-            self._epoch_requests[epoch] = 0
-        for comp in components:
-            table[comp] = table.get(comp, 0) + count
-            self._totals[comp] = self._totals.get(comp, 0) + count
-        self._epoch_requests[epoch] += count
-        self.request_total += count
+        self.ring.add(components, count, time_minutes)
 
     def totals(self, now_minutes: float) -> Dict[str, int]:
-        self.advance(now_minutes)
-        return {comp: total for comp, total in self._totals.items() if total > 0}
+        """Live components in first-touch order (callers sum in it)."""
+        self.ring.advance(now_minutes)
+        return {comp: total for comp, total in self.ring.totals.items() if total > 0}
 
     def totals_between(self, start_minutes: float, end_minutes: float) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for epoch, table in self._epochs.items():
-            if start_minutes <= epoch <= end_minutes:
-                for comp, count in table.items():
-                    out[comp] = out.get(comp, 0) + count
-        return out
+        return self.ring.between(start_minutes, end_minutes)
+
+    def counts(self, keys: Iterable[str], now_minutes: float) -> Dict[str, int]:
+        """Tier protocol: ``keys`` name paths, which this tier collapsed."""
+        return self.totals(now_minutes)
+
+    def counts_between(
+        self, keys: Iterable[str], start_minutes: float, end_minutes: float
+    ) -> Dict[str, int]:
+        return self.ring.between(start_minutes, end_minutes)
 
     def sample_total_between(self, start_minutes: float, end_minutes: float) -> int:
-        return sum(
-            c for e, c in self._epoch_requests.items() if start_minutes <= e <= end_minutes
-        )
+        return self.ring.mass_between(start_minutes, end_minutes)
+
+    def probability_error_bound(self) -> float:
+        return 0.0
+
+    def events(self) -> Tuple[()]:
+        """Nothing to replay: per-path identity was collapsed on record."""
+        return ()
 
     def weights(self, now_minutes: float) -> Dict[str, float]:
         """``w_c`` estimates: fraction of completions touching ``c``."""
@@ -697,44 +820,16 @@ class ComponentActivitySummary:
 
     def merge(self, other: "ComponentActivitySummary") -> None:
         """Fold a peer summary in by per-epoch component-table addition."""
-        if other.window_minutes != self.window_minutes:
-            raise ProfilingError(
-                "cannot merge component summaries with different windows: "
-                f"{self.window_minutes} vs {other.window_minutes}"
-            )
-        for epoch, table in other._epochs.items():
-            mine = self._epochs.get(epoch)
-            if mine is None:
-                mine = self._epochs[epoch] = {}
-                self._epoch_requests[epoch] = 0
-            for comp, count in table.items():
-                mine[comp] = mine.get(comp, 0) + count
-                self._totals[comp] = self._totals.get(comp, 0) + count
-            requests = other._epoch_requests[epoch]
-            self._epoch_requests[epoch] += requests
-            self.request_total += requests
-        self._epochs = OrderedDict(sorted(self._epochs.items()))
+        self.ring.merge(other.ring)
 
     # -- persistence (checkpoint format v2) ------------------------------------
 
     def to_state(self) -> Dict[str, object]:
-        return {
-            "epochs": [
-                [epoch, sorted(table.items())] for epoch, table in self._epochs.items()
-            ],
-            "epoch_requests": sorted(self._epoch_requests.items()),
-        }
+        cells, mass = self.ring.to_state()
+        return {"epochs": cells, "epoch_requests": mass}
 
     @classmethod
     def from_state(cls, state: Dict[str, object], window_minutes: float) -> "ComponentActivitySummary":
         summary = cls(window_minutes)
-        requests = {int(e): int(c) for e, c in state["epoch_requests"]}
-        for epoch, items in state["epochs"]:
-            epoch = int(epoch)
-            table = {str(comp): int(c) for comp, c in items}
-            summary._epochs[epoch] = table
-            for comp, c in table.items():
-                summary._totals[comp] = summary._totals.get(comp, 0) + c
-            summary._epoch_requests[epoch] = requests.get(epoch, 0)
-            summary.request_total += summary._epoch_requests[epoch]
+        summary.ring.load(state["epochs"], state["epoch_requests"])
         return summary

@@ -4,7 +4,8 @@ The 25-seed property classes are the acceptance gate for the sketch
 tiers: under Zipf and flash-crowd workloads (built from
 :mod:`repro.workloads.patterns`), ``topk`` hot-path causal probabilities
 must stay within :data:`HOT_PATH_PROBABILITY_EPSILON` of exact mode, and
-``exact`` mode must stay bit-identical to the pre-optimisation read.
+``exact`` mode must stay bit-identical to a brute-force scan of the raw
+record stream.
 """
 
 import json
@@ -20,6 +21,7 @@ from repro.profiling.profiler import PROFILER_MODES, CausalPathProfiler
 from repro.profiling.sketches import HOT_PATH_PROBABILITY_EPSILON
 from repro.telemetry import MetricsRegistry
 from repro.workloads.patterns import flash_crowd_mix, zipf_weights
+from tests.profiling.test_window import BruteWindow
 
 
 def _sig(tag, request_type="go"):
@@ -127,6 +129,21 @@ class TestModeSwitching:
         profiler.set_mode("topk", topk=4)
         assert profiler.topk_k == 4
         assert profiler.counts(5.0)[pid] == 40
+
+    @pytest.mark.parametrize("mode", PROFILER_MODES)
+    def test_same_mode_call_keeps_the_window(self, mode):
+        # ``topk`` means something only in topk mode (where a new k is a
+        # resize); elsewhere a same-mode call records it and keeps the
+        # tier.  exact and component used to come back empty.
+        profiler = _profiler(mode=mode, topk=32)
+        profiler.record(_sig("x"), 1.0, count=5)
+        before = profiler.counts(2.0)
+        new_k = 32 if mode == "topk" else 64
+        profiler.set_mode(mode, topk=new_k)
+        assert profiler.topk_k == new_k
+        assert sum(before.values()) >= 5
+        assert profiler.counts(2.0) == before
+        assert profiler.sample_total_between(0.0, 2.0) == 5
 
 
 class TestCheckpointV2:
@@ -246,7 +263,7 @@ def _hot_path_errors(paths, streams, topk=32):
     assert n_exact > 0
     # The estimate denominator is pinned to the exact windowed total; it
     # can only overshoot by the monitored entries' inherited error.
-    max_error = sum(entry.error for entry in approx._sketch.topk.entries())
+    max_error = sum(entry.error for entry in approx._tier.topk.entries())
     assert n_exact <= n_approx <= n_exact + max_error
     hot = sorted(exact_counts, key=lambda pid: (-exact_counts[pid], pid))[:10]
     return max(
@@ -293,34 +310,44 @@ class TestTopKEpsilonProperty:
 
 @pytest.mark.parametrize("seed", range(25))
 class TestExactBitIdentity:
-    """ISSUE acceptance: the optimised exact read is bit-identical to the
-    pre-optimisation O(paths × window) scan (retained as
-    ``_scan_counts``) over randomised monotonic record/read sequences."""
+    """ISSUE acceptance: the exact read is bit-identical to a brute-force
+    scan of the **raw record stream** the test keeps (``BruteWindow`` in
+    ``test_window.py`` — no buckets, no running totals) over randomised
+    monotonic record/read sequences."""
 
     def test_counts_match_reference_scan(self, seed):
         paths = _path_population(40)
         profiler = _profiler(paths=paths)
+        oracle = BruteWindow(profiler.window_minutes)
+        pids = list(profiler.known_paths())
         rng = np.random.default_rng(seed)
         t = 0.0
         for _ in range(300):
             t += float(rng.uniform(0.0, 1.5))
             idx = int(rng.integers(0, 40))
-            profiler.record(paths[idx], t, count=int(rng.integers(1, 4)))
+            count = int(rng.integers(1, 4))
+            oracle.add((profiler.record(paths[idx], t, count=count),), count, t)
             if rng.uniform() < 0.2:
                 now = t + float(rng.uniform(0.0, 5.0))
-                expected = profiler._scan_counts(now)
-                assert profiler.counts(now) == expected
+                assert profiler.counts(now) == oracle.counts(pids, now)
+                assert profiler.counts_between(now - 3, now) == oracle.counts_between(
+                    pids, now - 3, now
+                )
 
     def test_reads_into_past_match_reference_scan(self, seed):
         paths = _path_population(20)
         profiler = _profiler(paths=paths)
+        oracle = BruteWindow(profiler.window_minutes)
+        pids = list(profiler.known_paths())
         rng = np.random.default_rng(500 + seed)
         t = 0.0
         for _ in range(150):
             t += float(rng.uniform(0.0, 1.0))
-            profiler.record(paths[int(rng.integers(0, 20))], t)
+            oracle.add((profiler.record(paths[int(rng.integers(0, 20))], t),), 1, t)
         for _ in range(10):
-            # Reads earlier than the newest bucket take the fallback
-            # path; they must agree with the reference scan too.
+            # Reads earlier than the newest minute cannot use the running
+            # totals.  A minute counts when it lies in [now - window, now]
+            # and has not slid out of the window ending at the newest
+            # time the profiler has been shown (here ``t``).
             now = float(rng.uniform(0.0, t))
-            assert profiler.counts(now) == profiler._scan_counts(now)
+            assert profiler.counts(now) == oracle.counts(pids, now)

@@ -111,7 +111,7 @@ class TestCountMinMerge:
         now = stream[-1][1]
         merged.advance(now)
         single.advance(now)
-        assert merged._agg == single._agg
+        assert merged.ring.totals == single.ring.totals
         assert merged.total == single.total
         for key in _keys():
             assert merged.estimate(key) == single.estimate(key)
