@@ -6,7 +6,8 @@ graph induced by a message M is O(|causal graph(M)|)."
 
 These microbenchmarks exercise the uid hash index directly: node lookup,
 edge insertion, BFS extraction at two graph sizes (near-linear scaling is
-the observable consequence of O(1) hops), and partitioning overhead.
+the observable consequence of O(1) hops).  Root-sharding across stores
+is measured in ``bench_shard_pipeline.py``.
 """
 
 import pytest
@@ -91,12 +92,3 @@ def test_bfs_work_is_linear_in_graph_size(benchmark):
     assert 1.8 < ratio_1 < 2.2
     assert 1.8 < ratio_2 < 2.2
 
-
-@pytest.mark.parametrize("partitions", [1, 8])
-def test_bench_partitioning_overhead(benchmark, partitions):
-    """More partitions change data placement, not asymptotics."""
-    store = GraphStore(num_partitions=partitions)
-    root = _linear_chain(store, 500)
-
-    result = benchmark(lambda: causal_graph_bfs(store, root.uid))
-    assert result.complete

@@ -4,11 +4,16 @@
 
 The protocol every performance claim in this repository is made under
 (ROADMAP ground rules; the choosing-metrics guide, section 8): clone
-``<parent-ref>`` into a temporary directory, then for each workload run
-``--pairs`` pairs of one parent run and one run of this working tree —
-same seed, the manifest's ``run_seconds``, untraced — flipping which
-side goes first every pair, because the host drifts between a slow and a
-faster state for tens of seconds at a time.  Per end-to-end metric of ``BENCHMARK.json`` it
+``<parent-ref>`` into a temporary directory and copy this working tree
+(tracked files plus untracked ones git does not ignore, uncommitted
+edits included) into a sibling one, then for each workload run
+``--pairs`` pairs of one parent run and one change run — same seed, the
+manifest's ``run_seconds``, untraced — flipping which side goes first
+every pair, because the host drifts between a slow and a faster state
+for tens of seconds at a time.  Both sides run from temporary
+checkouts at paths of equal length: where a checkout lives moves import
+time and resident memory by itself, which would otherwise read as a
+``setup_s`` / ``peak_rss_mb`` difference.  Per end-to-end metric of ``BENCHMARK.json`` it
 prints each side's median and quartiles, the pairs the change won, every
 run, and one verdict:
 
@@ -24,7 +29,7 @@ run, and one verdict:
 * ``worse`` — the change's median is worse by more than the bound.
 
 Only *calls* the benchmark, so it lives outside ``e2e_bench/``.  The
-temporary clone honours ``TMPDIR``.
+temporary checkouts honour ``TMPDIR``.
 """
 
 from __future__ import annotations
@@ -75,6 +80,33 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str, bound
     return wins, losses, "unresolved" if noisy else "no worse"
 
 
+def _git_files(repo: str, *options: str) -> List[str]:
+    listed = subprocess.run(
+        ["git", "-C", repo, "ls-files", "-z", *options],
+        capture_output=True, check=True,
+    ).stdout.decode("utf-8")
+    return [path for path in listed.split("\0") if path]
+
+
+def prepare_sides(parent_ref: str, root: str, source: str = REPO_ROOT) -> Dict[str, str]:
+    """``{"parent": ..., "change": ...}``: two checkouts under ``root``.
+
+    The parent is ``source`` cloned at ``parent_ref``; the change is
+    ``source``'s working tree as it stands — tracked files (deleted ones
+    stay deleted) plus untracked files git does not ignore.
+    """
+    sides = {side: os.path.join(root, side) for side in ("parent", "change")}
+    subprocess.run(["git", "clone", "-q", source, sides["parent"]], check=True)
+    subprocess.run(["git", "-C", sides["parent"], "checkout", "-q", parent_ref], check=True)
+    for path in _git_files(source, "--cached", "--others", "--exclude-standard"):
+        origin = os.path.join(source, path)
+        if os.path.lexists(origin):
+            target = os.path.join(sides["change"], path)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(origin, target, follow_symlinks=False)
+    return sides
+
+
 def measure(checkout: str, workload: str, seed: int, seconds: float) -> Dict[str, object]:
     """One untraced ``measure`` run in ``checkout``; its JSON result line."""
     done = subprocess.run(
@@ -106,11 +138,9 @@ def main(argv=None) -> int:
     workloads = args.workload or [entry["name"] for entry in manifest["workloads"]]
     seconds = float(manifest["run_seconds"])  # the benchmark's run length, not a knob
 
-    clone = tempfile.mkdtemp(prefix="pairs-parent-")
+    root = tempfile.mkdtemp(prefix="pairs-")
     try:
-        subprocess.run(["git", "clone", "-q", REPO_ROOT, clone], check=True)
-        subprocess.run(["git", "-C", clone, "checkout", "-q", args.parent_ref], check=True)
-        sides = {"parent": clone, "change": REPO_ROOT}
+        sides = prepare_sides(args.parent_ref, root)
         for workload in workloads:
             runs: Dict[str, List[Dict[str, object]]] = {"parent": [], "change": []}
             for pair in range(args.pairs):
@@ -136,7 +166,7 @@ def main(argv=None) -> int:
                           f"quartiles {low:.4g}..{high:.4g}  runs "
                           + " ".join(f"{value:.4g}" for value in values[side]))
     finally:
-        shutil.rmtree(clone, ignore_errors=True)
+        shutil.rmtree(root, ignore_errors=True)
     return 0
 
 

@@ -9,7 +9,7 @@ after the simulation finishes, while the tap stream is still local.
 
 The **telemetry digest** is the replay contract: a sha256 over the
 canonical JSON of every non-volatile metric in the run's snapshot
-(volatile keys — wall-clock timers and the uid-layout diagnostic — are
+(volatile keys — wall-clock timers and backend diagnostics — are
 excluded exactly as in the engine-parity oracle).  Two runs of the same
 cell id must produce byte-identical digests whether they execute in a
 pool worker, serially, or in a later ``repro chaos --replay`` process;

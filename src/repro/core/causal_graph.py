@@ -230,14 +230,12 @@ class DirectCausalityTracker:
         ``batched_writes``, batch-size histograms) is a deterministic
         function of the converged trace shape, and the buffers are empty
         at the cutover.  Shard routing is uid-hash-dependent, but no
-        non-volatile metric is keyed per shard: hash-variant aggregates
-        (``cross_partition_edges``) are declared volatile, and anything
-        else that failed to settle would merely hold the convergence
-        streak at zero rather than diverge after a freeze.  The replay
-        ingestor additionally fingerprints the pipeline/dead-letter
-        residue each execution leaves behind and drains the pipeline
-        (journal included) before freezing — see
-        :meth:`drain_pipeline` and :mod:`repro.sim.events`.
+        metric is keyed per shard, and anything that failed to settle
+        would merely hold the convergence streak at zero rather than
+        diverge after a freeze.  The replay ingestor additionally
+        fingerprints the pipeline/dead-letter residue each execution
+        leaves behind and drains the pipeline (journal included) before
+        freezing — see :meth:`drain_pipeline` and :mod:`repro.sim.events`.
         """
         return self._plain_path and self.store.backend_kind in ("memory", "log")
 
@@ -265,14 +263,10 @@ class DirectCausalityTracker:
         timer untouched (``flush(now_minutes=None)``) so the periodic
         tick schedule stays bit-identical to the tick engine's.
         """
-        written = 0
         if self._pipeline is not None:
-            written = self._pipeline.flush()
-        else:
-            flush_journal = getattr(self.store, "flush_journal", None)
-            if flush_journal is not None:
-                flush_journal()
-        return written
+            return self._pipeline.flush()
+        self.store.flush_journal()
+        return 0
 
     def deliver_delayed(self, now_minutes: float) -> None:
         """Deliver fault-delayed messages whose due time has passed.

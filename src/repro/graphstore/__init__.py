@@ -1,4 +1,4 @@
-"""Partitioned causal-graph store (Apache Titan substitute).
+"""Causal-graph store (Apache Titan substitute), root-sharded or whole.
 
 The store facade is backend-pluggable (:mod:`repro.graphstore.backend`):
 in-process memory (default), a crash-safe append-only segment log, or a
@@ -13,7 +13,6 @@ from repro.graphstore.backend import (
     make_backend,
     shard_backends,
 )
-from repro.graphstore.partition import HashPartitioner
 from repro.graphstore.pipeline import BatchedWritePipeline, DeadLetterQueue
 from repro.graphstore.query import (
     CausalGraphResult,
@@ -35,7 +34,6 @@ __all__ = [
     "GraphNode",
     "GraphStore",
     "GraphStoreBackend",
-    "HashPartitioner",
     "LogBackend",
     "MemoryBackend",
     "ShardedGraphStore",

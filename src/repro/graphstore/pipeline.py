@@ -28,9 +28,10 @@ bounded :class:`DeadLetterQueue` — happens in the tracker *before*
 :meth:`BatchedWritePipeline.submit`, so a submitted message is always
 written.
 
-The pipeline writes through ``store.shards`` (a
-:class:`~repro.graphstore.sharded.ShardedGraphStore`) or treats a plain
-:class:`~repro.graphstore.store.GraphStore` as a single shard.
+The pipeline writes through the store's shard protocol
+(:mod:`repro.graphstore.sharded`): one buffer per ``store.shards``
+entry, routed by ``store.shard_index_of``, and ``store.flush_journal()``
+once per drain.
 """
 
 from __future__ import annotations
@@ -147,12 +148,9 @@ class BatchedWritePipeline:
         self.store = store
         self.batch_size = int(batch_size)
         self.flush_interval_minutes = float(flush_interval_minutes)
-        shards = getattr(store, "shards", None)
-        self._targets = list(shards) if shards is not None else [store]
-        if len(self._targets) > 1:
-            self._route = store.shard_index_of
-        else:
-            self._route = None
+        self._targets = store.shards
+        # A fleet of one needs no routing call per message.
+        self._route = store.shard_index_of if len(self._targets) > 1 else None
         self._buffers: List[List[Message]] = [[] for _ in self._targets]
         self._buffered = 0
         self._last_flush_minute = 0.0
@@ -216,10 +214,7 @@ class BatchedWritePipeline:
             for index, buffer in enumerate(self._buffers):
                 if buffer:
                     written += self._flush_shard(index)
-        for target in self._targets:
-            flush_journal = getattr(target, "flush_journal", None)
-            if flush_journal is not None:
-                flush_journal()
+        self.store.flush_journal()
         return written
 
     def _flush_shard(self, index: int) -> int:

@@ -65,11 +65,9 @@ def causal_graph_bfs(store: GraphStore, root: MessageUid) -> CausalGraphResult:
     Raises :class:`~repro.errors.GraphStoreError` if the root node is not
     present in the store.
     """
-    shard_for_root = getattr(store, "shard_for_root", None)
-    if shard_for_root is not None:
-        home = shard_for_root(root)
-        if home.contains(root):
-            store = home
+    home = store.shards[store.shard_index_of(root)]
+    if home.contains(root):
+        store = home
     root_node = store.get_node(root)
     if root_node is None:
         raise GraphStoreError(f"causal-graph root {root} not found in store")

@@ -6,9 +6,19 @@ single :class:`~repro.graphstore.store.GraphStore` reproduces the hash
 *index*; this module reproduces the *scale-out*: a
 :class:`ShardedGraphStore` partitions whole causal graphs across
 ``num_shards`` independent ``GraphStore`` instances, routed by the
-**root uid** of each message through the same
-:class:`~repro.graphstore.partition.HashPartitioner` (and therefore the
-same crc32, carried on the uid) the in-store partitioning already uses.
+**root uid** of each message through :func:`shard_of` — the crc32 the
+uid carries, modulo the shard count.
+
+The shard protocol
+------------------
+Every store the tracker can be given answers ``shards``,
+``shard_index_of(root)``, ``flush_journal()`` and ``close()``: this
+facade, a plain :class:`~repro.graphstore.store.GraphStore` (a fleet of
+one — ``shards`` is itself, every root maps to shard 0) and the
+process-shared client (:mod:`repro.graphstore.shared`, which routes by
+the same :func:`shard_of`).  The batched write pipeline, the replay
+journal writer and the simulator's shutdown call it without asking what
+kind of store they hold.
 
 Routing rule
 ------------
@@ -16,9 +26,9 @@ Every message carries the uid of the external request at the head of its
 causal path (``root_uid``; the root message *is* its own root), so the
 entire causal graph of one request lands in exactly one shard.  That
 makes the hot per-root operations — signature accumulation, completion,
-eviction, abandonment — shard-local and embarrassingly parallel, while
-the shard count bounds nothing semantically: each shard runs the full
-incremental-signature machinery of PR 2 unchanged.
+eviction, abandonment — shard-local, while the shard count bounds
+nothing semantically: each shard runs the full incremental-signature
+machinery unchanged.
 
 The one semantic difference from a single store concerns *cross-root*
 provenance (a message of request A listing a cause from request B, i.e.
@@ -33,16 +43,10 @@ and single-store results are identical message for message; the seeded
 equivalence suite in ``tests/graphstore/test_sharded_equivalence.py``
 pins this.
 
-Maintenance fan-out
--------------------
 Reads by bare uid (``get_node``, ``root_of``, edge iteration) fan out
 across shards; per-root operations route.  Whole-store maintenance —
 :meth:`repair_dangling_edges` and the abandonment sweep
-(:meth:`abandon_roots`) — fans out shard by shard, optionally on a
-thread pool (``maintenance_workers``).  Shards never touch each other's
-state, so the only shared mutable surface under threaded maintenance is
-the telemetry registry — use a ``thread_safe`` registry
-(:class:`~repro.telemetry.MetricsRegistry`) when enabling it.
+(:meth:`abandon_roots`) — visits the shards in index order.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, 
 
 from repro.errors import GraphStoreError
 from repro.graphstore.backend import GraphStoreBackend
-from repro.graphstore.partition import HashPartitioner
 from repro.graphstore.store import (
     GRAPH_SIZE_BUCKETS,
     EdgeTriple,
@@ -61,10 +64,15 @@ from repro.graphstore.store import (
 from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
 
-try:  # pragma: no cover - stdlib, but keep import-failure graceful
-    from concurrent.futures import ThreadPoolExecutor
-except ImportError:  # pragma: no cover
-    ThreadPoolExecutor = None  # type: ignore[assignment]
+
+def shard_of(root: MessageUid, num_shards: int) -> int:
+    """The shard owning ``root``'s causal graph among ``num_shards``.
+
+    The uid's stable crc32 (its fourth item — not :func:`hash`, which
+    Python salts per process) modulo the shard count, so every process
+    routes a root to the same shard.
+    """
+    return root[3] % num_shards
 
 
 class ShardedGraphStore:
@@ -81,17 +89,10 @@ class ShardedGraphStore:
     ----------
     num_shards:
         Number of independent stores (>= 1).
-    num_partitions:
-        Hash partitions *inside* each shard (the Titan-style node
-        index), forwarded to each :class:`GraphStore`.
     on_path_complete / registry:
         As for :class:`GraphStore`.  All shards report into the same
         registry, so the ``graphstore.*`` counters aggregate across the
         fleet.
-    maintenance_workers:
-        When > 1, :meth:`repair_dangling_edges` and
-        :meth:`abandon_roots` fan out over shards on a thread pool of
-        this size.  Pair with a thread-safe telemetry registry.
     backends:
         Optional per-shard :class:`~repro.graphstore.backend.GraphStoreBackend`
         list (one per shard, e.g. from
@@ -103,10 +104,8 @@ class ShardedGraphStore:
     def __init__(
         self,
         num_shards: int = 4,
-        num_partitions: int = 4,
         on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         registry: Optional[MetricsRegistry] = None,
-        maintenance_workers: int = 0,
         backends: Optional[Sequence[GraphStoreBackend]] = None,
     ) -> None:
         if num_shards < 1:
@@ -116,21 +115,17 @@ class ShardedGraphStore:
                 f"got {len(backends)} backend(s) for {num_shards} shard(s)"
             )
         self.num_shards = int(num_shards)
-        self._router = HashPartitioner(self.num_shards)
-        self._shard_of = self._router.partition_of
         self.telemetry = registry if registry is not None else get_registry()
-        self.maintenance_workers = int(maintenance_workers)
         self._path_complete_subscribers: List[Callable[[MessageUid], None]] = []
         if on_path_complete is not None:
             self._path_complete_subscribers.append(on_path_complete)
-        self.shards: List[GraphStore] = [
+        self.shards: Tuple[GraphStore, ...] = tuple(
             GraphStore(
-                num_partitions=num_partitions,
                 registry=self.telemetry,
                 backend=backends[index] if backends is not None else None,
             )
             for index in range(self.num_shards)
-        ]
+        )
         for shard in self.shards:
             shard.subscribe_path_complete(self._notify_path_complete)
         self._m_lookups = self.telemetry.counter("graphstore.index_lookups")
@@ -146,11 +141,7 @@ class ShardedGraphStore:
 
     def shard_index_of(self, root: MessageUid) -> int:
         """Shard that owns the causal graph rooted at ``root``."""
-        return self._shard_of(root)
-
-    def shard_for_root(self, root: MessageUid) -> GraphStore:
-        """The :class:`GraphStore` shard that owns ``root``'s graph."""
-        return self.shards[self._shard_of(root)]
+        return shard_of(root, self.num_shards)
 
     def _find_shard_holding(self, uid: MessageUid) -> Optional[GraphStore]:
         """Fan out for the shard whose node index holds ``uid``."""
@@ -174,7 +165,7 @@ class ShardedGraphStore:
     def add_message(self, message: Message) -> GraphNode:
         """Route ``message`` to its root's shard and insert it there."""
         root = message.root_uid
-        shard = self.shards[self._shard_of(message.uid if root is None else root)]
+        shard = self.shards[shard_of(message.uid if root is None else root, self.num_shards)]
         return shard.add_message(message)
 
     def add_messages(self, messages: Sequence[Message]) -> int:
@@ -203,7 +194,7 @@ class ShardedGraphStore:
         if shard is None:
             shard = self._find_shard_holding(cause)
         if shard is None:
-            shard = self.shards[self._shard_of(effect)]
+            shard = self.shards[shard_of(effect, self.num_shards)]
         shard.add_edge(cause, effect)
 
     # -- reads ------------------------------------------------------------------
@@ -271,41 +262,35 @@ class ShardedGraphStore:
         self, root: MessageUid
     ) -> Optional[Tuple[str, Tuple[EdgeTriple, ...]]]:
         """Shard-local O(1) signature read (see :meth:`GraphStore.completed_signature`)."""
-        return self.shards[self._shard_of(root)].completed_signature(root)
+        return self.shards[shard_of(root, self.num_shards)].completed_signature(root)
 
     def graph_members(self, root: MessageUid) -> Tuple[MessageUid, ...]:
-        return self.shards[self._shard_of(root)].graph_members(root)
+        return self.shards[shard_of(root, self.num_shards)].graph_members(root)
 
     # -- maintenance ---------------------------------------------------------------
 
     def evict_graph(self, root: MessageUid) -> int:
-        return self.shards[self._shard_of(root)].evict_graph(root)
+        return self.shards[shard_of(root, self.num_shards)].evict_graph(root)
 
     def abandon_roots(self, roots: Iterable[MessageUid]) -> int:
-        """Abandon many roots in one sweep, grouped (and fanned out) per shard.
+        """Abandon many roots in one sweep, grouped per shard.
 
         Each shard's O(stored nodes) scan runs once per sweep instead of
-        once per root (:meth:`GraphStore.abandon_roots`); with
-        ``maintenance_workers`` > 1 the per-shard sweeps run
-        concurrently.  Returns total nodes removed.
+        once per root (:meth:`GraphStore.abandon_roots`), and only on
+        shards that own a doomed root.  Returns total nodes removed.
         """
         by_shard: List[List[MessageUid]] = [[] for _ in self.shards]
         for root in roots:
-            by_shard[self._shard_of(root)].append(root)
-
-        def sweep(index: int) -> int:
-            return self.shards[index].abandon_roots(by_shard[index])
-
-        busy = [i for i, group in enumerate(by_shard) if group]
-        return sum(self._fan_out(sweep, busy))
+            by_shard[shard_of(root, self.num_shards)].append(root)
+        return sum(
+            shard.abandon_roots(group) for shard, group in zip(self.shards, by_shard) if group
+        )
 
     def repair_dangling_edges(self) -> int:
-        """Run the dangling-edge sweep on every shard (fan-out)."""
-        def repair(index: int) -> int:
-            return self.shards[index].repair_dangling_edges()
-
-        dirty = [i for i, shard in enumerate(self.shards) if shard._dangling_effects]
-        return sum(self._fan_out(repair, dirty))
+        """Run the dangling-edge sweep on every shard that has ghosts."""
+        return sum(
+            shard.repair_dangling_edges() for shard in self.shards if shard._dangling_effects
+        )
 
     # -- backend lifecycle ---------------------------------------------------------
 
@@ -338,18 +323,3 @@ class ShardedGraphStore:
         """Flush and close every shard's backend (idempotent)."""
         for shard in self.shards:
             shard.close()
-
-    def _fan_out(self, fn: Callable[[int], int], indexes: Sequence[int]) -> List[int]:
-        """Apply ``fn`` to each shard index, threaded when configured.
-
-        Shards share no mutable state with each other, so per-shard
-        maintenance is safe to run concurrently; only the telemetry
-        registry is shared (use a thread-safe registry with workers).
-        """
-        if not indexes:
-            return []
-        workers = self.maintenance_workers
-        if workers > 1 and len(indexes) > 1 and ThreadPoolExecutor is not None:
-            with ThreadPoolExecutor(max_workers=min(workers, len(indexes))) as pool:
-                return list(pool.map(fn, indexes))
-        return [fn(index) for index in indexes]

@@ -8,7 +8,7 @@ This module reproduces that shape dependency-free with the stdlib:
 
 * :class:`SharedStoreServer` hosts a
   :class:`multiprocessing.managers.BaseManager` on a Unix socket.  The
-  server process owns a singleton :class:`StoreHub` holding one real
+  server process holds one :class:`StoreHub` table of one real
   :class:`~repro.graphstore.store.GraphStore` /
   :class:`~repro.graphstore.sharded.ShardedGraphStore` **per
   namespace** (one namespace per manager under the experiment runner),
@@ -37,11 +37,14 @@ from __future__ import annotations
 
 import os
 import tempfile
+import threading
+from itertools import groupby
 from multiprocessing.managers import BaseManager
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StoreBackendError
-from repro.graphstore.partition import HashPartitioner
+from repro.graphstore.sharded import ShardedGraphStore, shard_of
+from repro.graphstore.store import GraphStore
 from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
 
@@ -50,7 +53,8 @@ _AUTHKEY_BYTES = 16
 
 
 class StoreHub:
-    """Server-side singleton: one store + registry per namespace.
+    """Server-side handle on the one table of stores: a store + registry
+    per namespace.
 
     Every method takes the namespace first; proxies serialize arguments
     with pickle, so uids/messages cross the boundary as values.  Write
@@ -58,34 +62,31 @@ class StoreHub:
     (in notification order) — the client fires its local subscribers
     from them, keeping completion semantics identical to an in-process
     store.
+
+    The table lives on the class and every client gets a handle of its
+    own.  A process shares one connection per server among its proxies
+    and multiprocessing closes it when the last proxy *id* is released:
+    with one shared handle, a dropped client's proxy — which a tracker's
+    subscription leaves to the cycle collector, so at any allocation —
+    closed the connection in the middle of the next client's call.
     """
 
-    def __init__(self) -> None:
-        import threading
+    _lock = threading.Lock()
+    _stores: dict = {}
+    _registries: dict = {}
+    _completed: dict = {}
 
-        self._lock = threading.Lock()
-        self._stores = {}
-        self._registries = {}
-        self._completed = {}
-
-    def ensure(self, namespace: str, num_shards: int, num_partitions: int) -> None:
+    def ensure(self, namespace: str, num_shards: int) -> None:
         """Create the namespace's store on first use (idempotent)."""
-        from repro.graphstore.sharded import ShardedGraphStore
-        from repro.graphstore.store import GraphStore
-
         with self._lock:
             if namespace in self._stores:
                 return
             registry = MetricsRegistry()
             completed: List[MessageUid] = []
             if num_shards > 1:
-                store = ShardedGraphStore(
-                    num_shards=num_shards,
-                    num_partitions=num_partitions,
-                    registry=registry,
-                )
+                store = ShardedGraphStore(num_shards=num_shards, registry=registry)
             else:
-                store = GraphStore(num_partitions=num_partitions, registry=registry)
+                store = GraphStore(registry=registry)
             store.subscribe_path_complete(completed.append)
             self._stores[namespace] = store
             self._registries[namespace] = registry
@@ -106,19 +107,15 @@ class StoreHub:
         return self._drain(namespace)
 
     def add_messages(
-        self, namespace: str, shard_index: Optional[int], messages: Sequence[Message]
+        self, namespace: str, shard_index: int, messages: Sequence[Message]
     ) -> Tuple[int, List[MessageUid]]:
-        """Batch write — straight into one shard when ``shard_index`` is given.
+        """Batch write straight into one shard of the namespace's store.
 
         Mirrors the batched pipeline's direct ``shards[i].add_messages``
         write path, so batch/flush telemetry and per-shard ordering are
         identical to the in-process configuration.
         """
-        store = self._stores[namespace]
-        if shard_index is None:
-            count = store.add_messages(messages)
-        else:
-            count = store.shards[shard_index].add_messages(messages)
+        count = self._stores[namespace].shards[shard_index].add_messages(messages)
         return count, self._drain(namespace)
 
     def add_edge(
@@ -174,22 +171,11 @@ class StoreHub:
         return self._registries[namespace].snapshot()
 
 
-_HUB: Optional[StoreHub] = None
-
-
-def _get_hub() -> StoreHub:
-    """Module-level singleton accessor (runs inside the server process)."""
-    global _HUB
-    if _HUB is None:
-        _HUB = StoreHub()
-    return _HUB
-
-
 class _StoreManager(BaseManager):
     pass
 
 
-_StoreManager.register("hub", callable=_get_hub)
+_StoreManager.register("hub", callable=StoreHub)
 
 
 class SharedStoreServer:
@@ -226,13 +212,6 @@ class SharedStoreServer:
             self._socket_dir = None
 
 
-def connect_hub(address: str, authkey: bytes):
-    """Connect to a running store server; returns a hub proxy."""
-    manager = _StoreManager(address=address, authkey=authkey)
-    manager.connect()
-    return manager.hub()
-
-
 class _SharedShard:
     """Per-shard write handle the batched pipeline targets directly."""
 
@@ -261,7 +240,6 @@ class SharedGraphStoreClient:
         authkey: bytes,
         namespace: str,
         num_shards: int = 1,
-        num_partitions: int = 4,
         registry: Optional[MetricsRegistry] = None,
         on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         owned_server: Optional[SharedStoreServer] = None,
@@ -275,17 +253,12 @@ class SharedGraphStoreClient:
         self._manager = _StoreManager(address=address, authkey=authkey)
         self._manager.connect()
         self._hub = self._manager.hub()
-        self._hub.ensure(namespace, self.num_shards, num_partitions)
+        self._hub.ensure(namespace, self.num_shards)
         self._path_complete_subscribers: List[Callable[[MessageUid], None]] = []
         if on_path_complete is not None:
             self._path_complete_subscribers.append(on_path_complete)
         self._closed = False
-        if self.num_shards > 1:
-            # The same crc-routing the server store uses, computed
-            # locally so the pipeline buffers per shard without a round
-            # trip per message.
-            self._router = HashPartitioner(self.num_shards)
-            self.shards = [_SharedShard(self, i) for i in range(self.num_shards)]
+        self.shards = tuple(_SharedShard(self, i) for i in range(self.num_shards))
 
     # -- identity ----------------------------------------------------------------
 
@@ -294,7 +267,9 @@ class SharedGraphStoreClient:
         return "shared"
 
     def shard_index_of(self, root: MessageUid) -> int:
-        return self._router.partition_of(root)
+        """The server store's routing, computed locally so the pipeline
+        buffers per shard without a round trip per message."""
+        return shard_of(root, self.num_shards)
 
     # -- subscriptions -----------------------------------------------------------
 
@@ -312,9 +287,10 @@ class SharedGraphStoreClient:
         self._notify(self._hub.add_message(self.namespace, message))
 
     def add_messages(self, messages: Sequence[Message]) -> int:
-        count, completed = self._hub.add_messages(self.namespace, None, list(messages))
-        self._notify(completed)
-        return count
+        """One shard write per run of consecutive same-shard messages, so
+        writes and completions keep the order of ``messages``."""
+        runs = groupby(messages, key=lambda m: self.shard_index_of(m.root_uid or m.uid))
+        return sum(self.shards[index].add_messages(list(run)) for index, run in runs)
 
     def _shard_add_messages(self, index: int, messages: Sequence[Message]) -> int:
         count, completed = self._hub.add_messages(self.namespace, index, list(messages))
@@ -371,6 +347,9 @@ class SharedGraphStoreClient:
         return self._hub.repair_dangling_edges(self.namespace)
 
     # -- lifecycle ---------------------------------------------------------------
+
+    def flush_journal(self) -> None:
+        """Nothing to flush: the server's stores keep no journal."""
 
     def close(self) -> None:
         """Merge the namespace's server-side telemetry and disconnect.

@@ -1,4 +1,4 @@
-"""In-memory partitioned property-graph store for causal edges.
+"""In-memory property-graph store for causal edges.
 
 Substitute for Apache Titan (Section IV-A of the paper): the store lives
 *outside* the application (in the simulation, on the monitoring host),
@@ -52,7 +52,6 @@ from typing import (
 
 from repro.errors import GraphStoreError, StoreBackendError
 from repro.graphstore.backend import GraphStoreBackend, MemoryBackend
-from repro.graphstore.partition import HashPartitioner
 from repro.lang.ir import CLIENT
 from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
@@ -149,11 +148,10 @@ class _Record:
     leaves the index; a dead record drops its references.
     """
 
-    __slots__ = ("uid", "partition", "node", "root", "reach", "preds", "succs", "acc", "live")
+    __slots__ = ("uid", "node", "root", "reach", "preds", "succs", "acc", "live")
 
-    def __init__(self, uid: MessageUid, partition: int) -> None:
+    def __init__(self, uid: MessageUid) -> None:
         self.uid = uid
-        self.partition = partition
         self.node: Optional[GraphNode] = None
         self.root: Optional[MessageUid] = None
         self.reach: Optional[Set["_Record"]] = None
@@ -164,12 +162,14 @@ class _Record:
 
 
 class GraphStore:
-    """Distributed-flavoured causal-graph store with a uid hash index.
+    """Causal-graph store with a uid hash index.
+
+    One store is one shard: it answers the shard protocol
+    (:mod:`repro.graphstore.sharded`) as a fleet of one, so callers need
+    not tell it from a :class:`~repro.graphstore.sharded.ShardedGraphStore`.
 
     Parameters
     ----------
-    num_partitions:
-        Number of hash partitions (Titan would shard similarly).
     on_path_complete:
         Callback invoked with the *root uid* whenever a response node is
         inserted, signalling that the causal graph rooted there can be
@@ -189,13 +189,10 @@ class GraphStore:
 
     def __init__(
         self,
-        num_partitions: int = 4,
         on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         registry: Optional[MetricsRegistry] = None,
         backend: Optional[GraphStoreBackend] = None,
     ) -> None:
-        self._partitioner = HashPartitioner(num_partitions)
-        self._partition_of = self._partitioner.partition_of
         # The one index.  It holds a record for every stored node and for
         # every uid a live edge names; ``_stored`` counts the former.
         self._index: Dict[MessageUid, _Record] = {}
@@ -221,7 +218,6 @@ class GraphStore:
         self.telemetry = registry if registry is not None else get_registry()
         self._m_nodes = self.telemetry.counter("graphstore.nodes_added")
         self._m_edges = self.telemetry.counter("graphstore.edges_added")
-        self._m_cross = self.telemetry.counter("graphstore.cross_partition_edges")
         self._m_lookups = self.telemetry.counter("graphstore.index_lookups")
         self._m_evictions = self.telemetry.counter("graphstore.evictions")
         self._m_evicted_nodes = self.telemetry.counter("graphstore.evicted_nodes")
@@ -237,6 +233,17 @@ class GraphStore:
         self._m_extract_size = self.telemetry.histogram(
             "graphstore.extracted_graph_size_nodes", buckets=GRAPH_SIZE_BUCKETS
         )
+
+    # -- shard protocol (see repro.graphstore.sharded) -----------------------------
+
+    @property
+    def shards(self) -> Tuple["GraphStore"]:
+        """A fleet of one: this store is its own only shard."""
+        return (self,)
+
+    def shard_index_of(self, root: MessageUid) -> int:
+        """Every root lives in shard 0."""
+        return 0
 
     # -- subscriptions -----------------------------------------------------------
 
@@ -259,7 +266,7 @@ class GraphStore:
         """The record of ``uid``, created node-less if the uid is new."""
         rec = self._index.get(uid)
         if rec is None:
-            self._index[uid] = rec = _Record(uid, self._partition_of(uid))
+            self._index[uid] = rec = _Record(uid)
         return rec
 
     def add_message(self, message: Message) -> GraphNode:
@@ -312,24 +319,19 @@ class GraphStore:
             # Inlined add_edge loop: the effect record (this one) is in
             # hand and the edge counters are batched per message.
             index = self._index
-            partition_of = self._partition_of
-            partition = rec.partition
             # Successors of this node cannot change inside the loop (the
             # loop only touches the causes' successor dicts), so the
             # no-cascade fast path is decided once.
             has_succs = bool(rec.succs)
             triple = (node.src, node.msg_type, node.dest)
-            cross = 0
             for cause in causes:
                 cause_rec = index.get(cause)
                 if cause_rec is None:
-                    index[cause] = cause_rec = _Record(cause, partition_of(cause))
+                    index[cause] = cause_rec = _Record(cause)
                 elif cause_rec is rec:
                     raise GraphStoreError(f"self-causation edge on {cause}")
                 cause_rec.succs[rec] = None
                 preds[cause_rec] = None
-                if cause_rec.partition != partition:
-                    cross += 1
                 cause_reach = cause_rec.reach
                 if cause_reach:
                     new = cause_reach if not reach else cause_reach - reach
@@ -346,8 +348,6 @@ class GraphStore:
                                     acc.edges[triple] = None
                                     acc.members.append(rec)
             self._m_edges.inc(len(causes))
-            if cross:
-                self._m_cross.inc(cross)
         if self._journal_write is not None:
             # Journal after the mutation landed and before completion
             # subscribers run (a subscriber may journal an eviction).
@@ -387,8 +387,6 @@ class GraphStore:
         cause_rec.succs[effect_rec] = None
         effect_rec.preds[cause_rec] = None
         self._m_edges.inc()
-        if cause_rec.partition != effect_rec.partition:
-            self._m_cross.inc()
         if self._journal is not None:
             self._journal.journal_edge(cause, effect)
         if effect_rec.node is None:

@@ -35,9 +35,9 @@ class MessageUid(tuple):
     simulated process, and ``seq`` a per-process counter.
 
     Instances are immutable 4-tuples ``(address, process_id, seq, crc)``.
-    The private fourth item is the stable partition hash
+    The private fourth item is the stable hash
     ``crc32(f"{address}/{process_id}/{seq}")`` that
-    :class:`~repro.graphstore.partition.HashPartitioner` routes by,
+    :func:`~repro.graphstore.sharded.shard_of` routes roots by,
     computed once at construction; being a function of the triple it
     changes neither equality nor the ``(address, process_id, seq)`` order.
     """

@@ -182,7 +182,6 @@ class DCABundle:
         path_timeout_minutes: Optional[float] = None,
         num_shards: int = 1,
         write_batch_size: int = 1,
-        maintenance_workers: int = 0,
         profiler_mode: str = "exact",
         profiler_topk: int = DEFAULT_TOPK_K,
         store_backend: str = "memory",
@@ -273,7 +272,6 @@ class DCABundle:
             store = ShardedGraphStore(
                 num_shards=num_shards,
                 registry=registry,
-                maintenance_workers=maintenance_workers,
                 backends=backends,
             )
         else:
@@ -437,11 +435,8 @@ class ClusterSimulator:
         a privately owned server.  Must run *after* the last interval so
         every buffered write has already been applied and journaled.
         """
-        if self.dca is None:
-            return
-        close = getattr(self.dca.tracker.store, "close", None)
-        if close is not None:
-            close()
+        if self.dca is not None:
+            self.dca.tracker.store.close()
 
     def run_interval(
         self,

@@ -29,11 +29,8 @@ replay capture:
 
 * keys whose base name ends in ``_seconds``: wall-clock timer
   histograms; they measure the host, not the simulation;
-* ``graphstore.cross_partition_edges``: a uid-hash *layout* diagnostic
-  — whether an edge's two ends hash to the same partition depends on
-  the sequence numbers in both uids, which are fresh every execution,
-  so it varies a few counts per execution forever and cannot converge
-  by design.
+* keys under ``graphstore.backend_``: the persistence seam's own
+  flush/fsync/rotation/byte diagnostics, which differ per backend.
 
 Converged replay
 ----------------
@@ -114,10 +111,9 @@ of every execution, so per-execution batch telemetry is a
 deterministic function of the converged trace shape and the buffers
 are empty at the cutover (the freeze drains them once more,
 defensively, before any delta is frozen).  Shard routing is
-uid-hash-dependent, but no non-volatile metric is keyed per shard;
-hash-variant aggregates are declared volatile above, and any other
-unsettled metric can only hold the convergence streak at zero — it can
-never diverge after a freeze.  Ineligible configurations still run
+uid-hash-dependent, but no metric is keyed per shard, and an unsettled
+metric can only hold the convergence streak at zero — it can never
+diverge after a freeze.  Ineligible configurations still run
 under the event engine, with full-fidelity ingestion that is literally
 the tick loop's code.
 """
@@ -137,10 +133,9 @@ from repro.sim.metrics import SimulationResult
 REPLAY_CONVERGENCE_STREAK = 48
 
 #: Registry keys excluded from parity comparison and replay capture
-#: (see module docstring for why).
-VOLATILE_METRIC_KEYS = frozenset({"graphstore.cross_partition_edges"})
+#: (see module docstring for why): wall-clock timers ...
 VOLATILE_METRIC_SUFFIX = "_seconds"
-#: Backend diagnostics (flush/fsync/rotation/byte counters) are a
+#: ... and backend diagnostics (flush/fsync/rotation/byte counters), a
 #: property of the persistence seam, not the simulated run; every
 #: journaling backend reports its own, so they are excluded from both
 #: the parity contract and cross-backend digest comparison.
@@ -201,11 +196,7 @@ def metric_base_name(key: str) -> str:
 def is_volatile_metric_key(key: str) -> bool:
     """Whether ``key`` is excluded from the tick/event parity contract."""
     base = metric_base_name(key)
-    return (
-        base.endswith(VOLATILE_METRIC_SUFFIX)
-        or base.startswith(VOLATILE_METRIC_PREFIX)
-        or base in VOLATILE_METRIC_KEYS
-    )
+    return base.endswith(VOLATILE_METRIC_SUFFIX) or base.startswith(VOLATILE_METRIC_PREFIX)
 
 
 # -- telemetry capture for converged replay -----------------------------------
@@ -291,9 +282,8 @@ def _journals(store) -> tuple:
     the freeze — never cached across them: the cutover re-checks
     eligibility precisely because a backend may be swapped in mid-run.
     """
-    backends = [shard.backend for shard in getattr(store, "shards", (store,))]
-    backends = [backend for backend in backends if backend.journaling]
-    return backends, getattr(store, "shard_index_of", lambda root: 0)
+    backends = [shard.backend for shard in store.shards if shard.backend.journaling]
+    return backends, store.shard_index_of
 
 
 class _JournalEffect(NamedTuple):

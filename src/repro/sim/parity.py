@@ -17,8 +17,8 @@ scenario and manager; on divergence the :class:`ParityReport` is dumped
 as a JSON artifact (set ``PARITY_DIFF_DIR``) so the differing records
 can be inspected without re-running the job.
 
-Volatile keys — wall-clock ``*_seconds`` timers and the uid-layout
-diagnostic ``graphstore.cross_partition_edges`` — are excluded; see
+Volatile keys — wall-clock ``*_seconds`` timers and the
+``graphstore.backend_*`` persistence diagnostics — are excluded; see
 :mod:`repro.sim.events` for the rationale.
 """
 

@@ -115,7 +115,7 @@ class TestBatchedWritePipeline:
         for msg in chain:
             pipeline.submit(msg)
         pipeline.flush()
-        home = store.shard_for_root(root.uid)
+        home = store.shards[store.shard_index_of(root.uid)]
         assert home.node_count() == len(chain)
         assert store.node_count() == len(chain)
         assert store.completed_signature(root.uid) is not None

@@ -9,6 +9,8 @@ bit-identical merged telemetry digest, with no snapshot merging beyond
 what the serial path already does.
 """
 
+import gc
+
 import pytest
 
 from repro.apps.catalog import load_scenario
@@ -104,6 +106,21 @@ class TestClientSurface:
         assert client.backend_kind == "shared"
         client.close()
         client.close()
+
+    def test_a_dropped_client_leaves_a_live_clients_connection_open(self, server):
+        """Proxies in one process share a connection per server, closed
+        when the last proxy id is released.  A tracker's subscription
+        leaves a finished client to the cycle collector, which can run
+        inside the next client's call — so no two clients may share an id."""
+        live = self._client(server, "drop-live")
+        live.node_count()
+        connection = live._hub._tls.connection
+        dropped = self._client(server, "drop-gone")
+        dropped.node_count()
+        del dropped
+        gc.collect()
+        assert not connection.closed
+        assert live.node_count() == 0
 
     def test_telemetry_merges_on_close(self, server):
         registry = MetricsRegistry()

@@ -1,4 +1,4 @@
-"""Unit tests for the partitioned causal-graph store."""
+"""Unit tests for the causal-graph store and its root routing."""
 
 import os
 import subprocess
@@ -8,8 +8,7 @@ import pytest
 
 from repro.errors import GraphStoreError
 from repro.graphstore.backend import GraphStoreBackend
-from repro.graphstore.partition import HashPartitioner
-from repro.graphstore.sharded import ShardedGraphStore
+from repro.graphstore.sharded import ShardedGraphStore, shard_of
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid
@@ -32,24 +31,25 @@ def _msg(seq, msg_type="m", src="A", dest="B", causes=(), root=None):
 
 
 class TestPartitioner:
+    """The one root -> shard routing rule (``shard_of``)."""
+
     def test_deterministic(self):
-        p = HashPartitioner(8)
         uid = _uid(42)
-        assert p.partition_of(uid) == p.partition_of(MessageUid("h", 1, 42))
+        assert shard_of(uid, 8) == shard_of(MessageUid("h", 1, 42), 8)
+        assert ShardedGraphStore(8).shard_index_of(uid) == shard_of(uid, 8)
 
     def test_in_range(self):
-        p = HashPartitioner(5)
         for seq in range(100):
-            assert 0 <= p.partition_of(_uid(seq)) < 5
+            assert 0 <= shard_of(_uid(seq), 5) < 5
 
     def test_spread(self):
-        p = HashPartitioner(4)
-        parts = {p.partition_of(_uid(seq)) for seq in range(200)}
+        parts = {shard_of(_uid(seq), 4) for seq in range(200)}
         assert parts == {0, 1, 2, 3}
 
     def test_invalid_count(self):
-        with pytest.raises(GraphStoreError):
-            HashPartitioner(0)
+        for count in (0, -1):
+            with pytest.raises(GraphStoreError):
+                ShardedGraphStore(count)
 
 
 class TestGraphStore:
@@ -124,19 +124,6 @@ class TestGraphStore:
         store.add_message(b)
         store.evict_graph(a.uid)
         assert store.get_node(b.uid) is not None
-
-    def test_cross_partition_edge_counter(self):
-        registry = MetricsRegistry()
-        store = GraphStore(num_partitions=2, registry=registry)
-        msgs = [_msg(i) for i in range(1, 30)]
-        prev = None
-        for m in msgs:
-            if prev is not None:
-                m = m.with_causes(frozenset({prev.uid}))
-            store.add_message(m)
-            prev = m
-        cross = registry.counter("graphstore.cross_partition_edges").value
-        assert 0 < cross <= registry.counter("graphstore.edges_added").value
 
     def test_index_lookup_counter(self):
         registry = MetricsRegistry()

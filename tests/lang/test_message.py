@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 from repro.errors import IRError
-from repro.graphstore.partition import HashPartitioner
+from repro.graphstore.sharded import shard_of
 from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid, UidFactory
 
@@ -89,10 +89,9 @@ class TestMessageUidContract:
 
     def test_partition_is_the_crc_of_the_triple(self, triples):
         for n in (1, 4, 7):
-            partitioner = HashPartitioner(n)
             for a, p, s in triples:
                 expected = zlib.crc32(f"{a}/{p}/{s}".encode("utf-8")) % n
-                assert partitioner.partition_of(MessageUid(a, p, s)) == expected
+                assert shard_of(MessageUid(a, p, s), n) == expected
 
     def test_sorts_as_the_triples_do(self, triples):
         uids = [MessageUid(*t) for t in triples]
@@ -110,14 +109,13 @@ class TestMessageUidContract:
         assert all(a != b for a, b in zip(distinct, distinct[1:]))
 
     def test_pickle_round_trip(self, triples):
-        partitioner = HashPartitioner(7)
         for t in triples[:200]:
             uid = MessageUid(*t)
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 clone = pickle.loads(pickle.dumps(uid, protocol))
                 assert type(clone) is MessageUid
                 assert clone == uid and hash(clone) == hash(uid)
-                assert partitioner.partition_of(clone) == partitioner.partition_of(uid)
+                assert shard_of(clone, 7) == shard_of(uid, 7)
 
 
 class TestMessage:

@@ -36,7 +36,7 @@ class TestWalkExprs:
 
 class TestGraphStoreIteration:
     def test_all_uids_covers_partitions(self):
-        store = GraphStore(num_partitions=4)
+        store = GraphStore()
         uids = [MessageUid("h", 1, i) for i in range(1, 21)]
         for uid in uids:
             store.add_message(Message(uid, "m", "A", "B"))

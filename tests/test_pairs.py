@@ -1,7 +1,11 @@
-"""The verdict vocabulary of ``benchmarks/pairs.py`` (pure function; the
-runner itself only shells out to ``e2e_bench measure``)."""
+"""``benchmarks/pairs.py``: the verdict vocabulary (a pure function) and
+the two checkouts the runner compares (it otherwise only shells out to
+``e2e_bench measure``)."""
 
-from benchmarks.pairs import verdict
+import os
+import subprocess
+
+from benchmarks.pairs import REPO_ROOT, prepare_sides, verdict
 
 PARENT = [100.0, 104.0, 98.0, 101.0, 99.0, 102.0, 100.0, 103.0, 97.0, 100.0]
 
@@ -38,3 +42,42 @@ def test_worse_beyond_the_bound_and_unresolved_when_the_spread_exceeds_it():
     noisy = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 65.0, 135.0, 75.0, 125.0]
     assert verdict(PARENT, noisy, "higher", 0.25)[2] == "unresolved"
     assert verdict(noisy, PARENT, "higher", 0.25)[2] == "unresolved"
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        check=True, capture_output=True,
+    )
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_both_sides_are_fresh_checkouts_and_the_change_side_has_uncommitted_edits(tmp_path):
+    source = tmp_path / "source"
+    (source / "pkg").mkdir(parents=True)
+    (source / "pkg" / "kept.py").write_text("x = 1\n")
+    (source / "pkg" / "gone.py").write_text("y = 1\n")
+    (source / ".gitignore").write_text("*.log\n")
+    _git(tmp_path, "init", "-q", str(source))
+    _git(source, "add", "-A")
+    _git(source, "commit", "-q", "-m", "parent")
+    (source / "pkg" / "kept.py").write_text("x = 2\n")
+    (source / "pkg" / "gone.py").unlink()
+    (source / "pkg" / "new.py").write_text("z = 1\n")
+    (source / "run.log").write_text("ignored\n")
+
+    sides = prepare_sides("HEAD", str(tmp_path / "work"), source=str(source))
+
+    parent, change = sides["parent"], sides["change"]
+    assert len({parent, change, REPO_ROOT, str(source)}) == 4
+    assert len(parent) == len(change)
+    assert _read(os.path.join(parent, "pkg", "kept.py")) == "x = 1\n"
+    assert os.path.exists(os.path.join(parent, "pkg", "gone.py"))
+    assert _read(os.path.join(change, "pkg", "kept.py")) == "x = 2\n"
+    assert _read(os.path.join(change, "pkg", "new.py")) == "z = 1\n"
+    assert not os.path.exists(os.path.join(change, "pkg", "gone.py"))
+    assert not os.path.exists(os.path.join(change, "run.log"))
