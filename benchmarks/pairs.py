@@ -1,6 +1,6 @@
 """Alternating parent/change pairs through ``python3 -m e2e_bench measure``.
 
-    python3 benchmarks/pairs.py <parent-ref> [--workload W ...] [--pairs N] [--seed S]
+    python3 benchmarks/pairs.py <parent-ref> [--workload W ...] [--pairs N] [--seed S] [--trace]
 
 The protocol every performance claim in this repository is made under
 (ROADMAP ground rules; the choosing-metrics guide, section 8): clone
@@ -28,6 +28,13 @@ run, and one verdict:
   show neither a regression nor its absence;
 * ``worse`` — the change's median is worse by more than the bound.
 
+``--trace`` then runs ``min(pairs, 3)`` alternating ``--trace 1`` measures
+per side and prints, per layer, each side's median ``self_s`` — only where
+the layer's ``calls`` agree, since a layer that did different work has no
+comparable time — and every exact metric (``result_digest``,
+``failed_share``, the work counts) whose value differs between the sides.
+It exits 1 if ``result_digest`` differs.
+
 Only *calls* the benchmark, so it lives outside ``e2e_bench/``.  The
 temporary checkouts honour ``TMPDIR``.
 """
@@ -42,7 +49,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -107,12 +114,49 @@ def prepare_sides(parent_ref: str, root: str, source: str = REPO_ROOT) -> Dict[s
     return sides
 
 
-def measure(checkout: str, workload: str, seed: int, seconds: float) -> Dict[str, object]:
-    """One untraced ``measure`` run in ``checkout``; its JSON result line."""
+def traced_report(parent: Sequence[dict], change: Sequence[dict]) -> Tuple[List[str], bool]:
+    """Report lines comparing traced runs' ``metrics``, and whether
+    ``result_digest`` differs between the sides."""
+    names = list(parent[0])
+
+    def values(runs, name):
+        return [run[name]["value"] for run in runs]
+
+    def distinct(runs, name):
+        return sorted(set(values(runs, name)))
+
+    lines = ["  traced layers (median self_s; calls must agree):"]
+    for name in names:
+        if not name.endswith(".self_s"):
+            continue
+        layer = name[: -len(".self_s")]
+        old_calls, new_calls = distinct(parent, layer + ".calls"), distinct(change, layer + ".calls")
+        if old_calls != new_calls or len(old_calls) != 1:
+            lines.append(f"    {layer}: calls parent {old_calls} change {new_calls}: not comparable")
+            continue
+        old = statistics.median(values(parent, name))
+        new = statistics.median(values(change, name))
+        lines.append(f"    {layer}: calls {old_calls[0]:.0f}  parent {old:.4g} s  change {new:.4g} s")
+    differing = [
+        name for name in names
+        if not name.endswith((".self_s", ".calls")) and not name.startswith("harness.")
+        and parent[0][name]["unit"] != "s"
+        and distinct(parent, name) != distinct(change, name)
+    ]
+    lines.append("  exact metrics: " + ("all equal" if not differing else "DIFFER"))
+    lines.extend(f"    {name}: parent {distinct(parent, name)} change {distinct(change, name)}"
+                 for name in differing)
+    return lines, "result_digest" in differing
+
+
+def measure(
+    checkout: str, workload: str, seed: int, seconds: float, trace: bool = False
+) -> Dict[str, object]:
+    """One ``measure`` run in ``checkout``; its JSON result line."""
     done = subprocess.run(
         [
             sys.executable, "-m", "e2e_bench", "measure", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace)),
         ],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
@@ -134,11 +178,16 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--trace", action="store_true",
+        help="also compare min(pairs, 3) traced runs per side: layers and exact metrics",
+    )
     args = parser.parse_args(argv)
     workloads = args.workload or [entry["name"] for entry in manifest["workloads"]]
     seconds = float(manifest["run_seconds"])  # the benchmark's run length, not a knob
 
     root = tempfile.mkdtemp(prefix="pairs-")
+    digest_differs = False
     try:
         sides = prepare_sides(args.parent_ref, root)
         for workload in workloads:
@@ -165,9 +214,18 @@ def main(argv=None) -> int:
                     print(f"    {side:6s} median {statistics.median(values[side]):.4g} "
                           f"quartiles {low:.4g}..{high:.4g}  runs "
                           + " ".join(f"{value:.4g}" for value in values[side]))
+            if args.trace:
+                traced: Dict[str, List[dict]] = {"parent": [], "change": []}
+                for pair in range(min(args.pairs, 3)):
+                    for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+                        run = measure(sides[side], workload, args.seed, seconds, trace=True)
+                        traced[side].append(run["metrics"])
+                lines, differs = traced_report(traced["parent"], traced["change"])
+                digest_differs = digest_differs or differs
+                print("\n".join(lines))
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    return 0
+    return 1 if digest_differs else 0
 
 
 if __name__ == "__main__":

@@ -246,9 +246,8 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store-backend", choices=STORE_BACKENDS, default="memory",
-        help="graph-store backend: in-process memory (default), crash-safe "
-        "append-only log (requires --store-dir), or a process-shared "
-        "store server (one store across --workers)",
+        help="graph-store backend: in-process memory (default) or a "
+        "crash-safe append-only log (requires --store-dir)",
     )
     parser.add_argument(
         "--store-dir", metavar="DIR",

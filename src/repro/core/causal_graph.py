@@ -220,8 +220,8 @@ class DirectCausalityTracker:
         backend (nothing durable) or the ``log`` backend, whose frames
         replay renders from the uid counters and writes through
         :meth:`~repro.graphstore.backend.LogBackend.append_frame`.  Any
-        other journaling backend (``shared``, a mixed fleet, one this
-        list does not know) must see every mutation and stays refused.
+        other journaling backend (a mixed fleet, one this list does not
+        know) must see every mutation and stays refused.
 
         Sharded stores and the batched write pipeline *are* eligible:
         :meth:`observe_all` ends every execution with :meth:`flush`,

@@ -76,14 +76,11 @@ class ExperimentConfig:
     #: space-saving summary size for the topk tier.
     profiler_mode: str = "exact"
     profiler_topk: int = DEFAULT_TOPK_K
-    #: Graph-store backend: "memory" (in-process dicts), "log"
+    #: Graph-store backend: "memory" (in-process dicts) or "log"
     #: (append-only journal under ``store_dir``, one subdirectory per
-    #: manager), or "shared" (process-shared store server; connects to
-    #: ``store_shared_address`` or starts a private server per run).
+    #: manager).
     store_backend: str = "memory"
     store_dir: Optional[str] = None
-    store_shared_address: Optional[str] = None
-    store_shared_authkey: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.duration_minutes < 1:
@@ -225,9 +222,6 @@ def build_simulator(
         profiler_topk=cfg.sim.profiler_topk,
         store_backend=cfg.store_backend,
         store_dir=store_dir,
-        store_namespace=_manager_slug(manager_name),
-        shared_address=cfg.store_shared_address,
-        shared_authkey=cfg.store_shared_authkey,
     )
     if manager_config is not None:
         dca_config = manager_config
@@ -360,54 +354,30 @@ def run_all_managers(
     """
     names = tuple(managers) if managers is not None else MANAGER_NAMES
     results: Dict[str, SimulationResult] = {}
-    server = None
-    if (
-        config is not None
-        and config.store_backend == "shared"
-        and config.store_shared_address is None
-    ):
-        # One store server for the whole sweep: every manager run — in
-        # this process or a pool worker — connects to it over the Unix
-        # socket, each under its own namespace.
-        from dataclasses import replace
+    if workers > 1 and len(names) > 1:
+        from repro.apps.catalog import SCENARIOS
 
-        from repro.graphstore.shared import SharedStoreServer
+        if scenario.name in SCENARIOS:
+            from concurrent.futures import ProcessPoolExecutor
 
-        server = SharedStoreServer()
-        server.start()
-        config = replace(
-            config,
-            store_shared_address=server.address,
-            store_shared_authkey=server.authkey_hex,
-        )
-    try:
-        if workers > 1 and len(names) > 1:
-            from repro.apps.catalog import SCENARIOS
-
-            if scenario.name in SCENARIOS:
-                from concurrent.futures import ProcessPoolExecutor
-
-                merged = registry if registry is not None else get_registry()
-                with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:
-                    futures = [
-                        pool.submit(_run_manager_task, scenario.name, name, config)
-                        for name in names
-                    ]
-                    for future in futures:
-                        name, result, snapshot, checkpoint = future.result()
-                        results[name] = result
-                        merged.merge_snapshot(snapshot)
-                        if profile is not None:
-                            profile.add(name, checkpoint)
-                return results
-        for name in names:
-            if profile is None:
-                results[name] = run_manager(scenario, name, config)
-            else:
-                simulator = build_simulator(scenario, name, config)
-                results[name] = simulator.run()
-                profile.add(name, _profiler_checkpoint(simulator))
-        return results
-    finally:
-        if server is not None:
-            server.shutdown()
+            merged = registry if registry is not None else get_registry()
+            with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:
+                futures = [
+                    pool.submit(_run_manager_task, scenario.name, name, config)
+                    for name in names
+                ]
+                for future in futures:
+                    name, result, snapshot, checkpoint = future.result()
+                    results[name] = result
+                    merged.merge_snapshot(snapshot)
+                    if profile is not None:
+                        profile.add(name, checkpoint)
+            return results
+    for name in names:
+        if profile is None:
+            results[name] = run_manager(scenario, name, config)
+        else:
+            simulator = build_simulator(scenario, name, config)
+            results[name] = simulator.run()
+            profile.add(name, _profiler_checkpoint(simulator))
+    return results

@@ -1,8 +1,7 @@
 """Causal-graph store (Apache Titan substitute), root-sharded or whole.
 
 The store facade is backend-pluggable (:mod:`repro.graphstore.backend`):
-in-process memory (default), a crash-safe append-only segment log, or a
-process-shared store server (:mod:`repro.graphstore.shared`).
+in-process memory (default) or a crash-safe append-only segment log.
 """
 
 from repro.graphstore.backend import (

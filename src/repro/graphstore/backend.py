@@ -1,4 +1,4 @@
-"""Pluggable graph-store backends: in-memory, append-only log, shared.
+"""Pluggable graph-store backends: in-memory and append-only log.
 
 The paper offloads causal graphs to an external store (Apache Titan)
 precisely so provenance capture is not bounded by one process's RAM and
@@ -16,11 +16,6 @@ narrow :class:`GraphStoreBackend` protocol behind the existing
   sequence; reopening the directory replays the log to rebuild the
   exact store state, so experiments survive restarts and stores larger
   than RAM stream from disk through ``mmap`` during recovery.
-* The **shared** backend lives in :mod:`repro.graphstore.shared`: a
-  multiprocessing store server reached over a Unix socket, so parallel
-  experiment workers operate on one store instead of merging snapshots.
-  It is a full store facade (not a journal), hence not constructed via
-  :func:`make_backend`.
 
 On-disk format (``log`` backend)
 --------------------------------
@@ -92,7 +87,7 @@ from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
 
 #: The selectable backend kinds (`--store-backend`).
-BACKENDS = ("memory", "log", "shared")
+BACKENDS = ("memory", "log")
 
 #: Segment-file constants (see the module docstring for the layout).
 SEGMENT_MAGIC = b"RGSL"
@@ -471,6 +466,25 @@ def frame_parts(blob: bytes) -> List[Tuple[Tuple[bytes, int, int], List[MessageU
     return parts
 
 
+def _segment_indices(directory: str) -> List[int]:
+    """Sorted indices of the segment files in ``directory`` (none if absent)."""
+    if not os.path.isdir(directory):
+        return []
+    matches = map(SEGMENT_NAME_RE.match, os.listdir(directory))
+    return sorted(int(match.group(1)) for match in matches if match)
+
+
+def _refuse_fresh_over(directory: str) -> None:
+    """A fresh log never mixes with segments already in ``directory``."""
+    existing = _segment_indices(directory)
+    if existing:
+        raise StoreBackendError(
+            f"refusing to create a fresh log over {len(existing)} existing "
+            f"segment(s) in {directory} — reopen with create=False or "
+            "point --store-dir at an empty directory"
+        )
+
+
 class LogBackend(GraphStoreBackend):
     """Append-only segmented binary log under one directory.
 
@@ -538,17 +552,12 @@ class LogBackend(GraphStoreBackend):
         #: executions to observe what each one wrote, flush by flush.
         self.flush_tap = None
         os.makedirs(directory, exist_ok=True)
-        existing = self._segment_indices()
         if create:
-            if existing:
-                raise StoreBackendError(
-                    f"refusing to create a fresh log over {len(existing)} existing "
-                    f"segment(s) in {directory} — reopen with create=False or "
-                    "point --store-dir at an empty directory"
-                )
+            _refuse_fresh_over(directory)
             self._segment_index = 0
             self._open_segment(0, fresh=True)
         else:
+            existing = _segment_indices(directory)
             if not existing:
                 raise StoreBackendError(
                     f"no log segments to reopen in {directory}"
@@ -565,14 +574,6 @@ class LogBackend(GraphStoreBackend):
             self._open_segment(self._segment_index, fresh=False)
 
     # -- segment files -----------------------------------------------------------
-
-    def _segment_indices(self) -> List[int]:
-        indices = []
-        for name in os.listdir(self.directory):
-            match = SEGMENT_NAME_RE.match(name)
-            if match:
-                indices.append(int(match.group(1)))
-        return sorted(indices)
 
     def _segment_path(self, index: int) -> str:
         return os.path.join(self.directory, segment_name(index))
@@ -701,14 +702,14 @@ class LogBackend(GraphStoreBackend):
         yield  # pragma: no cover - generator shape only
 
     def _validate_segments(self, repair: bool) -> None:
-        indices = self._segment_indices()
+        indices = _segment_indices(self.directory)
         for index in indices:
             for _ in self._read_segment(index, index == indices[-1], repair):
                 pass
 
     def iter_ops(self) -> Iterator[Tuple[int, tuple]]:
         """Stream every journaled op (decoded) from the segment sequence."""
-        indices = self._segment_indices()
+        indices = _segment_indices(self.directory)
         for index in indices:
             for payload in self._read_segment(index, index == indices[-1], False):
                 yield decode_payload(payload)
@@ -827,12 +828,7 @@ def make_backend(
     registry: Optional[MetricsRegistry] = None,
     **log_options,
 ) -> GraphStoreBackend:
-    """Build one backend for a single (non-sharded) store.
-
-    ``shared`` is not constructible here — it is a store *facade*
-    (:class:`repro.graphstore.shared.SharedGraphStoreClient`), not a
-    journal behind a local store.
-    """
+    """Build one backend for a single (non-sharded) store."""
     if kind == "memory":
         return MemoryBackend()
     if kind == "log":
@@ -840,11 +836,6 @@ def make_backend(
             raise StoreBackendError("the log backend requires --store-dir")
         return LogBackend(
             store_dir, create=create, registry=registry, **log_options
-        )
-    if kind == "shared":
-        raise StoreBackendError(
-            "the shared backend is a store facade — build it via "
-            "repro.graphstore.shared, not make_backend()"
         )
     raise StoreBackendError(f"unknown store backend {kind!r}; choose from {BACKENDS}")
 
@@ -857,19 +848,33 @@ def shard_backends(
     registry: Optional[MetricsRegistry] = None,
     **log_options,
 ) -> List[GraphStoreBackend]:
-    """Per-shard backends for a :class:`ShardedGraphStore` (``shard-NN/`` dirs)."""
+    """Per-shard backends for a :class:`ShardedGraphStore` (``shard-NN/`` dirs).
+
+    All or nothing: a fresh fleet checks every shard directory before it
+    creates any segment, and a shard that fails to open closes the ones
+    opened before it, so the error names the shard at fault and leaves
+    no open handle behind.
+    """
     if kind == "memory":
         return [MemoryBackend() for _ in range(num_shards)]
-    if kind == "log":
-        if store_dir is None:
-            raise StoreBackendError("the log backend requires --store-dir")
-        return [
-            LogBackend(
-                shard_dir(store_dir, index), create=create,
-                registry=registry, **log_options,
+    if kind != "log":
+        raise StoreBackendError(
+            f"unknown store backend {kind!r}; choose from {BACKENDS}"
+        )
+    if store_dir is None:
+        raise StoreBackendError("the log backend requires --store-dir")
+    directories = [shard_dir(store_dir, index) for index in range(num_shards)]
+    if create:
+        for directory in directories:
+            _refuse_fresh_over(directory)
+    backends: List[GraphStoreBackend] = []
+    try:
+        for directory in directories:
+            backends.append(
+                LogBackend(directory, create=create, registry=registry, **log_options)
             )
-            for index in range(num_shards)
-        ]
-    raise StoreBackendError(
-        f"cannot build per-shard {kind!r} backends; choose from ('memory', 'log')"
-    )
+    except BaseException:
+        for backend in backends:
+            backend.close()
+        raise
+    return backends

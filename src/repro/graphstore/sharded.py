@@ -13,10 +13,9 @@ The shard protocol
 ------------------
 Every store the tracker can be given answers ``shards``,
 ``shard_index_of(root)``, ``flush_journal()`` and ``close()``: this
-facade, a plain :class:`~repro.graphstore.store.GraphStore` (a fleet of
-one — ``shards`` is itself, every root maps to shard 0) and the
-process-shared client (:mod:`repro.graphstore.shared`, which routes by
-the same :func:`shard_of`).  The batched write pipeline, the replay
+facade and a plain :class:`~repro.graphstore.store.GraphStore` (a fleet
+of one — ``shards`` is itself, every root maps to shard 0).  The
+batched write pipeline, the replay
 journal writer and the simulator's shutdown call it without asking what
 kind of store they hold.
 

@@ -54,8 +54,8 @@ class MessageUid(tuple):
 
     def __reduce__(self):
         # Rebuild through the three-argument constructor (the default
-        # tuple pickling would hand __new__ the raw 4-tuple); the
-        # shared-store backend ships uids across a process boundary.
+        # tuple pickling would hand __new__ the raw 4-tuple), so a uid
+        # survives a trip across a process boundary.
         return (MessageUid, (self[0], self[1], self[2]))
 
     def __repr__(self) -> str:

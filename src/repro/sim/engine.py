@@ -99,9 +99,9 @@ class SimulationConfig:
     profiler_mode: str = "exact"
     profiler_topk: int = DEFAULT_TOPK_K
     #: Graph-store backend behind the DCA tracker: in-process dicts
-    #: (``memory``, the default), the crash-safe append-only log
-    #: (``log``, requires ``store_dir``), or the process-shared store
-    #: server (``shared``) — see :mod:`repro.graphstore.backend`.
+    #: (``memory``, the default) or the crash-safe append-only log
+    #: (``log``, requires ``store_dir``) — see
+    #: :mod:`repro.graphstore.backend`.
     store_backend: str = "memory"
     store_dir: Optional[str] = None
 
@@ -186,9 +186,6 @@ class DCABundle:
         profiler_topk: int = DEFAULT_TOPK_K,
         store_backend: str = "memory",
         store_dir: Optional[str] = None,
-        store_namespace: Optional[str] = None,
-        shared_address: Optional[str] = None,
-        shared_authkey: Optional[str] = None,
     ) -> "DCABundle":
         """Analyse, instrument, and wire the full DCA pipeline for ``app``.
 
@@ -206,12 +203,9 @@ class DCABundle:
 
         ``store_backend`` selects the persistence seam
         (:mod:`repro.graphstore.backend`): ``log`` journals every store
-        mutation into ``store_dir`` (crc32-framed rotated segments);
-        ``shared`` connects to a store server at ``shared_address``
-        (authkey hex in ``shared_authkey``) under ``store_namespace`` —
-        or starts a private server for this run when no address is
-        given.  Either way the non-volatile telemetry the run produces
-        is bit-identical to the memory backend's.
+        mutation into ``store_dir`` (crc32-framed rotated segments), and
+        the telemetry the run produces is bit-identical to the memory
+        backend's.
         """
         dca_result = analyze_application(app)
         runtime = ApplicationRuntime(
@@ -235,33 +229,7 @@ class DCABundle:
             raise SimulationError(
                 f"unknown store backend {store_backend!r}; choose from {STORE_BACKENDS}"
             )
-        if store_backend == "shared":
-            from repro.graphstore.shared import (
-                SharedGraphStoreClient,
-                SharedStoreServer,
-            )
-
-            owned_server = None
-            if shared_address is None:
-                # No external server given: start a private one whose
-                # lifetime is tied to this client (shut down on close()).
-                owned_server = SharedStoreServer()
-                owned_server.start()
-                shared_address = owned_server.address
-                shared_authkey = owned_server.authkey_hex
-            if shared_authkey is None:
-                raise SimulationError(
-                    "shared store backend requires an authkey alongside the address"
-                )
-            store = SharedGraphStoreClient(
-                shared_address,
-                bytes.fromhex(shared_authkey),
-                namespace=store_namespace or "default",
-                num_shards=num_shards,
-                registry=registry,
-                owned_server=owned_server,
-            )
-        elif num_shards > 1:
+        if num_shards > 1:
             backends = None
             if store_backend == "log":
                 if store_dir is None:
@@ -430,9 +398,7 @@ class ClusterSimulator:
         """Release the graph store's backend at end of run.
 
         A no-op for the in-process memory backend; flushes and closes
-        log segments, and (for the shared backend) merges the server-side
-        telemetry namespace into the local registry before shutting down
-        a privately owned server.  Must run *after* the last interval so
+        log segments.  Must run *after* the last interval so
         every buffered write has already been applied and journaled.
         """
         if self.dca is not None:

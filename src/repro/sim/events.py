@@ -101,8 +101,8 @@ file of every shard is byte-identical to the tick engine's
 Replay is only eligible when ingestion is pure counting — no fault
 injector, no path timeout, a memory- or log-backend store
 (:attr:`~repro.core.causal_graph.DirectCausalityTracker.supports_snapshot_replay`;
-``shared`` and any journaling backend replay cannot render frames for
-stay refused), and an ``exact``-mode profiler whose manager cannot
+a mixed fleet and any journaling backend replay cannot render frames
+for stay refused), and an ``exact``-mode profiler whose manager cannot
 downshift it into a sketch mode mid-run (batched replayed ``profiler.record`` ops are
 additive for exact buckets but would perturb space-saving
 promotion/eviction order).  Sharded stores and the batched write

@@ -1,16 +1,15 @@
 """Backend ≡ memory: the cross-backend bit-identity contract.
 
-A graph-store backend changes *where* state lives (process RAM, an
-append-only log, a store-server process) but never *what* the store
-computes.  These seeded property tests pin that across the three
-backends: identical observables (signatures, members, evictions,
+A graph-store backend changes *where* state lives (process RAM or an
+append-only log) but never *what* the store computes.  These seeded
+property tests pin that across both backends: identical observables (signatures, members, evictions,
 survivors, notifications), identical fault-ledger counters under a
 seeded fault plan, and — the strongest form — bit-identical sha256
 telemetry digests over every non-volatile metric, at multiple
 shard/batch configurations and under both simulation engines.
 
 The ordering-leak audit behind the digest contract: ``all_uids`` walks
-insertion-ordered partition dicts, ``graph_members`` returns the
+the insertion-ordered uid index, ``graph_members`` returns the
 accumulator's arrival-ordered member list, ``repair_dangling_edges``
 sweeps ``sorted()`` ghosts — all deterministic — and the one true leak
 (``frozenset`` cause-uid iteration order varies with the interpreter
@@ -27,9 +26,7 @@ from repro.core.causal_graph import DirectCausalityTracker
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.graphstore.backend import make_backend, shard_backends
-from repro.graphstore.pipeline import BatchedWritePipeline
 from repro.graphstore.sharded import ShardedGraphStore
-from repro.graphstore.shared import SharedGraphStoreClient, SharedStoreServer
 from repro.graphstore.store import GraphStore
 from repro.profiling.profiler import CausalPathProfiler
 from repro.telemetry import MetricsRegistry
@@ -39,20 +36,7 @@ from tests.graphstore.test_sharded_equivalence import _bridge_free_trace, _inges
 NUM_SHARDS = 4
 
 
-@pytest.fixture(scope="module")
-def server():
-    srv = SharedStoreServer()
-    srv.start()
-    yield srv
-    srv.shutdown()
-
-
-def _build_store(kind, registry, tmp_path, server, namespace, shards=1):
-    if kind == "shared":
-        return SharedGraphStoreClient(
-            server.address, server.authkey, namespace=namespace,
-            num_shards=shards, registry=registry,
-        )
+def _build_store(kind, registry, tmp_path, namespace, shards=1):
     if shards > 1:
         backends = (
             shard_backends("log", shards, str(tmp_path / namespace), registry=registry)
@@ -68,40 +52,36 @@ def _build_store(kind, registry, tmp_path, server, namespace, shards=1):
     return GraphStore(registry=registry, backend=backend)
 
 
-def _run_store(kind, stored, roots, tmp_path, server, namespace, shards=1,
-               batch_size=None):
+def _run_store(kind, stored, roots, tmp_path, namespace, shards=1, batch_size=None):
     registry = MetricsRegistry()
-    store = _build_store(kind, registry, tmp_path, server, namespace, shards=shards)
+    store = _build_store(kind, registry, tmp_path, namespace, shards=shards)
     outcome = _observe(store, stored, roots, batch_size=batch_size)
     store.close()
     return outcome, telemetry_digest(registry.snapshot())
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_backends_bit_identical_on_store_observables(seed, tmp_path, server):
-    """25 seeds x (shards, batch) cell: every backend ≡ memory, digest included."""
+def test_backends_bit_identical_on_store_observables(seed, tmp_path):
+    """25 seeds x (shards, batch) cell: log ≡ memory, digest included."""
     rng = random.Random(seed)
     stored, roots = _bridge_free_trace(rng)
     shards = rng.choice((1, NUM_SHARDS))
     batch = rng.choice((None, 2, 32))
     reference, ref_digest = _run_store(
-        "memory", stored, roots, tmp_path, server, f"mem-{seed}",
+        "memory", stored, roots, tmp_path, f"mem-{seed}",
         shards=shards, batch_size=batch,
     )
-    for kind in ("log", "shared"):
-        outcome, digest = _run_store(
-            kind, stored, roots, tmp_path, server, f"{kind}-{seed}",
-            shards=shards, batch_size=batch,
-        )
-        assert outcome == reference, (kind, shards, batch)
-        assert digest == ref_digest, (kind, shards, batch)
+    outcome, digest = _run_store(
+        "log", stored, roots, tmp_path, f"log-{seed}", shards=shards, batch_size=batch,
+    )
+    assert outcome == reference, (shards, batch)
+    assert digest == ref_digest, (shards, batch)
 
 
-def _run_tracker(kind, stored, plan, tmp_path, server, namespace, shards,
-                 batch_size):
+def _run_tracker(kind, stored, plan, tmp_path, namespace, shards, batch_size):
     registry = MetricsRegistry()
     injector = FaultInjector(plan, registry=registry)
-    store = _build_store(kind, registry, tmp_path, server, namespace, shards=shards)
+    store = _build_store(kind, registry, tmp_path, namespace, shards=shards)
     profiler = CausalPathProfiler({}, registry=registry)
     tracker = DirectCausalityTracker(
         profiler, store=store, registry=registry, fault_injector=injector,
@@ -127,22 +107,21 @@ def _run_tracker(kind, stored, plan, tmp_path, server, namespace, shards,
 
 
 @pytest.mark.parametrize("seed", range(0, 25, 5))
-def test_fault_plan_ledgers_identical_across_backends(seed, tmp_path, server):
+def test_fault_plan_ledgers_identical_across_backends(seed, tmp_path):
     """The seeded write-fault stream must not notice the backend."""
     rng = random.Random(seed + 7000)
     stored, _roots = _bridge_free_trace(rng, num_roots=10)
     plan = FaultPlan(seed=seed, store_write_failure_rate=0.3)
     shards, batch = rng.choice(((1, 1), (NUM_SHARDS, 1), (NUM_SHARDS, 16)))
     reference, ref_digest = _run_tracker(
-        "memory", stored, plan, tmp_path, server, f"fmem-{seed}", shards, batch
+        "memory", stored, plan, tmp_path, f"fmem-{seed}", shards, batch
     )
     assert reference["ledger"]["faults.store_write_failures"] > 0
-    for kind in ("log", "shared"):
-        outcome, digest = _run_tracker(
-            kind, stored, plan, tmp_path, server, f"f{kind}-{seed}", shards, batch
-        )
-        assert outcome == reference, (kind, shards, batch)
-        assert digest == ref_digest, (kind, shards, batch)
+    outcome, digest = _run_tracker(
+        "log", stored, plan, tmp_path, f"flog-{seed}", shards, batch
+    )
+    assert outcome == reference, (shards, batch)
+    assert digest == ref_digest, (shards, batch)
 
 
 @pytest.mark.parametrize("seed", range(0, 25, 5))
@@ -220,10 +199,7 @@ def _sim_digest(backend, tmp_path, name, shards=1, batch=1, engine="tick",
 )
 def test_full_simulation_digest_parity(shards, batch, engine, tmp_path):
     reference = _sim_digest("memory", tmp_path, "m", shards, batch, engine)
-    for backend in ("log", "shared"):
-        assert _sim_digest(
-            backend, tmp_path, backend, shards, batch, engine
-        ) == reference, backend
+    assert _sim_digest("log", tmp_path, "log", shards, batch, engine) == reference
 
 
 def test_full_simulation_digest_parity_under_faults(tmp_path):
@@ -232,7 +208,4 @@ def test_full_simulation_digest_parity_under_faults(tmp_path):
         seed=3, message_drop_rate=0.02, store_write_failure_rate=0.05,
     )
     reference = _sim_digest("memory", tmp_path, "fm", fault_plan=plan)
-    for backend in ("log", "shared"):
-        assert _sim_digest(
-            backend, tmp_path, "f" + backend, fault_plan=plan
-        ) == reference, backend
+    assert _sim_digest("log", tmp_path, "flog", fault_plan=plan) == reference

@@ -10,7 +10,10 @@ caller opts into ``repair_torn_tail=True``, which truncates exactly the
 partial frame and keeps every intact record before it.
 """
 
+import gc
 import os
+import sys
+import warnings
 
 import pytest
 
@@ -22,6 +25,8 @@ from repro.graphstore.backend import (
     decode_payload,
     encode_message,
     segment_name,
+    shard_backends,
+    shard_dir,
 )
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import CLIENT, EXTERNAL
@@ -74,6 +79,18 @@ def _reopen(directory, **kwargs):
     store = GraphStore(registry=registry, backend=backend)
     store.recover()
     return store
+
+
+def _leak_free(monkeypatch, action):
+    """Run ``action`` as under ``-W error::ResourceWarning``, collect, and
+    return every warning that escaped a finaliser (an unclosed file)."""
+    leaked = []
+    monkeypatch.setattr(sys, "unraisablehook", leaked.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        action()
+        gc.collect()
+    return [str(unraisable.exc_value) for unraisable in leaked]
 
 
 def _only_segment(directory):
@@ -282,3 +299,36 @@ class TestLifecycle:
         ]
         assert backend_keys  # the backend did report diagnostics
         assert all(is_volatile_metric_key(key) for key in backend_keys)
+
+
+class TestShardFleet:
+    def test_fresh_fleet_checks_every_shard_before_creating_any(
+        self, tmp_path, monkeypatch
+    ):
+        _write_store(shard_dir(str(tmp_path), 2), [_chain(2)]).close()
+
+        def create():
+            with pytest.raises(StoreBackendError, match="shard-02"):
+                shard_backends("log", 4, str(tmp_path), registry=MetricsRegistry())
+
+        assert _leak_free(monkeypatch, create) == []
+        for index in (0, 1):
+            directory = shard_dir(str(tmp_path), index)
+            assert not os.path.isdir(directory) or not os.listdir(directory)
+
+    def test_reopen_closes_opened_shards_when_a_later_one_is_torn(
+        self, tmp_path, monkeypatch
+    ):
+        for index in range(4):
+            chain = _chain(4, seq_base=1 + 50 * index)
+            _write_store(shard_dir(str(tmp_path), index), [chain]).close()
+        torn = _only_segment(shard_dir(str(tmp_path), 3))
+        os.truncate(torn, os.path.getsize(torn) - 3)
+
+        def reopen():
+            with pytest.raises(StoreBackendError, match="torn tail"):
+                shard_backends(
+                    "log", 4, str(tmp_path), create=False, registry=MetricsRegistry()
+                )
+
+        assert _leak_free(monkeypatch, reopen) == []

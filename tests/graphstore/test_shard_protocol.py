@@ -1,9 +1,9 @@
 """Every store the tracker can be given answers one shard protocol.
 
 ``shards``, ``shard_index_of(root)``, ``flush_journal()`` and ``close()``
-on a plain :class:`GraphStore` (a fleet of one), the root-sharded facade
-and the process-shared client — and all of them route a root to the
-shard :class:`ShardedGraphStore` would, for the same shard count.
+on a plain :class:`GraphStore` (a fleet of one) and the root-sharded
+facade — and both route a root to the shard :class:`ShardedGraphStore`
+would, for the same shard count.
 """
 
 import random
@@ -12,39 +12,24 @@ import pytest
 
 from repro.graphstore.pipeline import BatchedWritePipeline
 from repro.graphstore.sharded import ShardedGraphStore
-from repro.graphstore.shared import SharedGraphStoreClient, SharedStoreServer
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import EXTERNAL
 from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry
 
 
-@pytest.fixture(scope="module")
-def server():
-    srv = SharedStoreServer()
-    srv.start()
-    yield srv
-    srv.shutdown()
-
-
-def _build(kind, num_shards, registry, server):
+def _build(kind, num_shards, registry):
     if kind == "plain":
         return GraphStore(registry=registry)
-    if kind == "sharded":
-        return ShardedGraphStore(num_shards, registry=registry)
-    return SharedGraphStoreClient(
-        server.address, server.authkey, namespace=f"protocol-{num_shards}",
-        num_shards=num_shards, registry=registry,
-    )
+    return ShardedGraphStore(num_shards, registry=registry)
 
 
 @pytest.mark.parametrize(
-    "kind,num_shards",
-    [("plain", 1), ("sharded", 1), ("sharded", 4), ("shared", 1), ("shared", 4)],
+    "kind,num_shards", [("plain", 1), ("sharded", 1), ("sharded", 4)]
 )
-def test_every_store_answers_the_shard_protocol(kind, num_shards, server):
+def test_every_store_answers_the_shard_protocol(kind, num_shards):
     registry = MetricsRegistry()
-    store = _build(kind, num_shards, registry, server)
+    store = _build(kind, num_shards, registry)
     assert len(store.shards) == num_shards
     if kind == "plain":
         assert store.shards == (store,)

@@ -4,9 +4,9 @@ Converged replay freezes a per-execution effect and stops feeding the
 store.  On the ``log`` backend the effect carries the execution's journal
 frames, which replay renders from the uid counters and writes through
 ``LogBackend.append_frame`` — so the durable log stays complete and
-``log`` is eligible.  Any other journaling backend (the ``shared`` store
-facade, a backend replay cannot render frames for) would be left
-silently incomplete and stays refused.  The gate lives in
+``log`` is eligible.  Any other journaling backend (one replay cannot
+render frames for, or a shard fleet whose backends disagree) would be
+left silently incomplete and stays refused.  The gate lives in
 ``supports_snapshot_replay``, which the one eligibility predicate
 (``repro.sim.events.replay_refusal``) consults at
 :class:`~repro.sim.events.ReplayIngestor` construction and again at the
@@ -20,7 +20,7 @@ import pytest
 
 from repro.apps.catalog import load_scenario
 from repro.evalx.experiment import ExperimentConfig, build_simulator
-from repro.graphstore.backend import GraphStoreBackend
+from repro.graphstore.backend import GraphStoreBackend, LogBackend
 from repro.sim.events import EventDrivenRunner, ReplayIngestor, replay_refusal
 from repro.telemetry import MetricsRegistry
 
@@ -32,10 +32,11 @@ class _OpaqueJournal(GraphStoreBackend):
     journaling = True
 
 
-def _simulator(backend, tmp_path, engine="event"):
+def _simulator(backend, tmp_path, engine="event", shards=1):
     config = ExperimentConfig(
         duration_minutes=8, seed=7, engine=engine, store_backend=backend,
         store_dir=str(tmp_path / backend) if backend == "log" else None,
+        num_shards=shards,
     )
     return build_simulator(
         load_scenario("hedwig"), "DCA-10%", config, registry=MetricsRegistry()
@@ -50,20 +51,38 @@ def _opaque_simulator(tmp_path):
     return simulator
 
 
+def _mixed_fleet_simulator(tmp_path):
+    """A 4-shard memory simulator whose shard 0 journals into a log: a
+    fleet of one ``log`` shard and three ``memory`` shards."""
+    simulator = _simulator("memory", tmp_path, shards=4)
+    store = simulator.dca.tracker.store
+    store.shards[0].backend = LogBackend(
+        str(tmp_path / "mixed"), registry=simulator.telemetry
+    )
+    assert [shard.backend_kind for shard in store.shards] == ["log"] + ["memory"] * 3
+    assert store.backend_kind == "mixed"
+    return simulator
+
+
 def test_supports_snapshot_replay_is_backend_gated(tmp_path):
-    for backend, eligible in (("memory", True), ("log", True), ("shared", False)):
+    for backend in ("memory", "log"):
         simulator = _simulator(backend, tmp_path)
         try:
-            assert simulator.dca.tracker.supports_snapshot_replay is eligible, backend
+            assert simulator.dca.tracker.supports_snapshot_replay, backend
         finally:
             simulator.dca.tracker.store.close()
     assert not _opaque_simulator(tmp_path).dca.tracker.supports_snapshot_replay
+    simulator = _mixed_fleet_simulator(tmp_path)
+    try:
+        assert not simulator.dca.tracker.supports_snapshot_replay
+    finally:
+        simulator.dca.tracker.store.close()
 
 
 def test_replay_ingestor_refuses_journaling_backend(tmp_path):
     with pytest.raises(ValueError, match="snapshot replay"):
         ReplayIngestor(_opaque_simulator(tmp_path))
-    simulator = _simulator("shared", tmp_path)
+    simulator = _mixed_fleet_simulator(tmp_path)
     try:
         with pytest.raises(ValueError, match="snapshot replay"):
             ReplayIngestor(simulator)
@@ -73,7 +92,7 @@ def test_replay_ingestor_refuses_journaling_backend(tmp_path):
 
 def test_event_runner_falls_back_to_full_ingestion(tmp_path):
     assert not EventDrivenRunner(_opaque_simulator(tmp_path))._replay_eligible
-    simulator = _simulator("shared", tmp_path)
+    simulator = _mixed_fleet_simulator(tmp_path)
     try:
         assert not EventDrivenRunner(simulator)._replay_eligible
     finally:

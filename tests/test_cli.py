@@ -67,11 +67,19 @@ class TestSimulate:
             capsys.readouterr().out,
         )
         # Refused outright: the eligibility predicate's own reason.
-        assert main(base + ["--duration", "5", "--store-backend", "shared"]) == 0
-        assert "replay: not engaged — tracker configuration" in capsys.readouterr().out
+        assert main(base + ["--duration", "5", "--profiler-mode", "topk"]) == 0
+        assert "replay: not engaged — ReplayIngestor requires the exact profiler mode" in (
+            capsys.readouterr().out
+        )
         # The tick engine has no replay to report on.
         assert main(base[:-2] + ["--duration", "5"]) == 0
         assert "replay:" not in capsys.readouterr().out
+
+
+    def test_store_backend_choices_are_memory_and_log(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "hedwig", "--store-backend", "shared"])
+        assert exc.value.code == 2
 
 
 class TestMetrics:
