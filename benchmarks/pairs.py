@@ -28,6 +28,10 @@ run, and one verdict:
   show neither a regression nor its absence;
 * ``worse`` — the change's median is worse by more than the bound.
 
+Beside the verdict it prints two error bars, which do not change it: the
+Wilson 95 % interval on the change's share of won pairs, and a seeded
+paired-bootstrap 95 % interval on the change/parent median ratio.
+
 ``--trace`` then runs ``min(pairs, 3)`` alternating ``--trace 1`` measures
 per side and prints, per layer, each side's median ``self_s`` — only where
 the layer's ``calls`` agree, since a layer that did different work has no
@@ -44,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -52,6 +57,9 @@ import tempfile
 from typing import Dict, List, Sequence, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+
+from repro.chaos.reliability import wilson_interval  # noqa: E402
 
 
 def _quartiles(values: Sequence[float]) -> tuple:
@@ -85,6 +93,28 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str, bound
         every_run_worse = max(new) < min(old)
         return wins, losses, "unresolved" if noisy and not every_run_worse else "worse"
     return wins, losses, "unresolved" if noisy else "no worse"
+
+
+def median_ratio_interval(
+    parent: Sequence[float], change: Sequence[float], resamples: int = 2000, seed: int = 0
+) -> Tuple[float, float]:
+    """Bootstrap 95 % interval on ``median(change) / median(parent)``.
+
+    Resamples whole pairs (index ``i`` keeps parent run ``i`` with change
+    run ``i``, which ran next to it), from a fixed seed so a report reads
+    the same every time it is printed.
+    """
+    rng = random.Random(seed)
+    indices = range(len(parent))
+    ratios = []
+    for _ in range(resamples):
+        picked = rng.choices(indices, k=len(parent))
+        ratios.append(
+            statistics.median(change[i] for i in picked)
+            / statistics.median(parent[i] for i in picked)
+        )
+    low, high = statistics.quantiles(ratios, n=40, method="inclusive")[0::38]
+    return low, high
 
 
 def _git_files(repo: str, *options: str) -> List[str]:
@@ -206,14 +236,20 @@ def main(argv=None) -> int:
                 wins, losses, word = verdict(
                     values["parent"], values["change"], metric["better"], metric["bound"]
                 )
+                share_low, share_high = wilson_interval(wins, args.pairs)
                 print(f"  {name} ({metric['unit']}, {metric['better']} is better, "
                       f"bound {metric['bound']:.0%}): {word}; change won {wins}, "
-                      f"lost {losses} of {args.pairs}")
+                      f"lost {losses} of {args.pairs} (win share 95 % CI "
+                      f"{share_low:.2f}..{share_high:.2f})")
                 for side in ("parent", "change"):
                     low, high = _quartiles(values[side])
                     print(f"    {side:6s} median {statistics.median(values[side]):.4g} "
                           f"quartiles {low:.4g}..{high:.4g}  runs "
                           + " ".join(f"{value:.4g}" for value in values[side]))
+                ratio = statistics.median(values["change"]) / statistics.median(values["parent"])
+                ratio_low, ratio_high = median_ratio_interval(values["parent"], values["change"])
+                print(f"    change/parent median ratio {ratio:.4g} (bootstrap 95 % CI "
+                      f"{ratio_low:.4g}..{ratio_high:.4g})")
             if args.trace:
                 traced: Dict[str, List[dict]] = {"parent": [], "change": []}
                 for pair in range(min(args.pairs, 3)):

@@ -6,8 +6,8 @@ Top-level convenience re-exports; subpackages:
 * :mod:`repro.lang`       — component IR, static analyses, interpreter;
 * :mod:`repro.core`       — DCA, causal probability, the DCA autoscaler;
 * :mod:`repro.graphstore` — the Titan-substitute causal-graph store;
-* :mod:`repro.profiling`  — Ball–Larus numbering, the path profiler;
-* :mod:`repro.tracing`    — temporal-causality substrate (baselines);
+* :mod:`repro.profiling`  — the sliding-window causal-path profiler;
+* :mod:`repro.tracing`    — temporal causality: vector clock, spans, HTrace;
 * :mod:`repro.sim`        — the cluster simulator (testbed substitute);
 * :mod:`repro.autoscale`  — CloudWatch / ElasticRMI / HTrace baselines;
 * :mod:`repro.workloads`  — Fig. 7 patterns and request generation;

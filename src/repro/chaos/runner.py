@@ -34,7 +34,8 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
 from repro.chaos.invariants import Violation, check_all
 from repro.chaos.matrix import ChaosCell, ChaosMatrix
 from repro.chaos.reliability import ReliabilityScore, reliability_score
-from repro.errors import EvaluationError, ParityArtifactError
+from repro.errors import EvaluationError
+from repro.sim.parity import load_json_artifact
 
 #: Keys a replay bundle must carry to be loadable.
 _BUNDLE_REQUIRED_KEYS = ("cell", "cell_id", "repeat", "telemetry_digest", "violations")
@@ -304,37 +305,10 @@ def write_replay_bundle(
 
 
 def load_replay_bundle(path: str) -> Dict[str, object]:
-    """Load one replay bundle, failing loudly on bad input.
-
-    Mirrors :func:`repro.sim.parity.load_parity_report`: a missing,
-    empty, or structurally wrong bundle raises
-    :class:`~repro.errors.ParityArtifactError` with the exact reason.
-    """
-    if not os.path.exists(path):
-        raise ParityArtifactError(f"replay bundle not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
-    if not raw.strip():
-        raise ParityArtifactError(
-            f"replay bundle {path} is empty (partially-written artifact) — "
-            "re-run the sweep instead of trusting it"
-        )
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:
-        raise ParityArtifactError(
-            f"replay bundle {path} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ParityArtifactError(
-            f"replay bundle {path} must be a JSON object, got {type(data).__name__}"
-        )
-    missing = [key for key in _BUNDLE_REQUIRED_KEYS if key not in data]
-    if missing:
-        raise ParityArtifactError(
-            f"replay bundle {path} is missing required keys {missing}"
-        )
-    return data
+    """Load one replay bundle through
+    :func:`repro.sim.parity.load_json_artifact`: bad input raises
+    :class:`~repro.errors.ParityArtifactError` with the exact reason."""
+    return load_json_artifact(path, "replay bundle", _BUNDLE_REQUIRED_KEYS)
 
 
 def replay_cell(

@@ -1,11 +1,8 @@
-"""Path profiling: Ball–Larus numbering and the causal-path profiler."""
+"""Path profiling: the sliding-window causal-path profiler."""
 
-from repro.profiling.ball_larus import PathNumbering, ball_larus_numbering
 from repro.profiling.profiler import CausalPathProfiler, ProfileSnapshot
 
 __all__ = [
     "CausalPathProfiler",
-    "PathNumbering",
     "ProfileSnapshot",
-    "ball_larus_numbering",
 ]

@@ -28,7 +28,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ParityArtifactError
 from repro.sim.events import is_volatile_metric_key
@@ -264,44 +264,49 @@ def _dump_report(report: ParityReport, diff_dir: Optional[str]) -> Optional[str]
 # -- artifact loading (hardened; mirrors check_regression's input gates) -------
 
 
-def load_parity_report(path: str) -> Dict[str, object]:
-    """Load one dumped parity artifact, failing loudly on bad input.
+def load_json_artifact(path: str, kind: str, required_keys: Sequence[str]) -> Dict[str, object]:
+    """Load one JSON-object artifact, failing loudly on bad input.
 
-    A missing, empty, truncated, or structurally wrong file raises
-    :class:`~repro.errors.ParityArtifactError` with the exact reason —
-    never returning a dict a caller could misread as "the engines
-    agreed".  This mirrors the ``check_regression`` hardening for
-    ``BENCH_*.json`` inputs: silent passes on corrupt CI artifacts are
-    worse than failures.
+    The one loader behind :func:`load_parity_report` and
+    :func:`repro.chaos.runner.load_replay_bundle`.  A file that is
+    missing, unreadable (a directory, no permission), not UTF-8, empty,
+    not JSON, not a JSON object, or missing any of ``required_keys``
+    raises :class:`~repro.errors.ParityArtifactError` naming ``kind``,
+    ``path`` and the reason — never returning a dict a caller could
+    misread as a clean run.  This mirrors the ``check_regression``
+    hardening for ``BENCH_*.json`` inputs: silent passes on corrupt CI
+    artifacts are worse than failures.
     """
-    if not os.path.exists(path):
-        raise ParityArtifactError(f"parity artifact not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
-        raise ParityArtifactError(f"cannot read parity artifact {path}: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise ParityArtifactError(f"{kind} not found: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise ParityArtifactError(f"cannot read {kind} {path}: {exc}") from exc
     if not raw.strip():
         raise ParityArtifactError(
-            f"parity artifact {path} is empty (partially-written or truncated "
-            "dump) — treat the parity run as failed, not passed"
+            f"{kind} {path} is empty (partially-written or truncated dump) — "
+            "treat the run as failed, not passed"
         )
     try:
         data = json.loads(raw)
     except ValueError as exc:
-        raise ParityArtifactError(
-            f"parity artifact {path} is not valid JSON: {exc}"
-        ) from exc
+        raise ParityArtifactError(f"{kind} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParityArtifactError(
-            f"parity artifact {path} must be a JSON object, got {type(data).__name__}"
+            f"{kind} {path} must be a JSON object, got {type(data).__name__}"
         )
-    missing = [key for key in _REPORT_REQUIRED_KEYS if key not in data]
+    missing = [key for key in required_keys if key not in data]
     if missing:
-        raise ParityArtifactError(
-            f"parity artifact {path} is missing required keys {missing} "
-            "(not a ParityReport dump)"
-        )
+        raise ParityArtifactError(f"{kind} {path} is missing required keys {missing}")
+    return data
+
+
+def load_parity_report(path: str) -> Dict[str, object]:
+    """Load one dumped parity artifact (a :meth:`ParityReport.to_dict`),
+    through :func:`load_json_artifact`, and check its diff lists."""
+    data = load_json_artifact(path, "parity artifact", _REPORT_REQUIRED_KEYS)
     for key in ("record_diffs", "snapshot_diffs", "state_diffs"):
         if not isinstance(data[key], list):
             raise ParityArtifactError(

@@ -1,16 +1,14 @@
-"""Temporal ("happens-before") causality substrate for the baselines."""
+"""Temporal ("happens-before") causality: the vector clock, the span
+tracer and the HTrace span-profile collector."""
 
-from repro.tracing.clocks import LamportClock, VectorClock, VectorTimestamp
+from repro.tracing.clocks import VectorClock, VectorTimestamp
 from repro.tracing.htrace import HTraceCollector
-from repro.tracing.itc import Stamp
 from repro.tracing.spans import Span, SpanId, TemporalSpanTracer
 
 __all__ = [
     "HTraceCollector",
-    "LamportClock",
     "Span",
     "SpanId",
-    "Stamp",
     "TemporalSpanTracer",
     "VectorClock",
     "VectorTimestamp",

@@ -1,11 +1,12 @@
-"""Logical clocks for temporal ("happens-before") causality (Section III).
+"""The vector clock for temporal ("happens-before") causality (Section III).
 
 The paper contrasts direct causality with temporal causality as detected
-by Lamport clocks and vector clocks.  These implementations are used by
-the temporal-causality baseline and by the precision/recall ablation
-benchmark, which quantifies how many false causal attributions
-happens-before produces on concurrent workloads (the paper's Fig. 3
-scenario).
+by logical clocks.  Two users: the precision/recall ablation benchmark
+(``benchmarks/bench_ablation_precision.py``), which counts the false
+causal attributions happens-before makes on concurrent workloads (the
+paper's Fig. 3 scenario), and the test-only oracle
+``tests/tracing/test_happens_before_oracle.py``, which checks that every
+direct cause the runtime records also happens-before its effect.
 """
 
 from __future__ import annotations
@@ -14,35 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from repro.errors import ReproError
-
-
-class LamportClock:
-    """Classic scalar Lamport clock.
-
-    ``tick()`` for local events, ``send()`` to stamp an outgoing message,
-    ``receive(ts)`` to merge an incoming stamp.
-    """
-
-    def __init__(self) -> None:
-        self._time = 0
-
-    @property
-    def time(self) -> int:
-        return self._time
-
-    def tick(self) -> int:
-        self._time += 1
-        return self._time
-
-    def send(self) -> int:
-        """Stamp for an outgoing message (increments first)."""
-        return self.tick()
-
-    def receive(self, timestamp: int) -> int:
-        if timestamp < 0:
-            raise ReproError(f"negative Lamport timestamp {timestamp}")
-        self._time = max(self._time, timestamp) + 1
-        return self._time
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,16 @@ class TestReplayBundles:
         with pytest.raises(ParityArtifactError, match="not found"):
             load_replay_bundle(str(tmp_path / "nope.json"))
 
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(ParityArtifactError, match="cannot read"):
+            load_replay_bundle(str(tmp_path))
+
+    def test_non_utf8_bundle_rejected(self, tmp_path):
+        path = tmp_path / "chaos-bytes.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ParityArtifactError, match="cannot read"):
+            load_replay_bundle(str(path))
+
     def test_empty_bundle_rejected(self, tmp_path):
         path = tmp_path / "chaos-empty.json"
         path.write_text("   \n")

@@ -59,6 +59,17 @@ class TestLoadParityReport:
         with pytest.raises(ParityArtifactError, match="not valid JSON"):
             load_parity_report(path)
 
+    def test_directory_is_unreadable(self, tmp_path):
+        (tmp_path / "parity-dir.json").mkdir()
+        with pytest.raises(ParityArtifactError, match="cannot read"):
+            load_parity_report(str(tmp_path / "parity-dir.json"))
+
+    def test_non_utf8_bytes_are_unreadable(self, tmp_path):
+        path = tmp_path / "parity-bytes.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ParityArtifactError, match="cannot read"):
+            load_parity_report(str(path))
+
     def test_non_object_json(self, tmp_path):
         path = _write(tmp_path, "parity-list.json", "[]")
         with pytest.raises(ParityArtifactError, match="JSON object"):
@@ -149,6 +160,15 @@ class TestCliParityDiffReporter:
         _write(tmp_path, "parity-empty.json", "")
         assert main(["faults", "--parity-diffs", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_undecodable_artifact_is_a_cli_error_not_a_traceback(self, tmp_path, capsys):
+        from repro.cli import main
+
+        (tmp_path / "parity-x.json").write_bytes(b"\xff\xfe{")
+        assert main(["faults", "--parity-diffs", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read parity artifact")
+        assert "Traceback" not in err
 
     def test_missing_dir_is_a_cli_error(self, tmp_path, capsys):
         from repro.cli import main

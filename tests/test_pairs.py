@@ -1,12 +1,14 @@
 """``benchmarks/pairs.py``: the verdict vocabulary (a pure function),
-the two checkouts the runner compares, and the ``--trace`` comparison
-(over a stubbed ``e2e_bench measure``)."""
+its two error bars, the two checkouts the runner compares, and the
+``--trace`` comparison (over a stubbed ``e2e_bench measure``)."""
 
 import os
 import subprocess
 
+import pytest
+
 import benchmarks.pairs as pairs
-from benchmarks.pairs import REPO_ROOT, prepare_sides, verdict
+from benchmarks.pairs import REPO_ROOT, median_ratio_interval, prepare_sides, verdict
 
 PARENT = [100.0, 104.0, 98.0, 101.0, 99.0, 102.0, 100.0, 103.0, 97.0, 100.0]
 
@@ -43,6 +45,15 @@ def test_worse_beyond_the_bound_and_unresolved_when_the_spread_exceeds_it():
     noisy = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 65.0, 135.0, 75.0, 125.0]
     assert verdict(PARENT, noisy, "higher", 0.25)[2] == "unresolved"
     assert verdict(noisy, PARENT, "higher", 0.25)[2] == "unresolved"
+
+
+def test_median_ratio_interval_is_seeded_and_brackets_the_ratio():
+    # The same ratio in every pair leaves nothing to resample.
+    assert median_ratio_interval(PARENT, _scaled(1.05)) == pytest.approx((1.05, 1.05))
+    low, high = median_ratio_interval(PARENT, list(reversed(PARENT)))
+    assert (round(low, 4), round(high, 4)) == (0.9706, 1.0303)
+    assert median_ratio_interval(PARENT, list(reversed(PARENT))) == (low, high)
+    assert low < 1.0 < high  # both medians are 100
 
 
 def _git(repo, *args):
@@ -117,6 +128,15 @@ def _run_main(monkeypatch, capsys, change_traced):
     monkeypatch.setattr(pairs, "measure", fake_measure)
     code = pairs.main(["HEAD", "--workload", "prod_log", "--pairs", "4", "--trace"])
     return code, capsys.readouterr().out, calls
+
+
+def test_each_metric_prints_both_error_bars(monkeypatch, capsys):
+    code, out, _ = _run_main(monkeypatch, capsys, _traced())
+    assert code == 0
+    # Every run reads 1.0 on both sides: four ties, so no wins, whose
+    # Wilson interval over four pairs still reaches 0.49; a ratio of 1.
+    assert out.count("change won 0, lost 0 of 4 (win share 95 % CI 0.00..0.49)") == 4
+    assert out.count("change/parent median ratio 1 (bootstrap 95 % CI 1..1)") == 4
 
 
 def test_trace_runs_three_alternating_traced_pairs_after_the_untraced_ones(monkeypatch, capsys):

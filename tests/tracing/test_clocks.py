@@ -1,30 +1,9 @@
-"""Unit tests for Lamport and vector clocks."""
+"""Unit tests for vector clocks."""
 
 import pytest
 
 from repro.errors import ReproError
-from repro.tracing.clocks import LamportClock, VectorClock, VectorTimestamp
-
-
-class TestLamportClock:
-    def test_tick_monotonic(self):
-        c = LamportClock()
-        assert [c.tick() for _ in range(3)] == [1, 2, 3]
-
-    def test_receive_advances_past_sender(self):
-        c = LamportClock()
-        c.tick()
-        assert c.receive(10) == 11
-
-    def test_receive_below_local_still_ticks(self):
-        c = LamportClock()
-        for _ in range(5):
-            c.tick()
-        assert c.receive(2) == 6
-
-    def test_negative_timestamp_rejected(self):
-        with pytest.raises(ReproError):
-            LamportClock().receive(-1)
+from repro.tracing.clocks import VectorClock, VectorTimestamp
 
 
 class TestVectorClock:
