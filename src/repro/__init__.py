@@ -17,7 +17,7 @@ Top-level convenience re-exports; subpackages:
 
 from repro.core.dca import analyze_application, analyze_component
 from repro.core.elasticity import DCAElasticityManager, DCAManagerConfig
-from repro.core.instrument import OverheadModel, instrument_application
+from repro.core.instrument import OverheadModel
 from repro.core.paths import PathSignature, enumerate_causal_paths
 from repro.core.probability import causal_probabilities, component_weights
 from repro.core.sampling import RequestSampler
@@ -49,6 +49,5 @@ __all__ = [
     "const",
     "enumerate_causal_paths",
     "field",
-    "instrument_application",
     "var",
 ]

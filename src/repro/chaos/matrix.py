@@ -277,6 +277,6 @@ class ChaosMatrix:
             raise EvaluationError(
                 f"cell id {cell_id!r} does not match this matrix (expected "
                 f"{expected!r}); the id was minted with different matrix "
-                "parameters (app/manager/duration/seed) or axis definitions"
+                "parameters (app/manager/duration/seed/path timeout) or axis definitions"
             )
         return cell

@@ -327,6 +327,8 @@ def replay_cell(
     reproduce the original run, which is itself a determinism bug worth
     failing loudly over.
     """
+    if repeat < 0:
+        raise EvaluationError(f"repeat must be >= 0, got {repeat}")
     cell = matrix.cell_by_id(cell_id)
     result = run_cell(cell, repeat=repeat, store_backend=store_backend, store_dir=store_dir)
     if expected_digest is not None and result.telemetry_digest != expected_digest:

@@ -153,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-run one cell bit-identically from its id instead of sweeping",
     )
     p_chaos.add_argument(
-        "--repeat", type=int, default=0,
+        "--repeat", type=int,
         help="with --replay: which repeated run to reproduce (default 0)",
     )
     p_chaos.add_argument(
@@ -455,7 +455,7 @@ def _cmd_chaos(args) -> int:
     )
     if args.replay:
         result = replay_cell(
-            matrix, args.replay, repeat=args.repeat,
+            matrix, args.replay, repeat=args.repeat or 0,
             expected_digest=args.expect_digest,
             store_backend=args.store_backend, store_dir=args.store_dir,
         )
@@ -478,7 +478,7 @@ def _cmd_chaos(args) -> int:
             print(f"  {key:45s}: {value:.0f}")
         return 0 if result.passed else 1
 
-    cells = matrix.select(args.cells if args.cells > 0 else None)
+    cells = matrix.select(args.cells or None)
     if args.list:
         for cell in cells:
             print(
@@ -536,17 +536,19 @@ def _cmd_chaos(args) -> int:
             f"rel={score.adjusted_rate:.2f} "
             f"ci=[{score.ci_low:.2f},{score.ci_high:.2f}]"
         )
-        if not report.passed:
-            for run in report.runs:
-                for violation in run.violations[:3]:
-                    print(
-                        f"        r{run.repeat} [{violation.invariant}] "
-                        f"@{violation.minute:g}m {violation.detail}"
-                    )
+        for run in report.runs:
+            if run.passed:
+                continue
+            for violation in run.violations[:3]:
+                print(
+                    f"        r{run.repeat} [{violation.invariant}] "
+                    f"@{violation.minute:g}m {violation.detail}"
+                )
             print(
                 f"        replay: repro chaos --replay {cell.cell_id} "
                 f"--app {cell.app} --manager '{cell.manager}' "
-                f"--duration {cell.duration_minutes} --seed {cell.base_seed}"
+                f"--duration {cell.duration_minutes} --seed {cell.base_seed} "
+                f"--path-timeout {cell.path_timeout_minutes:g} --repeat {run.repeat}"
             )
     print(
         f"{len(cells) - len(failing)}/{len(cells)} cell(s) passed every "
@@ -643,10 +645,22 @@ _COMMANDS = {
 }
 
 
+def _check_chaos_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject chaos flags the command would otherwise ignore or misread."""
+    if args.cells < 0:
+        parser.error("--cells must be >= 0 (0 = the full grid)")
+    if args.replay is None:
+        for flag, value in (("--repeat", args.repeat), ("--expect-digest", args.expect_digest)):
+            if value is not None:
+                parser.error(f"{flag} requires --replay")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "chaos":
+        _check_chaos_flags(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except ReproError as exc:

@@ -11,7 +11,6 @@ from repro.core.instrument import (
     InstrumentedComponent,
     InstrumentedOutcome,
     OverheadModel,
-    instrument_application,
 )
 from repro.core.paths import (
     EmissionSet,
@@ -76,7 +75,6 @@ __all__ = [
     "enumerate_causal_paths",
     "forward_slice_from_recv",
     "handler_emission_sets",
-    "instrument_application",
     "proportional_allocation",
     "request_weights",
     "selective_shard_allocation",

@@ -60,13 +60,6 @@ class ComponentAnalysis:
     v_tr_by_msg: Mapping[str, FrozenSet[str]]
     state_var_count: int = 0
 
-    @property
-    def tracked_fraction(self) -> float:
-        """|V_tr| / |state vars| — how much of the state is instrumented."""
-        if self.state_var_count <= 0:
-            return 0.0
-        return len(self.v_tr) / self.state_var_count
-
 
 @dataclass(frozen=True)
 class DCAResult:

@@ -217,6 +217,11 @@ class DCAManagerConfig:
     below_band_patience: int = 2
     infra_msgs_per_node_per_min: float = 2_500.0
     serial_node_cap: int = 5
+    #: Recent sampled paths needed before the manager trusts the
+    #: ``mix_horizon_minutes`` mix over the full window.  Not derived: 70
+    #: was chosen because marketcetera's DCA-10 % < DCA-5 % agility holds
+    #: there and at none of 1, 35, 140 or 280 (seed 7; ROADMAP item 5's
+    #: table).
     min_mix_samples: int = 70
     #: When set, the manager runs a :class:`ProfileStalenessDetector` and
     #: ignores causal weights (pure regression/utilisation sizing) while

@@ -21,12 +21,12 @@ The cost model reflects two empirical properties of the paper's numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.core.dca import ComponentAnalysis, DCAResult
+from repro.core.dca import ComponentAnalysis
 from repro.errors import AnalysisError
 from repro.lang.interpreter import HandlerOutcome, Interpreter, ReplicaState
-from repro.lang.ir import Application, Component, LibraryRegistry
+from repro.lang.ir import Component, LibraryRegistry
 from repro.lang.message import Message, UidFactory
 
 
@@ -67,10 +67,6 @@ class InstrumentedOutcome:
     outcome: HandlerOutcome
     instrumentation_ms: float
     base_ms: float
-
-    @property
-    def total_ms(self) -> float:
-        return self.base_ms + self.instrumentation_ms
 
     @property
     def overhead_fraction(self) -> float:
@@ -130,24 +126,3 @@ class InstrumentedComponent:
             base_ms=self.component.service_cost,
         )
 
-
-def instrument_application(
-    app: Application,
-    dca: DCAResult,
-    overhead_model: Optional[OverheadModel] = None,
-    sampling_rate: float = 1.0,
-) -> Dict[str, InstrumentedComponent]:
-    """Instrument every component of ``app`` per the DCA result."""
-    out: Dict[str, InstrumentedComponent] = {}
-    for name, component in sorted(app.components.items()):
-        analysis = dca.per_component.get(name)
-        if analysis is None:
-            raise AnalysisError(f"DCA result is missing component {name!r}")
-        out[name] = InstrumentedComponent(
-            component,
-            analysis,
-            app.library,
-            overhead_model=overhead_model,
-            sampling_rate=sampling_rate,
-        )
-    return out

@@ -110,13 +110,6 @@ class RequestSampler:
         self.sampled += hits
         return hits
 
-    @property
-    def observed_rate(self) -> float:
-        """Empirical sampling rate so far (0 when no decisions yet)."""
-        if self.decisions == 0:
-            return 0.0
-        return self.sampled / self.decisions
-
 
 class AdaptiveSamplingController:
     """Closed-loop control of the sampling rate against an overhead budget.
@@ -234,10 +227,6 @@ class PreferentialPathSampler:
                     seed=self._seed + (zlib_crc(t) % 65_536),
                 )
         return dict(rates)
-
-    def rate_for(self, request_type: str) -> float:
-        """Current rate for a type (the flat budget before any update)."""
-        return self._rates.get(request_type, self.budget_rate)
 
     def sample_count(self, request_type: str, arrivals: int, front_end_index: int = 0) -> int:
         """How many of ``arrivals`` requests of this type get traced."""

@@ -56,9 +56,6 @@ class ShardProfile:
                 existing[idx] += count * weight
         self.requests_observed += weight
 
-    def component_total(self, component: str) -> int:
-        return sum(self.counts.get(component, ()))
-
 
 def shard_weights(profile: ShardProfile, component: str) -> List[float]:
     """Normalised per-shard weights for one component.

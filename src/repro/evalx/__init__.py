@@ -1,6 +1,6 @@
 """Evaluation harness: metrics, experiment runner, table/figure renderers."""
 
-from repro.evalx.agility import AgilityBreakdown, agility_from_series, breakdown, rank_managers
+from repro.evalx.agility import AgilityBreakdown, breakdown
 from repro.evalx.experiment import (
     DCA_RATES,
     MANAGER_NAMES,
@@ -27,7 +27,6 @@ __all__ = [
     "MANAGER_NAMES",
     "OverheadMeasurement",
     "SLAReport",
-    "agility_from_series",
     "breakdown",
     "build_simulator",
     "fig5_measurements",
@@ -36,7 +35,6 @@ __all__ = [
     "fig8_table",
     "format_table",
     "measure_overhead",
-    "rank_managers",
     "run_all_managers",
     "run_manager",
     "sla_report",

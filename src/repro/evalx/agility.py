@@ -9,40 +9,15 @@ with ``Excess(i) = Cap_prov(i) − Req_min(i)`` when positive (else 0) and
 Lower is better; zero is perfect provisioning.
 
 :class:`repro.sim.metrics.SimulationResult` computes agility for a run;
-this module provides the raw-series form (for property tests and
-external data) and cross-manager comparisons.
+this module splits it into its excess and shortage parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.sim.metrics import SimulationResult
-
-
-def agility_from_series(
-    capacity: Sequence[float],
-    required: Sequence[float],
-) -> float:
-    """SPEC Agility from per-interval capacity and requirement series."""
-    if len(capacity) != len(required):
-        raise EvaluationError(
-            f"series length mismatch: {len(capacity)} capacity vs {len(required)} required"
-        )
-    if not capacity:
-        raise EvaluationError("agility requires at least one interval")
-    excess = 0.0
-    shortage = 0.0
-    for cap, req in zip(capacity, required):
-        if cap < 0 or req < 0:
-            raise EvaluationError("capacity and requirement must be >= 0")
-        if cap > req:
-            excess += cap - req
-        elif req > cap:
-            shortage += req - cap
-    return (excess + shortage) / len(capacity)
 
 
 @dataclass(frozen=True)
@@ -79,11 +54,3 @@ def breakdown(result: SimulationResult) -> AgilityBreakdown:
         mean_shortage=mean_shortage,
         zero_fraction=result.zero_agility_fraction(),
     )
-
-
-def rank_managers(results: Mapping[str, SimulationResult]) -> List[Tuple[str, float]]:
-    """Managers sorted by agility, best (lowest) first."""
-    if not results:
-        raise EvaluationError("no results to rank")
-    pairs = [(name, res.agility()) for name, res in results.items()]
-    return sorted(pairs, key=lambda p: (p[1], p[0]))

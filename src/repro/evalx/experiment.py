@@ -183,7 +183,7 @@ def build_simulator(
             config=cfg.sim, telemetry=registry, faults=baseline_faults, tap=tap,
         )
     if manager_name == "HTrace+CW":
-        collector = HTraceCollector(seed=cfg.seed)
+        collector = HTraceCollector()
         manager = HTraceCloudWatchManager(collector)
         return ClusterSimulator(
             scenario.app,

@@ -8,7 +8,6 @@ frequently and to what extent … application SLAs [are] violated."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Tuple
 
 from repro.errors import EvaluationError
 from repro.sim.metrics import SimulationResult
@@ -23,14 +22,6 @@ class SLAReport:
     worst_interval_percent: float
     violating_intervals: int
     total_intervals: int
-
-    @property
-    def decreasing_is_safe(self) -> bool:
-        """The paper's observation: violations vanish while workload falls
-        because excess capacity pending de-provisioning keeps serving."""
-        return self.violation_percent_while_decreasing <= max(
-            0.5, 0.25 * self.violation_percent
-        )
 
 
 def sla_report(result: SimulationResult) -> SLAReport:
@@ -47,11 +38,3 @@ def sla_report(result: SimulationResult) -> SLAReport:
         violating_intervals=violating,
         total_intervals=len(records),
     )
-
-
-def rank_managers(results: Mapping[str, SimulationResult]) -> List[Tuple[str, float]]:
-    """Managers sorted by SLA violation %, best (lowest) first."""
-    if not results:
-        raise EvaluationError("no results to rank")
-    pairs = [(name, res.sla_violation_percent()) for name, res in results.items()]
-    return sorted(pairs, key=lambda p: (p[1], p[0]))

@@ -16,10 +16,7 @@ from repro.graphstore.pipeline import BatchedWritePipeline, DeadLetterQueue
 from repro.graphstore.query import (
     CausalGraphResult,
     EdgeTriple,
-    ancestors_of,
     causal_graph_bfs,
-    reachable_set,
-    to_dot,
 )
 from repro.graphstore.sharded import ShardedGraphStore
 from repro.graphstore.store import GraphNode, GraphStore
@@ -36,10 +33,7 @@ __all__ = [
     "LogBackend",
     "MemoryBackend",
     "ShardedGraphStore",
-    "ancestors_of",
     "causal_graph_bfs",
     "make_backend",
-    "reachable_set",
     "shard_backends",
-    "to_dot",
 ]

@@ -366,19 +366,6 @@ def _message_parts(message: Message):
     return entry, pack_tail(tails)
 
 
-def encode_message(message: Message) -> bytes:
-    """Provenance projection of one message as an ``OP_MESSAGE`` payload.
-
-    Persists exactly what the store consumes — uid, type, endpoints,
-    root, causes, sampling bit — not the payload ``fields`` (the store
-    never reads them).  The payload is ``skeleton + tail``: the string
-    block first (cacheable, see :data:`_SKELETON_CACHE`), then the
-    fixed-width uid tails.
-    """
-    (skeleton, _length, _crc), tail = _message_parts(message)
-    return skeleton + tail
-
-
 def decode_payload(payload: bytes):
     """Decode one payload into ``(opcode, args)``.
 

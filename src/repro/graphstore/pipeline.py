@@ -82,13 +82,6 @@ class DeadLetterQueue:
         items.append(message)
         self._m_depth.set(len(items))
 
-    def drain(self) -> List[Message]:
-        """Remove and return every parked message (oldest first)."""
-        drained = list(self._items)
-        self._items.clear()
-        self._m_depth.set(0)
-        return drained
-
     def purge_roots(self, roots) -> List[Message]:
         """Remove parked messages belonging to ``roots``; return them.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.errors import GraphStoreError
 from repro.graphstore.store import EdgeTriple, GraphNode, GraphStore
@@ -25,10 +25,7 @@ from repro.lang.message import MessageUid
 __all__ = [
     "CausalGraphResult",
     "EdgeTriple",
-    "ancestors_of",
     "causal_graph_bfs",
-    "reachable_set",
-    "to_dot",
 ]
 
 
@@ -104,57 +101,3 @@ def causal_graph_bfs(store: GraphStore, root: MessageUid) -> CausalGraphResult:
         edges=tuple(sorted(edge_set)),
         complete=complete,
     )
-
-
-def reachable_set(store: GraphStore, root: MessageUid) -> FrozenSet[MessageUid]:
-    """All message uids causally downstream of ``root`` (including it)."""
-    visited: Set[MessageUid] = set()
-    queue: deque = deque([root])
-    while queue:
-        uid = queue.popleft()
-        if uid in visited:
-            continue
-        visited.add(uid)
-        queue.extend(store.iter_successors(uid))
-    return frozenset(visited)
-
-
-def to_dot(store: GraphStore, root: MessageUid, title: str = "causal graph") -> str:
-    """Render the causal graph rooted at ``root`` as Graphviz DOT.
-
-    Handy for debugging and documentation: pipe the output through
-    ``dot -Tsvg`` to visualise exactly which message instances caused
-    which (the dashed-arrow diagrams of the paper's Figs. 1–2).
-    """
-    result = causal_graph_bfs(store, root)
-    lines = [
-        "digraph causal {",
-        f'  label="{title}";',
-        "  rankdir=LR;",
-        "  node [shape=box, fontsize=10];",
-    ]
-    ids = {node.uid: f"n{i}" for i, node in enumerate(result.nodes)}
-    for node in result.nodes:
-        shape = ", style=bold" if node.is_response else ""
-        lines.append(
-            f'  {ids[node.uid]} [label="{node.msg_type}\\n{node.uid}"{shape}];'
-        )
-    for node in result.nodes:
-        for succ in sorted(store.iter_successors(node.uid)):
-            if succ in ids:
-                lines.append(f"  {ids[node.uid]} -> {ids[succ]};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def ancestors_of(store: GraphStore, uid: MessageUid) -> FrozenSet[MessageUid]:
-    """All message uids causally upstream of ``uid`` (excluding it)."""
-    visited: Set[MessageUid] = set()
-    queue: deque = deque(store.iter_predecessors(uid))
-    while queue:
-        current = queue.popleft()
-        if current in visited:
-            continue
-        visited.add(current)
-        queue.extend(store.iter_predecessors(current))
-    return frozenset(visited)

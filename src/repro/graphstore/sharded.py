@@ -42,7 +42,7 @@ and single-store results are identical message for message; the seeded
 equivalence suite in ``tests/graphstore/test_sharded_equivalence.py``
 pins this.
 
-Reads by bare uid (``get_node``, ``root_of``, edge iteration) fan out
+Reads by bare uid (``get_node``, edge iteration) fan out
 across shards; per-root operations route.  Whole-store maintenance —
 :meth:`repair_dangling_edges` and the abandonment sweep
 (:meth:`abandon_roots`) — visits the shards in index order.
@@ -215,12 +215,6 @@ class ShardedGraphStore:
                 return node
         return None
 
-    def require_node(self, uid: MessageUid) -> GraphNode:
-        node = self.get_node(uid)
-        if node is None:
-            raise GraphStoreError(f"unknown node uid {uid}")
-        return node
-
     def successors(self, uid: MessageUid) -> Set[MessageUid]:
         out: Set[MessageUid] = set()
         for shard in self.shards:
@@ -243,13 +237,6 @@ class ShardedGraphStore:
 
     def node_count(self) -> int:
         return sum(shard.node_count() for shard in self.shards)
-
-    def root_of(self, uid: MessageUid) -> Optional[MessageUid]:
-        for shard in self.shards:
-            root = shard.root_of(uid)
-            if root is not None:
-                return root
-        return None
 
     def all_uids(self) -> Iterable[MessageUid]:
         for shard in self.shards:

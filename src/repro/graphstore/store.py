@@ -451,12 +451,6 @@ class GraphStore:
         """Whether ``uid``'s node is stored (no index-lookup accounting)."""
         return self._node_at(uid) is not None
 
-    def require_node(self, uid: MessageUid) -> GraphNode:
-        node = self.get_node(uid)
-        if node is None:
-            raise GraphStoreError(f"unknown node uid {uid}")
-        return node
-
     def successors(self, uid: MessageUid) -> Set[MessageUid]:
         """Effects directly caused by ``uid`` (a fresh set)."""
         return set(self.iter_successors(uid))
@@ -485,11 +479,6 @@ class GraphStore:
 
     def node_count(self) -> int:
         return self._stored
-
-    def root_of(self, uid: MessageUid) -> Optional[MessageUid]:
-        """Root (external request) uid recorded for ``uid``, if any."""
-        rec = self._index.get(uid)
-        return None if rec is None else rec.root
 
     def all_uids(self) -> Iterable[MessageUid]:
         for uid, rec in self._index.items():

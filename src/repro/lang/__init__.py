@@ -21,7 +21,6 @@ from repro.lang.cfg import CFG, ENTRY, EXIT, build_cfg, control_dependences, pos
 from repro.lang.dependence import (
     MSG_PARAM,
     HandlerPDG,
-    SendSummary,
     SliceResult,
     WriteSummary,
     build_pdgs,
@@ -81,7 +80,6 @@ __all__ = [
     "MessageUid",
     "ReplicaState",
     "Send",
-    "SendSummary",
     "Skip",
     "SliceResult",
     "Stmt",

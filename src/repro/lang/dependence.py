@@ -263,24 +263,6 @@ class HandlerPDG:
                 existing.uses_message = existing.uses_message or sl.uses_message
         return summaries
 
-    def send_summaries(self) -> List["SendSummary"]:
-        """Per send site: influencing entry state vars and message usage."""
-        out: List[SendSummary] = []
-        for node in self.send_sites():
-            stmt = self.cfg.stmt_of[node]
-            assert isinstance(stmt, Send)
-            sl = self.backward_slice(node)
-            out.append(
-                SendSummary(
-                    node=node,
-                    msg_type=stmt.msg_type,
-                    dest=stmt.dest,
-                    influencing_state_vars=set(sl.entry_state_vars),
-                    uses_message=sl.uses_message,
-                )
-            )
-        return out
-
 
 @dataclass(frozen=True)
 class SliceResult:
@@ -296,17 +278,6 @@ class WriteSummary:
     """How a handler's write to ``var`` is influenced at the handler boundary."""
 
     var: str
-    influencing_state_vars: Set[str]
-    uses_message: bool
-
-
-@dataclass
-class SendSummary:
-    """How a handler's ``send`` is influenced at the handler boundary."""
-
-    node: int
-    msg_type: str
-    dest: str
     influencing_state_vars: Set[str]
     uses_message: bool
 

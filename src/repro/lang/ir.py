@@ -579,13 +579,6 @@ class Component:
         except KeyError:
             raise IRError(f"component {self.name!r} has no handler for message type {msg_type!r}") from None
 
-    def handled_types(self) -> Set[str]:
-        return set(self._handlers)
-
-    def emitted_types(self) -> Set[str]:
-        """Message types this component can send (across all handlers)."""
-        return {send.msg_type for handler in self._handlers.values() for send in handler.sends()}
-
     def state_vars(self) -> Set[str]:
         return set(self.state)
 
@@ -687,12 +680,6 @@ class Application:
         except KeyError:
             raise IRError(f"application {self.name!r} has no component {name!r}") from None
 
-    def entry_component(self, req_type: str) -> Component:
-        try:
-            return self.components[self.entry_points[req_type]]
-        except KeyError:
-            raise IRError(f"application {self.name!r} has no entry point {req_type!r}") from None
-
     def architectural_edges(self) -> Set[Tuple[str, str, str]]:
         """Static component graph: ``(src_component, msg_type, dst)`` triples.
 
@@ -705,10 +692,6 @@ class Application:
                 for send in handler.sends():
                     edges.add((comp.name, send.msg_type, send.dest))
         return edges
-
-    def front_end_components(self) -> Set[str]:
-        """Components that receive external request types."""
-        return set(self.entry_points.values())
 
     def __repr__(self) -> str:
         return (
@@ -744,21 +727,3 @@ def _walk_calls(expr: Expr) -> Iterator[Call]:
         yield from _walk_calls(expr.right)
     elif isinstance(expr, UnaryOp):
         yield from _walk_calls(expr.operand)
-
-
-def walk_exprs(stmt: Stmt) -> Iterator[Expr]:
-    """Yield every expression node directly attached to ``stmt``."""
-    for expr in _stmt_exprs(stmt):
-        yield from _walk_expr(expr)
-
-
-def _walk_expr(expr: Expr) -> Iterator[Expr]:
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from _walk_expr(expr.left)
-        yield from _walk_expr(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from _walk_expr(expr.operand)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from _walk_expr(arg)

@@ -364,10 +364,6 @@ class WindowedCountMinSketch:
                 total += min(table.get(idx, 0) for idx in idxs)
         return total
 
-    def count_error_bound(self) -> float:
-        """Classic CMS overestimate bound: ``e/width`` of the tail mass."""
-        return 2.718281828459045 * self.total / self.width
-
     def merge(self, other: "WindowedCountMinSketch") -> None:
         """Fold ``other`` into this sketch by epoch-aligned table addition.
 
@@ -595,16 +591,10 @@ class TopKPathSummary:
 
     __slots__ = ("window_minutes", "topk", "cms", "flow")
 
-    def __init__(
-        self,
-        k: int = DEFAULT_TOPK_K,
-        window_minutes: float = 60.0,
-        cms_width: int = DEFAULT_CMS_WIDTH,
-        cms_depth: int = DEFAULT_CMS_DEPTH,
-    ) -> None:
+    def __init__(self, k: int = DEFAULT_TOPK_K, window_minutes: float = 60.0) -> None:
         self.window_minutes = float(window_minutes)
         self.topk = SpaceSavingTopK(k, window_minutes)
-        self.cms = WindowedCountMinSketch(window_minutes, width=cms_width, depth=cms_depth)
+        self.cms = WindowedCountMinSketch(window_minutes)
         # Exact mass per epoch: O(window) integers, regardless of path
         # cardinality.
         self.flow = WindowedCounts(window_minutes)
@@ -788,9 +778,6 @@ class ComponentActivitySummary:
         """Live components in first-touch order (callers sum in it)."""
         self.ring.advance(now_minutes)
         return {comp: total for comp, total in self.ring.totals.items() if total > 0}
-
-    def totals_between(self, start_minutes: float, end_minutes: float) -> Dict[str, int]:
-        return self.ring.between(start_minutes, end_minutes)
 
     def counts(self, keys: Iterable[str], now_minutes: float) -> Dict[str, int]:
         """Tier protocol: ``keys`` name paths, which this tier collapsed."""

@@ -227,9 +227,6 @@ class Cluster:
             return sum(group.fail_nodes(count) for group in self.groups.values())
         return self.group(component).fail_nodes(count)
 
-    def total_provisioned(self) -> int:
-        return sum(group.provisioned for group in self.groups.values())
-
     def group(self, component: str) -> ComponentGroup:
         try:
             return self.groups[component]

@@ -19,7 +19,6 @@ The paper's metrics are interval-based:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Mapping, Tuple
 
@@ -146,16 +145,6 @@ class SimulationResult:
             return 0.0
         return sum(samples) / len(samples)
 
-    def overhead_range_95(self) -> Tuple[float, float]:
-        """Range containing 95% of per-interval overhead measurements."""
-        self._require_records()
-        samples = sorted(r.overhead_fraction for r in self.records if r.total_base_demand_ms > 0)
-        if not samples:
-            return (0.0, 0.0)
-        lo_idx = int(0.025 * (len(samples) - 1))
-        hi_idx = int(math.ceil(0.975 * (len(samples) - 1)))
-        return (samples[lo_idx], samples[hi_idx])
-
     # -- time series (Fig. 6) ----------------------------------------------------------
 
     def agility_series(self) -> List[Tuple[float, float]]:
@@ -168,18 +157,6 @@ class SimulationResult:
 
     def workload_series(self) -> List[Tuple[float, float]]:
         return [(r.time_minutes, r.external_arrivals) for r in self.records]
-
-    def provisioned_series(self) -> List[Tuple[float, float]]:
-        return [
-            (r.time_minutes, sum(c.provisioned_nodes for c in r.components.values()) + r.infra_nodes)
-            for r in self.records
-        ]
-
-    def required_series(self) -> List[Tuple[float, float]]:
-        return [
-            (r.time_minutes, sum(c.req_min_nodes for c in r.components.values()))
-            for r in self.records
-        ]
 
     # -- diagnostics --------------------------------------------------------------------
 

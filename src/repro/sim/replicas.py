@@ -63,16 +63,6 @@ class ReplicatedTrace:
     replica_messages: Dict[str, List[int]]
     responses: int
 
-    def component_total(self, component: str) -> int:
-        return sum(self.replica_messages.get(component, ()))
-
-    def hottest_replica_share(self, component: str) -> float:
-        """Fraction of the component's messages on its busiest replica."""
-        counts = self.replica_messages.get(component)
-        if not counts or sum(counts) == 0:
-            return 0.0
-        return max(counts) / sum(counts)
-
 
 class ReplicatedApplicationRuntime:
     """Message-level runtime with per-component replica groups.

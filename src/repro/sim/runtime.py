@@ -126,11 +126,6 @@ class ApplicationRuntime:
         state, which converged replay advances instead of executing."""
         return (self._external_uids, *self._uid_factories.values())
 
-    def reset_state(self) -> None:
-        """Reset all replica state (values and provenance) to initials."""
-        for name, component in self.app.components.items():
-            self._states[name] = ReplicaState.from_component(component)
-
     def execute_request(self, request: RequestClass, sampled: bool = True) -> RequestTrace:
         """Run one external request to completion, breadth-first.
 

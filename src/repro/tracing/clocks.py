@@ -33,14 +33,6 @@ class VectorTimestamp:
         lt_some = any(self.get(p) < other.get(p) for p in processes)
         return le_all and lt_some
 
-    def concurrent_with(self, other: "VectorTimestamp") -> bool:
-        """True iff neither timestamp happens-before the other."""
-        return (
-            not self.happens_before(other)
-            and not other.happens_before(self)
-            and dict(self.clocks) != dict(other.clocks)
-        )
-
     def merged(self, other: "VectorTimestamp") -> "VectorTimestamp":
         processes = set(self.clocks) | set(other.clocks)
         return VectorTimestamp({p: max(self.get(p), other.get(p)) for p in processes})

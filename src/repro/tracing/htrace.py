@@ -3,21 +3,20 @@
 The HTrace+CloudWatch baseline (Section V-A) performs "proportional
 scaling of overloaded paths" using span profiles from temporal causality.
 This collector maintains per-component *span-time* weights — each traced
-request contributes its per-component span durations, which is what a
-span profile actually measures.  But, because spans are parented
-temporally, a traced request that overlaps other in-flight requests is
-attributed to *their* components too.  The cross-attribution probability
-follows the overlap probability of a Poisson arrival process:
-``p_overlap = 1 - exp(-λ·τ)`` for total arrival rate λ and attribution
-window τ, which reproduces the paper's observation that temporal
-imprecision grows with load and "compounds over several hundred causal
-paths".
+request class contributes its per-component span durations, which is
+what a span profile actually measures.  Because spans are parented
+temporally, a class's profile is also credited with a share of the
+other classes' span time.  That share is not measured: it is a constant
+blur floor plus a load term that saturates with the total arrival rate,
+``base_blur + (max_blur - base_blur) · (1 - exp(-λ / blur_half_rate))``,
+set by three hand-set class constants.  ROADMAP item 4 replaces it with
+spans laid out in time and parented by
+:class:`~repro.tracing.spans.TemporalSpanTracer`.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from typing import Dict, Mapping
 
 from repro.errors import ReproError
@@ -28,28 +27,14 @@ class HTraceCollector:
 
     Parameters
     ----------
-    attribution_window_ms:
-        Temporal window τ within which an unrelated in-flight request is
-        mis-attributed.
     ewma_alpha:
         Smoothing for the per-component weight estimate.
-    seed:
-        RNG seed (kept for API stability of stochastic extensions).
     """
 
-    def __init__(
-        self,
-        attribution_window_ms: float = 50.0,
-        ewma_alpha: float = 0.3,
-        seed: int = 0,
-    ) -> None:
-        if attribution_window_ms <= 0:
-            raise ReproError(f"attribution_window_ms must be positive, got {attribution_window_ms}")
+    def __init__(self, ewma_alpha: float = 0.3) -> None:
         if not 0.0 < ewma_alpha <= 1.0:
             raise ReproError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.attribution_window_ms = float(attribution_window_ms)
         self.ewma_alpha = float(ewma_alpha)
-        self._rng = random.Random(seed * 7 + 13)
         self._weights: Dict[str, float] = {}
         self.observations = 0
 
@@ -67,8 +52,7 @@ class HTraceCollector:
         """Fraction of span time mis-attributed at this arrival rate.
 
         A constant within-trace floor plus a load-dependent term that
-        saturates (Poisson overlap of annotation-gap windows): temporal
-        imprecision grows with load but trace ids keep it bounded.
+        saturates at ``max_blur``; all three constants are hand-set.
         """
         if total_arrivals_per_min <= 0:
             return self.base_blur

@@ -6,11 +6,9 @@ from repro.workloads.patterns import (
     MixPhase,
     ScaledPattern,
     StepMixSchedule,
-    abrupt_pattern,
     cyclic_pattern,
     paper_pattern,
     stepwise_cyclic_pattern,
-    uniform_mix,
 )
 
 __all__ = [
@@ -20,9 +18,7 @@ __all__ = [
     "ScaledPattern",
     "StepMixSchedule",
     "WorkloadGenerator",
-    "abrupt_pattern",
     "cyclic_pattern",
     "paper_pattern",
     "stepwise_cyclic_pattern",
-    "uniform_mix",
 ]

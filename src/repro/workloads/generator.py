@@ -113,6 +113,3 @@ class WorkloadGenerator:
         one-call-per-minute sequence.
         """
         return [self.arrivals(t) for t in times]
-
-    def class_list(self) -> List[RequestClass]:
-        return [self.classes[name] for name in sorted(self.classes)]

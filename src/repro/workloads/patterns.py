@@ -53,28 +53,6 @@ def stepwise_cyclic_pattern(
     return cyclic_pattern(quantised_t, period=period, base=base, amplitude=amplitude)
 
 
-def abrupt_pattern(t_minutes: float) -> float:
-    """The abrupt portion shapes, compressed into one 0–250 minute curve.
-
-    0–80: gradual step-wise increase; 80–100: abrupt step-wise decrease;
-    100–170: continuous increase; 170–200: rapid continuous decrease;
-    200–250: low plateau.
-    """
-    t = t_minutes
-    if t < 0:
-        raise WorkloadError(f"time must be >= 0, got {t}")
-    if t < 80:
-        step = math.floor(t / 16)  # five steps up
-        return _clamp01(0.25 + 0.13 * step)
-    if t < 100:
-        return 0.9 if t < 90 else 0.45
-    if t < 170:
-        return _clamp01(0.3 + 0.65 * (t - 100) / 70.0)
-    if t < 200:
-        return _clamp01(0.95 - 0.70 * (t - 170) / 30.0)
-    return 0.25
-
-
 def paper_pattern(t_minutes: float) -> float:
     """The full Figure 7 workload over 450 minutes.
 
@@ -197,13 +175,6 @@ class StepMixSchedule:
         return sorted(names)
 
 
-def uniform_mix(class_names: Sequence[str]) -> StepMixSchedule:
-    """A schedule giving every class equal weight for the whole run."""
-    if not class_names:
-        raise WorkloadError("uniform_mix requires at least one class name")
-    return StepMixSchedule([MixPhase(0.0, {name: 1.0 for name in class_names})])
-
-
 def zipf_weights(class_names: Sequence[str], exponent: float = 1.1) -> Dict[str, float]:
     """Zipf-distributed class weights: the i-th class gets ``1/i^s``.
 
@@ -219,39 +190,6 @@ def zipf_weights(class_names: Sequence[str], exponent: float = 1.1) -> Dict[str,
     raw = {name: 1.0 / (rank ** exponent) for rank, name in enumerate(class_names, start=1)}
     total = sum(raw.values())
     return {name: w / total for name, w in raw.items()}
-
-
-def zipf_mix(class_names: Sequence[str], exponent: float = 1.1) -> StepMixSchedule:
-    """A schedule holding a Zipf-distributed mix for the whole run."""
-    return StepMixSchedule([MixPhase(0.0, zipf_weights(class_names, exponent))])
-
-
-def flash_crowd_pattern(
-    t_minutes: float,
-    base: float = 0.30,
-    peak: float = 1.0,
-    start_minute: float = 180.0,
-    ramp_minutes: float = 5.0,
-    hold_minutes: float = 30.0,
-    decay_minutes: float = 20.0,
-) -> float:
-    """A flash crowd: steady base load, a steep ramp to ``peak``, a hold,
-    then an exponential-ish linear decay back to base."""
-    t = t_minutes
-    if t < 0:
-        raise WorkloadError(f"time must be >= 0, got {t}")
-    if ramp_minutes <= 0 or hold_minutes < 0 or decay_minutes <= 0:
-        raise WorkloadError("flash crowd ramp/hold/decay minutes must be positive")
-    if t < start_minute:
-        return _clamp01(base)
-    if t < start_minute + ramp_minutes:
-        return _clamp01(base + (peak - base) * (t - start_minute) / ramp_minutes)
-    if t < start_minute + ramp_minutes + hold_minutes:
-        return _clamp01(peak)
-    decay_start = start_minute + ramp_minutes + hold_minutes
-    if t < decay_start + decay_minutes:
-        return _clamp01(peak - (peak - base) * (t - decay_start) / decay_minutes)
-    return _clamp01(base)
 
 
 def flash_crowd_mix(

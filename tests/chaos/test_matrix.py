@@ -178,3 +178,9 @@ class TestCellById:
         foreign = ChaosMatrix(MatrixConfig(duration_minutes=10)).cell_at(5)
         with pytest.raises(EvaluationError, match="minted with different"):
             ChaosMatrix().cell_by_id(foreign.cell_id)
+
+    def test_path_timeout_mismatch_is_named(self):
+        """The path timeout is part of the id; the error must say so."""
+        foreign = ChaosMatrix(MatrixConfig(path_timeout_minutes=3.0)).cell_at(0)
+        with pytest.raises(EvaluationError, match="path timeout"):
+            ChaosMatrix().cell_by_id(foreign.cell_id)

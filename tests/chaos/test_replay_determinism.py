@@ -67,6 +67,10 @@ class TestReplayBitIdentical:
         # Different repeats are genuinely different runs.
         assert run_cell(cell, repeat=0).telemetry_digest != first.telemetry_digest
 
+    def test_negative_repeat_rejected(self):
+        with pytest.raises(EvaluationError, match="repeat must be >= 0"):
+            replay_cell(MATRIX, CELLS[0].cell_id, repeat=-1)
+
     def test_digest_mismatch_fails_loudly(self):
         with pytest.raises(EvaluationError, match="not replaying"):
             replay_cell(MATRIX, CELLS[0].cell_id, expected_digest="0" * 64)

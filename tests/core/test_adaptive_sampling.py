@@ -126,7 +126,6 @@ class TestPreferentialSampler:
 
     def test_unknown_type_falls_back_to_budget(self):
         sampler = PreferentialPathSampler(0.10, seed=1)
-        assert sampler.rate_for("never-seen") == 0.10
         n = sampler.sample_count("never-seen", 1000)
         assert 40 < n < 180
 

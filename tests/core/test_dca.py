@@ -94,7 +94,7 @@ class TestApplicationAnalysis:
         result = analyze_application(pipeline_app)
         a = result.per_component["A"]
         assert a.state_var_count == 2  # acc + stats
-        assert a.tracked_fraction == 0.5
+        assert len(a.v_tr) / a.state_var_count == 0.5
 
     def test_real_apps_analyse_cleanly(self, search_app, shop_app, trading_app, pubsub_app, coord_app):
         for app in (search_app, shop_app, trading_app, pubsub_app, coord_app):

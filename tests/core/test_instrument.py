@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.instrument import InstrumentedComponent, OverheadModel, instrument_application
+from repro.core.instrument import InstrumentedComponent, OverheadModel
 from repro.errors import AnalysisError
 from repro.lang.ir import EXTERNAL
 from repro.lang.message import Message, UidFactory
@@ -52,17 +52,3 @@ class TestInstrumentedComponent:
         assert outcome.instrumentation_ms == pytest.approx(2.0)
         assert outcome.base_ms == pytest.approx(20.0)
         assert outcome.overhead_fraction == pytest.approx(0.1)
-        assert outcome.total_ms == pytest.approx(22.0)
-
-    def test_instrument_application_covers_all_components(self, fig4_app, fig4_dca):
-        instrumented = instrument_application(fig4_app, fig4_dca)
-        assert set(instrumented) == {"Comp1", "Comp2"}
-
-    def test_instrument_application_missing_analysis(self, fig4_app, fig4_dca):
-        from dataclasses import replace
-
-        partial = replace(
-            fig4_dca, per_component={"Comp1": fig4_dca.per_component["Comp1"]}
-        )
-        with pytest.raises(AnalysisError):
-            instrument_application(fig4_app, partial)

@@ -30,7 +30,7 @@ class TestDecisions:
     def test_rate_one_samples_everything(self):
         s = RequestSampler(1.0)
         assert all(s.should_sample() for _ in range(100))
-        assert s.observed_rate == 1.0
+        assert s.sampled == s.decisions == 100
 
     def test_rate_zero_samples_nothing(self):
         s = RequestSampler(0.0)

@@ -27,7 +27,7 @@ class TestShardProfile:
         profile.observe(self._trace(pipeline_app, 1))
         profile.observe(self._trace(pipeline_app, 2), weight=3)
         assert profile.requests_observed == 4
-        assert profile.component_total("B") == 4
+        assert sum(profile.counts["B"]) == 4
 
     def test_weight_validation(self, pipeline_app):
         profile = ShardProfile()

@@ -1,47 +1,11 @@
 """Unit tests for the Agility metric helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import EvaluationError
-from repro.evalx.agility import agility_from_series, breakdown, rank_managers
+from repro.evalx.agility import breakdown
 from repro.sim.metrics import SimulationResult
 from tests.sim.test_metrics import _comp, _record
-
-
-class TestAgilityFromSeries:
-    def test_spec_formula(self):
-        # Excess of 2 in one interval, shortage of 3 in another: (2+3)/4.
-        capacity = [10, 12, 10, 7]
-        required = [10, 10, 10, 10]
-        assert agility_from_series(capacity, required) == pytest.approx(1.25)
-
-    def test_perfect_provisioning_is_zero(self):
-        assert agility_from_series([5, 5, 5], [5, 5, 5]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(EvaluationError):
-            agility_from_series([1], [1, 2])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EvaluationError):
-            agility_from_series([], [])
-
-    def test_negative_rejected(self):
-        with pytest.raises(EvaluationError):
-            agility_from_series([-1], [1])
-
-    @given(
-        st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)), min_size=1, max_size=50)
-    )
-    def test_non_negative_property(self, pairs):
-        cap = [p[0] for p in pairs]
-        req = [p[1] for p in pairs]
-        assert agility_from_series(cap, req) >= 0.0
-
-    @given(st.lists(st.floats(0, 100), min_size=1, max_size=50))
-    def test_zero_iff_exact_match(self, series):
-        assert agility_from_series(series, series) == 0.0
 
 
 class TestBreakdown:
@@ -64,17 +28,3 @@ class TestBreakdown:
     def test_empty_raises(self):
         with pytest.raises(EvaluationError):
             breakdown(self._result([]))
-
-
-class TestRanking:
-    def test_rank_orders_by_agility(self):
-        good = SimulationResult("good", "a")
-        good.append(_record(comps={"a": _comp(provisioned=5, req=5)}))
-        bad = SimulationResult("bad", "a")
-        bad.append(_record(comps={"a": _comp(provisioned=9, req=5)}))
-        ranked = rank_managers({"good": good, "bad": bad})
-        assert [name for name, _ in ranked] == ["good", "bad"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(EvaluationError):
-            rank_managers({})

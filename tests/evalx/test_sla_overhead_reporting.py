@@ -5,7 +5,7 @@ import pytest
 from repro.errors import EvaluationError
 from repro.evalx.overhead import OverheadMeasurement, measure_overhead
 from repro.evalx.reporting import fig5_table, fig8_table, format_table, sla_table, sparkline
-from repro.evalx.sla import rank_managers, sla_report
+from repro.evalx.sla import sla_report
 from repro.sim.metrics import SimulationResult
 from tests.sim.test_metrics import _comp, _record
 
@@ -31,16 +31,10 @@ class TestSLAReport:
         assert report.worst_interval_percent == pytest.approx(10.0)
         assert report.violating_intervals == 1
         assert report.total_intervals == 2
-        assert report.decreasing_is_safe
 
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError):
             sla_report(_result([]))
-
-    def test_rank(self):
-        a = _result([_record(sla_frac=0.0)], "a")
-        b = _result([_record(sla_frac=0.5)], "b")
-        assert [n for n, _ in rank_managers({"a": a, "b": b})] == ["a", "b"]
 
 
 class TestOverheadMeasurement:

@@ -14,7 +14,7 @@ accumulator's arrival-ordered member list, ``repair_dangling_edges``
 sweeps ``sorted()`` ghosts — all deterministic — and the one true leak
 (``frozenset`` cause-uid iteration order varies with the interpreter
 hash seed) is sealed at the log boundary by sorting cause uids into the
-canonical on-disk encoding (``encode_message``).
+canonical on-disk encoding (the frame ``LogBackend.journal_message`` writes).
 """
 
 import random

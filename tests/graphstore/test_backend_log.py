@@ -22,8 +22,6 @@ from repro.graphstore.backend import (
     FRAME_HEADER,
     SEGMENT_HEADER,
     LogBackend,
-    decode_payload,
-    encode_message,
     segment_name,
     shard_backends,
     shard_dir,
@@ -112,14 +110,19 @@ class TestRoundTrip:
         assert _observables(recovered, [msgs[0].uid]) == expected
         assert recovered.node_count() == len(msgs)
 
-    def test_encode_decode_message_round_trip(self):
+    def test_encode_decode_message_round_trip(self, tmp_path):
         msgs = _chain(3)
         fan_in = Message(
             MessageUid("host-x", 7, 99), "join", "A", CLIENT,
             cause_uids=frozenset(m.uid for m in msgs),
             root_uid=msgs[0].uid, sampled=False,
         )
-        op, (decoded,) = decode_payload(encode_message(fan_in))
+        backend = LogBackend(str(tmp_path))
+        backend.journal_message(fan_in)
+        backend.close()
+        reopened = LogBackend(str(tmp_path), create=False)
+        [(op, (decoded,))] = list(reopened.iter_ops())
+        reopened.close()
         assert decoded == fan_in.with_causes(fan_in.cause_uids)
 
     def test_maintenance_ops_survive_reopen(self, tmp_path):

@@ -21,10 +21,21 @@ import random
 import pytest
 
 from repro.errors import GraphStoreError
-from repro.graphstore.query import causal_graph_bfs, reachable_set
+from repro.graphstore.query import causal_graph_bfs
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid
+
+
+def _reachable(store, root):
+    """Every uid causally downstream of ``root``, itself included."""
+    seen, stack = set(), [root]
+    while stack:
+        uid = stack.pop()
+        if uid not in seen:
+            seen.add(uid)
+            stack.extend(store.iter_successors(uid))
+    return seen
 
 
 def _random_trace(rng, num_roots=6, max_nodes_per_root=14):
@@ -114,7 +125,7 @@ def test_member_eviction_matches_reachability_sweep(seed):
     for root in roots:
         present_before = set(store.all_uids())
         expected = {
-            uid for uid in reachable_set(store, root.uid) if uid in present_before
+            uid for uid in _reachable(store, root.uid) if uid in present_before
         }
         removed = store.evict_graph(root.uid)
         present_after = set(store.all_uids())
@@ -126,7 +137,7 @@ def test_member_eviction_matches_reachability_sweep(seed):
     # nodes downstream of a sampling gap (disconnected tails).
     for uid in store.all_uids():
         for root in roots:
-            assert uid not in reachable_set(store, root.uid) or uid == root.uid
+            assert uid not in _reachable(store, root.uid) or uid == root.uid
 
 
 def test_out_of_order_single_chain_signature():

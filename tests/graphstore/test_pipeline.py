@@ -57,17 +57,6 @@ class TestDeadLetterQueue:
         assert len(queue) == 0
         assert queue.dropped == 4
 
-    def test_drain_empties_and_resets_depth(self):
-        registry = MetricsRegistry()
-        queue = DeadLetterQueue(max_size=8, registry=registry)
-        messages = _roots(4)
-        for msg in messages:
-            queue.append(msg)
-        drained = queue.drain()
-        assert [m.uid for m in drained] == [m.uid for m in messages]
-        assert len(queue) == 0
-        assert registry.gauge("store.dead_letter_depth").value == 0
-
 
 class TestBatchedWritePipeline:
     def test_rejects_bad_parameters(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GraphStoreError
-from repro.graphstore.query import ancestors_of, causal_graph_bfs, reachable_set
+from repro.graphstore.query import causal_graph_bfs
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid
@@ -69,63 +69,3 @@ class TestCausalGraphBfs:
         store.add_edge(root.uid, _uid(77))  # effect node never stored
         result = causal_graph_bfs(store, root.uid)
         assert len(result.nodes) == 1
-
-
-class TestReachability:
-    def test_reachable_set(self):
-        store, root, others = _diamond_store()
-        reach = reachable_set(store, root.uid)
-        assert len(reach) == 5
-        assert root.uid in reach
-
-    def test_ancestors(self):
-        store, root, others = _diamond_store()
-        response = others[-1]
-        anc = ancestors_of(store, response.uid)
-        assert root.uid in anc
-        assert response.uid not in anc
-        assert len(anc) == 4
-
-
-class TestDotExport:
-    def test_dot_contains_nodes_and_edges(self):
-        from repro.graphstore.query import to_dot
-
-        store, root, others = _diamond_store()
-        dot = to_dot(store, root.uid, title="demo")
-        assert dot.startswith("digraph causal {")
-        assert dot.rstrip().endswith("}")
-        assert 'label="demo"' in dot
-        assert dot.count("->") == 5  # root→l, root→r, l→join, r→join, join→resp
-        assert "req" in dot and "done" in dot
-
-    def test_dot_marks_response_bold(self):
-        from repro.graphstore.query import to_dot
-
-        store, root, others = _diamond_store()
-        assert "style=bold" in to_dot(store, root.uid)
-
-    def test_dot_label_uses_newline_escape(self):
-        """Node labels must embed the two-character ``\\n`` DOT escape, not
-        a raw newline (which would split the label across source lines and
-        malform the output)."""
-        from repro.graphstore.query import to_dot
-
-        store, root, others = _diamond_store()
-        dot = to_dot(store, root.uid)
-        node_lines = [
-            line for line in dot.splitlines() if line.strip().startswith("n") and "label=" in line
-        ]
-        assert len(node_lines) == 5
-        for line in node_lines:
-            assert "\\n" in line
-            # A raw newline inside the f-string would tear the statement
-            # across source lines; each must be complete.
-            assert line.rstrip().endswith("];")
-
-    def test_dot_missing_root_raises(self):
-        from repro.errors import GraphStoreError
-        from repro.graphstore.query import to_dot
-
-        with pytest.raises(GraphStoreError):
-            to_dot(GraphStore(), _uid(404))

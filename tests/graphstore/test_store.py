@@ -64,11 +64,6 @@ class TestGraphStore:
         store = GraphStore()
         assert store.get_node(_uid(99)) is None
 
-    def test_require_unknown_raises(self):
-        store = GraphStore()
-        with pytest.raises(GraphStoreError):
-            store.require_node(_uid(99))
-
     def test_edges_from_causes(self):
         registry = MetricsRegistry()
         store = GraphStore(registry=registry)
@@ -91,8 +86,9 @@ class TestGraphStore:
         child = _msg(2, causes=[root.uid], root=root.uid)
         store.add_message(root)
         store.add_message(child)
-        assert store.root_of(child.uid) == root.uid
-        assert store.root_of(root.uid) == root.uid
+        # Both are recorded against the root, so abandoning it takes both.
+        assert store.abandon_root(root.uid) == 2
+        assert store.node_count() == 0
 
     def test_completion_callback_on_response(self):
         seen = []

@@ -124,15 +124,6 @@ class TestSummaries:
         assert "a" in summary.influencing_state_vars
         assert summary.uses_message
 
-    def test_send_summaries_in_order(self):
-        s1 = Send("one", "B", {"v": Var("a")})
-        s2 = Send("two", "B", {"v": Var("b")})
-        pdg = _pdg({"a": 0, "b": 0}, [s1, s2])
-        summaries = pdg.send_summaries()
-        assert [s.msg_type for s in summaries] == ["one", "two"]
-        assert summaries[0].influencing_state_vars == {"a"}
-        assert summaries[1].influencing_state_vars == {"b"}
-
     def test_build_pdgs_per_handler(self):
         comp = Component(
             "X",

@@ -165,10 +165,6 @@ class TestComponent:
         with pytest.raises(IRError):
             comp.handler_for("nope")
 
-    def test_emitted_types(self):
-        comp = Component("A", handlers=[Handler("go", "m", [Send("out", "B")])])
-        assert comp.emitted_types() == {"out"}
-
 
 class TestApplication:
     def _component(self, name, sends=()):
@@ -179,7 +175,7 @@ class TestApplication:
         a = self._component("A", [("fwd", "B")])
         b = Component("B", handlers=[Handler("fwd", "m", [Send("done", CLIENT)])])
         app = Application("t", [a, b], {"go": "A"})
-        assert app.front_end_components() == {"A"}
+        assert set(app.entry_points.values()) == {"A"}
 
     def test_unknown_send_destination(self):
         a = self._component("A", [("fwd", "NOPE")])

@@ -198,7 +198,7 @@ class TestComponentActivitySummary:
         summary = ComponentActivitySummary(60.0)
         summary.record(("A",), 5, 0.0)
         summary.record(("A", "B"), 2, 40.0)
-        assert summary.totals_between(0.0, 10.0) == {"A": 5}
+        assert summary.counts_between((), 0.0, 10.0) == {"A": 5}
         assert summary.sample_total_between(0.0, 50.0) == 7
 
     def test_state_round_trip(self):

@@ -91,10 +91,6 @@ class TestCluster:
         with pytest.raises(SimulationError):
             cluster.apply_targets({"ghost": 5}, 0.0)
 
-    def test_total_provisioned(self):
-        cluster = Cluster({"a": DeploymentSpec(initial_nodes=4), "b": DeploymentSpec(initial_nodes=6)})
-        assert cluster.total_provisioned() == 10
-
     def test_advance_applies_to_all_groups(self):
         cluster = Cluster(
             {"a": DeploymentSpec(initial_nodes=2), "b": DeploymentSpec(initial_nodes=2)},

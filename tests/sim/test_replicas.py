@@ -110,9 +110,3 @@ class TestPerReplicaState:
         runtime = _runtime(pipeline_app)
         trace = runtime.execute_request(RequestClass("go", "start", {"x": 1}))
         assert trace.responses == 1
-
-    def test_hottest_replica_share(self, pipeline_app):
-        runtime = _runtime(pipeline_app, b_replicas=2)
-        trace = runtime.execute_request(RequestClass("go", "start", {"x": 1}))
-        assert trace.hottest_replica_share("B") == 1.0
-        assert trace.hottest_replica_share("missing") == 0.0

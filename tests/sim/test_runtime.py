@@ -41,14 +41,6 @@ class TestPlainExecution:
         response = [m for m in t2.messages if m.dest == "__client__"][0]
         assert response.fields["v"] == 20  # (5+5) * 2
 
-    def test_reset_state(self, pipeline_app):
-        runtime = ApplicationRuntime(pipeline_app)
-        runtime.execute_request(REQUEST)
-        runtime.reset_state()
-        t2 = runtime.execute_request(REQUEST)
-        response = [m for m in t2.messages if m.dest == "__client__"][0]
-        assert response.fields["v"] == 10
-
     def test_signature_deterministic(self, pipeline_app):
         runtime = ApplicationRuntime(pipeline_app)
         t1 = runtime.execute_request(REQUEST)

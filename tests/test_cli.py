@@ -155,3 +155,79 @@ class TestReport:
         assert "Fig. 8" in text
         assert "SLA violations" in text
         assert "CloudWatch" in text
+
+
+def _must_not_run(*_args, **_kwargs):
+    raise AssertionError("a rejected command ran cells")
+
+
+class TestChaos:
+    @staticmethod
+    def _no_sweep(monkeypatch):
+        import repro.chaos
+
+        monkeypatch.setattr(repro.chaos, "run_matrix", _must_not_run)
+
+    def test_replay_hint_reproduces_the_failing_run(self, monkeypatch, capsys):
+        import shlex
+
+        import repro.chaos
+        from repro.chaos import CellReport, CellRunResult, ChaosMatrix, MatrixConfig
+        from repro.chaos.invariants import Violation
+        from repro.cli import _build_parser
+
+        def one_failing_repeat(cells, repeats, **_kwargs):
+            def run(cell, repeat, violations):
+                return CellRunResult(
+                    cell_id=cell.cell_id, repeat=repeat, seed=cell.seed_for(repeat),
+                    violations=violations, telemetry_digest="f" * 64,
+                    event_counts={}, headline={},
+                )
+
+            broken = [Violation("no-resurrection", 5.0, "synthetic")]
+            return [CellReport(cells[0], [run(cells[0], 0, []), run(cells[0], 1, broken)])]
+
+        monkeypatch.setattr(repro.chaos, "run_matrix", one_failing_repeat)
+        argv = ["chaos", "--cells", "1", "--repeats", "2", "--duration", "20",
+                "--path-timeout", "3"]
+        assert main(argv) == 1
+        hints = [
+            line.split("replay: repro ", 1)[1]
+            for line in capsys.readouterr().out.splitlines() if "replay: repro " in line
+        ]
+        assert len(hints) == 1
+        args = _build_parser().parse_args(shlex.split(hints[0]))
+        assert args.path_timeout == 3
+        assert args.repeat == 1
+        matrix = ChaosMatrix(MatrixConfig(
+            app=args.app, manager=args.manager, duration_minutes=args.duration,
+            base_seed=args.seed, path_timeout_minutes=args.path_timeout,
+        ))
+        assert matrix.cell_by_id(args.replay).path_timeout_minutes == 3
+
+    @pytest.mark.parametrize(
+        "flags", [["--expect-digest", "ab" * 32], ["--repeat", "1"]],
+        ids=["expect-digest", "repeat"],
+    )
+    def test_replay_only_flags_need_replay(self, flags, monkeypatch, capsys):
+        self._no_sweep(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--cells", "1", *flags])
+        assert exc.value.code == 2
+        assert f"error: {flags[0]} requires --replay" in capsys.readouterr().err
+
+    def test_negative_cells_rejected(self, monkeypatch, capsys):
+        self._no_sweep(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--cells", "-1"])
+        assert exc.value.code == 2
+        assert "error: --cells must be >= 0" in capsys.readouterr().err
+
+    def test_negative_repeat_rejected(self, monkeypatch, capsys):
+        from repro.chaos import ChaosMatrix, MatrixConfig, runner
+
+        monkeypatch.setattr(runner, "run_cell", _must_not_run)
+        cell_id = ChaosMatrix(MatrixConfig(duration_minutes=20)).cell_at(0).cell_id
+        argv = ["chaos", "--replay", cell_id, "--duration", "20", "--repeat", "-1"]
+        assert main(argv) == 1
+        assert "error: repeat must be >= 0, got -1" in capsys.readouterr().err

@@ -7,31 +7,13 @@ from repro.graphstore.store import GraphStore
 from repro.lang.builder import ComponentBuilder, call
 from repro.lang.interpreter import Interpreter, ReplicaState
 from repro.lang.ir import (
-    Assign,
     BinOp,
     Const,
     EXTERNAL,
-    Send,
     UnaryOp,
-    Var,
     default_library,
-    walk_exprs,
 )
 from repro.lang.message import Message, MessageUid, UidFactory
-
-
-class TestWalkExprs:
-    def test_walks_nested_expression_nodes(self):
-        stmt = Assign("x", BinOp("+", Var("a"), UnaryOp("-", Const(3))))
-        nodes = list(walk_exprs(stmt))
-        assert any(isinstance(n, Var) and n.name == "a" for n in nodes)
-        assert any(isinstance(n, UnaryOp) for n in nodes)
-        assert any(isinstance(n, Const) and n.value == 3 for n in nodes)
-
-    def test_walks_send_field_expressions(self):
-        stmt = Send("m", "B", {"v": Var("z"), "w": Const(1)})
-        nodes = list(walk_exprs(stmt))
-        assert any(isinstance(n, Var) and n.name == "z" for n in nodes)
 
 
 class TestGraphStoreIteration:

@@ -1,0 +1,115 @@
+"""``benchmarks/reach.py``: which defs only the tests reach."""
+
+import importlib
+import sys
+import textwrap
+
+import pytest
+
+from benchmarks.reach import census, keep_problems
+
+CORE = '''
+def live():
+    return A().size + helper()
+
+
+def helper():
+    return 1
+
+
+def only_tests():
+    return 2
+
+
+def only_all():
+    return 3
+
+
+def dead_caller():
+    return dead_callee()
+
+
+def dead_callee():
+    return 4
+
+
+def _private():
+    return 5
+
+
+class A:
+    @property
+    def size(self):
+        return 1
+
+
+class B:
+    def size(self):
+        return 2
+
+    def extent(self):
+        def inner():
+            return 3
+        return inner()
+'''
+
+
+@pytest.fixture
+def fixture_package(tmp_path, monkeypatch):
+    """``reachfix``: a package, a tests/ dir that names it, and a tool dir."""
+    package = tmp_path / "src" / "reachfix"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from reachfix.core import live, only_all\n\n"
+        '__all__ = ["live", "only_all"]\n'
+    )
+    (package / "core.py").write_text(textwrap.dedent(CORE))
+    (tmp_path / "src" / "tests").mkdir()
+    (tmp_path / "src" / "tests" / "test_core.py").write_text(
+        "from reachfix.core import only_tests\n\nassert only_tests() == 2\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text("import reachfix\n\nreachfix.live()\n")
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    yield package, [str(tmp_path / "src"), str(tmp_path / "tools")]
+    for name in ("reachfix.core", "reachfix"):
+        sys.modules.pop(name, None)
+
+
+def _entry():
+    importlib.import_module("reachfix.core").live()
+
+
+def test_pins_the_test_only_defs(fixture_package):
+    package, roots = fixture_package
+    result = census(str(package), roots, [_entry])
+    # Reached: live, helper and the decorated A.size.  B.size is never
+    # called, but the name check is name-blind and live() names
+    # ``size``, so it stays.
+    # Named only by a test, only by __all__/__init__, or only from a
+    # dead body: test-only.  Private and nested defs are not reported.
+    assert [d.key for d in result.test_only] == [
+        "core.only_tests",
+        "core.only_all",
+        "core.dead_caller",
+        "core.dead_callee",
+        "core.B.extent",
+    ]
+    assert result.reached == {"core.live", "core.helper", "core.A.size"}
+    assert [d.lines for d in result.test_only] == [2, 2, 2, 2, 4]
+    assert len(result.defs) == 11
+
+
+def test_a_kept_def_keeps_what_it_calls(fixture_package):
+    package, roots = fixture_package
+    result = census(str(package), roots, [_entry], keep={"core.dead_caller"})
+    keys = [d.key for d in result.test_only]
+    assert "core.dead_caller" in keys
+    assert "core.dead_callee" not in keys
+    assert result.reached == {"core.live", "core.helper", "core.A.size"}
+    assert keep_problems(result, {"core.dead_caller", "core.helper"}) == [
+        "test-only, not in KEEP: core.B.extent",
+        "test-only, not in KEEP: core.only_all",
+        "test-only, not in KEEP: core.only_tests",
+        "in KEEP, no longer test-only: core.helper",
+    ]

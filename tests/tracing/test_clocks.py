@@ -18,13 +18,8 @@ class TestVectorClock:
         a, b = VectorClock("a"), VectorClock("b")
         ts_a = a.tick()
         ts_b = b.tick()
-        assert ts_a.concurrent_with(ts_b)
-        assert ts_b.concurrent_with(ts_a)
-
-    def test_not_concurrent_with_self(self):
-        a = VectorClock("a")
-        ts = a.tick()
-        assert not ts.concurrent_with(ts)
+        assert not ts_a.happens_before(ts_b)
+        assert not ts_b.happens_before(ts_a)
 
     def test_merge_takes_componentwise_max(self):
         t1 = VectorTimestamp({"a": 3, "b": 1})

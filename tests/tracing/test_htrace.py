@@ -13,10 +13,6 @@ COSTS = {
 
 
 class TestValidation:
-    def test_window_positive(self):
-        with pytest.raises(ReproError):
-            HTraceCollector(attribution_window_ms=0)
-
     def test_alpha_range(self):
         with pytest.raises(ReproError):
             HTraceCollector(ewma_alpha=0)

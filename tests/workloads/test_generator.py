@@ -74,9 +74,6 @@ class TestArrivals:
         total = sum(sum(g.arrivals(float(t)).values()) for t in range(300))
         assert total == pytest.approx(300 * 100.0, rel=0.05)
 
-    def test_class_list_sorted(self):
-        assert [c.name for c in _generator().class_list()] == ["a", "b"]
-
 
 class TestArrivalsSeries:
     """The event engine precomputes arrivals; the batch API must match."""

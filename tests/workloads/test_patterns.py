@@ -9,11 +9,9 @@ from repro.workloads.patterns import (
     MixPhase,
     ScaledPattern,
     StepMixSchedule,
-    abrupt_pattern,
     cyclic_pattern,
     paper_pattern,
     stepwise_cyclic_pattern,
-    uniform_mix,
 )
 
 
@@ -21,10 +19,6 @@ class TestPatterns:
     @given(st.floats(0, RUN_MINUTES))
     def test_paper_pattern_bounded(self, t):
         assert 0.0 <= paper_pattern(t) <= 1.0
-
-    @given(st.floats(0, 250))
-    def test_abrupt_pattern_bounded(self, t):
-        assert 0.0 <= abrupt_pattern(t) <= 1.0
 
     @given(st.floats(0, 1000))
     def test_cyclic_pattern_bounded(self, t):
@@ -117,9 +111,3 @@ class TestMixSchedules:
     def test_class_names_union(self):
         mix = StepMixSchedule([MixPhase(0.0, {"a": 1}), MixPhase(10.0, {"b": 1})])
         assert mix.class_names() == ["a", "b"]
-
-    def test_uniform_mix(self):
-        mix = uniform_mix(["x", "y"])
-        assert mix.mix(0.0) == {"x": 0.5, "y": 0.5}
-        with pytest.raises(WorkloadError):
-            uniform_mix([])
