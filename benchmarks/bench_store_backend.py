@@ -148,7 +148,8 @@ def test_bench_log_backend_batched_ingest(benchmark):
 
 
 def test_bench_log_recovery_replay(benchmark, tmp_path):
-    """Gate anchor: replaying a journal into a fresh store (mmap reads)."""
+    """Gate anchor: reopening a journal (one validating pass) and replaying
+    it into a fresh store."""
     messages = _stream(num_requests=200, depth=25)
     registry = MetricsRegistry()
     writer = GraphStore(

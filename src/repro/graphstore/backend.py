@@ -14,8 +14,9 @@ narrow :class:`GraphStoreBackend` protocol behind the existing
   (message, raw edge, eviction, abandonment, dangling-edge repair) is
   framed as a crc32-checked record and appended to a rotated segment
   sequence; reopening the directory replays the log to rebuild the
-  exact store state, so experiments survive restarts and stores larger
-  than RAM stream from disk through ``mmap`` during recovery.
+  exact store state, so experiments survive restarts.  Recovery holds
+  one segment's bytes at a time, so a journal larger than RAM streams
+  from disk segment by segment.
 
 On-disk format (``log`` backend)
 --------------------------------
@@ -41,7 +42,11 @@ leak into a persistence artifact.  ``OP_MESSAGE`` payloads group all
 string fields (addresses, type, endpoints) ahead of the fixed-width
 ``<process_id, seq>`` tails: the string block repeats across records (a
 simulation's vocabulary is tiny) and is cached as one pre-encoded
-skeleton, leaving only one struct pack per journaled message.
+skeleton, leaving only one struct pack per journaled message.  The
+reader mirrors it: a decoded skeleton is cached under its bytes, so
+decoding a record is a dict hit plus one struct unpack of its tail, and
+its uids are hashed as :class:`~repro.lang.message.UidFactory` hashes
+them, from a per-process crc prefix.
 
 One append path
 ---------------
@@ -68,10 +73,22 @@ mirroring PR 8's :class:`~repro.errors.ParityArtifactError` pattern: a
 bad-crc frame, a truncated frame, a damaged header, or a gap in the
 rotated segment sequence raises :class:`~repro.errors.StoreBackendError`
 — a damaged log must read as "the store is torn", never load as a
-silently truncated graph.  The one sanctioned repair: a torn *tail* (the
+silently truncated graph.  A crc-valid payload the decoder cannot read
+(unknown opcode or flag bits, a string that is not UTF-8, a short or
+overlong body) raises it too, naming the segment and the frame's byte
+offset.  The one sanctioned repair: a torn *tail* (the
 final bytes of the final segment, the signature of a crash mid-flush)
 can be truncated away by opening with ``repair_torn_tail=True``, which
 drops only the partial frame and keeps every intact record before it.
+
+Every frame's crc is checked exactly once between opening a log and the
+end of ``recover()``.  Opening (``create=False``) is the validating pass:
+headers, the sequence, each frame's length and crc and the torn-tail
+rules, recording each segment's validated byte length.  Recovery
+(:meth:`LogBackend.iter_ops`, :meth:`LogBackend.replay_into`) decodes the
+frames inside that length without a second crc, validates whatever was
+appended since exactly as opening does, and raises if a segment is now
+shorter than its validated length.
 """
 
 from __future__ import annotations
@@ -80,10 +97,11 @@ import os
 import re
 import struct
 import zlib
-from typing import Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import StoreBackendError
-from repro.lang.message import Message, MessageUid
+from repro.lang.message import Message, MessageUid, uid_crc_prefix
 from repro.telemetry import MetricsRegistry, get_registry
 
 #: The selectable backend kinds (`--store-backend`).
@@ -99,6 +117,7 @@ FRAME_HEADER = struct.Struct("<II")
 _FRAME_PACK = FRAME_HEADER.pack
 _FRAME_OVERHEAD = FRAME_HEADER.size
 _CRC32 = zlib.crc32
+_tuple_new = tuple.__new__
 SEGMENT_NAME_RE = re.compile(r"^segment-(\d{8})\.log$")
 
 #: Default rotation threshold and auto-flush buffer bound (bytes).
@@ -117,6 +136,7 @@ OP_REPAIR = 5
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+_LENGTH = _U32.unpack_from
 _U64Q = struct.Struct("<QQ")
 
 #: Message flag bits.
@@ -217,65 +237,26 @@ def _encode_uid(uid: MessageUid) -> bytes:
 _SKELETON_CACHE: dict = {}
 _SKELETON_CACHE_MAX = 4096
 
-#: ``struct.Struct("<nQ")`` per tail width; the common record shapes
-#: (bare root, root + one cause) get dedicated structs so the hot path
-#: packs without building an argument list.
-_TAIL4 = struct.Struct("<4Q")
+#: The dominant record shape (root + one cause) gets a dedicated tail
+#: struct so the hot path packs without building an argument list.
 _TAIL6 = struct.Struct("<6Q")
-_TAIL_STRUCTS: dict = {2: _U64Q, 4: _TAIL4, 6: _TAIL6}
 
 
 def pack_tail(values) -> bytes:
     """Pack a uid tail from its flat ``process_id, seq, ...`` ints.
 
-    The tail encoding for every width without a dedicated struct above:
+    The tail encoding for every shape but the dominant one:
     odd-shaped records in :func:`_message_parts`, and all the tails of
     one execution at once when converged replay renders a frozen class
     (:mod:`repro.sim.events`) — which therefore packs nothing itself.
     """
-    count = len(values)
-    cached = _TAIL_STRUCTS.get(count)
-    if cached is None:
-        cached = _TAIL_STRUCTS[count] = struct.Struct("<%dQ" % count)
-    return cached.pack(*values)
+    return _tail_struct(len(values)).pack(*values)
 
 
-class _Reader:
-    """Cursor over one decoded payload (bounds-checked reads)."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise StoreBackendError(
-                "log record payload ends mid-field (corrupt frame passed crc?)"
-            )
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def text(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
-
-    def uid(self) -> MessageUid:
-        address = self.text()
-        process_id, seq = _U64Q.unpack(self.take(16))
-        return MessageUid(address, process_id, seq)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
+@lru_cache(maxsize=256)
+def _tail_struct(count: int) -> struct.Struct:
+    """``Struct("<{count}Q")``, built once per width."""
+    return struct.Struct("<%dQ" % count)
 
 
 def _message_parts(message: Message):
@@ -366,55 +347,131 @@ def _message_parts(message: Message):
     return entry, pack_tail(tails)
 
 
+class _Skeleton:
+    """One decoded string block: everything a payload holds but its uid tail.
+
+    ``addresses`` are the ``k`` uid addresses in tail order (uid, root,
+    causes for a message; the root for an eviction or abandonment), so
+    the tail is ``width = 16·k`` bytes that one ``Struct("<2kQ")``
+    unpacks.  ``message`` is ``(msg_type, src, dest, has_root, sampled)``
+    for an ``OP_MESSAGE`` record and ``None`` otherwise.
+    """
+
+    __slots__ = ("op", "width", "unpack", "addresses", "message")
+
+    def __init__(self, op: int, addresses: Tuple[str, ...], message: Optional[tuple]) -> None:
+        self.op = op
+        self.width = 16 * len(addresses)
+        self.unpack = _tail_struct(2 * len(addresses)).unpack_from
+        self.addresses = addresses
+        self.message = message
+
+    def decode(self, payload: bytes, split: int) -> Tuple[int, tuple]:
+        """``(opcode, args)`` of the payload whose tail starts at ``split``."""
+        values = iter(self.unpack(payload, split))
+        # Each uid is built as ``UidFactory.next_uid`` builds it: the
+        # per-process prefix crc finished over the sequence digits.
+        uids = [
+            _tuple_new(
+                MessageUid, (address, pid, seq, _CRC32(b"%d" % seq, uid_crc_prefix(address, pid)))
+            )
+            for address, pid, seq in zip(self.addresses, values, values)
+        ]
+        if self.message is None:
+            return self.op, (uids[0],)
+        msg_type, src, dest, has_root, sampled = self.message
+        causes = frozenset(uids[1 + has_root:])
+        root = uids[1] if has_root else None
+        return OP_MESSAGE, (Message(uids[0], msg_type, src, dest, None, causes, root, sampled),)
+
+
+#: Decoded skeletons keyed by their bytes — the read-side mirror of
+#: :data:`_SKELETON_CACHE`.  A skeleton is self-delimiting and fixes its
+#: tail width, so at most one prefix of a payload can be a cached
+#: skeleton, and a hit whose width fits the payload is a sound parse; a
+#: miss parses the skeleton once, strictly.
+_DECODED: dict = {}
+_DECODED_MAX = 4096
+
+#: Tail widths probed before a strict parse, most common first: a rooted
+#: single-cause hop (3 uids), a root or an eviction (1), a root-less hop
+#: or a rooted root (2), a rooted two-cause join (4).
+_PROBE_WIDTHS = (48, 16, 32, 64)
+
+
+def _texts(payload: bytes, pos: int, count: int) -> Tuple[List[str], int]:
+    """``count`` length-prefixed UTF-8 strings from ``pos``, and the offset after."""
+    texts = []
+    for _ in range(count):
+        end = pos + 2 + _U16.unpack_from(payload, pos)[0]
+        texts.append(payload[pos + 2:end].decode("utf-8"))
+        pos = end
+    return texts, pos
+
+
+def _skeleton_at(payload: bytes) -> Tuple[_Skeleton, int]:
+    """Parse the string block heading a payload: ``(skeleton, split)``."""
+    op = payload[0]
+    if op != OP_MESSAGE:
+        addresses, pos = _texts(payload, 1, 1)
+        return _Skeleton(op, tuple(addresses), None), pos
+    flags = payload[1]
+    if flags & ~(_FLAG_HAS_ROOT | _FLAG_SAMPLED):
+        raise StoreBackendError(f"message record carries unknown flag bits {flags:#04x}")
+    has_root = bool(flags & _FLAG_HAS_ROOT)
+    texts, pos = _texts(payload, 2, 5 if has_root else 4)
+    causes, pos = _texts(payload, pos + 4, _U32.unpack_from(payload, pos)[0])
+    message = (*texts[1:4], has_root, bool(flags & _FLAG_SAMPLED))
+    return _Skeleton(op, (texts[0], *texts[4:], *causes), message), pos
+
+
+def _decode_strict(payload: bytes):
+    """Decode a payload no cached skeleton heads, caching its skeleton."""
+    op = payload[0] if payload else None
+    if op not in (OP_MESSAGE, OP_EDGE, OP_EVICT, OP_ABANDON, OP_REPAIR):
+        raise StoreBackendError(f"unknown log record opcode {op}")
+    skeleton = None
+    try:
+        if op == OP_REPAIR:
+            args, end = (), 1
+        elif op == OP_EDGE:
+            (cause_address,), pos = _texts(payload, 1, 1)
+            cause = MessageUid(cause_address, *_U64Q.unpack_from(payload, pos))
+            (effect_address,), pos = _texts(payload, pos + 16, 1)
+            args = (cause, MessageUid(effect_address, *_U64Q.unpack_from(payload, pos)))
+            end = pos + 16
+        else:
+            skeleton, split = _skeleton_at(payload)
+            end = split + skeleton.width
+    except (struct.error, IndexError):
+        raise StoreBackendError(f"log record opcode {op} ends mid-field") from None
+    except UnicodeDecodeError:
+        raise StoreBackendError(f"log record opcode {op} holds a string not in UTF-8") from None
+    if end != len(payload):
+        raise StoreBackendError(
+            f"log record opcode {op} needs {end} payload bytes, carries {len(payload)}"
+        )
+    if skeleton is None:
+        return op, args
+    if len(_DECODED) < _DECODED_MAX:
+        _DECODED[payload[:split]] = skeleton
+    return skeleton.decode(payload, split)
+
+
 def decode_payload(payload: bytes):
     """Decode one payload into ``(opcode, args)``.
 
-    A crc-valid but undecodable payload (unknown opcode, short body,
-    trailing bytes) is corruption, not a torn tail, and always raises
+    A crc-valid but undecodable payload (unknown opcode or flag bits, a
+    string that is not UTF-8, short body, trailing bytes) is corruption,
+    not a torn tail, and always raises
     :class:`~repro.errors.StoreBackendError`.
     """
-    if not payload:
-        raise StoreBackendError("empty log record payload")
-    op = payload[0]
-    reader = _Reader(payload)
-    reader.pos = 1
-    if op == OP_MESSAGE:
-        flags = reader.take(1)[0]
-        uid_address = reader.text()
-        msg_type = reader.text()
-        src = reader.text()
-        dest = reader.text()
-        root_address = reader.text() if flags & _FLAG_HAS_ROOT else None
-        cause_addresses = [reader.text() for _ in range(reader.u32())]
-        uid = MessageUid(uid_address, *_U64Q.unpack(reader.take(16)))
-        root = None
-        if root_address is not None:
-            root = MessageUid(root_address, *_U64Q.unpack(reader.take(16)))
-        causes = frozenset(
-            MessageUid(address, *_U64Q.unpack(reader.take(16)))
-            for address in cause_addresses
-        )
-        message = Message(
-            uid, msg_type, src, dest,
-            cause_uids=causes,
-            root_uid=root,
-            sampled=bool(flags & _FLAG_SAMPLED),
-        )
-        args: Tuple = (message,)
-    elif op == OP_EDGE:
-        args = (reader.uid(), reader.uid())
-    elif op in (OP_EVICT, OP_ABANDON):
-        args = (reader.uid(),)
-    elif op == OP_REPAIR:
-        args = ()
-    else:
-        raise StoreBackendError(f"unknown log record opcode {op}")
-    if not reader.exhausted:
-        raise StoreBackendError(
-            f"log record opcode {op} carries {len(payload) - reader.pos} "
-            "trailing bytes (corrupt frame passed crc?)"
-        )
-    return op, args
+    size = len(payload)
+    for width in _PROBE_WIDTHS:
+        skeleton = _DECODED.get(payload[:size - width]) if width < size else None
+        if skeleton is not None and skeleton.width == width:
+            return skeleton.decode(payload, size - width)
+    return _decode_strict(payload)
 
 
 def frame_parts(blob: bytes) -> List[Tuple[Tuple[bytes, int, int], List[MessageUid], bytes]]:
@@ -434,20 +491,17 @@ def frame_parts(blob: bytes) -> List[Tuple[Tuple[bytes, int, int], List[MessageU
     parts = []
     pos = 0
     while pos < len(blob):
-        length, _crc = FRAME_HEADER.unpack_from(blob, pos)
-        pos += _FRAME_OVERHEAD
-        payload = blob[pos:pos + length]
-        pos += length
+        body = pos + _FRAME_OVERHEAD
+        pos = body + _LENGTH(blob, pos)[0]
+        payload = blob[body:pos]
         op, args = decode_payload(payload)
         if op == OP_MESSAGE:
             (message,) = args
-            uids = [message.uid]
-            if message.root_uid is not None:
-                uids.append(message.root_uid)
-            uids += sorted(message.cause_uids)
+            root = () if message.root_uid is None else (message.root_uid,)
+            uids = [message.uid, *root, *sorted(message.cause_uids)]
         else:
             uids = [] if op == OP_EDGE else list(args)
-        split = length - _U64Q.size * len(uids)
+        split = len(payload) - 16 * len(uids)
         skeleton = payload[:split]
         parts.append(((skeleton, split, _CRC32(skeleton)), uids, payload[split:]))
     return parts
@@ -538,6 +592,10 @@ class LogBackend(GraphStoreBackend):
         #: blob.  Emit-only; converged replay sets it around warm-up
         #: executions to observe what each one wrote, flush by flush.
         self.flush_tap = None
+        #: Byte length of each segment validated at open (header, every
+        #: frame's length and crc, the torn-tail rules): recovery walks
+        #: the frames inside it without a second crc.
+        self._validated: Dict[int, int] = {}
         os.makedirs(directory, exist_ok=True)
         if create:
             _refuse_fresh_over(directory)
@@ -546,9 +604,7 @@ class LogBackend(GraphStoreBackend):
         else:
             existing = _segment_indices(directory)
             if not existing:
-                raise StoreBackendError(
-                    f"no log segments to reopen in {directory}"
-                )
+                raise StoreBackendError(f"no log segments to reopen in {directory}")
             if existing != list(range(len(existing))):
                 missing = sorted(set(range(existing[-1] + 1)) - set(existing))
                 raise StoreBackendError(
@@ -556,7 +612,10 @@ class LogBackend(GraphStoreBackend):
                     f"(missing indices {missing}) — the log is torn and "
                     "cannot be trusted"
                 )
-            self._validate_segments(repair_torn_tail)
+            for index in existing:
+                self._validated[index] = self._validate(
+                    index, self._load(index), index == existing[-1], repair_torn_tail
+                )
             self._segment_index = existing[-1]
             self._open_segment(self._segment_index, fresh=False)
 
@@ -589,83 +648,64 @@ class LogBackend(GraphStoreBackend):
 
     # -- validation / recovery ---------------------------------------------------
 
-    def _read_segment(self, index: int, is_last: bool, repair: bool) -> Iterator[bytes]:
-        """Yield every payload of one segment, enforcing the torn contract."""
-        import mmap
+    def _load(self, index: int) -> bytes:
+        with open(self._segment_path(index), "rb") as fh:
+            return fh.read()
 
-        path = self._segment_path(index)
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
+    def _validate(
+        self, index: int, data: bytes, is_last: bool, repair: bool, start: int = 0
+    ) -> int:
+        """crc-check one segment's frames from ``start``, enforcing the torn contract.
+
+        ``start`` 0 checks the segment header first.  Returns the byte
+        length the intact frames end at (after a repair, the length the
+        segment was truncated to).
+        """
+        name = segment_name(index)
+        size = len(data)
+        pos = start or SEGMENT_HEADER.size
+        if not start:
             if size < SEGMENT_HEADER.size:
-                yield from self._torn(
-                    path, 0, is_last, repair,
-                    f"segment {segment_name(index)} is shorter than its header",
+                return self._torn(index, 0, is_last, repair, f"{name} is shorter than its header")
+            header = SEGMENT_HEADER.unpack_from(data, 0)
+            if header != (SEGMENT_MAGIC, SEGMENT_VERSION, index):
+                raise StoreBackendError(
+                    f"{name} has header (magic, version, index) {header}, expected "
+                    f"{(SEGMENT_MAGIC, SEGMENT_VERSION, index)} — not this log's segment"
                 )
-                return
-            view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            try:
-                magic, version, stored = SEGMENT_HEADER.unpack_from(view, 0)
-                if magic != SEGMENT_MAGIC:
+        while pos < size:
+            if size - pos < _FRAME_OVERHEAD:
+                return self._torn(
+                    index, pos, is_last, repair, f"truncated frame header at byte {pos} of {name}"
+                )
+            length, crc = FRAME_HEADER.unpack_from(data, pos)
+            body = pos + _FRAME_OVERHEAD
+            if size - body < length:
+                return self._torn(
+                    index, pos, is_last, repair,
+                    f"frame at byte {pos} of {name} claims {length} payload "
+                    f"bytes but only {size - body} remain",
+                )
+            if _CRC32(data[body:body + length]) != crc:
+                if body + length < size:
+                    # Intact data follows the bad frame: a crash tail
+                    # always ends at EOF (appends are buffered into one
+                    # write), so this is bit rot mid-sequence — never
+                    # repairable.
                     raise StoreBackendError(
-                        f"{segment_name(index)} does not start with the log magic "
-                        "(not a graph-store segment)"
+                        f"crc mismatch in frame at byte {pos} of {name} with "
+                        "intact data after it — the record is corrupt, not a "
+                        "crash tail"
                     )
-                if version != SEGMENT_VERSION:
-                    raise StoreBackendError(
-                        f"{segment_name(index)} has log version {version}, "
-                        f"expected {SEGMENT_VERSION}"
-                    )
-                if stored != index:
-                    raise StoreBackendError(
-                        f"{segment_name(index)} claims segment index {stored} — "
-                        "the rotated sequence has been tampered with"
-                    )
-                pos = SEGMENT_HEADER.size
-                while pos < size:
-                    if size - pos < FRAME_HEADER.size:
-                        yield from self._torn(
-                            path, pos, is_last, repair,
-                            f"truncated frame header at byte {pos} of "
-                            f"{segment_name(index)}",
-                        )
-                        return
-                    length, crc = FRAME_HEADER.unpack_from(view, pos)
-                    body_start = pos + FRAME_HEADER.size
-                    if size - body_start < length:
-                        yield from self._torn(
-                            path, pos, is_last, repair,
-                            f"frame at byte {pos} of {segment_name(index)} claims "
-                            f"{length} payload bytes but only "
-                            f"{size - body_start} remain",
-                        )
-                        return
-                    payload = bytes(view[body_start:body_start + length])
-                    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-                        if body_start + length < size:
-                            # Intact data follows the bad frame: a crash
-                            # tail always ends at EOF (appends are
-                            # buffered into one write), so this is bit
-                            # rot mid-sequence — never repairable.
-                            raise StoreBackendError(
-                                f"crc mismatch in frame at byte {pos} of "
-                                f"{segment_name(index)} with intact data "
-                                "after it — the record is corrupt, not a "
-                                "crash tail"
-                            )
-                        yield from self._torn(
-                            path, pos, is_last, repair,
-                            f"crc mismatch in frame at byte {pos} of "
-                            f"{segment_name(index)}",
-                        )
-                        return
-                    yield payload
-                    pos = body_start + length
-            finally:
-                view.close()
+                return self._torn(
+                    index, pos, is_last, repair, f"crc mismatch in frame at byte {pos} of {name}"
+                )
+            pos = body + length
+        return pos
 
     def _torn(
-        self, path: str, keep_bytes: int, is_last: bool, repair: bool, detail: str
-    ) -> Iterator[bytes]:
+        self, index: int, keep_bytes: int, is_last: bool, repair: bool, detail: str
+    ) -> int:
         """Handle a torn frame: repairable only at the tail of the last segment."""
         if not is_last:
             raise StoreBackendError(
@@ -677,29 +717,52 @@ class LogBackend(GraphStoreBackend):
                 f"{detail} — the log has a torn tail (crash mid-flush); reopen "
                 "with repair_torn_tail=True to truncate the partial frame"
             )
-        with open(path, "r+b") as fh:
+        with open(self._segment_path(index), "r+b") as fh:
             fh.truncate(keep_bytes)
             if keep_bytes == 0:
                 # The crash caught segment creation itself: restore the header
                 # so the (now empty) segment stays a valid member of the chain.
-                index = int(SEGMENT_NAME_RE.match(os.path.basename(path)).group(1))
                 fh.write(SEGMENT_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, index))
+                keep_bytes = SEGMENT_HEADER.size
         self._m_repairs.inc()
-        return
-        yield  # pragma: no cover - generator shape only
+        return keep_bytes
 
-    def _validate_segments(self, repair: bool) -> None:
-        indices = _segment_indices(self.directory)
-        for index in indices:
-            for _ in self._read_segment(index, index == indices[-1], repair):
-                pass
+    def _segment_ops(self, index: int, is_last: bool) -> Iterator[Tuple[int, tuple]]:
+        """Decode one segment's frames, crc-checking only those not seen at open."""
+        name = segment_name(index)
+        data = self._load(index)
+        validated = self._validated.get(index, 0)
+        if len(data) < validated:
+            raise StoreBackendError(
+                f"{name} is {len(data)} bytes, shorter than the {validated} validated "
+                "when the log was opened — it changed under recovery"
+            )
+        end = self._validate(index, data, is_last, False, validated)
+        pos = SEGMENT_HEADER.size
+        while pos < end:
+            body = pos + _FRAME_OVERHEAD
+            stop = body + _LENGTH(data, pos)[0]
+            try:
+                op_args = decode_payload(data[body:stop])
+            except StoreBackendError as exc:
+                raise StoreBackendError(f"frame at byte {pos} of {name}: {exc}") from None
+            yield op_args
+            pos = stop
 
     def iter_ops(self) -> Iterator[Tuple[int, tuple]]:
-        """Stream every journaled op (decoded) from the segment sequence."""
+        """Stream every journaled op (decoded) from the segment sequence.
+
+        Holds one segment's bytes at a time.  Frames validated when the
+        log was opened are not crc-checked again; frames appended since
+        are, so every frame's crc is checked exactly once.
+        """
         indices = _segment_indices(self.directory)
+        if indices[:len(self._validated)] != list(self._validated):
+            raise StoreBackendError(
+                f"segments validated when the log was opened are gone from {self.directory}"
+            )
         for index in indices:
-            for payload in self._read_segment(index, index == indices[-1], False):
-                yield decode_payload(payload)
+            yield from self._segment_ops(index, index == indices[-1])
 
     def replay_into(self, store) -> int:
         """Re-apply every journaled op to ``store`` (the recovery path).
@@ -709,14 +772,16 @@ class LogBackend(GraphStoreBackend):
         replay mutates only graph state — it never re-journals, rolls
         fault decisions, or fires completion callbacks.
         """
+        add_message = store.add_message
+        evict_graph = store.evict_graph
         count = 0
         for op, args in self.iter_ops():
             if op == OP_MESSAGE:
-                store.add_message(*args)
+                add_message(*args)
+            elif op == OP_EVICT:
+                evict_graph(*args)
             elif op == OP_EDGE:
                 store.add_edge(*args)
-            elif op == OP_EVICT:
-                store.evict_graph(*args)
             elif op == OP_ABANDON:
                 store.abandon_roots(args)
             else:

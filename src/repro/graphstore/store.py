@@ -103,12 +103,6 @@ class GraphNode:
             and dict(self.info) == dict(other.info)
         )
 
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self) -> int:
         return hash((self.uid, self.msg_type, self.src, self.dest))
 

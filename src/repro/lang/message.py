@@ -18,6 +18,7 @@ dict probe enters the interpreter.  :class:`Message` is a hand-rolled
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 from operator import itemgetter
 from typing import FrozenSet, Mapping, Optional
 
@@ -65,6 +66,18 @@ class MessageUid(tuple):
         return f"{self[0]}/{self[1]}#{self[2]}"
 
 
+@lru_cache(maxsize=4096)
+def uid_crc_prefix(address: str, process_id: int) -> int:
+    """Running crc32 of ``f"{address}/{process_id}/"``.
+
+    crc32 is a running checksum, so every uid of one process finishes its
+    :class:`MessageUid` hash from this prefix over just the sequence
+    digits: ``crc32(b"%d" % seq, prefix)``.  Cached: a journal names few
+    processes, and the log decoder asks once per uid it reads.
+    """
+    return _crc32(f"{address}/{process_id}/".encode("utf-8"))
+
+
 class UidFactory:
     """Deterministic producer of per-process message uids.
 
@@ -82,9 +95,7 @@ class UidFactory:
         self.address = address
         self.process_id = int(process_id)
         self.position = 0
-        # crc32 is a running checksum: hashing the per-process prefix
-        # once leaves only the sequence digits to hash per uid.
-        self._crc_prefix = _crc32(f"{address}/{self.process_id}/".encode("utf-8"))
+        self._crc_prefix = uid_crc_prefix(address, self.process_id)
 
     def advance(self, n: int) -> None:
         """Skip ``n`` sequence numbers, as ``n`` ``next_uid`` calls would."""
@@ -168,12 +179,6 @@ class Message:
             and self.root_uid == other.root_uid
             and self.sampled == other.sampled
         )
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def with_causes(self, causes: FrozenSet[MessageUid]) -> "Message":
         """Copy of this message with ``cause_uids`` replaced."""

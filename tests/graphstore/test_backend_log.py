@@ -12,14 +12,19 @@ partial frame and keeps every intact record before it.
 
 import gc
 import os
+import struct
 import sys
 import warnings
+import zlib
 
 import pytest
 
 from repro.errors import StoreBackendError
+from repro.graphstore import backend as backend_module
 from repro.graphstore.backend import (
     FRAME_HEADER,
+    OP_EDGE,
+    OP_MESSAGE,
     SEGMENT_HEADER,
     LogBackend,
     segment_name,
@@ -335,3 +340,118 @@ class TestShardFleet:
                 )
 
         assert _leak_free(monkeypatch, reopen) == []
+
+
+def _frame_payloads(path):
+    """Every payload of one segment file, in order (plain struct walk)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    payloads, pos = [], SEGMENT_HEADER.size
+    while pos < len(data):
+        length, _crc = FRAME_HEADER.unpack_from(data, pos)
+        payloads.append(data[pos + FRAME_HEADER.size:pos + FRAME_HEADER.size + length])
+        pos += FRAME_HEADER.size + length
+    return payloads
+
+
+def _write_payload(directory, payload):
+    """Journal one raw payload as a crc-valid frame after a short chain."""
+    backend = LogBackend(str(directory), registry=MetricsRegistry())
+    store = GraphStore(registry=MetricsRegistry(), backend=backend)
+    store.add_messages(_chain(2))
+    backend.append_frame((payload, len(payload), zlib.crc32(payload)), b"")
+    store.close()
+
+
+def _text(value):
+    raw = value if isinstance(value, bytes) else value.encode("utf-8")
+    return struct.pack("<H", len(raw)) + raw
+
+
+class TestCorruptPayloads:
+    """crc-valid frames the writer never produces: typed errors, never a crash."""
+
+    def test_non_utf8_string_is_a_typed_error_naming_segment_and_offset(self, tmp_path):
+        edge = (
+            bytes((OP_EDGE,)) + _text(b"\xff\xfe") + struct.pack("<QQ", 1, 2)
+            + _text("a") + struct.pack("<QQ", 3, 4)
+        )
+        _write_payload(tmp_path, edge)
+        offset = SEGMENT_HEADER.size + sum(
+            FRAME_HEADER.size + len(p) for p in _frame_payloads(_only_segment(tmp_path))[:-1]
+        )
+        with pytest.raises(StoreBackendError, match="not in UTF-8") as info:
+            _reopen(tmp_path)
+        assert f"byte {offset} of {segment_name(0)}" in str(info.value)
+
+    def test_unknown_flag_bits_are_rejected(self, tmp_path):
+        message = (
+            bytes((OP_MESSAGE, 0x04)) + _text("h") + _text("t") + _text("A") + _text("B")
+            + struct.pack("<I", 0) + struct.pack("<QQ", 1, 99)
+        )
+        _write_payload(tmp_path, message)
+        with pytest.raises(StoreBackendError, match="flag bits"):
+            _reopen(tmp_path)
+
+    @pytest.mark.parametrize("cut", [1, 16, 17])
+    def test_short_and_long_tails_are_typed_errors(self, tmp_path, cut):
+        msgs = _chain(2)
+        store = _write_store(tmp_path, [msgs])
+        store.close()
+        hop = _frame_payloads(_only_segment(tmp_path))[-1]
+        damaged = hop[:-cut] if cut != 17 else hop + b"\0"
+        _write_payload(tmp_path / "damaged", damaged)
+        with pytest.raises(StoreBackendError, match="needs .* payload bytes, carries"):
+            _reopen(tmp_path / "damaged")
+
+
+class TestOneValidatingPass:
+    """Open validates every frame; recovery trusts what open validated."""
+
+    def test_every_frame_crc_is_checked_exactly_once(self, tmp_path, monkeypatch):
+        streams = [_chain(6, seq_base=1 + 50 * i) for i in range(8)]
+        store = _write_store(tmp_path, streams, segment_bytes=256)
+        store.close()
+        payloads = []
+        for name in sorted(os.listdir(tmp_path)):
+            payloads += _frame_payloads(os.path.join(tmp_path, name))
+        checked = []
+        crc32 = backend_module._CRC32
+
+        def counting_crc32(data, *start):
+            if not start:
+                checked.append(bytes(data))
+            return crc32(data, *start)
+
+        monkeypatch.setattr(backend_module, "_CRC32", counting_crc32)
+        recovered = _reopen(tmp_path)
+        assert sorted(checked) == sorted(payloads)
+        assert recovered.node_count() == sum(len(s) for s in streams)
+
+    def test_frames_appended_after_open_are_validated(self, tmp_path):
+        store = _write_store(tmp_path, [_chain(4)])
+        store.close()
+        backend = LogBackend(str(tmp_path), create=False, registry=MetricsRegistry())
+        store = GraphStore(registry=MetricsRegistry(), backend=backend)
+        store.add_messages(_chain(3, seq_base=100))
+        store.flush_journal()
+        assert len(list(backend.iter_ops())) == 5 + 4
+        path = _only_segment(tmp_path)
+        with open(path, "r+b") as fh:
+            fh.seek(-1, os.SEEK_END)
+            byte = fh.read(1)
+            fh.seek(-1, os.SEEK_END)
+            fh.write(bytes((byte[0] ^ 0xFF,)))
+        with pytest.raises(StoreBackendError, match="crc mismatch"):
+            list(backend.iter_ops())
+        backend.close()
+
+    def test_segment_shrunk_after_open_raises(self, tmp_path):
+        store = _write_store(tmp_path, [_chain(4)])
+        store.close()
+        backend = LogBackend(str(tmp_path), create=False, registry=MetricsRegistry())
+        path = _only_segment(tmp_path)
+        os.truncate(path, os.path.getsize(path) - 3)
+        with pytest.raises(StoreBackendError, match="validated"):
+            GraphStore(registry=MetricsRegistry(), backend=backend).recover()
+        backend.close()
