@@ -260,13 +260,13 @@ def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         duration_minutes=args.duration,
         seed=args.seed,
-        num_shards=getattr(args, "shards", 1),
-        write_batch_size=getattr(args, "batch_size", 1),
-        engine=getattr(args, "engine", "tick"),
-        profiler_mode=getattr(args, "profiler_mode", "exact"),
-        profiler_topk=getattr(args, "profiler_topk", DEFAULT_TOPK_K),
-        store_backend=getattr(args, "store_backend", "memory"),
-        store_dir=getattr(args, "store_dir", None),
+        num_shards=args.shards,
+        write_batch_size=args.batch_size,
+        engine=args.engine,
+        profiler_mode=args.profiler_mode,
+        profiler_topk=args.profiler_topk,
+        store_backend=args.store_backend,
+        store_dir=args.store_dir,
     )
 
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.paths import signature_from_edges
+from repro.core.paths import PathSignature, signature_from_edges
 from repro.faults.injector import FaultInjector
 from repro.graphstore.pipeline import BatchedWritePipeline, DeadLetterQueue
 from repro.graphstore.store import GraphStore
@@ -208,38 +208,6 @@ class DirectCausalityTracker:
         return int(self._m_completed.value - self._base_completed)
 
     @property
-    def supports_snapshot_replay(self) -> bool:
-        """Whether the event engine may replay converged ingestion deltas.
-
-        The replay fast path freezes a converged per-execution effect
-        and stops feeding the store, so it is only sound when no
-        per-message state can diverge from the frozen template: no fault
-        injector (message channels and store-write rolls consume seeded
-        RNG streams), no path timeout (per-root age bookkeeping), and a
-        store whose durable side replay can keep complete — the memory
-        backend (nothing durable) or the ``log`` backend, whose frames
-        replay renders from the uid counters and writes through
-        :meth:`~repro.graphstore.backend.LogBackend.append_frame`.  Any
-        other journaling backend (a mixed fleet, one this list does not
-        know) must see every mutation and stays refused.
-
-        Sharded stores and the batched write pipeline *are* eligible:
-        :meth:`observe_all` ends every execution with :meth:`flush`,
-        which drains the pipeline, so flush boundaries never straddle
-        executions — per-execution batch telemetry (``write_batches``,
-        ``batched_writes``, batch-size histograms) is a deterministic
-        function of the converged trace shape, and the buffers are empty
-        at the cutover.  Shard routing is uid-hash-dependent, but no
-        metric is keyed per shard, and anything that failed to settle
-        would merely hold the convergence streak at zero rather than
-        diverge after a freeze.  The replay ingestor additionally
-        fingerprints the pipeline/dead-letter residue each execution
-        leaves behind and drains the pipeline (journal included) before
-        freezing — see :meth:`drain_pipeline` and :mod:`repro.sim.events`.
-        """
-        return self._plain_path and self.store.backend_kind in ("memory", "log")
-
-    @property
     def buffered_writes(self) -> int:
         """Messages sitting in the batched write pipeline (0 if unbatched)."""
         if self._pipeline is None:
@@ -318,42 +286,33 @@ class DirectCausalityTracker:
         Call :meth:`flush` once the batch the message belongs to is fully
         recorded; :meth:`observe_all` does both.
         """
-        if not message.sampled:
-            self._m_sampled_away.inc()
-            return
-        self._m_observed.inc()
-        if self._plain_path:
-            self._write(message)
-        else:
-            self._admit(message)
+        self._observe((message,))
 
-    def observe_all(self, messages: Iterable[Message]) -> None:
+    def observe_all(self, messages: Iterable[Message]) -> List[Tuple[PathSignature, int]]:
         """Record a batch of messages, then process completed paths.
 
-        Counter updates are batched per call rather than per message.
+        Returns the ``(signature, count)`` records :meth:`flush` gave the
+        profiler, in order.
         """
+        self._observe(messages)
+        return self.flush()
+
+    def _observe(self, messages: Iterable[Message]) -> None:
+        # One loop for both entry points; counter updates are batched per
+        # call, and the plain path costs no extra call per message.
+        admit = self._write if self._plain_path else self._admit
         observed = 0
         sampled_away = 0
-        if self._plain_path:
-            add_message = self._write
-            for message in messages:
-                if message.sampled:
-                    observed += 1
-                    add_message(message)
-                else:
-                    sampled_away += 1
-        else:
-            for message in messages:
-                if message.sampled:
-                    observed += 1
-                    self._admit(message)
-                else:
-                    sampled_away += 1
+        for message in messages:
+            if message.sampled:
+                observed += 1
+                admit(message)
+            else:
+                sampled_away += 1
         if observed:
             self._m_observed.inc(observed)
         if sampled_away:
             self._m_sampled_away.inc(sampled_away)
-        self.flush()
 
     # -- faulted admission --------------------------------------------------------
 
@@ -506,29 +465,30 @@ class DirectCausalityTracker:
         self._pending_completion[root] = None
         self._m_pending.set(len(self._pending_completion))
 
-    def flush(self) -> int:
-        """Process all pending completions; return how many paths closed."""
+    def flush(self) -> List[Tuple[PathSignature, int]]:
+        """Process all pending completions; return the ``(signature, count)``
+        records given to the profiler, in order (a completion the fault
+        injector loses on its way there gives none)."""
         if self._pipeline is not None and self._pipeline.buffered:
             # Drain buffered writes first so completions they trigger are
             # processed in this flush, not delayed to the next.
             self._pipeline.flush()
-        closed = 0
+        records: List[Tuple[PathSignature, int]] = []
         with self._flush_timer:
             for root in self._pending_completion:
-                if self._finalize(root):
-                    closed += 1
+                self._finalize(root, records)
             self._pending_completion.clear()
             self._m_pending.set(0)
-        return closed
+        return records
 
-    def _finalize(self, root: MessageUid) -> bool:
+    def _finalize(self, root: MessageUid, records: List[Tuple[PathSignature, int]]) -> None:
         if self._root_first_seen:
             self._root_first_seen.pop(root, None)
         completed = self.store.completed_signature(root)
         if completed is None:
             # Root sampled away (e.g. tracing began mid-path); ignore.
             self._m_discarded.inc()
-            return False
+            return
         request_type, edges = completed
         if self.tap is not None:
             if root in self._abandoned_roots:
@@ -551,7 +511,7 @@ class DirectCausalityTracker:
         else:
             signature = signature_from_edges(request_type, edges)
             self.profiler.record(signature, self._now_minutes)
+            records.append((signature, 1))
         self._m_completed.inc()
         if self.evict_completed:
             self.store.evict_graph(root)
-        return True

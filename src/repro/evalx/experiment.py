@@ -12,7 +12,7 @@ from which Figs. 5, 6 and 8 are regenerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.apps.catalog import AppScenario
@@ -25,13 +25,12 @@ from repro.core.elasticity import (
     DCAManagerConfig,
     detect_serialization_suspects,
 )
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.graphstore.backend import BACKENDS as STORE_BACKENDS
-from repro.profiling.profiler import PROFILER_MODES, CausalPathProfiler
+from repro.profiling.profiler import CausalPathProfiler
 from repro.profiling.sketches import DEFAULT_TOPK_K
-from repro.sim.engine import ENGINES, ClusterSimulator, DCABundle, SimulationConfig
+from repro.sim.engine import ClusterSimulator, DCABundle, SimulationConfig
 from repro.sim.metrics import SimulationResult
 from repro.telemetry import MetricsRegistry, get_registry
 from repro.tracing.htrace import HTraceCollector
@@ -83,34 +82,34 @@ class ExperimentConfig:
     store_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.duration_minutes < 1:
-            raise EvaluationError(f"duration_minutes must be >= 1, got {self.duration_minutes}")
         if self.num_shards < 1:
             raise EvaluationError(f"num_shards must be >= 1, got {self.num_shards}")
         if self.write_batch_size < 1:
             raise EvaluationError(
                 f"write_batch_size must be >= 1, got {self.write_batch_size}"
             )
-        if self.engine not in ENGINES:
-            raise EvaluationError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.profiler_mode not in PROFILER_MODES:
-            raise EvaluationError(
-                f"profiler_mode must be one of {PROFILER_MODES}, got {self.profiler_mode!r}"
-            )
-        if self.profiler_topk < 1:
-            raise EvaluationError(f"profiler_topk must be >= 1, got {self.profiler_topk}")
-        if self.store_backend not in STORE_BACKENDS:
-            raise EvaluationError(
-                f"store_backend must be one of {STORE_BACKENDS}, got {self.store_backend!r}"
-            )
-        if self.store_backend == "log" and self.store_dir is None:
-            raise EvaluationError("store_backend 'log' requires store_dir")
-        self.sim.duration_minutes = self.duration_minutes
-        self.sim.engine = self.engine
-        self.sim.profiler_mode = self.profiler_mode
-        self.sim.profiler_topk = self.profiler_topk
-        self.sim.store_backend = self.store_backend
-        self.sim.store_dir = self.store_dir
+        # The run's SimulationConfig is a copy carrying this config's
+        # fields; ``sim`` may leave each at its default or repeat it, and
+        # the caller's object is never written to.
+        owned = {name: getattr(self, name) for name in _SIM_FIELDS}
+        for name, value in owned.items():
+            given = getattr(self.sim, name)
+            if given != _SIM_DEFAULTS[name] and given != value:
+                raise EvaluationError(
+                    f"sim.{name}={given!r} conflicts with {name}={value!r}; "
+                    f"set {name} on ExperimentConfig"
+                )
+        try:
+            self.sim = replace(self.sim, **owned)
+        except SimulationError as exc:
+            raise EvaluationError(str(exc)) from exc
+
+
+#: The :class:`ExperimentConfig` fields it hands down to ``sim``.
+_SIM_FIELDS = (
+    "duration_minutes", "engine", "profiler_mode", "profiler_topk", "store_backend", "store_dir",
+)
+_SIM_DEFAULTS = {name: getattr(SimulationConfig(), name) for name in _SIM_FIELDS}
 
 
 def _manager_slug(name: str) -> str:

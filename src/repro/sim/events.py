@@ -35,35 +35,40 @@ replay capture:
 Converged replay
 ----------------
 
-During warmup every live trace of every class is executed for real
-while the engine records (a) the per-execution telemetry delta
-(captured by diffing the registry around the execution), (b) the
-trace's uid-free
-:meth:`~repro.sim.runtime.RequestTrace.structural_fingerprint`,
-(c) the *ingestion residue* — a shard/batch-invariant tuple of what
-the execution left behind in the write machinery (pipeline buffer
-depth, pending completions, dead-letter depth, net store growth), and
-(d) on a journaling store, the *journal frames* it wrote (below).
+During warmup every live trace of every class is executed for real,
+and each execution is summed up from what the layers that did the work
+report: (a) the telemetry delta — every non-volatile instrument's
+:meth:`~repro.telemetry.metrics.Counter.change_since` its state before
+the execution; (b) the trace's uid-free
+:meth:`~repro.sim.runtime.RequestTrace.structural_fingerprint`; (c) the
+profiler records — the ordered ``(signature, count)`` pairs
+:meth:`~repro.core.causal_graph.DirectCausalityTracker.observe_all`
+returns; (d) the
+*ingestion residue* — a shard/batch-invariant tuple of what the
+execution left behind in the write machinery (pipeline buffer depth,
+pending completions, dead-letter depth, net store growth); and (e) on a
+journaling store, the *journal frames* it wrote (below).
 Cutover is **global and atomic**: only once *every* active class has
-shown :data:`REPLAY_CONVERGENCE_STREAK` consecutive executions with an
-identical delta, fingerprint, residue *and* frames does the engine
-freeze them all — after first draining the batched write pipeline (journal
-flush included) so no buffered write is stranded by the freeze.
+shown :data:`REPLAY_CONVERGENCE_STREAK` consecutive executions with all
+five identical does the engine freeze them all — after first draining
+the batched write pipeline (journal flush included) so no buffered
+write is stranded by the freeze.
 Per-class cutover would be unsound — request classes share replica
 state (uid factories, provenance taints, component caches), so
 skipping one class's executions perturbs the traces of classes still
 executing.  Until the global cutover the event engine's ingestion is
 *exactly* the tick loop's; after it, each class applies its frozen
-delta once per interval, scaled by that interval's live executions
-(counter increments, gauge sets, one
-:meth:`~repro.telemetry.metrics.Histogram.accumulate` per histogram,
-whose sum is checked integral at the freeze so that scaling it equals
-adding it execution by execution), and feeds the profiler through the
-same :meth:`~repro.profiling.profiler.CausalPathProfiler.record` call
-the tick loop makes.  A frozen histogram min/max is the converged
-*running* extreme of the shared instrument (4.0/9.0 on marketcetera
-and hedwig, 3.0/9.0 on zookeeper), not the execution's own.  The
-streak is deliberately long: measured workloads
+delta once per interval, scaled by that interval's live executions —
+one :meth:`~repro.telemetry.metrics.Counter.apply` per instrument
+(counter increments, gauge sets, one scaled histogram accumulate), each
+checked :meth:`~repro.telemetry.metrics.Metric.scalable` at the freeze
+(an integral amount, so that scaling it equals adding it execution by
+execution) — and feeds the profiler its records through the same
+:meth:`~repro.profiling.profiler.CausalPathProfiler.record` call the
+tick loop makes, counts scaled.  A frozen histogram min/max is the
+converged *running* extreme of the shared instrument (4.0/9.0 on
+marketcetera and hedwig, 3.0/9.0 on zookeeper), not the execution's
+own.  The streak is deliberately long: measured workloads
 show per-class transients of 16 executions — one interval's live
 traces, until every class has completed once and the extremes of the
 shared ``graphstore.eviction_size_nodes`` histogram stop moving —
@@ -98,13 +103,13 @@ advances the uid counters so they stay authoritative.  Every segment
 file of every shard is byte-identical to the tick engine's
 (``tests/sim/test_replay_journal.py``).
 
-Replay is only eligible when ingestion is pure counting — no fault
-injector, no path timeout, a memory- or log-backend store
-(:attr:`~repro.core.causal_graph.DirectCausalityTracker.supports_snapshot_replay`;
-a mixed fleet and any journaling backend replay cannot render frames
-for stay refused), and an ``exact``-mode profiler whose manager cannot
-downshift it into a sketch mode mid-run (batched replayed ``profiler.record`` ops are
-additive for exact buckets but would perturb space-saving
+Replay is only eligible when ingestion is pure counting, and
+:func:`replay_refusal` is the one predicate that says so: no fault
+injector, no path timeout, a memory- or log-backend store (a mixed
+fleet and any journaling backend replay cannot render frames for stay
+refused), and an ``exact``-mode profiler whose manager cannot downshift
+it into a sketch mode mid-run (batched replayed ``profiler.record`` ops
+are additive for exact buckets but would perturb space-saving
 promotion/eviction order).  Sharded stores and the batched write
 pipeline are eligible: ``observe_all`` drains the pipeline at the end
 of every execution, so per-execution batch telemetry is a
@@ -126,8 +131,8 @@ from repro.graphstore.backend import frame_parts, pack_tail
 from repro.lang.message import MessageUid
 from repro.sim.metrics import SimulationResult
 
-#: Consecutive identical (delta, fingerprint) executions required before
-#: a class cuts over to replay.  Must exceed the longest false plateau
+#: Consecutive identical executions (every part of :data:`_STREAK_PARTS`)
+#: required before a class cuts over to replay.  Must exceed the longest false plateau
 #: observed in the scenario suite (16, one interval's live traces) with
 #: generous margin.
 REPLAY_CONVERGENCE_STREAK = 48
@@ -155,14 +160,6 @@ _PROFILER_LIVE_KEYS = frozenset(
 )
 
 
-def _manager_downshift_mode(manager) -> Optional[str]:
-    """The staleness detector's precision downshift, if the manager has one."""
-    detector = getattr(manager, "staleness_detector", None)
-    if detector is None:
-        return None
-    return getattr(detector, "downshift_mode", None)
-
-
 def replay_refusal(sim) -> Optional[str]:
     """Why ``sim`` may not use converged replay, or ``None`` when it may.
 
@@ -174,7 +171,17 @@ def replay_refusal(sim) -> Optional[str]:
         return "ReplayIngestor requires a DCA bundle"
     if sim.faults is not None or sim.dca.fault_injector is not None:
         return "ReplayIngestor requires a fault-free configuration"
-    if not sim.dca.tracker.supports_snapshot_replay:
+    tracker = sim.dca.tracker
+    if (
+        # Injector rolls and per-root timeout ages are per-message state
+        # no frozen effect carries ...
+        tracker.fault_injector is not None
+        or tracker.path_timeout_minutes is not None
+        # ... and replay keeps the durable side complete only where it has
+        # nothing (memory) or renders its frames (log): a mixed fleet or
+        # an unknown journal must see every mutation.
+        or tracker.store.backend_kind not in ("memory", "log")
+    ):
         return "tracker configuration does not support snapshot replay"
     if sim.dca.profiler.mode != "exact":
         # Frozen record ops replay as one batched profiler.record per
@@ -183,7 +190,8 @@ def replay_refusal(sim) -> Optional[str]:
         # modes, so sketch-mode runs (and managers that may downshift
         # into one mid-run) keep full-fidelity ingestion.
         return "ReplayIngestor requires the exact profiler mode"
-    if _manager_downshift_mode(sim.manager) is not None:
+    detector = getattr(sim.manager, "staleness_detector", None)
+    if getattr(detector, "downshift_mode", None) is not None:
         return "ReplayIngestor cannot run with a staleness precision downshift configured"
     return None
 
@@ -199,78 +207,24 @@ def is_volatile_metric_key(key: str) -> bool:
     return base.endswith(VOLATILE_METRIC_SUFFIX) or base.startswith(VOLATILE_METRIC_PREFIX)
 
 
-# -- telemetry capture for converged replay -----------------------------------
+def _instruments(registry):
+    """``(key, instrument)`` for every instrument replay captures."""
+    return ((metric.key, metric) for metric in registry if not is_volatile_metric_key(metric.key))
 
 
-def _capture(registry) -> Dict[str, tuple]:
-    """Comparable snapshot of every non-volatile instrument's state."""
-    state: Dict[str, tuple] = {}
-    for metric in registry:
-        key = metric.key
-        if is_volatile_metric_key(key):
-            continue
-        kind = metric.kind
-        if kind == "counter":
-            state[key] = ("c", metric.value)
-        elif kind == "gauge":
-            state[key] = ("g", metric.value)
-        elif kind == "histogram":
-            state[key] = (
-                "h",
-                metric.count,
-                metric.sum,
-                metric.bucket_counts,
-                metric._min,
-                metric._max,
-            )
-    return state
-
-
-def _delta(before: Dict[str, tuple], after: Dict[str, tuple]) -> Dict[str, tuple]:
-    """What one execution changed, as a comparable per-key mapping.
-
-    Counters diff by amount; gauges record the post-value (only when it
-    moved); histograms diff count/sum/buckets and record the post
-    min/max.  Instruments created *during* the execution diff against
-    that kind's zero state.
-    """
-    diff: Dict[str, tuple] = {}
-    for key, post in after.items():
-        prev = before.get(key)
-        kind = post[0]
-        if kind == "c":
-            base = prev[1] if prev is not None else 0.0
-            if post[1] != base:
-                diff[key] = ("c", post[1] - base)
-        elif kind == "g":
-            base = prev[1] if prev is not None else 0.0
-            if post[1] != base:
-                diff[key] = ("g", post[1])
-        elif kind == "h":
-            if prev is None:
-                prev = ("h", 0, 0.0, (0,) * len(post[3]), None, None)
-            dcount = post[1] - prev[1]
-            dsum = post[2] - prev[2]
-            dbuckets = tuple(a - b for a, b in zip(post[3], prev[3]))
-            if dcount or dsum or any(dbuckets) or post[4:] != prev[4:]:
-                diff[key] = ("h", dcount, dsum, dbuckets, post[4], post[5])
-    return diff
-
-
-def _histogram_op(metric, entry: tuple) -> Optional[tuple]:
-    """Compile one converged histogram delta into ``accumulate`` arguments.
-
-    Checked once here rather than per replayed execution: the bucket
-    tuple fits the instrument, and ``dsum`` is integral — which is what
-    makes ``sum += dsum * live`` the same float as ``live`` successive
-    adds.  ``None`` for a fractional ``dsum``: the run must stay live.
-    """
-    _, dcount, dsum, dbuckets, post_min, post_max = entry
-    if len(dbuckets) != len(metric.bounds) + 1:
-        raise RuntimeError(f"histogram {metric.key!r}: {len(dbuckets)} bucket deltas")
-    if not float(dsum).is_integer():
-        return None
-    return (metric, dcount, dsum, dbuckets, post_min, post_max)
+def _replay_ops(delta: Dict[str, object], by_key) -> Optional[List[tuple]]:
+    """A converged class's telemetry delta as ``(instrument, change)`` ops, or
+    ``None`` when one change does not scale (see
+    :meth:`~repro.telemetry.metrics.Metric.scalable`): the run stays live."""
+    ops = []
+    for key, change in sorted(delta.items()):
+        if metric_base_name(key) in _PROFILER_LIVE_KEYS:
+            continue  # profiler.record maintains these live
+        metric = by_key[key]
+        if not metric.scalable(change):
+            return None
+        ops.append((metric, change))
+    return ops
 
 
 def _journals(store) -> tuple:
@@ -339,10 +293,7 @@ class _ClassReplayState:
         "executions",
         "last_trace",
         "record_ops",
-        "signature",
-        "counter_ops",
-        "gauge_ops",
-        "histogram_ops",
+        "ops",
     )
 
     def __init__(self) -> None:
@@ -353,23 +304,18 @@ class _ClassReplayState:
         self.streak = 0
         self.executions = 0
         self.last_trace = None
-        #: The profiler.record calls one execution makes: [(signature,
-        #: count), ...].  Observed, not assumed: replay must reproduce
-        #: exactly what ingestion did.  (Completed requests retire their
-        #: uids, so an execution completes its own graph only.)
+        #: The ``(signature, count)`` records one execution gave the
+        #: profiler, as ``observe_all`` returns them.  Observed, not
+        #: assumed: replay must reproduce exactly what ingestion did.
+        #: (Completed requests retire their uids, so an execution completes
+        #: its own graph only.)
         self.record_ops: List[tuple] = []
-        self.signature = None
-        self.counter_ops: List[tuple] = []
-        self.gauge_ops: List[tuple] = []
-        self.histogram_ops: List[tuple] = []
+        #: The frozen telemetry delta: ``(instrument, change)`` pairs.
+        self.ops: List[tuple] = []
 
     @property
     def converged(self) -> bool:
         return self.streak >= REPLAY_CONVERGENCE_STREAK
-
-    @property
-    def reference_delta(self) -> Dict[str, tuple]:
-        return self.reference[0]
 
     @property
     def journal(self):
@@ -473,38 +419,34 @@ class ReplayIngestor:
         remainder: int,
         now: float,
     ) -> None:
-        """Execute for real (exactly the tick loop), recording deltas."""
+        """Execute for real (exactly the tick loop), recording what each
+        execution did."""
         sim = self.sim
         request = sim.generator.classes[class_name]
         tracker = sim.dca.tracker
-        profiler = sim.dca.profiler
         last_trace = None
-        before = _capture(self.registry)
+        before = {key: metric.state() for key, metric in _instruments(self.registry)}
         nodes_before = tracker.store.node_count()
         journals, route = _journals(tracker.store)
         for _ in range(live):
-            # Spy on the profiler so the frozen state knows exactly
-            # which path completions one execution produces.
-            record_ops: List[tuple] = []
-            original_record = profiler.record
-            def recording_spy(signature, time_minutes, count=1, _orig=original_record, _ops=record_ops):
-                _ops.append((signature, count))
-                return _orig(signature, time_minutes, count=count)
-            profiler.record = recording_spy
-            # ... and, on a journaling store, on every flush: what each
-            # shard's journal was handed, blob by blob.
+            # On a journaling store, tap every flush: what each shard's
+            # journal was handed, blob by blob.
             written: List[tuple] = []
             for backend in journals:
                 backend.flush_tap = lambda backend, blob: written.append((backend, blob))
             start = [factory.position for factory in self._factories]
             try:
                 last_trace = sim.dca.runtime.execute_request(request, sampled=True)
-                tracker.observe_all(last_trace.messages)
+                records = tracker.observe_all(last_trace.messages)
             finally:
-                profiler.record = original_record
                 for backend in journals:
                     backend.flush_tap = None
-            after = _capture(self.registry)
+            delta = {}
+            for key, metric in _instruments(self.registry):
+                change = metric.change_since(before.get(key))
+                if change is not None:
+                    delta[key] = change
+                    before[key] = metric.state()
             nodes_after = tracker.store.node_count()
             # Shard/batch-invariant ingestion residue: what this
             # execution left behind in the write machinery.  All four
@@ -529,14 +471,13 @@ class ReplayIngestor:
                     written, journals[route(root)], root, start
                 )
             state.note(
-                _delta(before, after),
+                delta,
                 last_trace.structural_fingerprint(),
                 last_trace,
-                record_ops,
+                records,
                 residue,
                 journal,
             )
-            before = after
             nodes_before = nodes_after
         self.live_executions += live
         if remainder > 0 and last_trace is not None:
@@ -595,7 +536,7 @@ class ReplayIngestor:
         if tracker.buffered_writes:
             raise RuntimeError("write pipeline still buffered after cutover drain")
         journals = _journals(tracker.store)
-        by_key = {metric.key: metric for metric in self.registry}
+        by_key = dict(_instruments(self.registry))
         for state in self.states.values():
             if state.last_trace is None:
                 # Converged vacuously (no arrivals yet scheduled this
@@ -608,40 +549,21 @@ class ReplayIngestor:
                 # reach the journal.  It has to be observed again.
                 state.streak, state.blocker = 0, _STREAK_PARTS[-1]
                 return
-            state.counter_ops, state.gauge_ops, state.histogram_ops = [], [], []
-            for key, entry in sorted(state.reference_delta.items()):
-                if metric_base_name(key) in _PROFILER_LIVE_KEYS:
-                    continue  # profiler.record maintains these live
-                metric = by_key[key]
-                if entry[0] == "c":
-                    if not float(entry[1]).is_integer():
-                        # ``inc(amount * live)`` is ``live`` successive
-                        # ``inc(amount)`` only for an integral amount.
-                        return  # stays live, like a fractional histogram sum
-                    state.counter_ops.append((metric, entry[1]))
-                elif entry[0] == "g":
-                    state.gauge_ops.append((metric, entry[1]))
-                else:
-                    op = _histogram_op(metric, entry)
-                    if op is None:
-                        return  # retried next interval; ops are rebuilt
-                    state.histogram_ops.append(op)
-            state.signature = state.last_trace.signature
+            state.ops = _replay_ops(state.reference[0], by_key)
+            if state.ops is None:
+                return  # retried next interval; ops are rebuilt
         self._journals = journals
         self.replaying = True
         self.cutover_minute = now
 
     def _apply(self, state: _ClassReplayState, live: int, remainder: int, now: float) -> None:
         """Replay ``live`` executions' worth of frozen effects."""
-        for metric, amount in state.counter_ops:
-            metric.inc(amount * live)
-        for metric, value in state.gauge_ops:
-            metric.set(value)
-        # One scaled pass per class per interval (``dsum`` is integral,
-        # checked at the freeze).  min/max are the shared instrument's
-        # converged running extremes, so re-folding them is a no-op.
-        for metric, *delta in state.histogram_ops:
-            metric.accumulate(*delta, times=live)
+        # One scaled op per instrument per class per interval: every
+        # change was checked scalable at the freeze.  A histogram's min/max
+        # are the shared instrument's converged running extremes, so
+        # re-folding them is a no-op.
+        for metric, change in state.ops:
+            metric.apply(change, live)
         self.replayed_executions += live
         if state.journal:
             self._replay_journal(state.journal, live)
@@ -654,7 +576,7 @@ class ReplayIngestor:
         if remainder > 0:
             # The tick loop's shortcut: remaining sampled requests of
             # the class follow the last live trace's path.
-            profiler.record(state.signature, now, count=remainder)
+            profiler.record(state.last_trace.signature, now, count=remainder)
 
     def _replay_journal(self, journal: _JournalEffect, live: int) -> None:
         """Write ``live`` executions' frames and move the uid counters past them.

@@ -112,6 +112,19 @@ class Metric:
     def reset(self) -> None:
         raise NotImplementedError
 
+    # -- changes: what one stretch of work did to this instrument -------------
+    #
+    # ``state()`` is a comparable value; ``change_since(earlier)`` is what
+    # happened since ``state()`` returned ``earlier`` (``None``: since the
+    # instrument was created), or ``None`` when nothing did; ``apply(change,
+    # times)`` does it again ``times`` over in one step.
+
+    def scalable(self, change) -> bool:
+        """Whether ``apply(change, n)`` equals ``n`` successive
+        ``apply(change, 1)``: float adds scale exactly only for an integral
+        amount, so ``apply`` refuses to scale a fractional one."""
+        return True
+
 
 class Counter(Metric):
     """Monotonically increasing count of events."""
@@ -137,6 +150,22 @@ class Counter(Metric):
 
     def reset(self) -> None:
         self._value = 0.0
+
+    def state(self) -> float:
+        return self._value
+
+    def change_since(self, earlier: Optional[float]) -> Optional[float]:
+        """The amount added since ``earlier``."""
+        base = 0.0 if earlier is None else earlier
+        return self._value - base if self._value != base else None
+
+    def scalable(self, change: float) -> bool:
+        return not change % 1
+
+    def apply(self, change: float, times: int = 1) -> None:
+        if times != 1 and not self.scalable(change):
+            raise TelemetryError(f"counter {self.key!r}: cannot scale a fractional {change!r}")
+        self.inc(change * times)
 
 
 class Gauge(Metric):
@@ -167,6 +196,18 @@ class Gauge(Metric):
 
     def reset(self) -> None:
         self._value = 0.0
+
+    def state(self) -> float:
+        return self._value
+
+    def change_since(self, earlier: Optional[float]) -> Optional[float]:
+        """The value set since ``earlier``: a gauge change is its last value."""
+        base = 0.0 if earlier is None else earlier
+        return self._value if self._value != base else None
+
+    def apply(self, change: float, times: int = 1) -> None:
+        """Set ``change``; setting the same value again changes nothing."""
+        self.set(change)
 
 
 class Histogram(Metric):
@@ -280,7 +321,7 @@ class Histogram(Metric):
         """Fold ``times`` copies of an already-typed delta into this one.
 
         ``buckets`` is one integer tally per bound plus overflow, in
-        ``bounds`` order (the caller checks its length).  Scaling equals
+        ``bounds`` order (:meth:`apply` checks its length).  Scaling equals
         ``times`` successive adds only for an integral ``total``.
         """
         self._accumulate(count, total, buckets, low, high, times)
@@ -296,6 +337,32 @@ class Histogram(Metric):
             self._min = low if self._min is None else min(self._min, low)
         if high is not None:
             self._max = high if self._max is None else max(self._max, high)
+
+    def state(self) -> tuple:
+        return (self._count, self._sum, self.bucket_counts, self._min, self._max)
+
+    def change_since(self, earlier: Optional[tuple]) -> Optional[tuple]:
+        """``(count, sum, buckets, min, max)``: the added count, sum and
+        bucket tallies, and the running extremes now (an execution's own
+        extremes are not recoverable from the instrument's)."""
+        if earlier is None:
+            earlier = (0, 0.0, (0,) * len(self._bucket_counts), None, None)
+        count, total, buckets, low, high = earlier
+        dcount, dsum = self._count - count, self._sum - total
+        dbuckets = tuple(now - then for now, then in zip(self._bucket_counts, buckets))
+        if dcount or dsum or any(dbuckets) or (self._min, self._max) != (low, high):
+            return (dcount, dsum, dbuckets, self._min, self._max)
+        return None
+
+    def scalable(self, change: tuple) -> bool:
+        return not change[1] % 1
+
+    def apply(self, change: tuple, times: int = 1) -> None:
+        if len(change[2]) != len(self._bucket_counts):
+            raise TelemetryError(f"histogram {self.key!r}: {len(change[2])} bucket deltas")
+        if times != 1 and not self.scalable(change):
+            raise TelemetryError(f"histogram {self.key!r}: cannot scale a fractional sum")
+        self.accumulate(*change, times=times)
 
     def to_dict(self) -> Dict[str, object]:
         buckets = {str(b): c for b, c in zip(self.bounds, self._bucket_counts)}

@@ -12,6 +12,7 @@ from repro.evalx.experiment import (
     run_all_managers,
     run_manager,
 )
+from repro.sim.engine import SimulationConfig
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,22 @@ class TestConstruction:
     def test_config_validation(self):
         with pytest.raises(EvaluationError):
             ExperimentConfig(duration_minutes=0)
+
+    def test_sim_fields_it_owns_conflict_instead_of_being_overwritten(self):
+        """A ``sim`` that sets a field the experiment config also carries
+        gets an error, not a silent tick/exact/450-minute run."""
+        sim = SimulationConfig(engine="event", profiler_mode="topk", duration_minutes=30)
+        with pytest.raises(EvaluationError, match="sim.duration_minutes"):
+            ExperimentConfig(sim=sim)
+        assert (sim.engine, sim.profiler_mode, sim.duration_minutes) == ("event", "topk", 30)
+
+    def test_sim_is_copied_never_mutated(self):
+        sim = SimulationConfig(max_live_traces_per_class=16, duration_minutes=30)
+        config = ExperimentConfig(sim=sim, duration_minutes=30, engine="event")
+        assert config.sim is not sim
+        assert (config.sim.engine, config.sim.duration_minutes) == ("event", 30)
+        assert config.sim.max_live_traces_per_class == 16
+        assert sim.engine == "tick"
 
 
 class TestShortRuns:

@@ -6,15 +6,12 @@ frames, which replay renders from the uid counters and writes through
 ``LogBackend.append_frame`` — so the durable log stays complete and
 ``log`` is eligible.  Any other journaling backend (one replay cannot
 render frames for, or a shard fleet whose backends disagree) would be
-left silently incomplete and stays refused.  The gate lives in
-``supports_snapshot_replay``, which the one eligibility predicate
-(``repro.sim.events.replay_refusal``) consults at
+left silently incomplete and stays refused.  The gate lives in the one
+eligibility predicate (``repro.sim.events.replay_refusal``), consulted at
 :class:`~repro.sim.events.ReplayIngestor` construction and again at the
 freeze cutover.  These tests pin both seams plus the event runner's
 fallback to full-fidelity ingestion.
 """
-
-import inspect
 
 import pytest
 
@@ -22,6 +19,7 @@ from repro.apps.catalog import load_scenario
 from repro.evalx.experiment import ExperimentConfig, build_simulator
 from repro.graphstore.backend import GraphStoreBackend, LogBackend
 from repro.sim.events import EventDrivenRunner, ReplayIngestor, replay_refusal
+from repro.sim.metrics import SimulationResult
 from repro.telemetry import MetricsRegistry
 
 
@@ -64,17 +62,17 @@ def _mixed_fleet_simulator(tmp_path):
     return simulator
 
 
-def test_supports_snapshot_replay_is_backend_gated(tmp_path):
+def test_replay_refusal_is_backend_gated(tmp_path):
     for backend in ("memory", "log"):
         simulator = _simulator(backend, tmp_path)
         try:
-            assert simulator.dca.tracker.supports_snapshot_replay, backend
+            assert replay_refusal(simulator) is None, backend
         finally:
             simulator.dca.tracker.store.close()
-    assert not _opaque_simulator(tmp_path).dca.tracker.supports_snapshot_replay
+    assert replay_refusal(_opaque_simulator(tmp_path)) is not None
     simulator = _mixed_fleet_simulator(tmp_path)
     try:
-        assert not simulator.dca.tracker.supports_snapshot_replay
+        assert replay_refusal(simulator) is not None
     finally:
         simulator.dca.tracker.store.close()
 
@@ -106,18 +104,31 @@ def test_event_runner_falls_back_to_full_ingestion(tmp_path):
             simulator.dca.tracker.store.close()
 
 
-def test_freeze_cutover_rechecks_eligibility():
-    """Introspection pin: the cutover re-evaluates ``replay_refusal``.
+def test_freeze_cutover_rechecks_eligibility(tmp_path):
+    """The cutover re-evaluates ``replay_refusal``, not just construction.
 
-    Construction-time checks alone would miss a store/backend swap after
-    the ingestor was built; the freeze condition must consult the one
-    eligibility predicate — and through it the tracker's *live*
-    ``supports_snapshot_replay`` — again.  Pinned on source (the check
-    has no behavioural trace in an eligible run) so a refactor that
-    drops the re-check fails here, not in a silent-data-loss postmortem.
+    A tracker reconfigured behind an already-built ingestor — a path
+    timeout set, or a journaling backend replay cannot render frames for
+    swapped in — must keep the run live although every class converges.
     """
-    assert "replay_refusal(self.sim)" in inspect.getsource(ReplayIngestor.ingest)
-    assert "supports_snapshot_replay" in inspect.getsource(replay_refusal)
+    for change in ("path timeout", "opaque backend"):
+        simulator = _simulator("memory", tmp_path)
+        simulator.config.duration_minutes = 120
+        ingestor = ReplayIngestor(simulator)
+        tracker = simulator.dca.tracker
+        if change == "path timeout":
+            tracker.path_timeout_minutes = 5.0
+        else:
+            tracker.store.backend = _OpaqueJournal()
+        refusal = replay_refusal(simulator)
+        assert refusal == "tracker configuration does not support snapshot replay", change
+        result = SimulationResult(
+            manager_name=simulator.manager.name, application=simulator.app.name
+        )
+        for minute in range(simulator.config.num_intervals):
+            simulator.run_interval(float(minute), result, ingestor=ingestor.ingest)
+        assert all(state.converged for state in ingestor.states.values()), change
+        assert not ingestor.replaying and ingestor.replayed_executions == 0, change
 
 
 def test_frozen_run_would_skip_journal_writes(tmp_path, monkeypatch):

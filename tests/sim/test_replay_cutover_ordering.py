@@ -10,7 +10,7 @@ lands at the log backend's durability point (bytes fsynced, not just
 buffered in the process).
 """
 
-import inspect
+from types import SimpleNamespace
 
 from repro.apps.catalog import load_scenario
 from repro.core.causal_graph import DirectCausalityTracker
@@ -22,8 +22,9 @@ from repro.graphstore.store import GraphStore
 from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid
 from repro.profiling.profiler import CausalPathProfiler
+from repro.sim import events
 from repro.sim.engine import SimulationConfig
-from repro.sim.events import ReplayIngestor
+from repro.sim.events import ReplayIngestor, replay_refusal
 from repro.telemetry import MetricsRegistry
 
 
@@ -42,6 +43,49 @@ def _chain(n=6, seq_base=1):
     return msgs
 
 
+def _logged_cutover(monkeypatch):
+    """Run a sharded/batched marketcetera cutover, logging every drain (with
+    what was buffered), every frozen delta read and every replayed
+    execution in call order."""
+    log = []
+    orig_drain = DirectCausalityTracker.drain_pipeline
+    orig_apply = ReplayIngestor._apply
+    orig_replay_ops = events._replay_ops
+
+    def spy_drain(self):
+        log.append(("drain", self.buffered_writes))
+        return orig_drain(self)
+
+    def spy_apply(self, state, live, remainder, now):
+        log.append(("apply", None))
+        return orig_apply(self, state, live, remainder, now)
+
+    def spy_replay_ops(delta, by_key):
+        log.append(("freeze", None))
+        return orig_replay_ops(delta, by_key)
+
+    monkeypatch.setattr(DirectCausalityTracker, "drain_pipeline", spy_drain)
+    monkeypatch.setattr(ReplayIngestor, "_apply", spy_apply)
+    monkeypatch.setattr(events, "_replay_ops", spy_replay_ops)
+
+    sim_config = SimulationConfig(max_live_traces_per_class=16)
+    config = ExperimentConfig(
+        duration_minutes=40,
+        seed=11,
+        sim=sim_config,
+        engine="event",
+        num_shards=4,
+        write_batch_size=32,
+    )
+    simulator = build_simulator(
+        load_scenario("marketcetera"), "DCA-100%", config=config
+    )
+    simulator.run()
+    ingestor = simulator.event_runner.ingestor
+    assert ingestor is not None and ingestor.replaying
+    return log
+
+
 class TestFreezeOrdering:
     def test_drain_happens_before_first_replayed_execution(self, monkeypatch):
         """Behavioral pin on a real sharded/batched cutover run.
@@ -51,48 +95,20 @@ class TestFreezeOrdering:
         drain, with nothing buffered (every warmup ``observe_all`` ends
         in a flush), strictly before the first replayed execution.
         """
-        log = []
-        orig_drain = DirectCausalityTracker.drain_pipeline
-        orig_apply = ReplayIngestor._apply
-
-        def spy_drain(self):
-            log.append(("drain", self.buffered_writes))
-            return orig_drain(self)
-
-        def spy_apply(self, state, live, remainder, now):
-            log.append(("apply", None))
-            return orig_apply(self, state, live, remainder, now)
-
-        monkeypatch.setattr(DirectCausalityTracker, "drain_pipeline", spy_drain)
-        monkeypatch.setattr(ReplayIngestor, "_apply", spy_apply)
-
-        sim_config = SimulationConfig(max_live_traces_per_class=16)
-        config = ExperimentConfig(
-            duration_minutes=40,
-            seed=11,
-            sim=sim_config,
-            engine="event",
-            num_shards=4,
-            write_batch_size=32,
-        )
-        simulator = build_simulator(
-            load_scenario("marketcetera"), "DCA-100%", config=config
-        )
-        simulator.run()
-
-        ingestor = simulator.event_runner.ingestor
-        assert ingestor is not None and ingestor.replaying
+        log = _logged_cutover(monkeypatch)
         drains = [entry for entry in log if entry[0] == "drain"]
         assert len(drains) == 1
         assert drains[0][1] == 0  # warmup left nothing buffered
         assert log.index(drains[0]) < log.index(("apply", None))
 
-    def test_freeze_source_drains_before_reading_deltas(self):
-        """Source-order pin: a refactor that freezes first, drains later
-        would still pass the behavioral test on happy paths (buffers are
-        empty there); this catches the reordering itself."""
-        source = inspect.getsource(ReplayIngestor._freeze_all)
-        assert source.index("drain_pipeline") < source.index("reference_delta")
+    def test_freeze_drains_before_reading_deltas(self, monkeypatch):
+        """A freeze that read the class deltas first and drained later
+        would still pass the test above on happy paths (buffers are
+        empty there); the call log catches the reordering itself."""
+        log = _logged_cutover(monkeypatch)
+        freezes = [i for i, entry in enumerate(log) if entry[0] == "freeze"]
+        assert freezes
+        assert log.index(("drain", 0)) < freezes[0]
 
 
 class TestLogBackendDurabilityPoint:
@@ -161,7 +177,11 @@ class TestJournalingBackendsStayIneligible:
                 profiler, store=store, registry=registry, write_batch_size=32, **options
             )
 
-        assert tracker("plain").supports_snapshot_replay
-        assert not tracker("timeout", path_timeout_minutes=5).supports_snapshot_replay
+        def refusal(tracker):
+            dca = SimpleNamespace(tracker=tracker, profiler=tracker.profiler, fault_injector=None)
+            return replay_refusal(SimpleNamespace(dca=dca, faults=None, manager=None))
+
+        assert refusal(tracker("plain")) is None
+        assert refusal(tracker("timeout", path_timeout_minutes=5)) is not None
         injector = FaultInjector(FaultPlan(seed=1, store_write_failure_rate=0.1))
-        assert not tracker("faulted", fault_injector=injector).supports_snapshot_replay
+        assert refusal(tracker("faulted", fault_injector=injector)) is not None

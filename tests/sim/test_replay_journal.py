@@ -16,7 +16,6 @@ between batch 1 (messages and eviction leave in one flush) and batch 32
 wrong files.
 """
 
-import inspect
 import os
 import struct
 import zlib
@@ -239,10 +238,25 @@ class TestBackendsAreResolvedLate:
     """Trap (ii): a backend swapped in behind the tracker after the ingestor
     was built is the one that gets the frames — warm-up and replay."""
 
-    def test_ingestor_never_caches_backends_at_construction(self):
-        assert "_journals(" not in inspect.getsource(ReplayIngestor.__init__)
-        assert "_journals(" in inspect.getsource(ReplayIngestor._warm)
-        assert "_journals(" in inspect.getsource(ReplayIngestor._freeze_all)
+    def test_ingestor_never_caches_backends_at_construction(self, tmp_path):
+        """Warm-up observes, and the freeze hands replay, the backends the
+        store holds when they run, not the ones it held at construction."""
+        simulator = _simulator("hedwig", "event", tmp_path / "first", force=False)
+        built_with = [shard.backend for shard in simulator.dca.tracker.store.shards]
+        ingestor = ReplayIngestor(simulator)
+        _swap_in_log(simulator, tmp_path / "event")
+        swapped = [shard.backend for shard in simulator.dca.tracker.store.shards]
+        result = SimulationResult(
+            manager_name=simulator.manager.name, application=simulator.app.name
+        )
+        for minute in range(simulator.config.num_intervals):
+            simulator.run_interval(float(minute), result, ingestor=ingestor.ingest)
+        simulator.dca.tracker.store.close()
+        assert ingestor.replaying
+        backends, _ = ingestor._journals
+        assert [id(b) for b in backends] == [id(b) for b in swapped]
+        assert not {id(b) for b in built_with} & {id(b) for b in backends}
+        assert all(state.journal.blobs for state in ingestor.states.values())
 
     def test_backend_swapped_after_construction_gets_the_whole_journal(self, tmp_path):
         _simulator("hedwig", "tick", tmp_path / "tick", force=False).run()

@@ -22,9 +22,9 @@ import pytest
 from repro.apps.catalog import load_scenario
 from repro.evalx.experiment import ExperimentConfig, build_simulator
 from repro.sim.engine import SimulationConfig
-from repro.sim.events import ReplayIngestor, _histogram_op
+from repro.sim.events import ReplayIngestor, _replay_ops
 from repro.sim.parity import run_engine_parity
-from repro.telemetry import Histogram, MetricsRegistry
+from repro.telemetry import Histogram, MetricsRegistry, TelemetryError
 from tests.sim.test_replay_prod import _assert_ok
 
 SCENARIO_NAMES = ("marketcetera", "hedwig", "zookeeper")
@@ -114,23 +114,24 @@ class TestScaleFactorParity:
 
 
 class TestIntegralityGuard:
-    def _entry(self, dsum, buckets=(0, 1, 0)):
-        return ("h", 1, dsum, buckets, 2.0, 2.0)
+    def _change(self, dsum, buckets=(0, 1, 0)):
+        return (1, dsum, buckets, 2.0, 2.0)
 
     def test_integral_delta_compiles_to_an_accumulate_call(self):
         metric = Histogram("h", buckets=(1, 5))
-        op = _histogram_op(metric, self._entry(2.0))
-        assert op == (metric, 1, 2.0, (0, 1, 0), 2.0, 2.0)
-        metric.accumulate(*op[1:], times=3)
+        ops = _replay_ops({"h": self._change(2.0)}, {"h": metric})
+        assert ops == [(metric, (1, 2.0, (0, 1, 0), 2.0, 2.0))]
+        metric.apply(ops[0][1], 3)
         assert (metric.count, metric.sum, metric.bucket_counts) == (3, 6.0, (0, 3, 0))
 
     def test_fractional_sum_does_not_compile(self):
-        assert _histogram_op(Histogram("h", buckets=(1, 5)), self._entry(0.5)) is None
+        metric = Histogram("h", buckets=(1, 5))
+        assert _replay_ops({"h": self._change(0.5)}, {"h": metric}) is None
 
     def test_wrong_bucket_count_raises(self):
         metric = Histogram("h", buckets=(1, 5))
-        with pytest.raises(RuntimeError, match="bucket deltas"):
-            _histogram_op(metric, self._entry(2.0, buckets=(0, 1)))
+        with pytest.raises(TelemetryError, match="bucket deltas"):
+            metric.apply(self._change(2.0, buckets=(0, 1)), 3)
 
     @pytest.mark.parametrize("observation, engages", [(0.5, False), (2.0, True)])
     def test_fractional_histogram_keeps_the_run_live(self, observation, engages):
