@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.autoscale.manager import (
     ClusterObservation,
@@ -56,65 +56,61 @@ class CloudWatchConfig:
             )
 
 
-class CloudWatchManager(ElasticityManager):
-    """Utilisation-threshold autoscaler that scales all components uniformly."""
+def _utilization(observation: ClusterObservation) -> Tuple[int, float]:
+    """Running nodes and their node-weighted average utilisation: what the
+    VM-level metrics show (``0.0`` for an empty fleet)."""
+    comps = observation.components
+    total_nodes = sum(c.nodes for c in comps.values())
+    if total_nodes <= 0:
+        return total_nodes, 0.0
+    return total_nodes, sum(c.utilization * c.nodes for c in comps.values()) / total_nodes
 
-    name = "CloudWatch"
-    visibility = "external"
 
-    def __init__(
-        self,
-        config: Optional[CloudWatchConfig] = None,
-        capacity_model: Optional[LinearCapacityModel] = None,
-    ) -> None:
-        self.config = config or CloudWatchConfig()
+class _CloudWatchPolicy(ElasticityManager):
+    """CloudWatch's fleet sizing: threshold alarms with a cooldown, and the
+    linear-regression capacity model trained once per interval.
+
+    Shared with the HTrace+CW baseline, which sizes the fleet the same way
+    and differs only in how it distributes the total.
+    """
+
+    def __init__(self, capacity_model: Optional[LinearCapacityModel]) -> None:
         self.capacity_model = capacity_model or LinearCapacityModel()
         self._last_action_minute: Optional[float] = None
 
-    def decide(self, observation: ClusterObservation) -> ScalingDecision:
-        cfg = self.config
-        comps = observation.components
-        total_nodes = sum(c.nodes for c in comps.values())
-        if total_nodes <= 0:
-            raise ElasticityError("CloudWatch observed a cluster with zero nodes")
-        # Node-weighted average utilisation: what the VM-level metrics show.
-        avg_util = sum(c.utilization * c.nodes for c in comps.values()) / total_nodes
-
-        in_cooldown = (
+    def _desired_total(
+        self,
+        cfg: CloudWatchConfig,
+        observation: ClusterObservation,
+        total_nodes: int,
+        avg_util: float,
+        base: int,
+    ) -> int:
+        """The fleet total the alarms ask for; ``base`` is the count a scale
+        step moves from and the answer while cooling down or in band."""
+        if (
             self._last_action_minute is not None
             and observation.time_minutes - self._last_action_minute < cfg.cooldown_minutes
-        )
-        desired_total = total_nodes
-        if not in_cooldown:
-            if avg_util > cfg.high_utilization:
-                desired_total = self._scale_up_total(observation, total_nodes, avg_util)
-                self._last_action_minute = observation.time_minutes
-            elif avg_util < cfg.low_utilization:
-                step = max(1, int(math.floor(total_nodes * cfg.scale_step_fraction)))
-                desired_total = total_nodes - step
-                self._last_action_minute = observation.time_minutes
-
-        # Uniform scaling: every component is scaled by the same factor
-        # (the paper's e-commerce example: a 2× workload increase makes
-        # CloudWatch dictate "that the resources allotted to all
-        # components must be increased 2×").  The deployment's original
-        # proportions are preserved even as the hot paths shift — the
-        # imprecision DCA's causal probability removes.
-        factor = desired_total / max(1, total_nodes)
-        targets = {
-            comp: max(1, int(round((c.nodes + c.pending_nodes) * factor)))
-            for comp, c in comps.items()
-        }
-        return ScalingDecision(targets=clamp_targets(targets))
+        ):
+            return base
+        if avg_util > cfg.high_utilization:
+            self._last_action_minute = observation.time_minutes
+            # A scale-up never ends below ``base``: when it counts pending
+            # nodes, a smaller total would cancel provisioning in flight.
+            return max(base, self._scale_up_total(cfg, observation, total_nodes, avg_util))
+        if avg_util < cfg.low_utilization:
+            self._last_action_minute = observation.time_minutes
+            return base - max(1, int(math.floor(base * cfg.scale_step_fraction)))
+        return base
 
     def _scale_up_total(
         self,
+        cfg: CloudWatchConfig,
         observation: ClusterObservation,
         total_nodes: int,
         avg_util: float,
     ) -> int:
         """Regression-predicted total when trained, threshold step otherwise."""
-        cfg = self.config
         cap = max(total_nodes + 1, int(math.ceil(total_nodes * (1 + cfg.max_scale_up_fraction))))
         if self.capacity_model.ready():
             predicted = self.capacity_model.predict(
@@ -128,17 +124,53 @@ class CloudWatchManager(ElasticityManager):
         step = max(1, int(math.ceil(total_nodes * cfg.scale_step_fraction)))
         return min(cap, total_nodes + step)
 
-    def on_interval_end(self, observation: ClusterObservation) -> None:
-        comps = observation.components
-        total_nodes = sum(c.nodes for c in comps.values())
+    def _train(self, cfg: CloudWatchConfig, observation: ClusterObservation) -> None:
+        """Fit the capacity model to the nodes the interval needed at target."""
+        total_nodes, avg_util = _utilization(observation)
         if total_nodes <= 0:
             return
-        avg_util = sum(c.utilization * c.nodes for c in comps.values()) / total_nodes
-        needed = total_nodes * avg_util / self.config.target_utilization
         self.capacity_model.observe(
             machine=observation.machine,
             workload=observation.external_arrivals_per_min,
             throughput=observation.app_throughput_per_min,
             latency_ms=observation.app_latency_ms,
-            machines_needed=needed,
+            machines_needed=total_nodes * avg_util / cfg.target_utilization,
         )
+
+
+class CloudWatchManager(_CloudWatchPolicy):
+    """Utilisation-threshold autoscaler that scales all components uniformly."""
+
+    name = "CloudWatch"
+    visibility = "external"
+
+    def __init__(
+        self,
+        config: Optional[CloudWatchConfig] = None,
+        capacity_model: Optional[LinearCapacityModel] = None,
+    ) -> None:
+        super().__init__(capacity_model)
+        self.config = config or CloudWatchConfig()
+
+    def decide(self, observation: ClusterObservation) -> ScalingDecision:
+        total_nodes, avg_util = _utilization(observation)
+        if total_nodes <= 0:
+            raise ElasticityError("CloudWatch observed a cluster with zero nodes")
+        desired_total = self._desired_total(
+            self.config, observation, total_nodes, avg_util, total_nodes
+        )
+        # Uniform scaling: every component is scaled by the same factor
+        # (the paper's e-commerce example: a 2× workload increase makes
+        # CloudWatch dictate "that the resources allotted to all
+        # components must be increased 2×").  The deployment's original
+        # proportions are preserved even as the hot paths shift — the
+        # imprecision DCA's causal probability removes.
+        factor = desired_total / max(1, total_nodes)
+        targets = {
+            comp: max(1, int(round((c.nodes + c.pending_nodes) * factor)))
+            for comp, c in observation.components.items()
+        }
+        return ScalingDecision(targets=clamp_targets(targets))
+
+    def on_interval_end(self, observation: ClusterObservation) -> None:
+        self._train(self.config, observation)

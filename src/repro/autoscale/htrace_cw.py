@@ -17,17 +17,11 @@ annotations notwithstanding, spans are recorded on the request path).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.autoscale.cloudwatch import CloudWatchConfig
-from repro.autoscale.manager import (
-    ClusterObservation,
-    ElasticityManager,
-    ScalingDecision,
-    clamp_targets,
-)
+from repro.autoscale.cloudwatch import CloudWatchConfig, _CloudWatchPolicy, _utilization
+from repro.autoscale.manager import ClusterObservation, ScalingDecision, clamp_targets
 from repro.core.regression import LinearCapacityModel
 from repro.errors import ElasticityError
 from repro.tracing.htrace import HTraceCollector
@@ -47,7 +41,7 @@ class HTraceConfig:
             )
 
 
-class HTraceCloudWatchManager(ElasticityManager):
+class HTraceCloudWatchManager(_CloudWatchPolicy):
     """CloudWatch totals + temporal-causality proportional distribution."""
 
     name = "HTrace+CW"
@@ -60,68 +54,32 @@ class HTraceCloudWatchManager(ElasticityManager):
         htrace_config: Optional[HTraceConfig] = None,
         capacity_model: Optional[LinearCapacityModel] = None,
     ) -> None:
+        super().__init__(capacity_model)
         self.collector = collector
         self.cw = cloudwatch_config or CloudWatchConfig()
         self.config = htrace_config or HTraceConfig()
-        self.capacity_model = capacity_model or LinearCapacityModel()
-        self._last_action_minute: Optional[float] = None
 
     def runtime_overhead_fraction(self) -> float:
         return self.config.span_overhead_fraction
 
     def decide(self, observation: ClusterObservation) -> ScalingDecision:
-        comps = observation.components
-        total_nodes = sum(c.nodes for c in comps.values())
+        total_nodes, avg_util = _utilization(observation)
         if total_nodes <= 0:
             raise ElasticityError("HTrace+CW observed a cluster with zero nodes")
-        avg_util = sum(c.utilization * c.nodes for c in comps.values()) / total_nodes
         # Redistribution must preserve in-flight provisioning, or every
         # scale-up would be cancelled one interval later.
-        provisioned_total = sum(c.nodes + c.pending_nodes for c in comps.values())
-
-        in_cooldown = (
-            self._last_action_minute is not None
-            and observation.time_minutes - self._last_action_minute < self.cw.cooldown_minutes
+        provisioned_total = sum(
+            c.nodes + c.pending_nodes for c in observation.components.values()
         )
-        desired_total = provisioned_total
-        if not in_cooldown:
-            if avg_util > self.cw.high_utilization:
-                desired_total = max(
-                    provisioned_total, self._scale_up_total(observation, total_nodes, avg_util)
-                )
-                self._last_action_minute = observation.time_minutes
-            elif avg_util < self.cw.low_utilization:
-                step = max(1, int(math.floor(provisioned_total * self.cw.scale_step_fraction)))
-                desired_total = provisioned_total - step
-                self._last_action_minute = observation.time_minutes
-
+        desired_total = self._desired_total(
+            self.cw, observation, total_nodes, avg_util, provisioned_total
+        )
         weights = self.collector.component_weights()
         targets = self._distribute(desired_total, weights, observation)
         return ScalingDecision(
             targets=clamp_targets(targets),
             infrastructure_nodes=self.config.infra_nodes,
         )
-
-    def _scale_up_total(
-        self,
-        observation: ClusterObservation,
-        total_nodes: int,
-        avg_util: float,
-    ) -> int:
-        cap = max(
-            total_nodes + 1, int(math.ceil(total_nodes * (1 + self.cw.max_scale_up_fraction)))
-        )
-        if self.capacity_model.ready():
-            predicted = self.capacity_model.predict(
-                machine=observation.machine,
-                workload=observation.external_arrivals_per_min,
-                throughput=observation.app_throughput_per_min,
-                latency_ms=observation.app_latency_ms,
-            )
-            reactive = total_nodes * avg_util / self.cw.target_utilization
-            return min(cap, max(1, int(math.ceil(max(predicted, reactive)))))
-        step = max(1, int(math.ceil(total_nodes * self.cw.scale_step_fraction)))
-        return min(cap, total_nodes + step)
 
     def _distribute(
         self,
@@ -141,16 +99,4 @@ class HTraceCloudWatchManager(ElasticityManager):
         return targets
 
     def on_interval_end(self, observation: ClusterObservation) -> None:
-        comps = observation.components
-        total_nodes = sum(c.nodes for c in comps.values())
-        if total_nodes <= 0:
-            return
-        avg_util = sum(c.utilization * c.nodes for c in comps.values()) / total_nodes
-        needed = total_nodes * avg_util / self.cw.target_utilization
-        self.capacity_model.observe(
-            machine=observation.machine,
-            workload=observation.external_arrivals_per_min,
-            throughput=observation.app_throughput_per_min,
-            latency_ms=observation.app_latency_ms,
-            machines_needed=needed,
-        )
+        self._train(self.cw, observation)

@@ -133,7 +133,7 @@ def run_cell(
     """
     from repro.apps.catalog import load_scenario
     from repro.core.elasticity import DCAManagerConfig, StalenessPolicy
-    from repro.evalx.experiment import DCA_RATES, ExperimentConfig, build_simulator
+    from repro.evalx.experiment import ExperimentConfig, build_simulator
     from repro.sim.tap import SimTap
     from repro.telemetry import MetricsRegistry
 
@@ -152,12 +152,6 @@ def run_cell(
     )
     registry = MetricsRegistry()
     tap = SimTap()
-    manager_config = None
-    rate = DCA_RATES.get(cell.manager)
-    if rate is not None:
-        manager_config = DCAManagerConfig(
-            sampling_rate=rate, staleness=StalenessPolicy()
-        )
     simulator = build_simulator(
         scenario,
         cell.manager,
@@ -165,7 +159,7 @@ def run_cell(
         registry=registry,
         fault_plan=cell.fault_plan(repeat),
         path_timeout_minutes=cell.path_timeout_minutes,
-        manager_config=manager_config,
+        manager_config=DCAManagerConfig(staleness=StalenessPolicy()),
         tap=tap,
     )
     simulator.run()

@@ -41,6 +41,28 @@ from repro.profiling.sketches import DEFAULT_TOPK_K
 from repro.sim.engine import ENGINES
 
 
+def _at_least(low: int):
+    """An argparse ``int`` type that rejects values below ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An empty parent parser for flags several commands share."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _add_duration(parser: argparse.ArgumentParser, default: int, help: str = "run minutes") -> None:
+    parser.add_argument("--duration", type=int, default=default, help=help)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -48,43 +70,100 @@ def _build_parser() -> argparse.ArgumentParser:
         "Distributed Software' (ICDCS 2016).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each flag several commands share is declared once, in one of these
+    # parents; --duration goes through _add_duration, as its default
+    # differs per command.
+    scenario = _flags()
+    scenario.add_argument("scenario", choices=sorted(SCENARIOS))
+    seed = _flags()
+    seed.add_argument("--seed", type=int, default=7, help="base seed of the run")
+    manager = _flags(seed)
+    manager.add_argument("--manager", choices=MANAGER_NAMES, default="DCA-10%")
+    faulted = _flags(manager)
+    faulted.add_argument("--app", choices=sorted(SCENARIOS), default="hedwig")
+    faulted.add_argument(
+        "--path-timeout", type=float, default=5.0,
+        help="minutes before a partial causal path is abandoned",
+    )
+    pool = _flags()
+    pool.add_argument(
+        "--workers", type=_at_least(1), default=1,
+        help="process-pool workers for the runs (1 = serial)",
+    )
+    store = _flags()
+    store.add_argument(
+        "--store-backend", choices=STORE_BACKENDS, default="memory",
+        help="graph-store backend: in-process memory (default) or a "
+        "crash-safe append-only log (requires --store-dir)",
+    )
+    store.add_argument(
+        "--store-dir", metavar="DIR",
+        help="journal directory for --store-backend log (one subdirectory "
+        "per run: per manager, or per chaos cell and repeat)",
+    )
+    scaling = _flags(store)
+    scaling.add_argument(
+        "--shards", type=int, default=1,
+        help="graph-store shards behind each DCA tracker (1 = single store)",
+    )
+    scaling.add_argument(
+        "--batch-size", type=int, default=1,
+        help="store-write batch size (1 = unbatched writes)",
+    )
+    scaling.add_argument(
+        "--engine", choices=ENGINES, default="tick",
+        help="DCA ingestion: 'tick' re-executes every sampled request "
+        "(the oracle); 'event' is the same loop with converged-replay "
+        "ingestion (bit-identical results per seed)",
+    )
+    scaling.add_argument(
+        "--profiler-mode", choices=PROFILER_MODES, default="exact",
+        help="profiler precision tier: exact per-path buckets (default), "
+        "space-saving top-k + count-min tail (bounded memory), or "
+        "per-component totals (cheapest)",
+    )
+    scaling.add_argument(
+        "--profiler-topk", type=int, default=DEFAULT_TOPK_K,
+        help="hot paths tracked near-exactly in topk mode",
+    )
+    sweep = _flags(pool, seed, scaling)
+    sweep.add_argument("scenarios", nargs="+", choices=sorted(SCENARIOS))
+    sweep.add_argument(
+        "--merged-profile", metavar="PATH",
+        help="write the sweep's combined profiler checkpoint to PATH "
+        "(per-manager/per-worker profiles merged — composes with "
+        "--profiler-mode topk/component, no exact-mode fallback)",
+    )
 
-    p_analyze = sub.add_parser("analyze", help="static DCA analysis of a scenario's app")
-    p_analyze.add_argument("scenario", choices=sorted(SCENARIOS))
+    sub.add_parser("analyze", parents=[scenario], help="static DCA analysis of a scenario's app")
+    sub.add_parser("paths", parents=[scenario], help="statically enumerated causal paths")
 
-    p_paths = sub.add_parser("paths", help="statically enumerated causal paths")
-    p_paths.add_argument("scenario", choices=sorted(SCENARIOS))
-
-    p_overhead = sub.add_parser("overhead", help="Fig. 5 runtime-overhead measurement")
-    p_overhead.add_argument("scenario", choices=sorted(SCENARIOS))
+    p_overhead = sub.add_parser(
+        "overhead", parents=[scenario], help="Fig. 5 runtime-overhead measurement"
+    )
     p_overhead.add_argument(
         "--rates", type=float, nargs="+", default=[1.0, 0.05, 0.10, 0.20],
         help="sampling rates in [0,1] (default: the paper's four levels)",
     )
-    p_overhead.add_argument("--duration", type=int, default=450, help="run minutes")
+    _add_duration(p_overhead, 450)
 
-    p_sim = sub.add_parser("simulate", help="run one manager over the Fig. 7 workload")
-    p_sim.add_argument("scenario", choices=sorted(SCENARIOS))
-    p_sim.add_argument("--manager", choices=MANAGER_NAMES, default="DCA-10%")
-    p_sim.add_argument("--duration", type=int, default=450, help="run minutes")
-    p_sim.add_argument("--seed", type=int, default=7)
-    _add_store_options(p_sim)
+    p_sim = sub.add_parser(
+        "simulate", parents=[scenario, manager, scaling],
+        help="run one manager over the Fig. 7 workload",
+    )
+    _add_duration(p_sim, 450)
 
     p_metrics = sub.add_parser(
-        "metrics",
+        "metrics", parents=[scenario, manager, scaling],
         help="run a short simulation and print the telemetry snapshot as JSON",
     )
-    p_metrics.add_argument("scenario", choices=sorted(SCENARIOS))
-    p_metrics.add_argument("--manager", choices=MANAGER_NAMES, default="DCA-10%")
-    p_metrics.add_argument("--duration", type=int, default=30, help="run minutes")
-    p_metrics.add_argument("--seed", type=int, default=7)
+    _add_duration(p_metrics, 30)
     p_metrics.add_argument(
-        "--indent", type=int, default=2, help="JSON indent (0 for compact output)"
+        "--indent", type=_at_least(0), default=2, help="JSON indent (0 for compact output)"
     )
-    _add_store_options(p_metrics)
 
     p_faults = sub.add_parser(
-        "faults",
+        "faults", parents=[faulted, scaling],
         help="run a seeded fault scenario against a short simulation and "
         "print the fault + recovery telemetry",
     )
@@ -97,14 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument(
         "--list", action="store_true", help="list fault scenarios and exit"
     )
-    p_faults.add_argument("--app", choices=sorted(SCENARIOS), default="hedwig")
-    p_faults.add_argument("--manager", choices=MANAGER_NAMES, default="DCA-10%")
-    p_faults.add_argument("--duration", type=int, default=40, help="run minutes")
-    p_faults.add_argument("--seed", type=int, default=7)
-    p_faults.add_argument(
-        "--path-timeout", type=float, default=5.0,
-        help="minutes before a partial causal path is abandoned",
-    )
+    _add_duration(p_faults, 40)
     p_faults.add_argument(
         "--json", action="store_true",
         help="print the full telemetry snapshot instead of the summary",
@@ -115,12 +187,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "engine-parity diff artifacts under DIR (malformed or empty "
         "artifacts are a hard error, not a silent pass)",
     )
-    _add_store_options(p_faults)
 
     p_chaos = sub.add_parser(
-        "chaos",
+        "chaos", parents=[faulted, pool, store],
         help="sweep the chaos matrix: seeded fault-space grid with temporal "
-        "invariant checking and per-cell reliability scores",
+        "invariant checking and per-cell reliability scores (the store "
+        "flags apply to every cell run; they are not a matrix axis, so "
+        "cell ids and digests do not depend on them)",
     )
     p_chaos.add_argument(
         "--cells", type=int, default=64,
@@ -131,18 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--repeats", type=int, default=2,
         help="seeded runs per cell (reliability statistics need > 1)",
     )
-    p_chaos.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool workers for the cell runs (1 = serial)",
-    )
-    p_chaos.add_argument("--app", choices=sorted(SCENARIOS), default="hedwig")
-    p_chaos.add_argument("--manager", choices=MANAGER_NAMES, default="DCA-10%")
-    p_chaos.add_argument("--duration", type=int, default=36, help="run minutes per cell")
-    p_chaos.add_argument("--seed", type=int, default=7, help="matrix base seed")
-    p_chaos.add_argument(
-        "--path-timeout", type=float, default=5.0,
-        help="minutes before a partial causal path is abandoned",
-    )
+    _add_duration(p_chaos, 36, "run minutes per cell")
     p_chaos.add_argument(
         "--bundle-dir", metavar="DIR",
         help="write a replay bundle (chaos-<cell-id>-r<N>.json) for every "
@@ -169,91 +231,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the sweep report as JSON",
     )
-    p_chaos.add_argument(
-        "--store-backend", choices=STORE_BACKENDS, default="memory",
-        help="graph-store backend for every cell run (sweep-level "
-        "override, not a matrix axis — cell ids and digests are "
-        "backend-independent)",
-    )
-    p_chaos.add_argument(
-        "--store-dir", metavar="DIR",
-        help="journal directory for --store-backend log (one "
-        "<cell-id>-r<N> subdirectory per run)",
-    )
 
-    p_table = sub.add_parser("table", help="Fig. 8 agility + RQ5 SLA tables")
-    p_table.add_argument("scenarios", nargs="+", choices=sorted(SCENARIOS))
-    p_table.add_argument("--duration", type=int, default=450, help="run minutes")
-    p_table.add_argument("--seed", type=int, default=7)
-    p_table.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool workers for the per-manager runs (1 = serial)",
-    )
-    p_table.add_argument(
-        "--merged-profile", metavar="PATH",
-        help="write the sweep's combined profiler checkpoint to PATH "
-        "(per-manager/per-worker profiles merged — composes with "
-        "--profiler-mode topk/component, no exact-mode fallback)",
-    )
-    _add_store_options(p_table)
+    p_table = sub.add_parser("table", parents=[sweep], help="Fig. 8 agility + RQ5 SLA tables")
+    _add_duration(p_table, 450)
 
     p_report = sub.add_parser(
-        "report", help="write a full markdown report (Figs. 5/6/8 + SLA) to a file"
+        "report", parents=[sweep],
+        help="write a full markdown report (Figs. 5/6/8 + SLA) to a file",
     )
-    p_report.add_argument("scenarios", nargs="+", choices=sorted(SCENARIOS))
     p_report.add_argument("--output", "-o", default="report.md", help="output path")
-    p_report.add_argument("--duration", type=int, default=450, help="run minutes")
-    p_report.add_argument("--seed", type=int, default=7)
-    p_report.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool workers for the per-manager runs (1 = serial)",
-    )
-    p_report.add_argument(
-        "--merged-profile", metavar="PATH",
-        help="write the sweep's combined profiler checkpoint to PATH "
-        "(per-manager/per-worker profiles merged — composes with "
-        "--profiler-mode topk/component, no exact-mode fallback)",
-    )
-    _add_store_options(p_report)
+    _add_duration(p_report, 450)
 
     return parser
-
-
-def _add_store_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="graph-store shards behind each DCA tracker (1 = single store)",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=1,
-        help="store-write batch size (1 = unbatched writes)",
-    )
-    parser.add_argument(
-        "--engine", choices=ENGINES, default="tick",
-        help="DCA ingestion: 'tick' re-executes every sampled request "
-        "(the oracle); 'event' is the same loop with converged-replay "
-        "ingestion (bit-identical results per seed)",
-    )
-    parser.add_argument(
-        "--profiler-mode", choices=PROFILER_MODES, default="exact",
-        help="profiler precision tier: exact per-path buckets (default), "
-        "space-saving top-k + count-min tail (bounded memory), or "
-        "per-component totals (cheapest)",
-    )
-    parser.add_argument(
-        "--profiler-topk", type=int, default=DEFAULT_TOPK_K,
-        help="hot paths tracked near-exactly in topk mode",
-    )
-    parser.add_argument(
-        "--store-backend", choices=STORE_BACKENDS, default="memory",
-        help="graph-store backend: in-process memory (default) or a "
-        "crash-safe append-only log (requires --store-dir)",
-    )
-    parser.add_argument(
-        "--store-dir", metavar="DIR",
-        help="journal directory for --store-backend log (one subdirectory "
-        "per manager, one per shard)",
-    )
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -367,7 +356,6 @@ _FAULT_SUMMARY_KEYS = (
 
 def _cmd_faults(args) -> int:
     from repro.core.elasticity import DCAManagerConfig, StalenessPolicy
-    from repro.evalx.experiment import DCA_RATES
     from repro.telemetry import MetricsRegistry
 
     if args.parity_diffs:
@@ -380,10 +368,6 @@ def _cmd_faults(args) -> int:
     plan = build_fault_plan(args.fault, seed=args.seed)
     config = _experiment_config(args)
     registry = MetricsRegistry()
-    manager_config = None
-    rate = DCA_RATES.get(args.manager)
-    if rate is not None:
-        manager_config = DCAManagerConfig(sampling_rate=rate, staleness=StalenessPolicy())
     simulator = build_simulator(
         scenario,
         args.manager,
@@ -391,7 +375,7 @@ def _cmd_faults(args) -> int:
         registry=registry,
         fault_plan=plan,
         path_timeout_minutes=args.path_timeout,
-        manager_config=manager_config,
+        manager_config=DCAManagerConfig(staleness=StalenessPolicy()),
     )
     result = simulator.run()
     if args.json:
@@ -439,6 +423,16 @@ def _report_parity_diffs(target: str) -> int:
     return 1 if diverged else 0
 
 
+def _describe_cell(cell) -> str:
+    """One chaos cell as a fixed-column line (its id, then every grid axis)."""
+    return (
+        f"{cell.cell_id}  {cell.fault_profile:14s} "
+        f"[{cell.start_minute:>4g},{cell.end_minute:>4g}) "
+        f"crashes={cell.crash_schedule:4s} shards={cell.num_shards} "
+        f"batch={cell.write_batch_size:<3d} {cell.engine:5s} {cell.profiler_mode:5s}"
+    )
+
+
 def _cmd_chaos(args) -> int:
     import json as _json
 
@@ -465,10 +459,7 @@ def _cmd_chaos(args) -> int:
             f"replayed cell {args.replay} (repeat {result.repeat}, "
             f"seed {result.seed}): {status}"
         )
-        print(f"  {cell.fault_profile} window=[{cell.start_minute},{cell.end_minute}) "
-              f"crashes={cell.crash_schedule} shards={cell.num_shards} "
-              f"batch={cell.write_batch_size} engine={cell.engine} "
-              f"profiler={cell.profiler_mode}")
+        print(f"  {_describe_cell(cell)}".rstrip())
         print(f"  telemetry digest : {result.telemetry_digest}")
         if args.expect_digest:
             print("  digest matches the recorded run (bit-identical replay)")
@@ -481,13 +472,7 @@ def _cmd_chaos(args) -> int:
     cells = matrix.select(args.cells or None)
     if args.list:
         for cell in cells:
-            print(
-                f"{cell.cell_id}  {cell.fault_profile:14s} "
-                f"[{cell.start_minute:>4g},{cell.end_minute:>4g}) "
-                f"crashes={cell.crash_schedule:4s} shards={cell.num_shards} "
-                f"batch={cell.write_batch_size:<3d} {cell.engine:5s} "
-                f"{cell.profiler_mode}"
-            )
+            print(_describe_cell(cell).rstrip())
         print(f"{len(cells)} cell(s) of {matrix.total_cells} in the full grid")
         return 0
     reports = run_matrix(
@@ -528,12 +513,7 @@ def _cmd_chaos(args) -> int:
         status = "PASS" if report.passed else "FAIL"
         cell = report.cell
         print(
-            f"  [{status}] {cell.cell_id}  {cell.fault_profile:14s} "
-            f"[{cell.start_minute:>4g},{cell.end_minute:>4g}) "
-            f"crashes={cell.crash_schedule:4s} shards={cell.num_shards} "
-            f"batch={cell.write_batch_size:<3d} {cell.engine:5s} "
-            f"{cell.profiler_mode:5s} "
-            f"rel={score.adjusted_rate:.2f} "
+            f"  [{status}] {_describe_cell(cell)} rel={score.adjusted_rate:.2f} "
             f"ci=[{score.ci_low:.2f},{score.ci_high:.2f}]"
         )
         for run in report.runs:
@@ -578,11 +558,10 @@ def _write_merged_profile(profile: MergedProfile, path: str, now_minutes: float)
 def _cmd_table(args) -> int:
     results_by_app = {}
     profile = MergedProfile() if args.merged_profile else None
+    config = _experiment_config(args)
     for name in args.scenarios:
-        scenario = load_scenario(name)
-        config = _experiment_config(args)
         results_by_app[name] = run_all_managers(
-            scenario, config=config, workers=args.workers, profile=profile
+            load_scenario(name), config=config, workers=args.workers, profile=profile
         )
     print("Average agility (Fig. 8; lower is better):")
     print(fig8_table(results_by_app))
@@ -606,10 +585,10 @@ def _cmd_report(args) -> int:
     overheads = {}
     results_by_app = {}
     profile = MergedProfile() if args.merged_profile else None
+    config = _experiment_config(args)
     for name in args.scenarios:
         scenario = load_scenario(name)
         overheads[name] = fig5_measurements(scenario, duration_minutes=args.duration)
-        config = _experiment_config(args)
         results_by_app[name] = run_all_managers(
             scenario, config=config, workers=args.workers, profile=profile
         )

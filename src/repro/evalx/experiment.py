@@ -12,6 +12,7 @@ from which Figs. 5, 6 and 8 are regenerated.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -28,7 +29,8 @@ from repro.core.elasticity import (
 from repro.errors import EvaluationError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.profiling.profiler import CausalPathProfiler
+from repro.graphstore.backend import BACKENDS as STORE_BACKENDS
+from repro.profiling.profiler import PROFILER_MODES, CausalPathProfiler
 from repro.profiling.sketches import DEFAULT_TOPK_K
 from repro.sim.engine import ClusterSimulator, DCABundle, SimulationConfig
 from repro.sim.metrics import SimulationResult
@@ -88,6 +90,20 @@ class ExperimentConfig:
             raise EvaluationError(
                 f"write_batch_size must be >= 1, got {self.write_batch_size}"
             )
+        # Checked here, not where the DCA bundle is built, so a baseline
+        # manager (which builds none) rejects the same configs.
+        if self.profiler_mode not in PROFILER_MODES:
+            raise EvaluationError(
+                f"profiler_mode must be one of {PROFILER_MODES}, got {self.profiler_mode!r}"
+            )
+        if self.profiler_topk < 1:
+            raise EvaluationError(f"profiler_topk must be >= 1, got {self.profiler_topk}")
+        if self.store_backend not in STORE_BACKENDS:
+            raise EvaluationError(
+                f"store_backend must be one of {STORE_BACKENDS}, got {self.store_backend!r}"
+            )
+        if self.store_backend == "log" and self.store_dir is None:
+            raise EvaluationError("store_backend 'log' requires store_dir")
         # The run's SimulationConfig is a copy carrying this config's
         # fields; ``sim`` may leave each at its default or repeat it, and
         # the caller's object is never written to.
@@ -106,9 +122,7 @@ class ExperimentConfig:
 
 
 #: The :class:`ExperimentConfig` fields it hands down to ``sim``.
-_SIM_FIELDS = (
-    "duration_minutes", "engine", "profiler_mode", "profiler_topk", "store_backend", "store_dir",
-)
+_SIM_FIELDS = ("duration_minutes", "engine")
 _SIM_DEFAULTS = {name: getattr(SimulationConfig(), name) for name in _SIM_FIELDS}
 
 
@@ -158,94 +172,67 @@ def build_simulator(
     shared across the tracker/store/engine; baseline managers only see
     its scheduled node crashes (they have no DCA pipeline to disturb).
     ``manager_config`` overrides the DCA manager tunables — e.g. to
-    enable the staleness fallback — and is ignored for the baselines.
+    enable the staleness fallback — except its sampling rate, which is
+    always the named manager's; the baselines ignore it.
     ``tap`` installs a :class:`~repro.sim.tap.SimTap` across the run's
     hook points (emit-only; the chaos invariant checker consumes it).
     """
     cfg = config or ExperimentConfig()
-    generator = _make_generator(scenario, cfg.seed)
-    machine = scenario.machine
-
-    baseline_faults = (
-        FaultInjector(fault_plan, registry=registry) if fault_plan is not None else None
-    )
+    htrace = bundle = None
     if manager_name == "CloudWatch":
         manager: ElasticityManager = CloudWatchManager()
-        return ClusterSimulator(
-            scenario.app, generator, dict(scenario.deployments), machine, manager,
-            config=cfg.sim, telemetry=registry, faults=baseline_faults, tap=tap,
-        )
-    if manager_name == "ElasticRMI":
+    elif manager_name == "ElasticRMI":
         manager = ElasticRMIManager()
-        return ClusterSimulator(
-            scenario.app, generator, dict(scenario.deployments), machine, manager,
-            config=cfg.sim, telemetry=registry, faults=baseline_faults, tap=tap,
-        )
-    if manager_name == "HTrace+CW":
-        collector = HTraceCollector()
-        manager = HTraceCloudWatchManager(collector)
-        return ClusterSimulator(
+    elif manager_name == "HTrace+CW":
+        htrace = HTraceCollector()
+        manager = HTraceCloudWatchManager(htrace)
+    elif manager_name in DCA_RATES:
+        rate = DCA_RATES[manager_name]
+        store_dir = cfg.store_dir
+        if cfg.store_backend == "log":
+            # One journal directory per manager: managers run independently
+            # (possibly in parallel workers) and must never share segments.
+            store_dir = os.path.join(store_dir, _manager_slug(manager_name))
+        bundle = DCABundle.create(
             scenario.app,
-            generator,
-            dict(scenario.deployments),
-            machine,
-            manager,
-            config=cfg.sim,
-            htrace=collector,
-            telemetry=registry,
-            faults=baseline_faults,
-            tap=tap,
+            sampling_rate=rate,
+            overhead_model=scenario.overhead_model,
+            num_front_ends=scenario.num_front_ends,
+            seed=cfg.seed,
+            registry=registry,
+            fault_plan=fault_plan,
+            path_timeout_minutes=path_timeout_minutes,
+            num_shards=cfg.num_shards,
+            write_batch_size=cfg.write_batch_size,
+            profiler_mode=cfg.profiler_mode,
+            profiler_topk=cfg.profiler_topk,
+            store_backend=cfg.store_backend,
+            store_dir=store_dir,
         )
-    rate = DCA_RATES.get(manager_name)
-    if rate is None:
-        raise EvaluationError(f"unknown manager {manager_name!r}; choose from {MANAGER_NAMES}")
-    store_dir = cfg.store_dir
-    if store_dir is not None and cfg.store_backend == "log":
-        # One journal directory per manager: managers run independently
-        # (possibly in parallel workers) and must never share segments.
-        import os
-
-        store_dir = os.path.join(store_dir, _manager_slug(manager_name))
-    bundle = DCABundle.create(
-        scenario.app,
-        sampling_rate=rate,
-        overhead_model=scenario.overhead_model,
-        num_front_ends=scenario.num_front_ends,
-        seed=cfg.seed,
-        registry=registry,
-        fault_plan=fault_plan,
-        path_timeout_minutes=path_timeout_minutes,
-        num_shards=cfg.num_shards,
-        write_batch_size=cfg.write_batch_size,
-        profiler_mode=cfg.sim.profiler_mode,
-        profiler_topk=cfg.sim.profiler_topk,
-        store_backend=cfg.store_backend,
-        store_dir=store_dir,
-    )
-    if manager_config is not None:
-        dca_config = manager_config
-        if dca_config.sampling_rate != rate:
-            dca_config = DCAManagerConfig(
-                **{**dca_config.__dict__, "sampling_rate": rate}
-            )
+        manager = DCAElasticityManager(
+            profiler=bundle.profiler,
+            machine=scenario.machine,
+            config=replace(manager_config or DCAManagerConfig(), sampling_rate=rate),
+            serialization_suspects=detect_serialization_suspects(scenario.app),
+            avg_messages_per_request=_avg_messages_per_request(scenario),
+        )
     else:
-        dca_config = DCAManagerConfig(sampling_rate=rate)
-    manager = DCAElasticityManager(
-        profiler=bundle.profiler,
-        machine=machine,
-        config=dca_config,
-        serialization_suspects=detect_serialization_suspects(scenario.app),
-        avg_messages_per_request=_avg_messages_per_request(scenario),
-    )
+        raise EvaluationError(f"unknown manager {manager_name!r}; choose from {MANAGER_NAMES}")
+    # A DCA bundle shares its own injector with the tracker and the engine.
+    faults = None
+    if fault_plan is not None and bundle is None:
+        faults = FaultInjector(fault_plan, registry=registry)
     return ClusterSimulator(
         scenario.app,
-        generator,
+        _make_generator(scenario, cfg.seed),
         dict(scenario.deployments),
-        machine,
+        scenario.machine,
         manager,
         config=cfg.sim,
         dca=bundle,
+        htrace=htrace,
         telemetry=registry,
+        faults=faults,
         tap=tap,
     )
 

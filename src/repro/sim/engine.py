@@ -42,12 +42,11 @@ from repro.core.sampling import RequestSampler
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.graphstore.backend import BACKENDS as STORE_BACKENDS
 from repro.graphstore.backend import make_backend, shard_backends
 from repro.graphstore.sharded import ShardedGraphStore
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import Application
-from repro.profiling.profiler import PROFILER_MODES, CausalPathProfiler
+from repro.profiling.profiler import CausalPathProfiler
 from repro.profiling.sketches import DEFAULT_TOPK_K
 from repro.sim.cluster import Cluster, DeploymentSpec
 from repro.sim.metrics import ComponentInterval, IntervalRecord, SimulationResult
@@ -92,29 +91,10 @@ class SimulationConfig:
     #: Length of one observation interval in simulated minutes.  All
     #: per-minute rates are converted through this value.
     interval_minutes: float = INTERVAL_MINUTES
-    #: Profiler precision tier (``exact``/``topk``/``component``) and
-    #: space-saving summary size for ``topk`` — see
-    #: :mod:`repro.profiling.sketches`.  ``exact`` is bit-identical to
-    #: the pre-sketch profiler.
-    profiler_mode: str = "exact"
-    profiler_topk: int = DEFAULT_TOPK_K
-    #: Graph-store backend behind the DCA tracker: in-process dicts
-    #: (``memory``, the default) or the crash-safe append-only log
-    #: (``log``, requires ``store_dir``) — see
-    #: :mod:`repro.graphstore.backend`.
-    store_backend: str = "memory"
-    store_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.duration_minutes < 1:
             raise SimulationError(f"duration_minutes must be >= 1, got {self.duration_minutes}")
-        if self.store_backend not in STORE_BACKENDS:
-            raise SimulationError(
-                f"store_backend must be one of {STORE_BACKENDS}, "
-                f"got {self.store_backend!r}"
-            )
-        if self.store_backend == "log" and self.store_dir is None:
-            raise SimulationError("store_backend 'log' requires store_dir")
         if self.max_live_traces_per_class < 1:
             # 0 would sample (and charge overhead for) requests whose
             # paths are never executed, so the profiler starves silently.
@@ -140,14 +120,6 @@ class SimulationConfig:
         if self.interval_minutes <= 0:
             raise SimulationError(
                 f"interval_minutes must be > 0, got {self.interval_minutes}"
-            )
-        if self.profiler_mode not in PROFILER_MODES:
-            raise SimulationError(
-                f"profiler_mode must be one of {PROFILER_MODES}, got {self.profiler_mode!r}"
-            )
-        if self.profiler_topk < 1:
-            raise SimulationError(
-                f"profiler_topk must be >= 1, got {self.profiler_topk}"
             )
 
     @property
@@ -205,7 +177,8 @@ class DCABundle:
         (:mod:`repro.graphstore.backend`): ``log`` journals every store
         mutation into ``store_dir`` (crc32-framed rotated segments), and
         the telemetry the run produces is bit-identical to the memory
-        backend's.
+        backend's.  The backend factories reject an unknown kind and a
+        ``log`` without ``store_dir``.
         """
         dca_result = analyze_application(app)
         runtime = ApplicationRuntime(
@@ -225,30 +198,16 @@ class DCABundle:
         injector = None
         if fault_plan is not None:
             injector = FaultInjector(fault_plan, registry=profiler.telemetry)
-        if store_backend not in STORE_BACKENDS:
-            raise SimulationError(
-                f"unknown store backend {store_backend!r}; choose from {STORE_BACKENDS}"
-            )
         if num_shards > 1:
-            backends = None
-            if store_backend == "log":
-                if store_dir is None:
-                    raise SimulationError("log store backend requires store_dir")
-                backends = shard_backends(
-                    "log", num_shards, store_dir, registry=registry
-                )
             store = ShardedGraphStore(
                 num_shards=num_shards,
                 registry=registry,
-                backends=backends,
+                backends=shard_backends(store_backend, num_shards, store_dir, registry=registry),
             )
         else:
-            backend = None
-            if store_backend == "log":
-                if store_dir is None:
-                    raise SimulationError("log store backend requires store_dir")
-                backend = make_backend("log", store_dir, registry=registry)
-            store = GraphStore(registry=registry, backend=backend)
+            store = GraphStore(
+                registry=registry, backend=make_backend(store_backend, store_dir, registry=registry)
+            )
         tracker = DirectCausalityTracker(
             profiler,
             store=store,

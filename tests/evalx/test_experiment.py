@@ -54,10 +54,10 @@ class TestConstruction:
     def test_sim_fields_it_owns_conflict_instead_of_being_overwritten(self):
         """A ``sim`` that sets a field the experiment config also carries
         gets an error, not a silent tick/exact/450-minute run."""
-        sim = SimulationConfig(engine="event", profiler_mode="topk", duration_minutes=30)
+        sim = SimulationConfig(engine="event", duration_minutes=30)
         with pytest.raises(EvaluationError, match="sim.duration_minutes"):
             ExperimentConfig(sim=sim)
-        assert (sim.engine, sim.profiler_mode, sim.duration_minutes) == ("event", "topk", 30)
+        assert (sim.engine, sim.duration_minutes) == ("event", 30)
 
     def test_sim_is_copied_never_mutated(self):
         sim = SimulationConfig(max_live_traces_per_class=16, duration_minutes=30)

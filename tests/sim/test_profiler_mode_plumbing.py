@@ -12,9 +12,8 @@ import pytest
 from repro.apps.catalog import load_scenario
 from repro.cli import main
 from repro.core.elasticity import ProfileStalenessDetector, StalenessPolicy
-from repro.errors import EvaluationError, SimulationError
+from repro.errors import EvaluationError
 from repro.evalx.experiment import ExperimentConfig, build_simulator
-from repro.sim.engine import SimulationConfig
 from repro.sim.events import ReplayIngestor
 from repro.sim.parity import diff_results
 from repro.telemetry import MetricsRegistry
@@ -30,25 +29,29 @@ def _build(manager="DCA-10%", engine="tick", scenario="hedwig", **cfg_kwargs):
 
 
 class TestConfigValidation:
-    def test_sim_config_rejects_unknown_mode(self):
-        with pytest.raises(SimulationError):
-            SimulationConfig(profiler_mode="fuzzy")
+    """``ExperimentConfig`` owns the profiler and store knobs and rejects a
+    bad one at construction, for every manager: a baseline builds no DCA
+    bundle that could catch it later."""
 
-    def test_sim_config_rejects_bad_topk(self):
-        with pytest.raises(SimulationError):
-            SimulationConfig(profiler_topk=0)
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"profiler_topk": 0},
+            {"store_backend": "titan"},
+            {"store_backend": "log"},
+        ],
+        ids=["topk-0", "unknown-backend", "log-without-store-dir"],
+    )
+    def test_bad_knob_rejected_at_construction(self, knobs):
+        with pytest.raises(EvaluationError, match=next(iter(knobs))):
+            _build(manager="CloudWatch", **knobs)
 
     def test_experiment_config_rejects_unknown_mode(self):
         with pytest.raises(EvaluationError):
             ExperimentConfig(profiler_mode="fuzzy")
 
-    def test_experiment_config_propagates_to_sim(self):
-        config = ExperimentConfig(profiler_mode="topk", profiler_topk=64)
-        assert config.sim.profiler_mode == "topk"
-        assert config.sim.profiler_topk == 64
-
     def test_default_is_exact(self):
-        assert ExperimentConfig().sim.profiler_mode == "exact"
+        assert ExperimentConfig().profiler_mode == "exact"
 
 
 class TestBuildSimulator:

@@ -231,3 +231,141 @@ class TestChaos:
         argv = ["chaos", "--replay", cell_id, "--duration", "20", "--repeat", "-1"]
         assert main(argv) == 1
         assert "error: repeat must be >= 0, got -1" in capsys.readouterr().err
+
+
+_SCENARIOS = ("hedwig", "marketcetera", "zookeeper")
+_MANAGERS = ("CloudWatch", "ElasticRMI", "HTrace+CW", "DCA-100%", "DCA-5%", "DCA-10%", "DCA-20%")
+_SCENARIO = {"scenario": ("scenario", None, _SCENARIOS, None)}
+_STORE = {
+    "--store-backend": ("store_backend", "memory", ("memory", "log"), None),
+    "--store-dir": ("store_dir", None, None, None),
+}
+_SCALING = {
+    "--shards": ("shards", 1, None, None),
+    "--batch-size": ("batch_size", 1, None, None),
+    "--engine": ("engine", "tick", ("tick", "event"), None),
+    "--profiler-mode": ("profiler_mode", "exact", ("exact", "topk", "component"), None),
+    "--profiler-topk": ("profiler_topk", 128, None, None),
+    **_STORE,
+}
+_MANAGER = {"--manager": ("manager", "DCA-10%", _MANAGERS, None)}
+_SEED = {"--seed": ("seed", 7, None, None)}
+_FAULTED = {
+    "--app": ("app", "hedwig", _SCENARIOS, None),
+    "--path-timeout": ("path_timeout", 5.0, None, None),
+}
+_SWEEP = {
+    "scenarios": ("scenarios", None, _SCENARIOS, "+"),
+    "--workers": ("workers", 1, None, None),
+    "--merged-profile": ("merged_profile", None, None, None),
+}
+
+
+def _duration(default):
+    return {"--duration": ("duration", default, None, None)}
+
+
+#: Every subcommand's options as ``(dest, default, choices, nargs)``, keyed
+#: by their option strings; written down from the parser before its shared
+#: flags moved into parent parsers.
+_CLI_SURFACE = {
+    "analyze": _SCENARIO,
+    "paths": _SCENARIO,
+    "overhead": {
+        **_SCENARIO,
+        "--rates": ("rates", [1.0, 0.05, 0.1, 0.2], None, "+"),
+        **_duration(450),
+    },
+    "simulate": {**_SCENARIO, **_MANAGER, **_duration(450), **_SEED, **_SCALING},
+    "metrics": {
+        **_SCENARIO, **_MANAGER, **_duration(30), **_SEED,
+        "--indent": ("indent", 2, None, None),
+        **_SCALING,
+    },
+    "faults": {
+        "fault": (
+            "fault", None,
+            ("chaos", "lossy-network", "node-churn", "profile-outage", "store-brownout"), "?",
+        ),
+        "--list": ("list", False, None, 0),
+        **_MANAGER, **_duration(40), **_SEED, **_FAULTED,
+        "--json": ("json", False, None, 0),
+        "--parity-diffs": ("parity_diffs", None, None, None),
+        **_SCALING,
+    },
+    "chaos": {
+        "--cells": ("cells", 64, None, None),
+        "--repeats": ("repeats", 2, None, None),
+        "--workers": ("workers", 1, None, None),
+        **_MANAGER, **_duration(36), **_SEED, **_FAULTED,
+        "--bundle-dir": ("bundle_dir", None, None, None),
+        "--replay": ("replay", None, None, None),
+        "--repeat": ("repeat", None, None, None),
+        "--expect-digest": ("expect_digest", None, None, None),
+        "--list": ("list", False, None, 0),
+        "--json": ("json", False, None, 0),
+        **_STORE,
+    },
+    "table": {**_SWEEP, **_duration(450), **_SEED, **_SCALING},
+    "report": {
+        **_SWEEP,
+        "--output/-o": ("output", "report.md", None, None),
+        **_duration(450), **_SEED, **_SCALING,
+    },
+}
+
+
+class TestSurface:
+    def test_every_option_keeps_its_name_dest_default_choices_and_nargs(self):
+        import argparse
+
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        (commands,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        surface = {
+            name: {
+                "/".join(a.option_strings) or a.dest: (
+                    a.dest, a.default, None if a.choices is None else tuple(a.choices), a.nargs,
+                )
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            for name, sub in commands.choices.items()
+        }
+        assert surface == _CLI_SURFACE
+
+
+class TestCountFlags:
+    """``--workers`` below 1 and ``--indent`` below 0 are parse errors,
+    not a silent serial run or JSON made of bare newlines."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "hedwig", "--workers", "0"],
+            ["report", "hedwig", "--workers", "-3"],
+            ["chaos", "--cells", "1", "--workers", "-3"],
+            ["metrics", "hedwig", "--indent", "-1"],
+        ],
+        ids=["table", "report", "chaos", "metrics-indent"],
+    )
+    def test_rejected_at_parse_time(self, argv, monkeypatch, capsys):
+        import repro.chaos
+        import repro.cli
+
+        for module, name in (
+            (repro.cli, "run_all_managers"), (repro.cli, "fig5_measurements"),
+            (repro.cli, "build_simulator"), (repro.chaos, "run_matrix"),
+        ):
+            monkeypatch.setattr(module, name, _must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be >= " in capsys.readouterr().err
+
+    def test_indent_zero_is_still_compact(self, capsys):
+        assert main(["metrics", "hedwig", "--duration", "2", "--indent", "0"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
