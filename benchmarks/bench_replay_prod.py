@@ -10,23 +10,16 @@ reach), and the tick oracle.  Both event runs must stay bit-identical
 to tick, and the fast path must deliver at least a **3x aggregate**
 wall-clock speedup over the no-cutover run (measured headroom ~13x on
 the baseline machine).
-
-The second benchmark prices the other fast path shipped alongside:
-merging four per-worker ``topk`` profiler checkpoints (the
-``--workers 4 --profiler-mode topk`` sweep path) must stay a
-small-constant cost, far below one manager run.
 """
 
 import gc
-import random
 import time
 
 import repro.sim.events as events_mod
 from benchmarks.conftest import run_once
 from repro.apps.catalog import load_scenario
-from repro.evalx.experiment import ExperimentConfig, MergedProfile, build_simulator
+from repro.evalx.experiment import ExperimentConfig, build_simulator
 from repro.evalx.reporting import format_table
-from repro.profiling.profiler import CausalPathProfiler
 from repro.sim.engine import SimulationConfig
 from repro.sim.parity import diff_results
 from repro.telemetry import MetricsRegistry
@@ -156,45 +149,3 @@ def test_bench_replay_prod_suite(benchmark):
         benchmark.extra_info["intervals_per_sec"] = round(
             records / benchmark.stats.stats.mean
         )
-
-
-def _worker_checkpoints(num_workers=4, paths=400, records=20_000):
-    """Per-worker ``topk`` profiler checkpoints over one Zipf stream."""
-    from repro.core.paths import PathSignature
-
-    rng = random.Random(11)
-    signatures = [
-        PathSignature(f"req{i % 8}", (("fe", f"m{i}", "svc"), ("svc", "q", "db")))
-        for i in range(paths)
-    ]
-    workers = [
-        CausalPathProfiler(
-            {}, registry=MetricsRegistry(), mode="topk", topk=128
-        )
-        for _ in range(num_workers)
-    ]
-    for j in range(records):
-        # rank ~ Zipf: low indices dominate, tail spreads wide.
-        idx = min(int(rng.paretovariate(1.1)) - 1, paths - 1)
-        workers[j % num_workers].record(signatures[idx], j * 0.01)
-    return [worker.to_json() for worker in workers]
-
-
-def test_bench_sketch_merge_overhead(benchmark):
-    """Merging 4 per-worker topk checkpoints (the --workers sweep path)."""
-    checkpoints = _worker_checkpoints()
-
-    def merge_all():
-        profile = MergedProfile()
-        for i, checkpoint in enumerate(checkpoints):
-            profile.add(f"worker-{i}", checkpoint)
-        return profile
-
-    profile = benchmark.pedantic(merge_all, rounds=5, iterations=1)
-    assert profile.profiler is not None
-    assert profile.profiler.mode == "topk"
-    assert len(profile.by_manager) == len(checkpoints)
-    benchmark.extra_info["checkpoints_merged"] = len(checkpoints)
-    benchmark.extra_info["merge_seconds_mean"] = round(
-        benchmark.stats.stats.mean, 6
-    )

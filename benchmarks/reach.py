@@ -25,6 +25,19 @@ starts with ``_`` and no function encloses it.  The tool prints one
 physical, decorators included), then the totals.  ``--check`` exits 1
 when a test-only def is missing from :data:`KEEP`, or a ``KEEP`` entry
 is no longer test-only.  A run takes about 15 s.
+
+It then reports, without affecting the exit code, every *settable value*
+no file outside ``tests/`` sets: a defaulted field of a public dataclass,
+or a defaulted parameter of a public function, method or ``__init__``.
+A value counts as set when any non-test file (the roots of (b)) passes a
+keyword of its name to any call, uses its name as a string dict key or
+subscript, assigns an attribute of its name, declares a ``--flag`` of
+its name, or calls a def or class of the owner's name with enough
+positional arguments to reach it.  Forwarding is not setting: a keyword
+or attribute whose value is an attribute of the same name, or the
+enclosing function's parameter of that name (``seed=cfg.seed``,
+``mode=mode``), counts for nothing.  Matching is by name alone, so the
+rows are a lower bound on what nothing sets.
 """
 
 from __future__ import annotations
@@ -65,15 +78,12 @@ KEEP: Dict[str, str] = {
     "graphstore.pipeline.DeadLetterQueue.dropped": "read-only probe of the queue's bound",
     "profiling.profiler.CausalPathProfiler.paths_for_request":
         "read-only probe of per-request path counts",
-    "profiling.profiler.CausalPathProfiler.topk_k": "read-only probe of the topk tier",
     "sim.replicas.ReplicatedApplicationRuntime.replica_state":
         "read-only probe of one replica's state",
     "lang.ir.Expr.and_": "DSL constructor tests build programs with",
     "lang.ir.Expr.or_": "DSL constructor tests build programs with",
     "lang.builder.BlockBuilder.skip": "DSL constructor tests build programs with",
     "lang.builder.const": "DSL constructor tests build programs with",
-    "workloads.patterns.flash_crowd_mix":
-        "sketch-test input; moving it into tests/ is not a reduction",
 }
 
 
@@ -251,6 +261,126 @@ def census(
         test_only = kept
 
 
+@dataclass(frozen=True)
+class Setting:
+    """One defaulted dataclass field or keyword parameter in the package."""
+
+    path: str
+    owner: str  # the dataclass, or the def (``Class.__init__`` for a constructor)
+    name: str
+    line: int
+    callee: str  # the name a positional call goes through
+    position: int  # its index among the positional arguments, or -1 (keyword-only)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def package_settings(package_dir: str) -> List[Setting]:
+    """Every defaulted public dataclass field and keyword parameter."""
+    found: List[Setting] = []
+    for path in _python_files(os.path.realpath(package_dir)):
+
+        def visit(node: ast.AST, scope: Tuple[str, ...], in_class: bool) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef) and not child.name.startswith("_"):
+                    if _is_dataclass(child):
+                        fields = [
+                            s for s in child.body
+                            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                            and "ClassVar" not in ast.unparse(s.annotation)
+                        ]
+                        for i, field in enumerate(fields):
+                            name = field.target.id
+                            if field.value is not None and not name.startswith("_"):
+                                found.append(Setting(path, ".".join(scope + (child.name,)),
+                                                     name, field.lineno, child.name, i))
+                    visit(child, scope + (child.name,), True)
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if child.name.startswith("_") and child.name != "__init__":
+                        continue
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    if in_class and not any(
+                        getattr(d, "id", None) == "staticmethod" for d in child.decorator_list
+                    ):
+                        positional = positional[1:]
+                    callee = scope[-1] if child.name == "__init__" else child.name
+                    owner = ".".join(scope + (child.name,))
+                    first_default = len(positional) - len(args.defaults)
+                    for i, arg in enumerate(positional[max(first_default, 0):], first_default):
+                        found.append(Setting(path, owner, arg.arg, arg.lineno, callee, i))
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                        if default is not None:
+                            found.append(Setting(path, owner, arg.arg, arg.lineno, callee, -1))
+                elif not isinstance(child, ast.ClassDef):
+                    visit(child, scope, in_class)
+
+        visit(_parse(path), (), False)
+    return found
+
+
+def unset_settings(settings: Sequence[Setting], roots: Sequence[str]) -> List[Setting]:
+    """The settings no file under ``roots`` (tests and this file excepted) sets."""
+    named: Set[str] = set()
+    reach: Dict[str, float] = {}  # callee name -> most positional arguments seen
+
+    def forwarded(name: str, value: ast.AST, params: Collection[str]) -> bool:
+        if isinstance(value, ast.Attribute):
+            return value.attr == name
+        return isinstance(value, ast.Name) and value.id == name and name in params
+
+    def scan(node: ast.AST, params: Collection[str]) -> None:
+        if isinstance(node, ast.Call):
+            named.update(
+                kw.arg for kw in node.keywords
+                if kw.arg and not forwarded(kw.arg, kw.value, params)
+            )
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                reach[callee] = float("inf")
+            else:
+                reach[callee] = max(reach.get(callee, 0), len(node.args))
+        elif isinstance(node, ast.Dict):
+            named.update(
+                k.value for k in node.keys
+                if isinstance(k, ast.Constant) and isinstance(k.value, str)
+            )
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str):
+                named.add(node.slice.value)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                if isinstance(target, ast.Attribute) and not (
+                    isinstance(node, ast.Assign) and forwarded(target.attr, node.value, params)
+                ):
+                    named.add(target.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.startswith("--"):
+                named.add(node.value[2:].replace("-", "_"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = {
+                a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+            }
+        for child in ast.iter_child_nodes(node):
+            scan(child, params)
+
+    for root in roots:
+        for path in _python_files(os.path.realpath(root)):
+            if path != _SELF:
+                scan(_parse(path), ())
+    return [
+        s for s in settings
+        if s.name not in named and not (0 <= s.position < reach.get(s.callee, 0))
+    ]
+
+
 def keep_problems(result: Census, keep: Collection[str]) -> List[str]:
     """What ``--check`` fails on: unkept test-only defs, stale keep entries."""
     keys = {d.key for d in result.test_only}
@@ -273,7 +403,6 @@ def cli_invocations(tmp: str) -> List[List[str]]:
          "--shards", "4", "--batch-size", "32"],
         ["simulate", "marketcetera", "--duration", "60", "--engine", "event",
          "--store-backend", "log", "--store-dir", os.path.join(tmp, "simulate-log")],
-        ["simulate", "hedwig", "--duration", "20", "--profiler-mode", "topk"],
         ["simulate", "zookeeper", "--duration", "20", "--profiler-mode", "component"],
         ["metrics", "hedwig", "--duration", "20"],
         ["report", "hedwig", "--duration", "20", "--output", os.path.join(tmp, "report.md"),
@@ -318,6 +447,14 @@ def main(argv: Sequence[str] = None) -> int:
         f"{sum(d.lines for d in result.test_only)} lines; "
         f"{len(result.reached)} of {len(result.defs)} defs reached"
     )
+    settings = package_settings(PACKAGE_DIR)
+    unset = unset_settings(settings, NAME_ROOTS)
+    for setting in unset:
+        print(
+            f"{os.path.relpath(setting.path, REPO_ROOT)}:{setting.line}  "
+            f"{setting.owner}  {setting.name}"
+        )
+    print(f"{len(unset)} of {len(settings)} settable values set by no non-test file")
     if not args.check:
         return 0
     problems = keep_problems(result, KEEP)

@@ -14,15 +14,6 @@ variable of the paper:
 The simulator enforces the visibility rules by populating only the
 fields each manager's ``visibility`` declares; managers must not reach
 into fields outside their declared visibility (tests assert this).
-
-The path profiles the DCA manager reads may be *estimates*: in the
-profiler's sketch tiers (``topk``/``component``, see
-:mod:`repro.profiling.sketches`) per-path counts carry a documented
-±ε hot-path probability guarantee
-(:data:`~repro.profiling.sketches.HOT_PATH_PROBABILITY_EPSILON`) with
-the estimate sum pinned to the exact windowed total, so causal weights
-derived from them degrade gracefully rather than silently.  The
-``profiler.estimate_error`` gauge exports the current worst-case bound.
 """
 
 from __future__ import annotations

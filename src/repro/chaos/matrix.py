@@ -12,7 +12,7 @@ Clotho's chaos matrix.  The grid is the cartesian product of
 * **crash schedules** — scheduled node-crash shapes,
 * **store configurations** — (shards, batch size) pairs,
 * **engines** — tick oracle and converged-replay fast path, and
-* **profiler modes** — exact and topk precision tiers.
+* **profiler modes** — the exact and component precision tiers.
 
 Every cell is fully determined by its **grid index** plus the run-level
 parameters (app, manager, duration, base seed): the cell's RNG seed is
@@ -79,7 +79,7 @@ CRASH_SCHEDULES: Mapping[str, Tuple[Tuple[float, str, int], ...]] = {
 STORE_CONFIGS: Tuple[Tuple[int, int], ...] = ((1, 1), (4, 32), (2, 8))
 
 ENGINES: Tuple[str, ...] = ("tick", "event")
-PROFILER_MODES: Tuple[str, ...] = ("exact", "topk")
+PROFILER_MODES: Tuple[str, ...] = ("exact", "component")
 
 #: Axis iteration order (outermost first); the grid index encodes a cell
 #: position in this fixed order, so ids stay stable as long as the axis

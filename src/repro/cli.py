@@ -13,11 +13,18 @@ Commands:
 * ``report <scenario…>``   — write the full markdown report to a file
 
 Scenarios: ``marketcetera``, ``hedwig``, ``zookeeper``.
+
+Exit codes: 0 success, 1 a command failed (or found a violation), 2 a
+usage error, and 141 (128 + SIGPIPE, what a shell reports for a
+process killed by a broken pipe) when whoever reads stdout stops
+reading, as ``repro chaos --list | head`` does; that case prints
+nothing more.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -37,7 +44,6 @@ from repro.graphstore.backend import BACKENDS as STORE_BACKENDS
 from repro.evalx.overhead import fig5_measurements
 from repro.evalx.reporting import fig5_table, fig8_table, format_table, sla_table
 from repro.profiling.profiler import PROFILER_MODES
-from repro.profiling.sketches import DEFAULT_TOPK_K
 from repro.sim.engine import ENGINES
 
 
@@ -118,13 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scaling.add_argument(
         "--profiler-mode", choices=PROFILER_MODES, default="exact",
-        help="profiler precision tier: exact per-path buckets (default), "
-        "space-saving top-k + count-min tail (bounded memory), or "
-        "per-component totals (cheapest)",
-    )
-    scaling.add_argument(
-        "--profiler-topk", type=int, default=DEFAULT_TOPK_K,
-        help="hot paths tracked near-exactly in topk mode",
+        help="profiler precision tier: exact per-path buckets (default) "
+        "or per-component totals (cheapest)",
     )
     sweep = _flags(pool, seed, scaling)
     sweep.add_argument("scenarios", nargs="+", choices=sorted(SCENARIOS))
@@ -132,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--merged-profile", metavar="PATH",
         help="write the sweep's combined profiler checkpoint to PATH "
         "(per-manager/per-worker profiles merged — composes with "
-        "--profiler-mode topk/component, no exact-mode fallback)",
+        "--profiler-mode component, no exact-mode fallback)",
     )
 
     sub.add_parser("analyze", parents=[scenario], help="static DCA analysis of a scenario's app")
@@ -253,7 +254,6 @@ def _experiment_config(args) -> ExperimentConfig:
         write_batch_size=args.batch_size,
         engine=args.engine,
         profiler_mode=args.profiler_mode,
-        profiler_topk=args.profiler_topk,
         store_backend=args.store_backend,
         store_dir=args.store_dir,
     )
@@ -429,7 +429,7 @@ def _describe_cell(cell) -> str:
         f"{cell.cell_id}  {cell.fault_profile:14s} "
         f"[{cell.start_minute:>4g},{cell.end_minute:>4g}) "
         f"crashes={cell.crash_schedule:4s} shards={cell.num_shards} "
-        f"batch={cell.write_batch_size:<3d} {cell.engine:5s} {cell.profiler_mode:5s}"
+        f"batch={cell.write_batch_size:<3d} {cell.engine:5s} {cell.profiler_mode}"
     )
 
 
@@ -641,10 +641,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "chaos":
         _check_chaos_flags(parser, args)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flush inside the try, so a reader that closed early is seen
+        # here rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Later flushes (the interpreter's, at exit) go to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -89,12 +89,6 @@ class StalenessPolicy:
     max_record_age_minutes: Optional[float] = None
     stale_after_intervals: int = 2
     fresh_after_intervals: int = 2
-    #: When set (``"topk"`` or ``"component"``), the detector also drops
-    #: the profiler to that precision tier while the fallback is engaged
-    #: and restores ``exact`` tracking on release — shedding profiler
-    #: cost exactly when the profile is distrusted anyway.  ``None``
-    #: keeps the profiler's mode untouched.
-    downshift_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.min_recent_samples < 1:
@@ -107,10 +101,6 @@ class StalenessPolicy:
             raise ElasticityError("max_record_age_minutes must be positive")
         if self.stale_after_intervals < 1 or self.fresh_after_intervals < 1:
             raise ElasticityError("hysteresis interval counts must be >= 1")
-        if self.downshift_mode is not None and self.downshift_mode not in ("topk", "component"):
-            raise ElasticityError(
-                f"downshift_mode must be 'topk' or 'component', got {self.downshift_mode!r}"
-            )
 
 
 class ProfileStalenessDetector:
@@ -133,19 +123,12 @@ class ProfileStalenessDetector:
         self.policy = policy
         self.telemetry = registry if registry is not None else profiler.telemetry
         self.engaged = False
-        #: Precision tier the profiler is dropped to while engaged
-        #: (``None`` = never touch the profiler's mode).  The event
-        #: engine checks this when deciding replay eligibility.
-        self.downshift_mode = policy.downshift_mode
-        self._downshifted = False
         self._stale_streak = 0
         self._fresh_streak = 0
         self._m_stale = self.telemetry.counter("elasticity.stale_intervals")
         self._m_engagements = self.telemetry.counter("elasticity.fallback_engagements")
         self._m_recoveries = self.telemetry.counter("elasticity.fallback_recoveries")
         self._m_active = self.telemetry.gauge("elasticity.fallback_active")
-        self._m_downshifts = self.telemetry.counter("elasticity.precision_downshifts")
-        self._m_restores = self.telemetry.counter("elasticity.precision_restores")
         self._m_active.set(0.0)
         #: Optional :class:`~repro.sim.tap.SimTap`; when set, every
         #: :meth:`update` emits one ``staleness`` event so the chaos
@@ -154,8 +137,7 @@ class ProfileStalenessDetector:
 
     def update(self, now_minutes: float) -> bool:
         policy = self.policy
-        # The exact scalar sample flow — maintained in every profiler
-        # precision mode, so downshifting never blinds the detector.
+        # The exact scalar sample flow, kept in either profiler mode.
         recent_total = self.profiler.sample_total_between(
             now_minutes - policy.recent_horizon_minutes, now_minutes
         )
@@ -171,34 +153,18 @@ class ProfileStalenessDetector:
             if not self.engaged and self._stale_streak >= policy.stale_after_intervals:
                 self.engaged = True
                 self._m_engagements.inc()
-                self._maybe_downshift()
         else:
             self._fresh_streak += 1
             self._stale_streak = 0
             if self.engaged and self._fresh_streak >= policy.fresh_after_intervals:
                 self.engaged = False
                 self._m_recoveries.inc()
-                self._maybe_restore()
         self._m_active.set(1.0 if self.engaged else 0.0)
         if self.tap is not None:
             self.tap.emit(
                 "staleness", healthy=not (sparse or too_old), engaged=self.engaged
             )
         return self.engaged
-
-    def _maybe_downshift(self) -> None:
-        if self.downshift_mode is None or self._downshifted:
-            return
-        if self.profiler.mode == "exact":
-            self.profiler.set_mode(self.downshift_mode)
-            self._downshifted = True
-            self._m_downshifts.inc()
-
-    def _maybe_restore(self) -> None:
-        if self._downshifted:
-            self.profiler.set_mode("exact")
-            self._downshifted = False
-            self._m_restores.inc()
 
 
 @dataclass
@@ -238,6 +204,12 @@ class DCAManagerConfig:
             )
         if self.mix_horizon_minutes <= 0:
             raise ElasticityError("mix_horizon_minutes must be positive")
+        # The upper bound is the one CloudWatchConfig puts on its thresholds.
+        if not 0.0 < self.band_low < self.band_high < self.emergency_utilization <= 1.5:
+            raise ElasticityError(
+                "need 0 < band_low < band_high < emergency_utilization <= 1.5, got "
+                f"{self.band_low}, {self.band_high}, {self.emergency_utilization}"
+            )
 
 
 class DCAElasticityManager(ElasticityManager):
@@ -386,8 +358,7 @@ class DCAElasticityManager(ElasticityManager):
             # Cheapest precision tier: the profiler already collapsed
             # counts to per-component touch fractions — exactly the w_c
             # this method derives from per-path causal probabilities, at
-            # component (not path) resolution.  Estimates carry the same
-            # ±ε contract as topk counts (see profiling.sketches).
+            # component (not path) resolution.
             weights = self.profiler.component_weight_estimates(now)
             if not weights:
                 return {comp: 1.0 for comp in observation.components}

@@ -31,7 +31,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.graphstore.backend import BACKENDS as STORE_BACKENDS
 from repro.profiling.profiler import PROFILER_MODES, CausalPathProfiler
-from repro.profiling.sketches import DEFAULT_TOPK_K
 from repro.sim.engine import ClusterSimulator, DCABundle, SimulationConfig
 from repro.sim.metrics import SimulationResult
 from repro.telemetry import MetricsRegistry, get_registry
@@ -73,10 +72,8 @@ class ExperimentConfig:
     #: "tick" (the oracle) or "event" (the same loop with
     #: converged-replay ingestion); both are bit-identical per seed.
     engine: str = "tick"
-    #: Profiler precision tier ("exact", "topk", "component") and
-    #: space-saving summary size for the topk tier.
+    #: Profiler precision tier ("exact" or "component").
     profiler_mode: str = "exact"
-    profiler_topk: int = DEFAULT_TOPK_K
     #: Graph-store backend: "memory" (in-process dicts) or "log"
     #: (append-only journal under ``store_dir``, one subdirectory per
     #: manager).
@@ -96,8 +93,6 @@ class ExperimentConfig:
             raise EvaluationError(
                 f"profiler_mode must be one of {PROFILER_MODES}, got {self.profiler_mode!r}"
             )
-        if self.profiler_topk < 1:
-            raise EvaluationError(f"profiler_topk must be >= 1, got {self.profiler_topk}")
         if self.store_backend not in STORE_BACKENDS:
             raise EvaluationError(
                 f"store_backend must be one of {STORE_BACKENDS}, got {self.store_backend!r}"
@@ -205,7 +200,6 @@ def build_simulator(
             num_shards=cfg.num_shards,
             write_batch_size=cfg.write_batch_size,
             profiler_mode=cfg.profiler_mode,
-            profiler_topk=cfg.profiler_topk,
             store_backend=cfg.store_backend,
             store_dir=store_dir,
         )
@@ -251,15 +245,13 @@ class MergedProfile:
 
     The profiler analogue of passing a shared ``registry`` into
     :func:`run_all_managers`: each DCA manager run — serial or in a pool
-    worker — ships its profiler checkpoint (v2 JSON, sketch state
+    worker — ships its profiler checkpoint (v2 JSON, tier state
     included) back to the sweep, and this collector folds them into one
     combined :class:`~repro.profiling.profiler.CausalPathProfiler` via
-    :meth:`~repro.profiling.profiler.CausalPathProfiler.merge`.  Because
-    the sketches are mergeable summaries, this works in whatever
-    precision mode the sweep configured — ``--workers N --profiler-mode
-    topk`` combines per-worker space-saving/count-min state instead of
-    requiring exact mode.  Baseline managers have no profiler and
-    contribute nothing.
+    :meth:`~repro.profiling.profiler.CausalPathProfiler.merge`.  Both
+    tiers' windows merge minute by minute, so this works in whichever
+    precision mode the sweep configured.  Baseline managers have no
+    profiler and contribute nothing.
     """
 
     def __init__(self) -> None:
@@ -304,7 +296,7 @@ def _run_manager_task(
     into a private registry and ships its snapshot back, so workers never
     share mutable telemetry state — the parent merges the snapshots.  DCA
     runs also ship the profiler checkpoint so the parent can merge
-    per-worker profiles (sketch state included) into a
+    per-worker profiles (tier state included) into a
     :class:`MergedProfile`.
     """
     from repro.apps.catalog import load_scenario
@@ -334,9 +326,9 @@ def run_all_managers(
     rebuilds the scenario by name).
 
     ``profile`` collects the sweep's combined causal-path profile: every
-    DCA run contributes its profiler checkpoint — sketch state included,
-    so it composes with ``profiler_mode='topk'``/``'component'`` — and
-    the collector merges them (see :class:`MergedProfile`).
+    DCA run contributes its profiler checkpoint — tier state included,
+    so it composes with ``profiler_mode='component'`` — and the
+    collector merges them (see :class:`MergedProfile`).
     """
     names = tuple(managers) if managers is not None else MANAGER_NAMES
     results: Dict[str, SimulationResult] = {}

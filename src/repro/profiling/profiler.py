@@ -8,25 +8,15 @@ default, "configurable") and feed causal probability.
 
 The window itself is :class:`~repro.profiling.sketches.WindowedCounts`
 (one ring of per-minute tables; a minute expires whole once the window
-is advanced past it).  The profiler holds exactly one *tier* over it and
-forwards ``record`` / ``counts`` / ``counts_between`` /
-``sample_total_between`` / ``merge`` to it; the precision mode only says
-which tier that is, and is switchable at runtime (the staleness detector
-uses this to shed cost under load — see
-``StalenessPolicy.downshift_mode``) by swapping the tier and replaying
-the old one's ``events()`` into the new one:
+is advanced past it).  The profiler holds one *tier* over it, chosen
+when the profiler is built, and forwards ``record`` / ``counts`` /
+``counts_between`` / ``sample_total_between`` / ``merge`` to it:
 
 ``exact``
     The default (:class:`~repro.profiling.sketches.ExactPathWindow`):
     the ring keyed by path id, every registered path listed in
     registration order.  ``counts()`` copies the ring's running totals,
     so it is O(paths), not O(paths × window).
-``topk``
-    Bounded memory: the ``k`` hottest paths live in a windowed
-    space-saving summary, the tail in a windowed count-min sketch, and
-    reads pin the estimate sum to the exact windowed total so hot-path
-    causal probabilities stay within the documented ε of exact mode
-    (:data:`~repro.profiling.sketches.HOT_PATH_PROBABILITY_EPSILON`).
 ``component``
     The cheapest tier (D²ABS-style coarsest level): the ring keyed by
     component name; ``counts()``/``counts_between()`` are keyed by
@@ -34,15 +24,10 @@ the old one's ``events()`` into the new one:
     manager directly.
 
 What is left of the mode outside the tier is what is *about* the mode:
-the component tier files a path under its components, per-path telemetry
-is an exact-tier export, ``component_weight_estimates`` validates its
-caller, and the checkpoint names which state slot it wrote.
-
-Per-path completion counters (``profiler.path_completions{path=…}``) are
-an exact-tier export: sketch modes deliberately do not keep per-path
-telemetry (that would reintroduce O(paths) state).  Sketch health is
-exported instead via the ``profiler.sketch_evictions`` and
-``profiler.estimate_error`` gauges.
+the component tier files a path under its components, per-path
+completion counters (``profiler.path_completions{path=…}``) are an
+exact-tier export, ``component_weight_estimates`` validates its caller,
+and the checkpoint names which state slot it wrote.
 """
 
 from __future__ import annotations
@@ -53,26 +38,17 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.paths import PathSignature
 from repro.errors import ProfilingError
-from repro.profiling.sketches import (
-    DEFAULT_TOPK_K,
-    ComponentActivitySummary,
-    ExactPathWindow,
-    TopKPathSummary,
-)
+from repro.profiling.sketches import ComponentActivitySummary, ExactPathWindow
 from repro.telemetry import MetricsRegistry, get_registry
 
 #: Precision tiers, cheapest last.  ``exact`` is the bit-identical
-#: default; the others trade per-path fidelity for bounded memory.
-PROFILER_MODES: Tuple[str, ...] = ("exact", "topk", "component")
+#: default; ``component`` collapses paths to the components they touch.
+PROFILER_MODES: Tuple[str, ...] = ("exact", "component")
 
 #: The checkpoint slot each tier's ``to_state()`` is written to.
-_STATE_SLOT = {"exact": "buckets", "topk": "sketch", "component": "components"}
-_TIER_CLASS = {
-    "exact": ExactPathWindow,
-    "topk": TopKPathSummary,
-    "component": ComponentActivitySummary,
-}
-PathTier = Union[ExactPathWindow, TopKPathSummary, ComponentActivitySummary]
+_STATE_SLOT = {"exact": "buckets", "component": "components"}
+_TIER_CLASS = {"exact": ExactPathWindow, "component": ComponentActivitySummary}
+PathTier = Union[ExactPathWindow, ComponentActivitySummary]
 
 
 @dataclass(frozen=True)
@@ -106,9 +82,8 @@ class CausalPathProfiler:
         exported as ``profiler.path_completions{path=<id>}`` (exact mode
         only; see the module docstring).
     mode:
-        Initial precision mode, one of :data:`PROFILER_MODES`.
-    topk:
-        Space-saving summary size for ``topk`` mode.
+        Precision mode, one of :data:`PROFILER_MODES`; fixed for the
+        profiler's lifetime.
     """
 
     def __init__(
@@ -117,7 +92,6 @@ class CausalPathProfiler:
         window_minutes: float = 60.0,
         registry: Optional[MetricsRegistry] = None,
         mode: str = "exact",
-        topk: int = DEFAULT_TOPK_K,
     ) -> None:
         if window_minutes <= 0:
             raise ProfilingError(f"window_minutes must be positive, got {window_minutes}")
@@ -125,17 +99,11 @@ class CausalPathProfiler:
             raise ProfilingError(
                 f"unknown profiler mode {mode!r}; expected one of {PROFILER_MODES}"
             )
-        if topk < 1:
-            raise ProfilingError(f"topk must be >= 1, got {topk}")
         self.window_minutes = float(window_minutes)
         self.telemetry = registry if registry is not None else get_registry()
         self._m_recordings = self.telemetry.counter("profiler.recordings")
         self._m_unmatched = self.telemetry.counter("profiler.unmatched_observations")
         self._m_dynamic = self.telemetry.counter("profiler.dynamic_registrations")
-        self._m_evictions = self.telemetry.gauge("profiler.sketch_evictions")
-        self._m_estimate_error = self.telemetry.gauge("profiler.estimate_error")
-        self._m_evictions.set(0.0)
-        self._m_estimate_error.set(0.0)
         self._base_unmatched = self._m_unmatched.value
         self._base_dynamic = self._m_dynamic.value
         self._paths: Dict[str, PathSignature] = {}
@@ -147,11 +115,9 @@ class CausalPathProfiler:
         # Cached per-path completion counters, so record() never pays a
         # get-or-create registry lookup (label sorting + key render).
         self._m_completions: Dict[str, object] = {}
-        self._topk_k = int(topk)
         self._components_by_pid: Dict[str, Tuple[str, ...]] = {}
-        # The one windowed summary; set_mode swaps it.
         self._mode = mode
-        self._tier: PathTier = self._new_tier(mode, self._topk_k)
+        self._tier: PathTier = _TIER_CLASS[mode](self.window_minutes)
         for req_type, signatures in sorted(static_paths.items()):
             for sig in signatures:
                 self._register(sig)
@@ -165,15 +131,6 @@ class CausalPathProfiler:
     def mode(self) -> str:
         """The active precision mode (one of :data:`PROFILER_MODES`)."""
         return self._mode
-
-    @property
-    def topk_k(self) -> int:
-        return self._topk_k
-
-    @property
-    def sketch_evictions(self) -> int:
-        """Space-saving evictions since the sketch was (re)built."""
-        return self._tier.evictions
 
     @property
     def unmatched_observations(self) -> int:
@@ -217,50 +174,9 @@ class CausalPathProfiler:
             self._components_by_pid[pid] = comps
         return comps
 
-    # -- precision modes --------------------------------------------------------
-
-    def _new_tier(self, mode: str, k: int) -> PathTier:
-        if mode == "topk":
-            return TopKPathSummary(k=k, window_minutes=self.window_minutes)
-        return _TIER_CLASS[mode](self.window_minutes)
-
     def _tier_key(self, pid: str):
-        """What the active tier files ``pid`` under."""
+        """What the tier files ``pid`` under."""
         return self._components_of(pid) if self._mode == "component" else pid
-
-    def set_mode(self, mode: str, topk: Optional[int] = None) -> None:
-        """Switch precision tier at runtime: swap the tier, replay its events.
-
-        The new tier is fed ``old.events()`` in minute order, so what
-        carries over is whatever the old tier can still attribute to a
-        path: ``exact`` yields every cell (a downshift under load keeps
-        the window's history instead of starting cold), ``topk`` its
-        monitored entries (the count-min tail is dropped and
-        re-accumulates within a window — also on a ``topk`` resize),
-        ``component`` nothing (per-path identity was already collapsed,
-        so whatever follows it starts empty).  ``topk`` means something
-        only in ``topk`` mode: elsewhere a same-mode call records it and
-        keeps the tier.
-        """
-        if mode not in PROFILER_MODES:
-            raise ProfilingError(
-                f"unknown profiler mode {mode!r}; expected one of {PROFILER_MODES}"
-            )
-        k = self._topk_k if topk is None else int(topk)
-        if k < 1:
-            raise ProfilingError(f"topk must be >= 1, got {k}")
-        old_k, self._topk_k = self._topk_k, k
-        if mode == self._mode and (mode != "topk" or k == old_k):
-            return
-        old = self._tier
-        self._mode = mode
-        self._tier = self._new_tier(mode, k)
-        for epoch, pid, count in old.events():
-            # A sketch restored from a checkpoint may monitor ids this
-            # profiler never registered; they have no components to file.
-            if pid in self._paths:
-                self._tier.record(self._tier_key(pid), count, float(epoch))
-        self._m_evictions.set(float(self._tier.evictions))
 
     # -- recording ---------------------------------------------------------------
 
@@ -290,8 +206,6 @@ class CausalPathProfiler:
                 )
                 self._m_completions[pid] = completions
             completions.inc(count)
-        else:
-            self._m_evictions.set(float(self._tier.evictions))
         self._m_recordings.inc(count)
         return pid
 
@@ -300,14 +214,10 @@ class CausalPathProfiler:
     def counts(self, now_minutes: float) -> Dict[str, int]:
         """Windowed counts ending at ``now_minutes``.
 
-        Keyed by path id in ``exact``/``topk`` mode, by component name in
-        ``component`` mode.  ``topk`` values are estimates whose sum is
-        pinned to the exact windowed total (see
-        :class:`~repro.profiling.sketches.TopKPathSummary`).
+        Keyed by path id in ``exact`` mode, by component name in
+        ``component`` mode.
         """
-        out = self._tier.counts(self._paths, now_minutes)
-        self._m_estimate_error.set(self._tier.probability_error_bound())
-        return out
+        return self._tier.counts(self._paths, now_minutes)
 
     def counts_between(self, start_minutes: float, end_minutes: float) -> Dict[str, int]:
         """Per-path counts in ``[start, end]`` (bounded by the window).
@@ -325,9 +235,9 @@ class CausalPathProfiler:
     def sample_total_between(self, start_minutes: float, end_minutes: float) -> int:
         """Exact number of recorded completions in ``[start, end]``.
 
-        The window's per-minute mass, kept exactly by *every* tier, so
+        The window's per-minute mass, kept exactly by both tiers, so
         staleness detection keeps its sample-flow signal even when
-        per-path counts are sketched or collapsed to components.
+        per-path counts are collapsed to components.
         """
         if end_minutes < start_minutes:
             raise ProfilingError(f"empty interval [{start_minutes}, {end_minutes}]")
@@ -336,8 +246,8 @@ class CausalPathProfiler:
     def component_weight_estimates(self, now_minutes: float) -> Dict[str, float]:
         """``component``-mode ``w_c`` estimates (touch fraction per component).
 
-        Only meaningful in ``component`` mode — other modes derive ``w_c``
-        from per-path causal probabilities.
+        Only meaningful in ``component`` mode — ``exact`` mode derives
+        ``w_c`` from per-path causal probabilities.
         """
         if self._mode != "component":
             raise ProfilingError(
@@ -362,11 +272,10 @@ class CausalPathProfiler:
         parallel experiment runner builds one profiler per worker over a
         partition of the sweep and merges them back — in whatever
         precision mode the sweep asked for, instead of forcing exact.
-        Both sides must share the mode and window (and ``k`` in ``topk``
-        mode, which the summaries check); the tiers fold minute by
-        minute via their mergeable-summary operations
-        (:mod:`repro.profiling.sketches`).
-        Dynamic-registration/unmatched tallies carry over; per-path ``profiler.path_completions`` counters do *not* — they
+        Both sides must share the mode and window; the tiers fold minute
+        by minute (:mod:`repro.profiling.sketches`).
+        Dynamic-registration/unmatched tallies carry over; per-path
+        ``profiler.path_completions`` counters do *not* — they
         live in each worker's telemetry registry, whose snapshot the
         runner merges separately (double-counting them here would skew
         the sweep's telemetry).
@@ -383,7 +292,6 @@ class CausalPathProfiler:
         for sig in other._paths.values():
             self._register(sig)
         self._tier.merge(other._tier)
-        self._m_evictions.set(float(self._tier.evictions))
         if other.dynamic_registrations:
             self._m_dynamic.inc(other.dynamic_registrations)
         if other.unmatched_observations:
@@ -403,15 +311,14 @@ class CausalPathProfiler:
         restarting the monitoring host must not lose the causal-probability
         history, so deployments checkpoint it.  v2 carries the precision
         mode, ``last_record_minutes`` (so a restored checkpoint does not
-        reset staleness detection) and any sketch state; v1 checkpoints
-        (no ``version`` key) are still readable.
+        reset staleness detection) and the component tier's state; v1
+        checkpoints (no ``version`` key) are still readable.
         """
         import json
 
         payload = {
             "version": 2,
             "mode": self._mode,
-            "topk": self._topk_k,
             "window_minutes": self.window_minutes,
             "paths": [
                 {
@@ -424,7 +331,6 @@ class CausalPathProfiler:
             "last_record_minutes": self.last_record_minutes,
             "dynamic_registrations": self.dynamic_registrations,
             "unmatched_observations": self.unmatched_observations,
-            "sketch": None,
             "components": None,
         }
         state = self._tier.to_state()
@@ -441,9 +347,12 @@ class CausalPathProfiler:
     ) -> "CausalPathProfiler":
         """Restore a profiler checkpointed with :meth:`to_json`.
 
-        Reads both checkpoint formats: v2 (current) and v1 (pre-sketch,
-        identified by the missing ``version`` key — always exact mode,
-        with ``last_record_minutes`` unknown).  ``registry`` scopes the
+        Reads both checkpoint formats: v2 (current) and v1 (identified by
+        the missing ``version`` key — always exact mode, with
+        ``last_record_minutes`` unknown).  A v2 checkpoint in a mode not in
+        :data:`PROFILER_MODES` (older versions wrote a third one)
+        raises :class:`~repro.errors.ProfilingError` rather than being
+        read as another mode.  ``registry`` scopes the
         restored profiler's instruments (the parallel runner restores
         per-worker checkpoints into private registries so the sweep's
         shared registry only sees the explicitly merged telemetry).
@@ -463,13 +372,11 @@ class CausalPathProfiler:
         for sig in signatures:
             by_request.setdefault(sig.request_type, []).append(sig)
         mode = payload.get("mode", "exact") if version >= 2 else "exact"
-        topk = int(payload.get("topk", DEFAULT_TOPK_K)) if version >= 2 else DEFAULT_TOPK_K
         profiler = cls(
             by_request,
             window_minutes=payload["window_minutes"],
             registry=registry,
             mode=mode,
-            topk=topk,
         )
         for pid in payload["buckets"]:
             if pid not in profiler._paths:
@@ -477,7 +384,6 @@ class CausalPathProfiler:
         state = payload.get(_STATE_SLOT[mode])
         if state is not None:
             profiler._tier = _TIER_CLASS[mode].from_state(state, profiler.window_minutes)
-            profiler._m_evictions.set(float(profiler._tier.evictions))
         if version >= 2:
             last = payload.get("last_record_minutes")
             profiler.last_record_minutes = None if last is None else float(last)

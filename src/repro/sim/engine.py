@@ -47,7 +47,6 @@ from repro.graphstore.sharded import ShardedGraphStore
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import Application
 from repro.profiling.profiler import CausalPathProfiler
-from repro.profiling.sketches import DEFAULT_TOPK_K
 from repro.sim.cluster import Cluster, DeploymentSpec
 from repro.sim.metrics import ComponentInterval, IntervalRecord, SimulationResult
 from repro.sim.queueing import nodes_required, serve_interval
@@ -155,7 +154,6 @@ class DCABundle:
         num_shards: int = 1,
         write_batch_size: int = 1,
         profiler_mode: str = "exact",
-        profiler_topk: int = DEFAULT_TOPK_K,
         store_backend: str = "memory",
         store_dir: Optional[str] = None,
     ) -> "DCABundle":
@@ -193,7 +191,6 @@ class DCABundle:
             window_minutes=window_minutes,
             registry=registry,
             mode=profiler_mode,
-            topk=profiler_topk,
         )
         injector = None
         if fault_plan is not None:

@@ -107,10 +107,9 @@ Replay is only eligible when ingestion is pure counting, and
 :func:`replay_refusal` is the one predicate that says so: no fault
 injector, no path timeout, a memory- or log-backend store (a mixed
 fleet and any journaling backend replay cannot render frames for stay
-refused), and an ``exact``-mode profiler whose manager cannot downshift
-it into a sketch mode mid-run (batched replayed ``profiler.record`` ops
-are additive for exact buckets but would perturb space-saving
-promotion/eviction order).  Sharded stores and the batched write
+refused).  Either profiler mode is eligible: a batched replayed
+``profiler.record`` adds to the window exactly as the executions it
+stands for would.  Sharded stores and the batched write
 pipeline are eligible: ``observe_all`` drains the pipeline at the end
 of every execution, so per-execution batch telemetry is a
 deterministic function of the converged trace shape and the buffers
@@ -147,17 +146,8 @@ VOLATILE_METRIC_SUFFIX = "_seconds"
 VOLATILE_METRIC_PREFIX = "graphstore.backend_"
 
 #: Metric base names the profiler maintains itself during replay (the
-#: frozen delta must not double-count them).  The sketch gauges are
-#: updated inside ``profiler.record``/``counts`` too, so they belong
-#: here even though replay requires exact mode (where they stay zero).
-_PROFILER_LIVE_KEYS = frozenset(
-    {
-        "profiler.recordings",
-        "profiler.path_completions",
-        "profiler.sketch_evictions",
-        "profiler.estimate_error",
-    }
-)
+#: frozen delta must not double-count them).
+_PROFILER_LIVE_KEYS = frozenset({"profiler.recordings", "profiler.path_completions"})
 
 
 def replay_refusal(sim) -> Optional[str]:
@@ -183,16 +173,6 @@ def replay_refusal(sim) -> Optional[str]:
         or tracker.store.backend_kind not in ("memory", "log")
     ):
         return "tracker configuration does not support snapshot replay"
-    if sim.dca.profiler.mode != "exact":
-        # Frozen record ops replay as one batched profiler.record per
-        # logical execution; that is additive for exact buckets but
-        # changes space-saving promotion/eviction order in sketch
-        # modes, so sketch-mode runs (and managers that may downshift
-        # into one mid-run) keep full-fidelity ingestion.
-        return "ReplayIngestor requires the exact profiler mode"
-    detector = getattr(sim.manager, "staleness_detector", None)
-    if getattr(detector, "downshift_mode", None) is not None:
-        return "ReplayIngestor cannot run with a staleness precision downshift configured"
     return None
 
 

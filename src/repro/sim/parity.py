@@ -69,7 +69,7 @@ class ParityReport:
     diff_records: List[Dict[str, object]] = field(default_factory=list)
     #: Whether the event engine's converged-replay cutover fired during
     #: this run (``None`` when no replay ingestor was even constructed —
-    #: faulted/baseline/sketch-mode configs).  Parity cells for
+    #: faulted and baseline configs).  Parity cells for
     #: production configs assert on this so a silently-disengaged fast
     #: path cannot masquerade as a parity pass.
     replay_engaged: Optional[bool] = None
@@ -160,7 +160,6 @@ def run_engine_parity(
     path_timeout_minutes: Optional[float] = None,
     max_live_traces_per_class: Optional[int] = None,
     profiler_mode: str = "exact",
-    profiler_topk: Optional[int] = None,
     interval_minutes: Optional[float] = None,
     diff_dir: Optional[str] = None,
 ) -> ParityReport:
@@ -191,9 +190,6 @@ def run_engine_parity(
             sim_config.max_live_traces_per_class = max_live_traces_per_class
         if interval_minutes is not None:
             sim_config.interval_minutes = interval_minutes
-        config_kwargs = {}
-        if profiler_topk is not None:
-            config_kwargs["profiler_topk"] = profiler_topk
         config = ExperimentConfig(
             duration_minutes=duration_minutes,
             seed=seed,
@@ -202,7 +198,6 @@ def run_engine_parity(
             write_batch_size=write_batch_size,
             engine=engine,
             profiler_mode=profiler_mode,
-            **config_kwargs,
         )
         registry = MetricsRegistry()
         simulator = build_simulator(

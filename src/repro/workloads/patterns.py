@@ -173,67 +173,3 @@ class StepMixSchedule:
         for phase in self._phases:
             names |= set(phase.weights)
         return sorted(names)
-
-
-def zipf_weights(class_names: Sequence[str], exponent: float = 1.1) -> Dict[str, float]:
-    """Zipf-distributed class weights: the i-th class gets ``1/i^s``.
-
-    Section II-A's observation that spikes "are seldom uniformly
-    distributed over all search terms" in distribution form: a few hot
-    classes carry most of the traffic, with a long tail.  Classes are
-    weighted in the given order (first = hottest), normalised to sum 1.
-    """
-    if not class_names:
-        raise WorkloadError("zipf_weights requires at least one class name")
-    if exponent <= 0:
-        raise WorkloadError(f"zipf exponent must be positive, got {exponent}")
-    raw = {name: 1.0 / (rank ** exponent) for rank, name in enumerate(class_names, start=1)}
-    total = sum(raw.values())
-    return {name: w / total for name, w in raw.items()}
-
-
-def flash_crowd_mix(
-    class_names: Sequence[str],
-    hot_class: str,
-    start_minute: float = 180.0,
-    ramp_minutes: float = 5.0,
-    hold_minutes: float = 30.0,
-    background_exponent: float = 1.1,
-    hot_share: float = 0.75,
-) -> StepMixSchedule:
-    """A mix schedule where ``hot_class`` abruptly dominates mid-run.
-
-    Before the crowd arrives the mix is Zipf over ``class_names``;
-    during it ``hot_class`` takes ``hot_share`` of all traffic (the
-    remainder stays Zipf-proportional); afterwards the mix returns to
-    the background distribution.  This is the hot-path *shift* case the
-    profiler's sketch tiers must track: a previously cold path becomes
-    the hottest in the window within ``ramp_minutes``.
-    """
-    if hot_class not in class_names:
-        raise WorkloadError(f"hot_class {hot_class!r} not in class_names")
-    if not 0.0 < hot_share < 1.0:
-        raise WorkloadError(f"hot_share must be in (0, 1), got {hot_share}")
-    background = zipf_weights(class_names, background_exponent)
-    cold_total = sum(w for name, w in background.items() if name != hot_class)
-    if cold_total <= 0:  # hot_class is the only class
-        crowd = dict(background)
-    else:
-        crowd = {
-            name: (
-                hot_share
-                if name == hot_class
-                else (1.0 - hot_share) * background[name] / cold_total
-            )
-            for name in class_names
-        }
-    end_minute = start_minute + ramp_minutes + hold_minutes
-    return StepMixSchedule(
-        [
-            MixPhase(0.0, dict(background)),
-            MixPhase(start_minute, dict(background)),
-            MixPhase(start_minute + ramp_minutes, crowd),
-            MixPhase(end_minute, crowd),
-            MixPhase(end_minute + ramp_minutes, dict(background)),
-        ]
-    )

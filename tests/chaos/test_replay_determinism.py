@@ -2,8 +2,8 @@
 
 ``repro chaos --replay <cell-id>`` must regenerate a failing run's full
 telemetry snapshot digest, violations, and event stream from the cell id
-alone — in a fresh process, under either engine, and under sketch
-profiler modes.  The 25-cell subset below is the matrix's own
+alone — in a fresh process, under either engine, and under either
+profiler mode.  The 25-cell subset below is the matrix's own
 deterministic selection, so it provably spans both engines, both
 profiler modes, and every store configuration.
 
@@ -33,10 +33,10 @@ CELLS = MATRIX.select(25)
 
 
 def test_subset_spans_the_interesting_axes():
-    """The 25-seed property sweep must include event-engine and topk cells."""
+    """The 25-seed property sweep must include event-engine and component cells."""
     assert len(CELLS) == 25
     assert {c.engine for c in CELLS} == {"tick", "event"}
-    assert {c.profiler_mode for c in CELLS} == {"exact", "topk"}
+    assert {c.profiler_mode for c in CELLS} == {"exact", "component"}
     assert len({c.seed for c in CELLS}) == 25
 
 

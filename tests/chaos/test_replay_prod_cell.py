@@ -31,13 +31,13 @@ PROD_EXACT_EVENT = next(
     and c.write_batch_size == 32
     and c.profiler_mode == "exact"
 )
-PROD_TOPK_EVENT = next(
+PROD_COMPONENT_EVENT = next(
     c
     for c in _SELECTED
     if c.engine == "event"
     and c.num_shards == 4
     and c.write_batch_size == 32
-    and c.profiler_mode == "topk"
+    and c.profiler_mode == "component"
 )
 
 
@@ -85,7 +85,7 @@ class TestFaultedProductionCellsStayFullFidelity:
         """Sharded/batched is now replay-eligible — but only fault-free:
         a faulted cell must still run full-fidelity ingestion and pass
         every temporal invariant."""
-        for cell in (PROD_EXACT_EVENT, PROD_TOPK_EVENT):
+        for cell in (PROD_EXACT_EVENT, PROD_COMPONENT_EVENT):
             simulator, tap = _run_cell_exposing_simulator(cell)
             assert simulator.event_runner.ingestor is None, cell.cell_id
             detector = getattr(simulator.manager, "staleness_detector", None)
@@ -126,9 +126,8 @@ class TestFaultFreeProductionConfigUnderInvariants:
 class TestWorkerSweepOverProductionCells:
     def test_pool_sweep_matches_serial_digests(self):
         """--workers fan-out over the production cells (both profiler
-        tiers, sketch state included) reproduces the serial sweep
-        bit-for-bit."""
-        cells = [PROD_EXACT_EVENT, PROD_TOPK_EVENT]
+        tiers) reproduces the serial sweep bit-for-bit."""
+        cells = [PROD_EXACT_EVENT, PROD_COMPONENT_EVENT]
         pooled = run_matrix(cells, repeats=1, workers=2)
         serial = run_matrix(cells, repeats=1, workers=1)
         for pool_report, serial_report in zip(pooled, serial):

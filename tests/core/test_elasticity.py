@@ -63,6 +63,28 @@ class TestConfigValidation:
         with pytest.raises(ElasticityError):
             DCAManagerConfig(mix_horizon_minutes=0)
 
+    @pytest.mark.parametrize(
+        "bands",
+        [
+            {"band_high": 1.05},  # above the default emergency level
+            {"band_low": 0.84},  # the band is empty
+            {"band_low": 0.9},  # ... or inverted
+            {"band_low": 0.0},
+            {"emergency_utilization": 0.80},  # inside the band
+            {"emergency_utilization": 1.6},  # past CloudWatch's 1.5 bound
+        ],
+    )
+    def test_band_thresholds_ordered(self, bands):
+        with pytest.raises(ElasticityError, match="band_low < band_high"):
+            DCAManagerConfig(**bands)
+
+    def test_band_thresholds_accept_the_defaults_and_the_bound(self):
+        config = DCAManagerConfig()
+        assert (config.band_low, config.band_high, config.emergency_utilization) == (
+            0.72, 0.84, 0.95,
+        )
+        DCAManagerConfig(emergency_utilization=1.5)
+
 
 class TestSerializationDetection:
     def test_quorum_log_flagged(self, coord_app):

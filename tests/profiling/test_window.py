@@ -8,8 +8,7 @@ the same oracle through the profiler.
 
 Besides the seeded property test of :class:`WindowedCounts` this file
 pins the traps a window rewrite falls into (key order, merges into past
-minutes, the dense count-min aggregate, reads into the past), the
-``set_mode`` transition matrix, and checkpoints written by the commit
+minutes, reads into the past) and checkpoints written by the commit
 before the ring existed.
 """
 
@@ -21,13 +20,9 @@ import pytest
 
 from repro.core.paths import PathSignature
 from repro.core.probability import causal_probabilities
-from repro.profiling.profiler import PROFILER_MODES, CausalPathProfiler
-from repro.profiling.sketches import (
-    ComponentActivitySummary,
-    ExactPathWindow,
-    WindowedCountMinSketch,
-    WindowedCounts,
-)
+from repro.errors import ProfilingError
+from repro.profiling.profiler import CausalPathProfiler
+from repro.profiling.sketches import ComponentActivitySummary, ExactPathWindow, WindowedCounts
 from repro.telemetry import MetricsRegistry
 
 WINDOW = 20.0
@@ -162,13 +157,12 @@ def _sig(i):
     return PathSignature(f"req{i}", (("fe", "m1", "svc"), ("svc", f"m{i}", f"db{i % 3}")))
 
 
-def _profiler(mode="exact", topk=2, n=6):
+def _profiler(mode="exact", n=6):
     return CausalPathProfiler(
         {f"req{i}": [_sig(i)] for i in range(n)},
         window_minutes=60.0,
         registry=MetricsRegistry(),
         mode=mode,
-        topk=topk,
     )
 
 
@@ -240,24 +234,6 @@ class TestPastMinutes:
         assert list(ring.epochs) == [30]
 
 
-class TestDenseCountMinAggregate:
-    """The count-min running totals stay a flat list (trap iii)."""
-
-    def test_aggregate_is_a_dense_list_of_the_live_minutes(self):
-        cms = WindowedCountMinSketch(60.0, width=64, depth=3)
-        assert type(cms.ring.totals) is list and len(cms.ring.totals) == 64 * 3
-        for i in range(200):
-            cms.add(f"k{i % 17}", 1 + i % 3, float(i % 90))
-        dense = [0] * (64 * 3)
-        for table in cms.ring.epochs.values():
-            for idx, count in table.items():
-                dense[idx] += count
-        assert cms.ring.totals == dense
-        assert cms.total == sum(cms.ring.mass.values())
-        # One mass unit per add, however many rows it touched.
-        assert sum(dense) == cms.total * cms.depth
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_reads_into_the_past_follow_the_newest_time_shown(seed):
     """Trap iv: the window expires whole minutes, for every path alike."""
@@ -281,61 +257,6 @@ def test_reads_into_the_past_follow_the_newest_time_shown(seed):
         )
 
 
-def _loaded(mode):
-    profiler = _profiler(mode=mode)
-    rng = random.Random(3)
-    for j in range(120):
-        i = min(5, int(rng.expovariate(0.7)))
-        profiler.record(_sig(i), 5.0 + j * 0.4, count=rng.randint(1, 3))
-    return profiler
-
-
-def _reads(profiler):
-    return (
-        profiler.counts(53.0),
-        profiler.counts_between(50.0, 53.0),
-        profiler.sample_total_between(50.0, 53.0),
-        profiler.sample_total_between(0.0, 53.0),
-        profiler.sketch_evictions,
-    )
-
-
-@pytest.mark.parametrize("new", PROFILER_MODES)
-@pytest.mark.parametrize("old", PROFILER_MODES)
-def test_set_mode_is_swap_the_tier_and_replay_its_events(old, new):
-    profiler = _loaded(old)
-    events = list(profiler._tier.events())
-    before = _reads(_loaded(old))
-    flow = before[3]
-    profiler.set_mode(new)
-    assert profiler.mode == new
-    if old == new:
-        assert _reads(profiler) == before
-        return
-    fresh = _profiler(mode=new)
-    paths = fresh.known_paths()
-    for epoch, pid, count in events:
-        fresh.record(paths[pid], float(epoch), count=count)
-    assert _reads(profiler) == _reads(fresh)
-    carried = profiler.sample_total_between(0.0, 53.0)
-    if old == "exact":
-        assert carried == flow  # every cell replays
-    elif old == "topk":
-        assert 0 < carried <= flow  # monitored entries only, tail dropped
-    else:
-        assert carried == 0  # component kept no path identity: cold start
-
-
-def test_topk_resize_replays_the_monitored_entries():
-    profiler = _loaded("topk")
-    events = list(profiler._tier.events())
-    profiler.set_mode("topk", topk=4)
-    fresh = _profiler(mode="topk", topk=4)
-    for epoch, pid, count in events:
-        fresh.record(fresh.known_paths()[pid], float(epoch), count=count)
-    assert _reads(profiler) == _reads(fresh)
-
-
 class TestCheckpointsFromBeforeTheRing:
     """``data/checkpoints_pr23.json``: payloads written by the commit
     before this window existed (v2 in each mode, and the v1 shape), with
@@ -345,7 +266,7 @@ class TestCheckpointsFromBeforeTheRing:
         (Path(__file__).parent / "data" / "checkpoints_pr23.json").read_text()
     )
 
-    @pytest.mark.parametrize("name", ["exact", "topk", "component", "v1"])
+    @pytest.mark.parametrize("name", ["exact", "component", "v1"])
     def test_restores_to_the_same_reads(self, name):
         entry = self.GOLDEN[name]
         profiler = CausalPathProfiler.from_json(
@@ -360,17 +281,24 @@ class TestCheckpointsFromBeforeTheRing:
             assert list(between.items()) == list(reads[f"between_{start}_{end}"].items())
             assert profiler.sample_total_between(start, end) == reads[f"flow_{start}_{end}"]
         assert profiler.counts(100.0) == reads["counts_later"]
-        assert profiler.sketch_evictions == reads["evictions"]
 
-    @pytest.mark.parametrize("name", ["topk", "component"])
-    def test_sketch_payloads_round_trip_unchanged(self, name):
-        checkpoint = self.GOLDEN[name]["checkpoint"]
+    def test_topk_checkpoint_is_rejected(self):
+        # The space-saving tier is gone; its state must not be read as
+        # another mode's.
+        checkpoint = json.dumps(self.GOLDEN["topk"]["checkpoint"])
+        with pytest.raises(ProfilingError, match="'topk'"):
+            CausalPathProfiler.from_json(checkpoint, registry=MetricsRegistry())
+
+    def test_sketch_payloads_round_trip_unchanged(self):
+        checkpoint = self.GOLDEN["component"]["checkpoint"]
         profiler = CausalPathProfiler.from_json(
             json.dumps(checkpoint), registry=MetricsRegistry()
         )
         written = json.loads(profiler.to_json())
-        # A restore re-registers paths grouped by request type; everything
+        # A restore re-registers paths grouped by request type, and the
+        # writer no longer emits the sketch tier's two keys; everything
         # else — the tier's state slot included — is written back as read.
         key = json.dumps
         assert sorted(written.pop("paths"), key=key) == sorted(checkpoint["paths"], key=key)
-        assert written == {k: v for k, v in checkpoint.items() if k != "paths"}
+        dropped = {"paths", "topk", "sketch"}
+        assert written == {k: v for k, v in checkpoint.items() if k not in dropped}

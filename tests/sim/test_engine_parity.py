@@ -122,23 +122,25 @@ class TestStoreConfigParity:
 
 
 class TestProfilerModeParity:
-    """--profiler-mode topk must be engine-agnostic too.
+    """--profiler-mode component must be engine-agnostic too.
 
-    Sketch modes disable the converged-replay cutover, so both engines
-    drive full-fidelity ingestion through the same sketch state machine;
-    the parity oracle pins that the space-saving promotion order (and
-    everything downstream of the estimated counts) matches bit for bit.
+    Component mode is replay-eligible: after the cutover, one batched
+    ``profiler.record`` per class and interval adds ``count × live`` to
+    every component on the path, exactly what ``live`` executions add
+    one by one, and the per-component window feeds the manager's
+    weights directly.
     """
 
-    def test_topk_mode(self):
+    def test_component_mode(self):
         report = run_engine_parity(
             "hedwig",
             "DCA-10%",
             duration_minutes=PARITY_DURATION,
-            profiler_mode="topk",
-            profiler_topk=64,
+            profiler_mode="component",
         )
         _assert_ok(report)
+        assert report.replay_engaged
+        assert report.replayed_executions > 0
 
 
 class TestParallelRunnerParity:

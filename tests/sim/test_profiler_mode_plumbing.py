@@ -1,17 +1,14 @@
 """Profiler precision-mode plumbing: config, CLI, and replay eligibility.
 
-The sketch tiers change what the event engine may replay: batched
-replayed record ops are additive for exact buckets but would change
-space-saving promotion order, so any non-exact profiler (or a manager
-that can downshift into one mid-run) must cleanly disable the
-converged-replay cutover while still running under the event engine.
+The mode is fixed when the profiler is built.  Either mode is eligible
+for converged replay: a batched replayed record adds to the window (path
+ids or components) exactly as the executions it stands for would.
 """
 
 import pytest
 
 from repro.apps.catalog import load_scenario
 from repro.cli import main
-from repro.core.elasticity import ProfileStalenessDetector, StalenessPolicy
 from repro.errors import EvaluationError
 from repro.evalx.experiment import ExperimentConfig, build_simulator
 from repro.sim.events import ReplayIngestor
@@ -36,11 +33,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "knobs",
         [
-            {"profiler_topk": 0},
             {"store_backend": "titan"},
             {"store_backend": "log"},
         ],
-        ids=["topk-0", "unknown-backend", "log-without-store-dir"],
+        ids=["unknown-backend", "log-without-store-dir"],
     )
     def test_bad_knob_rejected_at_construction(self, knobs):
         with pytest.raises(EvaluationError, match=next(iter(knobs))):
@@ -56,16 +52,15 @@ class TestConfigValidation:
 
 class TestBuildSimulator:
     def test_dca_profiler_gets_mode(self):
-        sim, _ = _build(profiler_mode="topk", profiler_topk=64)
-        assert sim.dca.profiler.mode == "topk"
-        assert sim.dca.profiler.topk_k == 64
+        sim, _ = _build()
+        assert sim.dca.profiler.mode == "exact"
 
     def test_component_mode(self):
         sim, _ = _build(profiler_mode="component")
         assert sim.dca.profiler.mode == "component"
 
     def test_baseline_manager_unaffected(self):
-        sim, _ = _build(manager="CloudWatch", profiler_mode="topk")
+        sim, _ = _build(manager="CloudWatch", profiler_mode="component")
         assert sim.dca is None
 
 
@@ -80,9 +75,7 @@ class TestCLI:
                 "--duration",
                 "10",
                 "--profiler-mode",
-                "topk",
-                "--profiler-topk",
-                "64",
+                "component",
             ]
         ) == 0
         assert "agility" in capsys.readouterr().out
@@ -95,11 +88,10 @@ class TestCLI:
 
 
 class TestReplayEligibility:
-    def test_sketch_mode_disables_cutover(self):
-        # Long enough that an exact-mode run would engage replay
-        # (~80 intervals to converge); topk must run full fidelity.
+    def test_component_mode_engages(self):
+        # Long enough to converge (~80 intervals) and cut over.
         config = ExperimentConfig(
-            duration_minutes=160, seed=7, engine="event", profiler_mode="topk"
+            duration_minutes=160, seed=7, engine="event", profiler_mode="component"
         )
         sim = build_simulator(
             load_scenario("marketcetera"),
@@ -108,7 +100,8 @@ class TestReplayEligibility:
             registry=MetricsRegistry(),
         )
         sim.run()
-        assert sim.event_runner.ingestor is None
+        assert sim.event_runner.ingestor is not None
+        assert sim.event_runner.ingestor.replaying
 
     def test_exact_mode_still_engages(self):
         config = ExperimentConfig(duration_minutes=160, seed=7, engine="event")
@@ -122,39 +115,18 @@ class TestReplayEligibility:
         assert sim.event_runner.ingestor is not None
         assert sim.event_runner.ingestor.replaying
 
-    def test_ingestor_rejects_sketch_profiler(self):
-        sim, _ = _build(engine="event", profiler_mode="topk")
-        with pytest.raises(ValueError):
-            ReplayIngestor(sim)
-
-    def test_ingestor_rejects_downshift_capable_manager(self):
-        sim, registry = _build(engine="event")
-        sim.manager.staleness_detector = ProfileStalenessDetector(
-            sim.dca.profiler,
-            StalenessPolicy(downshift_mode="topk"),
-            registry,
-        )
-        with pytest.raises(ValueError):
-            ReplayIngestor(sim)
-
-    def test_downshift_capable_manager_disables_eligibility(self):
-        sim, registry = _build(engine="event")
-        sim.manager.staleness_detector = ProfileStalenessDetector(
-            sim.dca.profiler,
-            StalenessPolicy(downshift_mode="component"),
-            registry,
-        )
-        sim.run()
-        assert sim.event_runner.ingestor is None
+    def test_ingestor_accepts_component_profiler(self):
+        sim, _ = _build(engine="event", profiler_mode="component")
+        assert ReplayIngestor(sim).sim is sim
 
 
-class TestTopKEngineSmoke:
-    def test_tick_and_event_agree_in_topk_mode(self):
-        """With replay disabled, both engines drive the same full-fidelity
-        ingestion — interval records must match exactly."""
+class TestComponentEngineSmoke:
+    def test_tick_and_event_agree_in_component_mode(self):
+        """Both engines drive the same ingestion before any cutover —
+        interval records must match exactly."""
         results = {}
         for engine in ("tick", "event"):
-            sim, _ = _build(engine=engine, profiler_mode="topk", profiler_topk=64)
+            sim, _ = _build(engine=engine, profiler_mode="component")
             results[engine] = sim.run()
         diffs = diff_results(results["tick"], results["event"])
         assert not diffs, diffs

@@ -7,11 +7,9 @@ Two fast paths ship together and these are their acceptance gates:
   event`` must each engage the cutover *and* stay bit-identical to the
   tick oracle (the :func:`~repro.sim.parity.run_engine_parity` report
   is the oracle).
-* **Merged per-worker sketches** — ``--workers 4 --profiler-mode
-  topk`` must run without any exact-mode fallback, and the merged
-  top-k counts must sit within
-  :data:`~repro.profiling.sketches.HOT_PATH_PROBABILITY_EPSILON` of
-  the per-run reference sketches.
+* **Merged per-worker profiles** — ``--workers 4 --profiler-mode
+  component`` must run without any exact-mode fallback, and the merged
+  per-component counts must equal the sum of the per-run profiles.
 
 ``max_live_traces_per_class=16`` compresses the warmup (16 executions
 per tick per class) so the 48-identical-execution streak lands within a
@@ -23,7 +21,6 @@ import pytest
 
 from repro.apps.catalog import load_scenario
 from repro.evalx.experiment import ExperimentConfig, MergedProfile, run_all_managers
-from repro.profiling.sketches import HOT_PATH_PROBABILITY_EPSILON
 from repro.sim.parity import run_engine_parity
 from repro.telemetry import MetricsRegistry
 
@@ -84,7 +81,7 @@ class TestShardedBatchedReplayBitIdentity:
         assert report.replay_engaged
 
 
-def _topk_sweep(workers):
+def _component_sweep(workers):
     managers = ("DCA-100%", "DCA-20%", "DCA-10%", "DCA-5%")
     profile = MergedProfile()
     config = ExperimentConfig(
@@ -93,8 +90,7 @@ def _topk_sweep(workers):
         engine="event",
         num_shards=4,
         write_batch_size=32,
-        profiler_mode="topk",
-        profiler_topk=128,
+        profiler_mode="component",
     )
     run_all_managers(
         load_scenario("hedwig"),
@@ -107,35 +103,31 @@ def _topk_sweep(workers):
     return profile
 
 
-class TestWorkersTopkMerge:
-    """--workers 4 --profiler-mode topk: merged sketches, no fallback."""
+class TestWorkersComponentMerge:
+    """--workers 4 --profiler-mode component: merged windows, no fallback."""
 
-    def test_merged_counts_within_epsilon_of_per_run_reference(self):
-        profile = _topk_sweep(workers=4)
+    def test_merged_counts_equal_the_per_run_sum(self):
+        profile = _component_sweep(workers=4)
         assert profile.profiler is not None
         # No exact-mode fallback anywhere: the sweep profiler and every
-        # per-manager checkpoint stay in the sketch tier.
-        assert profile.profiler.mode == "topk"
+        # per-manager checkpoint stay in the component tier.
+        assert profile.profiler.mode == "component"
         assert len(profile.by_manager) == 4
-        assert all(p.mode == "topk" for p in profile.by_manager.values())
+        assert all(p.mode == "component" for p in profile.by_manager.values())
 
         now = max(p.last_record_minutes for p in profile.by_manager.values())
         merged = profile.profiler.counts(now)
         reference = {}
         for run_profiler in profile.by_manager.values():
-            for path_id, count in run_profiler.counts(now).items():
-                reference[path_id] = reference.get(path_id, 0) + count
-        total = max(1, sum(reference.values()))
-        assert merged, "merged profile saw no paths"
-        for path_id, ref_count in reference.items():
-            p_merged = merged.get(path_id, 0) / total
-            p_ref = ref_count / total
-            assert abs(p_merged - p_ref) <= HOT_PATH_PROBABILITY_EPSILON, path_id
+            for component, count in run_profiler.counts(now).items():
+                reference[component] = reference.get(component, 0) + count
+        assert merged, "merged profile saw no components"
+        assert merged == reference
 
     def test_pool_merge_matches_serial_merge(self):
         """Worker fan-out must not change the merged profile at all."""
-        pooled = _topk_sweep(workers=4)
-        serial = _topk_sweep(workers=1)
+        pooled = _component_sweep(workers=4)
+        serial = _component_sweep(workers=1)
         now = max(p.last_record_minutes for p in pooled.by_manager.values())
         assert pooled.profiler.counts(now) == serial.profiler.counts(now)
         assert pooled.profiler.sample_total_between(

@@ -67,8 +67,9 @@ class TestSimulate:
             capsys.readouterr().out,
         )
         # Refused outright: the eligibility predicate's own reason.
-        assert main(base + ["--duration", "5", "--profiler-mode", "topk"]) == 0
-        assert "replay: not engaged — ReplayIngestor requires the exact profiler mode" in (
+        baseline = ["simulate", "hedwig", "--manager", "CloudWatch", "--engine", "event"]
+        assert main(baseline + ["--duration", "5"]) == 0
+        assert "replay: not engaged — ReplayIngestor requires a DCA bundle" in (
             capsys.readouterr().out
         )
         # The tick engine has no replay to report on.
@@ -144,6 +145,22 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "fix_request" in proc.stdout
+
+    def test_closed_stdout_ends_quietly(self):
+        """A reader that stops early (``repro chaos --list | head``) gets
+        exit code 141 and no traceback on stderr."""
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "chaos", "--list"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+        assert stderr == ""
 
 
 class TestReport:
@@ -244,8 +261,7 @@ _SCALING = {
     "--shards": ("shards", 1, None, None),
     "--batch-size": ("batch_size", 1, None, None),
     "--engine": ("engine", "tick", ("tick", "event"), None),
-    "--profiler-mode": ("profiler_mode", "exact", ("exact", "topk", "component"), None),
-    "--profiler-topk": ("profiler_topk", 128, None, None),
+    "--profiler-mode": ("profiler_mode", "exact", ("exact", "component"), None),
     **_STORE,
 }
 _MANAGER = {"--manager": ("manager", "DCA-10%", _MANAGERS, None)}

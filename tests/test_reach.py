@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from benchmarks.reach import census, keep_problems
+from benchmarks.reach import census, keep_problems, package_settings, unset_settings
 
 CORE = '''
 def live():
@@ -112,4 +112,74 @@ def test_a_kept_def_keeps_what_it_calls(fixture_package):
         "test-only, not in KEEP: core.only_all",
         "test-only, not in KEEP: core.only_tests",
         "in KEEP, no longer test-only: core.helper",
+    ]
+
+
+SETTINGS = '''
+from dataclasses import dataclass
+
+
+@dataclass
+class Config:
+    size: int
+    depth: int = 2
+    width: int = 3
+    seed: int = 7
+    _private: int = 0
+
+
+class Store:
+    def __init__(self, path, limit=10, mode="r"):
+        self.mode = mode
+
+
+def build(config, flag=False, *, retries=1):
+    return Store(config.size, mode="w")
+
+
+def _hidden(x=1):
+    return x
+'''
+
+TOOL = '''
+import argparse
+
+from setfix import Config, Store, build
+
+parser = argparse.ArgumentParser()
+parser.add_argument("--retries", type=int)
+config = Config(1, 5)
+Store("p", limit=3)
+
+
+def run(flag, seed):
+    return build(config, flag=flag, seed=seed, width=config.width)
+'''
+
+
+def test_pins_the_unset_settings(tmp_path):
+    package = tmp_path / "src" / "setfix"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(textwrap.dedent(SETTINGS))
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(textwrap.dedent(TOOL))
+    settings = package_settings(str(package))
+    assert [(s.owner, s.name) for s in settings] == [
+        ("Config", "depth"),
+        ("Config", "width"),
+        ("Config", "seed"),
+        ("Store.__init__", "limit"),
+        ("Store.__init__", "mode"),
+        ("build", "flag"),
+        ("build", "retries"),
+    ]
+    unset = unset_settings(settings, [str(tmp_path / "src"), str(tmp_path / "tools")])
+    # depth: positionally; limit: by keyword; mode: by keyword inside the
+    # package; retries: a --flag.  flag=flag, seed=seed and
+    # width=config.width only forward a value, so flag and width stay
+    # unset, and so does seed (no call passes it another way).
+    assert [(s.owner, s.name) for s in unset] == [
+        ("Config", "width"),
+        ("Config", "seed"),
+        ("build", "flag"),
     ]
