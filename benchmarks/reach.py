@@ -1,4 +1,5 @@
-"""Which public ``src/repro`` defs only the tests reach.
+"""Which public ``src/repro`` defs only the tests reach, and which
+settings no run sets.
 
     python3 benchmarks/reach.py [--check]
 
@@ -26,18 +27,22 @@ physical, decorators included), then the totals.  ``--check`` exits 1
 when a test-only def is missing from :data:`KEEP`, or a ``KEEP`` entry
 is no longer test-only.  A run takes about 15 s.
 
-It then reports, without affecting the exit code, every *settable value*
-no file outside ``tests/`` sets: a defaulted field of a public dataclass,
-or a defaulted parameter of a public function, method or ``__init__``.
-A value counts as set when any non-test file (the roots of (b)) passes a
-keyword of its name to any call, uses its name as a string dict key or
-subscript, assigns an attribute of its name, declares a ``--flag`` of
-its name, or calls a def or class of the owner's name with enough
-positional arguments to reach it.  Forwarding is not setting: a keyword
-or attribute whose value is an attribute of the same name, or the
-enclosing function's parameter of that name (``seed=cfg.seed``,
-``mode=mode``), counts for nothing.  Matching is by name alone, so the
-rows are a lower bound on what nothing sets.
+It then lists every *settable value* no file outside ``tests/`` sets: a
+defaulted field of a public dataclass, or a defaulted parameter of a
+public function, method or ``__init__``.  A value counts as set when any
+non-test file (the roots of (b)) passes a keyword of its name to any
+call, uses its name as a string dict key or subscript, assigns an
+attribute of its name outside a def declaring a parameter of that name,
+declares a ``--flag`` of its name, or calls a def or class of the
+owner's name with enough positional arguments to reach it.  Forwarding
+is not setting: a keyword or attribute whose value is an attribute of
+the same name, or the enclosing function's parameter of that name
+(``seed=cfg.seed``, ``mode=mode``), counts for nothing, and neither does
+a def storing its own parameter (``self.flag = bool(flag)``).  Matching
+is by name alone, so the rows are a lower bound on what nothing sets.
+``--check`` also exits 1 when an unset value is missing from
+:data:`SETTINGS_KEEP`, a ``SETTINGS_KEEP`` entry is set or gone, or its
+reason does not start with one of :data:`SETTING_KINDS`.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import sys
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Iterator, List, Mapping, Sequence, Set, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE_DIR = os.path.join(REPO_ROOT, "src", "repro")
@@ -86,6 +91,89 @@ KEEP: Dict[str, str] = {
     "lang.builder.const": "DSL constructor tests build programs with",
 }
 
+#: Why a setting no run sets may stay settable.  Each ``SETTINGS_KEEP``
+#: reason starts with one of these keys and a colon.
+SETTING_KINDS: Dict[str, str] = {
+    "policy": "a manager policy constant, which ROADMAP item 6's tuning harness will set",
+    "input": "a field of a record describing an input, or the parameter it reaches",
+    "safety": "a fault-recovery setting or a resource bound",
+    "e2e": "a value e2e_bench reads by name",
+    "entry": "an entry point's argument",
+}
+
+_DCA = "policy: the DCA manager's"
+_CW = "policy: the CloudWatch baseline's"
+_RMI = "policy: the ElasticRMI baseline's"
+_HTRACE = "policy: the HTrace+CW baseline's"
+_STALE = "policy: the DCA manager's staleness fallback"
+
+#: Settings no file outside ``tests/`` sets that stay settable, keyed
+#: ``module.owner.name`` under ``repro``.
+SETTINGS_KEEP: Dict[str, str] = {
+    "cli.main.argv": "entry: the CLI's argument vector (None reads sys.argv)",
+    "evalx.experiment.run_all_managers.managers":
+        "entry: which managers the Fig. 8 sweep runs (all by default)",
+    "sim.engine.SimulationConfig.interval_minutes":
+        "e2e: e2e_bench/workloads.py reads it to count simulated minutes",
+    "sim.parity.run_engine_parity.interval_minutes":
+        "e2e: SimulationConfig.interval_minutes; the parity oracle pins the "
+        "fault-window boundary at other interval lengths",
+    "apps.catalog.AppScenario.machine": "input: the scenario's machine type",
+    "apps.catalog.AppScenario.num_front_ends": "input: the scenario's front-end count",
+    "core.sampling.RequestSampler.__init__.num_front_ends":
+        "input: AppScenario.num_front_ends reaches it",
+    "sim.engine.DCABundle.create.num_front_ends": "input: AppScenario.num_front_ends reaches it",
+    "core.regression.MachineSpec.cpu_ghz": "input: the machine type's clock",
+    "core.regression.MachineSpec.ram_gb": "input: the machine type's memory",
+    "core.regression.MachineSpec.network_gbps": "input: the machine type's network",
+    "sim.cluster.DeploymentSpec.min_nodes": "input: a component deployment's floor",
+    "graphstore.backend.LogBackend.__init__.segment_bytes": "safety: journal segment bound",
+    "graphstore.backend.LogBackend.__init__.flush_bytes": "safety: journal buffer bound",
+    "graphstore.backend.LogBackend.__init__.repair_torn_tail":
+        "safety: recovery from a crash mid-append",
+    "core.causal_graph.DirectCausalityTracker.__init__.max_write_retries":
+        "safety: store-write retries before a dead letter",
+    "core.causal_graph.DirectCausalityTracker.__init__.retry_backoff_ms":
+        "safety: store-write retry backoff",
+    "core.causal_graph.DirectCausalityTracker.__init__.max_dead_letters":
+        "safety: dead-letter queue bound",
+    "lang.interpreter.Interpreter.__init__.max_loop_iterations": "safety: While-loop bound",
+    "lang.interpreter.Interpreter.__init__.max_provenance": "safety: provenance-set bound",
+    "sim.runtime.ApplicationRuntime.__init__.max_messages_per_request":
+        "safety: runaway-request bound",
+    "sim.replicas.ReplicatedApplicationRuntime.__init__.max_messages_per_request":
+        "safety: runaway-request bound",
+    **{f"core.elasticity.DCAManagerConfig.{name}": f"{_DCA} {name}" for name in (
+        "mix_horizon_minutes", "target_utilization", "forecast_gain", "kappa_alpha",
+        "max_forecast_ratio", "band_high", "band_low", "emergency_utilization",
+        "below_band_patience", "infra_msgs_per_node_per_min", "serial_node_cap",
+        "min_mix_samples",
+    )},
+    **{f"core.elasticity.StalenessPolicy.{name}": f"{_STALE} {name}" for name in (
+        "min_recent_samples", "recent_horizon_minutes", "max_record_age_minutes",
+        "stale_after_intervals",
+    )},
+    "core.elasticity.DCAElasticityManager.__init__.capacity_model": f"{_DCA} capacity model",
+    **{f"autoscale.cloudwatch.CloudWatchConfig.{name}": f"{_CW} {name}" for name in (
+        "high_utilization", "low_utilization", "target_utilization", "cooldown_minutes",
+        "scale_step_fraction", "max_scale_up_fraction",
+    )},
+    "autoscale.cloudwatch.CloudWatchManager.__init__.capacity_model": f"{_CW} capacity model",
+    **{f"autoscale.elasticrmi.ElasticRMIConfig.{name}": f"{_RMI} {name}" for name in (
+        "target_utilization", "queue_drain_minutes", "lock_contention_threshold",
+        "scale_down_hysteresis", "max_scale_up_fraction", "demand_ewma_alpha",
+    )},
+    **{f"autoscale.htrace_cw.HTraceConfig.{name}": f"{_HTRACE} {name}" for name in (
+        "span_overhead_fraction", "infra_nodes",
+    )},
+    **{f"autoscale.htrace_cw.HTraceCloudWatchManager.__init__.{name}": f"{_HTRACE} {name}"
+       for name in ("cloudwatch_config", "htrace_config", "capacity_model")},
+    "tracing.htrace.HTraceCollector.__init__.ewma_alpha": f"{_HTRACE} span-weight smoothing",
+    **{f"core.regression.LinearCapacityModel.__init__.{name}":
+       f"policy: the capacity model every manager fits, {name}"
+       for name in ("ridge", "max_history")},
+}
+
 
 @dataclass(frozen=True)
 class Def:
@@ -111,6 +199,11 @@ class Def:
         return self.last - self.first + 1
 
 
+def _module_of(path: str, package_dir: str) -> str:
+    rel = os.path.splitext(os.path.relpath(path, package_dir))[0].split(os.sep)
+    return ".".join(rel[:-1] if rel[-1] == "__init__" else rel)
+
+
 def _python_files(root: str) -> Iterator[str]:
     for directory, subdirs, files in os.walk(root):
         subdirs[:] = sorted(d for d in subdirs if d not in ("tests", "__pycache__"))
@@ -129,8 +222,7 @@ def package_defs(package_dir: str) -> List[Def]:
     package_dir = os.path.realpath(package_dir)
     found: List[Def] = []
     for path in _python_files(package_dir):
-        rel = os.path.splitext(os.path.relpath(path, package_dir))[0].split(os.sep)
-        module = ".".join(rel[:-1] if rel[-1] == "__init__" else rel)
+        module = _module_of(path, package_dir)
 
         def visit(node: ast.AST, scope: Tuple[str, ...], public: bool, in_def: bool) -> None:
             for child in ast.iter_child_nodes(node):
@@ -266,11 +358,16 @@ class Setting:
     """One defaulted dataclass field or keyword parameter in the package."""
 
     path: str
+    module: str
     owner: str  # the dataclass, or the def (``Class.__init__`` for a constructor)
     name: str
     line: int
     callee: str  # the name a positional call goes through
     position: int  # its index among the positional arguments, or -1 (keyword-only)
+
+    @property
+    def key(self) -> str:
+        return ".".join(p for p in (self.module, self.owner, self.name) if p)
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -283,8 +380,10 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 def package_settings(package_dir: str) -> List[Setting]:
     """Every defaulted public dataclass field and keyword parameter."""
+    package_dir = os.path.realpath(package_dir)
     found: List[Setting] = []
-    for path in _python_files(os.path.realpath(package_dir)):
+    for path in _python_files(package_dir):
+        module = _module_of(path, package_dir)
 
         def visit(node: ast.AST, scope: Tuple[str, ...], in_class: bool) -> None:
             for child in ast.iter_child_nodes(node):
@@ -298,7 +397,7 @@ def package_settings(package_dir: str) -> List[Setting]:
                         for i, field in enumerate(fields):
                             name = field.target.id
                             if field.value is not None and not name.startswith("_"):
-                                found.append(Setting(path, ".".join(scope + (child.name,)),
+                                found.append(Setting(path, module, ".".join(scope + (child.name,)),
                                                      name, field.lineno, child.name, i))
                     visit(child, scope + (child.name,), True)
                 elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -314,10 +413,12 @@ def package_settings(package_dir: str) -> List[Setting]:
                     owner = ".".join(scope + (child.name,))
                     first_default = len(positional) - len(args.defaults)
                     for i, arg in enumerate(positional[max(first_default, 0):], first_default):
-                        found.append(Setting(path, owner, arg.arg, arg.lineno, callee, i))
+                        found.append(Setting(path, module, owner, arg.arg, arg.lineno, callee, i))
                     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                         if default is not None:
-                            found.append(Setting(path, owner, arg.arg, arg.lineno, callee, -1))
+                            found.append(
+                                Setting(path, module, owner, arg.arg, arg.lineno, callee, -1)
+                            )
                 elif not isinstance(child, ast.ClassDef):
                     visit(child, scope, in_class)
 
@@ -356,7 +457,9 @@ def unset_settings(settings: Sequence[Setting], roots: Sequence[str]) -> List[Se
                 named.add(node.slice.value)
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             for target in getattr(node, "targets", None) or [node.target]:
-                if isinstance(target, ast.Attribute) and not (
+                # A def storing its own parameter (``self.x = bool(x)``)
+                # keeps what its caller passed, whatever the expression.
+                if isinstance(target, ast.Attribute) and target.attr not in params and not (
                     isinstance(node, ast.Assign) and forwarded(target.attr, node.value, params)
                 ):
                     named.add(target.attr)
@@ -387,6 +490,20 @@ def keep_problems(result: Census, keep: Collection[str]) -> List[str]:
     return [f"test-only, not in KEEP: {k}" for k in sorted(keys - set(keep))] + [
         f"in KEEP, no longer test-only: {k}" for k in sorted(set(keep) - keys)
     ]
+
+
+def settings_problems(unset: Sequence[Setting], keep: Mapping[str, str]) -> List[str]:
+    """What ``--check`` fails on for settings: unkept unset values, kept
+    ones that are set or gone, and reasons of no :data:`SETTING_KINDS` kind."""
+    keys = {s.key for s in unset}
+    return (
+        [f"set by no non-test file, not in SETTINGS_KEEP: {k}" for k in sorted(keys - set(keep))]
+        + [f"in SETTINGS_KEEP, set or gone: {k}" for k in sorted(set(keep) - keys)]
+        + [
+            f"SETTINGS_KEEP reason of no known kind: {k}" for k in sorted(keep)
+            if keep[k].partition(":")[0] not in SETTING_KINDS
+        ]
+    )
 
 
 def cli_invocations(tmp: str) -> List[List[str]]:
@@ -434,7 +551,8 @@ def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 unless the test-only defs are exactly KEEP's entries",
+        help="exit 1 unless the test-only defs are exactly KEEP's entries and the "
+        "unset settings exactly SETTINGS_KEEP's",
     )
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -450,14 +568,15 @@ def main(argv: Sequence[str] = None) -> int:
     settings = package_settings(PACKAGE_DIR)
     unset = unset_settings(settings, NAME_ROOTS)
     for setting in unset:
+        kind = SETTINGS_KEEP.get(setting.key, "").partition(":")[0]
         print(
             f"{os.path.relpath(setting.path, REPO_ROOT)}:{setting.line}  "
-            f"{setting.owner}  {setting.name}"
+            f"{setting.owner}  {setting.name}" + (f"  [{kind}]" if kind else "")
         )
     print(f"{len(unset)} of {len(settings)} settable values set by no non-test file")
     if not args.check:
         return 0
-    problems = keep_problems(result, KEEP)
+    problems = keep_problems(result, KEEP) + settings_problems(unset, SETTINGS_KEEP)
     for line in problems:
         print(line)
     return 1 if problems else 0

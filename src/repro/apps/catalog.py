@@ -34,6 +34,11 @@ from repro.workloads.patterns import StepMixSchedule
 from repro.apps import hedwig, marketcetera, zookeeper
 
 
+#: Portion of the 100%-sampling overhead attributed to fixed per-message
+#: costs (uid bookkeeping + the graph-store write).
+FIXED_OVERHEAD_FRACTION = 0.03
+
+
 @dataclass
 class AppScenario:
     """One application plus its full experimental configuration."""
@@ -74,7 +79,6 @@ def calibrate_overhead_model(
     classes: List[RequestClass],
     full_overhead: float,
     marginal_overhead_at_5pct: float,
-    fixed_fraction: float = 0.03,
     dca_result: Optional[DCAResult] = None,
     class_weights: Optional[Mapping[str, float]] = None,
 ) -> OverheadModel:
@@ -88,9 +92,6 @@ def calibrate_overhead_model(
     marginal_overhead_at_5pct:
         Target overhead divided by the sampling rate at 5% sampling
         (e.g. 0.0289 / 0.05 = 0.578 for Marketcetera).
-    fixed_fraction:
-        Portion of the 100%-sampling overhead attributed to fixed
-        per-message costs (uid bookkeeping + the graph-store write).
 
     The linear-amortisation model ``cost = fixed + ops·per_op·(1 − a·r)``
     has closed-form parameters given the two anchors; instruction counts
@@ -102,8 +103,11 @@ def calibrate_overhead_model(
             "expected 0 < full_overhead < marginal@5% (sampling amortises costs); got "
             f"{full_overhead} vs {marginal_overhead_at_5pct}"
         )
-    if not 0 <= fixed_fraction < full_overhead:
-        raise SimulationError(f"fixed_fraction {fixed_fraction} must be < full_overhead")
+    if not FIXED_OVERHEAD_FRACTION < full_overhead:
+        raise SimulationError(
+            f"full_overhead {full_overhead} must exceed the fixed fraction "
+            f"{FIXED_OVERHEAD_FRACTION}"
+        )
     analysis = dca_result or analyze_application(app)
     # Measure the instruction mix with a unit-cost model.
     probe = ApplicationRuntime(
@@ -130,7 +134,7 @@ def calibrate_overhead_model(
         raise SimulationError(
             "DCA found nothing to track (all V_tr empty); cannot calibrate overhead"
         )
-    f = fixed_fraction
+    f = FIXED_OVERHEAD_FRACTION
     m5 = marginal_overhead_at_5pct
     # Solve f + O(1 - 0.05 a) = m5 and f + O(1 - a) = full for O and a.
     o_frac = (m5 - 0.95 * f - 0.05 * full_overhead) / 0.95

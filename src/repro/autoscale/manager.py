@@ -219,12 +219,13 @@ class ElasticityManager(abc.ABC):
         """Optional hook: managers update internal models after each interval."""
 
 
-def clamp_targets(
-    targets: Dict[str, int],
-    min_nodes: int = 1,
-    max_nodes: int = 10_000,
-) -> Dict[str, int]:
-    """Clamp per-component targets into [min_nodes, max_nodes]."""
-    if min_nodes < 0 or max_nodes < min_nodes:
-        raise ElasticityError(f"invalid clamp range [{min_nodes}, {max_nodes}]")
-    return {comp: max(min_nodes, min(max_nodes, int(n))) for comp, n in targets.items()}
+#: Range every manager's per-component target is clamped into.
+MIN_TARGET_NODES = 1
+MAX_TARGET_NODES = 10_000
+
+
+def clamp_targets(targets: Dict[str, int]) -> Dict[str, int]:
+    """Clamp per-component targets into [MIN_TARGET_NODES, MAX_TARGET_NODES]."""
+    return {
+        comp: max(MIN_TARGET_NODES, min(MAX_TARGET_NODES, int(n))) for comp, n in targets.items()
+    }

@@ -53,8 +53,13 @@ class ReliabilityScore:
         }
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+#: Normal quantile of a two-sided 95 % interval.
+Z_95 = 1.96
+
+
+def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
+    """95 % Wilson score interval for a binomial proportion."""
+    z = Z_95
     if n <= 0:
         return 0.0, 1.0
     if not 0 <= successes <= n:

@@ -80,10 +80,9 @@ class DirectCausalityTracker:
     profiler:
         The path profiler to increment on each completed causal graph.
     store:
-        The causal-graph store (created here if not supplied).
-    evict_completed:
-        Whether to remove completed causal graphs from the store
-        (production behaviour; tests may disable it to inspect graphs).
+        The causal-graph store (created here if not supplied).  A
+        completed causal graph is evicted from it once counted; a tap
+        (``tap``) sees its members in the ``path_completed`` event.
     registry:
         Telemetry registry; defaults to the store's, so one simulation's
         components share a single snapshot surface.
@@ -105,11 +104,9 @@ class DirectCausalityTracker:
         When > 1, store writes go through a
         :class:`~repro.graphstore.pipeline.BatchedWritePipeline`:
         per-shard buffers flushed when a buffer reaches this size, every
-        ``flush_interval_minutes`` of simulated time, and always before
-        completions are processed.  1 (the default) writes through
-        unbatched, exactly as before.
-    flush_interval_minutes:
-        Tick-bound of the batched pipeline (ignored when unbatched).
+        :data:`~repro.graphstore.pipeline.FLUSH_INTERVAL_MINUTES` of
+        simulated time, and always before completions are processed.
+        1 (the default) writes through unbatched, exactly as before.
     max_dead_letters:
         Capacity of the dead-letter queue holding messages that
         exhausted their write retries; beyond it the oldest parked
@@ -120,19 +117,16 @@ class DirectCausalityTracker:
         self,
         profiler: CausalPathProfiler,
         store: Optional[GraphStore] = None,
-        evict_completed: bool = True,
         registry: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
         path_timeout_minutes: Optional[float] = None,
         max_write_retries: int = 3,
         retry_backoff_ms: float = 5.0,
         write_batch_size: int = 1,
-        flush_interval_minutes: float = 1.0,
         max_dead_letters: int = 256,
     ) -> None:
         self.profiler = profiler
         self.store = store if store is not None else GraphStore(registry=registry)
-        self.evict_completed = evict_completed
         self.fault_injector = fault_injector
         self.path_timeout_minutes = (
             float(path_timeout_minutes) if path_timeout_minutes is not None else None
@@ -192,7 +186,6 @@ class DirectCausalityTracker:
             self._pipeline: Optional[BatchedWritePipeline] = BatchedWritePipeline(
                 self.store,
                 batch_size=self.write_batch_size,
-                flush_interval_minutes=flush_interval_minutes,
                 registry=self.telemetry,
             )
             self._write = self._pipeline.submit
@@ -513,5 +506,4 @@ class DirectCausalityTracker:
             self.profiler.record(signature, self._now_minutes)
             records.append((signature, 1))
         self._m_completed.inc()
-        if self.evict_completed:
-            self.store.evict_graph(root)
+        self.store.evict_graph(root)

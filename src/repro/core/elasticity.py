@@ -52,7 +52,11 @@ from repro.profiling.profiler import CausalPathProfiler
 from repro.telemetry import MetricsRegistry
 
 
-def detect_serialization_suspects(app: Application, in_out_ratio: float = 3.0) -> Set[str]:
+#: In-edges per out-edge above which a sink component is a serialisation suspect.
+SERIAL_IN_OUT_RATIO = 3.0
+
+
+def detect_serialization_suspects(app: Application) -> Set[str]:
     """Structural rule of Section II-C: components with many architectural
     in-edges but few out-edges to *other components* are likely serialised
     (lock-contended), and scaling them out is unlikely to help.
@@ -66,7 +70,8 @@ def detect_serialization_suspects(app: Application, in_out_ratio: float = 3.0) -
             out_degree[src] += 1
     suspects: Set[str] = set()
     for name in app.components:
-        if in_degree[name] >= max(2.0, in_out_ratio * max(1, out_degree[name])) and out_degree[name] == 0:
+        threshold = max(2.0, SERIAL_IN_OUT_RATIO * max(1, out_degree[name]))
+        if in_degree[name] >= threshold and out_degree[name] == 0:
             suspects.add(name)
     return suspects
 

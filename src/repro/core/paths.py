@@ -31,6 +31,15 @@ from repro.lang.ir import CLIENT, EXTERNAL, Application, Handler, If, Send, Stmt
 #: on one execution path through the handler body.
 EmissionSet = Tuple[Tuple[str, str], ...]
 
+#: Bounds on static enumeration, each a sign the app model is too branchy
+#: (or cyclic) to enumerate: distinct emission variants per handler,
+#: signatures per request type, hops per path, and re-expansions of one
+#: ``(component, msg_type)`` pair per path.
+MAX_EMISSION_VARIANTS = 256
+MAX_PATHS_PER_REQUEST = 4096
+MAX_HOPS = 512
+MAX_REPEATS = 2
+
 
 @dataclass(frozen=True)
 class PathSignature:
@@ -76,66 +85,62 @@ class PathSignature:
         return f"{self.request_type}: [{hops}]"
 
 
-def handler_emission_sets(handler: Handler, max_variants: int = 256) -> List[EmissionSet]:
+def handler_emission_sets(handler: Handler) -> List[EmissionSet]:
     """All emission variants of ``handler`` (one per execution path shape).
 
     Deduplicated and deterministically ordered.  Raises
     :class:`~repro.errors.AnalysisError` if the handler has more than
-    ``max_variants`` distinct variants (a sign the app model is too
-    branchy for static path enumeration).
+    :data:`MAX_EMISSION_VARIANTS` distinct variants.
     """
-    variants = _block_variants(handler.body, max_variants)
+    variants = _block_variants(handler.body)
     unique = sorted(set(variants))
-    if len(unique) > max_variants:
+    if len(unique) > MAX_EMISSION_VARIANTS:
         raise AnalysisError(
-            f"handler for {handler.msg_type!r} has {len(unique)} emission variants (max {max_variants})"
+            f"handler for {handler.msg_type!r} has {len(unique)} emission variants "
+            f"(max {MAX_EMISSION_VARIANTS})"
         )
     return unique
 
 
-def _block_variants(block: Sequence[Stmt], limit: int) -> List[EmissionSet]:
+def _block_variants(block: Sequence[Stmt]) -> List[EmissionSet]:
     variants: List[EmissionSet] = [()]
     for stmt in block:
-        stmt_variants = _stmt_variants(stmt, limit)
+        stmt_variants = _stmt_variants(stmt)
         merged: List[EmissionSet] = []
         for prefix in variants:
             for option in stmt_variants:
                 merged.append(prefix + option)
-                if len(merged) > limit * 4:
+                if len(merged) > MAX_EMISSION_VARIANTS * 4:
                     raise AnalysisError(
-                        f"emission-variant explosion while enumerating block (limit {limit})"
+                        "emission-variant explosion while enumerating block "
+                        f"(limit {MAX_EMISSION_VARIANTS})"
                     )
         # Dedup eagerly to keep the working set small.
         variants = sorted(set(merged))
     return variants
 
 
-def _stmt_variants(stmt: Stmt, limit: int) -> List[EmissionSet]:
+def _stmt_variants(stmt: Stmt) -> List[EmissionSet]:
     if isinstance(stmt, Send):
         return [((stmt.msg_type, stmt.dest),)]
     if isinstance(stmt, If):
-        then_v = _block_variants(stmt.then_body, limit)
-        else_v = _block_variants(stmt.else_body, limit)
+        then_v = _block_variants(stmt.then_body)
+        else_v = _block_variants(stmt.else_body)
         return sorted(set(then_v) | set(else_v))
     if isinstance(stmt, While):
-        body_v = _block_variants(stmt.body, limit)
+        body_v = _block_variants(stmt.body)
         # Zero or one execution: additional iterations repeat hop triples,
         # which the canonical (set-based) signature already contains.
         return sorted(set(body_v) | {()})
     return [()]
 
 
-def enumerate_causal_paths(
-    app: Application,
-    max_paths_per_request: int = 4096,
-    max_hops: int = 512,
-    max_repeats: int = 2,
-) -> Dict[str, List[PathSignature]]:
+def enumerate_causal_paths(app: Application) -> Dict[str, List[PathSignature]]:
     """Statically enumerate the causal paths of every external request type.
 
     Returns request type → sorted list of :class:`PathSignature`.  The
     walk bounds re-expansion of the same ``(component, msg_type)`` pair to
-    ``max_repeats`` per path so that architectures with message cycles
+    :data:`MAX_REPEATS` per path so that architectures with message cycles
     (retries, heartbeats) terminate; beyond the bound the repeated hops
     add no new edges to the canonical signature.
     """
@@ -160,9 +165,7 @@ def enumerate_causal_paths(
             edges={initial_edge},
             signatures=signatures,
             expansions={},
-            hops_left=max_hops,
-            max_paths=max_paths_per_request,
-            max_repeats=max_repeats,
+            hops_left=MAX_HOPS,
         )
         result[req_type] = sorted(
             (PathSignature(req_type, tuple(sorted(sig))) for sig in signatures),
@@ -181,10 +184,8 @@ def _walk_paths(
     signatures: Set[Tuple[EdgeTriple, ...]],
     expansions: Dict[Tuple[str, str], int],
     hops_left: int,
-    max_paths: int,
-    max_repeats: int,
 ) -> None:
-    if len(signatures) >= max_paths:
+    if len(signatures) >= MAX_PATHS_PER_REQUEST:
         return
     if not frontier or hops_left <= 0:
         signatures.add(tuple(sorted(edges)))
@@ -192,9 +193,9 @@ def _walk_paths(
     (component, msg_type), rest = frontier[0], frontier[1:]
     key = (component, msg_type)
     count = expansions.get(key, 0)
-    if count >= max_repeats:
+    if count >= MAX_REPEATS:
         # Bounded re-expansion: drop this message, continue with the rest.
-        _walk_paths(app, emissions, rest, edges, signatures, expansions, hops_left - 1, max_paths, max_repeats)
+        _walk_paths(app, emissions, rest, edges, signatures, expansions, hops_left - 1)
         return
     expansions[key] = count + 1
     for option in emissions(component, msg_type):
@@ -212,8 +213,6 @@ def _walk_paths(
             signatures,
             expansions,
             hops_left - 1,
-            max_paths,
-            max_repeats,
         )
     expansions[key] = count
 

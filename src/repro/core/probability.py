@@ -74,13 +74,12 @@ def proportional_allocation(
     total_machines: float,
     weights: Mapping[str, float],
     components: Iterable[str],
-    minimum_per_component: int = 1,
 ) -> Dict[str, int]:
     """Split ``total_machines`` across components proportionally to weight.
 
     Machines are rounded "to the nearest whole number" (Section IV-C)
-    with a floor of ``minimum_per_component``.  Components absent from
-    ``weights`` (no observed path touches them) receive the minimum.
+    with a floor of one machine.  Components absent from ``weights`` (no
+    observed path touches them) receive that one.
     """
     if total_machines < 0:
         raise ElasticityError(f"total_machines must be >= 0, got {total_machines}")
@@ -92,5 +91,5 @@ def proportional_allocation(
             share = total_machines / max(1, len(component_list))
         else:
             share = total_machines * max(0.0, weights.get(comp, 0.0)) / weight_sum
-        out[comp] = max(minimum_per_component, int(round(share)))
+        out[comp] = max(1, int(round(share)))
     return out

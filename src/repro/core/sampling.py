@@ -111,6 +111,14 @@ class RequestSampler:
         return hits
 
 
+#: The adaptive controller's rate bounds, the exponent damping each
+#: correction, and the most one update may multiply or divide the rate by.
+ADAPTIVE_MIN_RATE = 0.01
+ADAPTIVE_MAX_RATE = 1.0
+ADAPTIVE_GAIN = 0.5
+ADAPTIVE_MAX_STEP_RATIO = 1.5
+
+
 class AdaptiveSamplingController:
     """Closed-loop control of the sampling rate against an overhead budget.
 
@@ -124,27 +132,10 @@ class AdaptiveSamplingController:
     profiler's window statistics stay interpretable.
     """
 
-    def __init__(
-        self,
-        target_overhead: float = 0.05,
-        min_rate: float = 0.01,
-        max_rate: float = 1.0,
-        gain: float = 0.5,
-        max_step_ratio: float = 1.5,
-    ) -> None:
+    def __init__(self, target_overhead: float = 0.05) -> None:
         if not 0.0 < target_overhead < 1.0:
             raise ElasticityError(f"target_overhead must be in (0, 1), got {target_overhead}")
-        if not 0.0 < min_rate <= max_rate <= 1.0:
-            raise ElasticityError(f"invalid rate bounds [{min_rate}, {max_rate}]")
-        if not 0.0 < gain <= 1.0:
-            raise ElasticityError(f"gain must be in (0, 1], got {gain}")
-        if max_step_ratio <= 1.0:
-            raise ElasticityError(f"max_step_ratio must be > 1, got {max_step_ratio}")
         self.target_overhead = float(target_overhead)
-        self.min_rate = float(min_rate)
-        self.max_rate = float(max_rate)
-        self.gain = float(gain)
-        self.max_step_ratio = float(max_step_ratio)
         self.updates = 0
 
     def update(self, current_rate: float, measured_overhead: float) -> float:
@@ -156,16 +147,16 @@ class AdaptiveSamplingController:
         self.updates += 1
         if measured_overhead <= 0:
             # No overhead signal yet (cold start): probe upward gently.
-            proposed = current_rate * self.max_step_ratio
+            proposed = current_rate * ADAPTIVE_MAX_STEP_RATIO
         else:
             # Overhead is ≈ proportional to the rate: the fixed point is
             # rate × target/measured; the gain damps the approach.
-            correction = (self.target_overhead / measured_overhead) ** self.gain
+            correction = (self.target_overhead / measured_overhead) ** ADAPTIVE_GAIN
             proposed = current_rate * correction
-        lo = current_rate / self.max_step_ratio
-        hi = current_rate * self.max_step_ratio
+        lo = current_rate / ADAPTIVE_MAX_STEP_RATIO
+        hi = current_rate * ADAPTIVE_MAX_STEP_RATIO
         proposed = max(lo, min(hi, proposed))
-        return max(self.min_rate, min(self.max_rate, proposed))
+        return max(ADAPTIVE_MIN_RATE, min(ADAPTIVE_MAX_RATE, proposed))
 
 
 class PreferentialPathSampler:
@@ -181,11 +172,10 @@ class PreferentialPathSampler:
     ``√s_t`` instead of ``s_t`` — the rare paths keep usable counts.
     """
 
-    def __init__(self, budget_rate: float, num_front_ends: int = 1, seed: int = 0) -> None:
+    def __init__(self, budget_rate: float, seed: int = 0) -> None:
         if not 0.0 < budget_rate <= 1.0:
             raise ElasticityError(f"budget_rate must be in (0, 1], got {budget_rate}")
         self.budget_rate = float(budget_rate)
-        self.num_front_ends = int(num_front_ends)
         self._seed = seed
         self._samplers: Dict[str, RequestSampler] = {}
         self._rates: Dict[str, float] = {}
@@ -222,9 +212,7 @@ class PreferentialPathSampler:
             sampler = self._samplers.get(t)
             if sampler is None or abs(sampler.rate - rate) > 1e-12:
                 self._samplers[t] = RequestSampler(
-                    min(1.0, rate),
-                    num_front_ends=self.num_front_ends,
-                    seed=self._seed + (zlib_crc(t) % 65_536),
+                    min(1.0, rate), seed=self._seed + (zlib_crc(t) % 65_536)
                 )
         return dict(rates)
 
@@ -233,9 +221,7 @@ class PreferentialPathSampler:
         sampler = self._samplers.get(request_type)
         if sampler is None:
             sampler = RequestSampler(
-                self.budget_rate,
-                num_front_ends=self.num_front_ends,
-                seed=self._seed + (zlib_crc(request_type) % 65_536),
+                self.budget_rate, seed=self._seed + (zlib_crc(request_type) % 65_536)
             )
             self._samplers[request_type] = sampler
         return sampler.sample_count(arrivals, front_end_index=front_end_index)

@@ -28,6 +28,11 @@ from typing import Dict, Iterable, List, Tuple
 from repro.errors import ElasticityError
 from repro.sim.replicas import ReplicatedTrace
 
+#: Nodes every shard keeps, whatever its weight.
+MIN_NODES_PER_SHARD = 1
+#: Per-node utilisation the per-shard requirement is sized for.
+SHARD_TARGET_UTILIZATION = 0.75
+
 
 @dataclass
 class ShardProfile:
@@ -41,10 +46,8 @@ class ShardProfile:
     counts: Dict[str, List[int]] = field(default_factory=dict)
     requests_observed: int = 0
 
-    def observe(self, trace: ReplicatedTrace, weight: int = 1) -> None:
+    def observe(self, trace: ReplicatedTrace) -> None:
         """Fold one traced request into the profile."""
-        if weight < 1:
-            raise ElasticityError(f"weight must be >= 1, got {weight}")
         for component, per_shard in trace.replica_messages.items():
             existing = self.counts.setdefault(component, [0] * len(per_shard))
             if len(existing) != len(per_shard):
@@ -53,8 +56,8 @@ class ShardProfile:
                     f"{len(existing)} != {len(per_shard)}"
                 )
             for idx, count in enumerate(per_shard):
-                existing[idx] += count * weight
-        self.requests_observed += weight
+                existing[idx] += count
+        self.requests_observed += 1
 
 
 def shard_weights(profile: ShardProfile, component: str) -> List[float]:
@@ -75,12 +78,11 @@ def shard_weights(profile: ShardProfile, component: str) -> List[float]:
 def selective_shard_allocation(
     total_nodes: int,
     weights: Iterable[float],
-    min_per_shard: int = 1,
 ) -> List[int]:
     """Split a component's node budget across shards by causal weight.
 
     Largest-remainder rounding keeps the total exactly ``total_nodes``
-    (subject to the per-shard minimum).
+    (subject to :data:`MIN_NODES_PER_SHARD`).
     """
     weight_list = list(weights)
     if total_nodes < 0:
@@ -88,14 +90,14 @@ def selective_shard_allocation(
     if not weight_list or any(w < 0 for w in weight_list):
         raise ElasticityError("weights must be a non-empty list of non-negatives")
     n = len(weight_list)
-    floor_total = min_per_shard * n
+    floor_total = MIN_NODES_PER_SHARD * n
     budget = max(total_nodes, floor_total)
     weight_sum = sum(weight_list)
     if weight_sum <= 0:
         weight_list = [1.0] * n
         weight_sum = float(n)
     spare = budget - floor_total
-    raw = [min_per_shard + spare * w / weight_sum for w in weight_list]
+    raw = [MIN_NODES_PER_SHARD + spare * w / weight_sum for w in weight_list]
     alloc = [int(math.floor(x)) for x in raw]
     remainders = sorted(
         range(n), key=lambda i: (raw[i] - alloc[i], weight_list[i]), reverse=True
@@ -106,37 +108,34 @@ def selective_shard_allocation(
     return alloc
 
 
-def uniform_shard_allocation(total_nodes: int, num_shards: int, min_per_shard: int = 1) -> List[int]:
+def uniform_shard_allocation(total_nodes: int, num_shards: int) -> List[int]:
     """The baseline: spread the budget evenly across shards."""
     if num_shards < 1:
         raise ElasticityError(f"num_shards must be >= 1, got {num_shards}")
-    return selective_shard_allocation(total_nodes, [1.0] * num_shards, min_per_shard)
+    return selective_shard_allocation(total_nodes, [1.0] * num_shards)
 
 
 def shard_allocation_agility(
     allocation: Iterable[int],
     demand_per_shard: Iterable[float],
     node_capacity: float,
-    target_utilization: float = 0.75,
 ) -> Tuple[float, float]:
     """(excess, shortage) of a per-shard allocation, in node units.
 
     The per-shard requirement is ``ceil(demand / (capacity · ρ_target))``
-    — the same SPEC-style accounting the component-level Agility metric
-    uses, applied one level down.
+    with ``ρ_target`` = :data:`SHARD_TARGET_UTILIZATION` — the same
+    SPEC-style accounting the component-level Agility metric uses,
+    applied one level down.
     """
     if node_capacity <= 0:
         raise ElasticityError(f"node_capacity must be > 0, got {node_capacity}")
-    if not 0 < target_utilization <= 1:
-        raise ElasticityError(
-            f"target_utilization must be in (0, 1], got {target_utilization}"
-        )
+    usable = node_capacity * SHARD_TARGET_UTILIZATION
     excess = 0.0
     shortage = 0.0
     for nodes, demand in zip(allocation, demand_per_shard):
         if demand < 0 or nodes < 0:
             raise ElasticityError("allocation and demand must be >= 0")
-        required = math.ceil(demand / (node_capacity * target_utilization)) if demand > 0 else 0
+        required = math.ceil(demand / usable) if demand > 0 else 0
         if nodes > required:
             excess += nodes - required
         else:

@@ -99,6 +99,13 @@ class ExperimentConfig:
             )
         if self.store_backend == "log" and self.store_dir is None:
             raise EvaluationError("store_backend 'log' requires store_dir")
+        if self.store_backend != "log" and self.store_dir is not None:
+            # The memory backend writes nothing, so a directory would be
+            # silently ignored.
+            raise EvaluationError(
+                f"store_dir {self.store_dir!r} needs --store-backend log "
+                f"(the {self.store_backend} backend writes no files)"
+            )
         # The run's SimulationConfig is a copy carrying this config's
         # fields; ``sim`` may leave each at its default or repeat it, and
         # the caller's object is never written to.

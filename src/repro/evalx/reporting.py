@@ -34,12 +34,15 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def fig5_table(measurements: Mapping[str, Mapping[float, OverheadMeasurement]]) -> str:
-    """Fig. 5: runtime overhead (range + mean) per app per sampling level."""
+    """Fig. 5: runtime overhead (range + mean) per app per sampling level.
+
+    One column pair per measured rate, in the order first measured.
+    """
     headers = ["Application"]
-    rates = (1.0, 0.05, 0.10, 0.20)
-    labels = {1.0: "DCA-100%", 0.05: "DCA-5%", 0.10: "DCA-10%", 0.20: "DCA-20%"}
+    rates = list(dict.fromkeys(rate for per_rate in measurements.values() for rate in per_rate))
     for rate in rates:
-        headers.extend([f"{labels[rate]} range", f"{labels[rate]} mean"])
+        label = f"DCA-{rate * 100:g}%"
+        headers.extend([f"{label} range", f"{label} mean"])
     rows: List[List[str]] = []
     for app_name in sorted(measurements):
         row = [app_name]

@@ -11,7 +11,7 @@ buffers are flushed
   that shard immediately, and
 * **tick-bounded** — :meth:`tick` (called from the tracker's
   per-interval maintenance pass) flushes everything at least every
-  ``flush_interval_minutes`` of simulated time, and
+  :data:`FLUSH_INTERVAL_MINUTES` of simulated time, and
 * **on demand** — :meth:`flush` drains every buffer (the tracker drains
   before processing path completions, so batching never delays a
   completion past the flush that observes it).
@@ -45,6 +45,9 @@ from repro.telemetry import MetricsRegistry, get_registry
 
 #: Bucket bounds for the flushed-batch-size histogram (message counts).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+#: Simulated minutes a buffered write may wait for a tick-bound flush.
+FLUSH_INTERVAL_MINUTES = 1.0
 
 
 class DeadLetterQueue:
@@ -129,18 +132,12 @@ class BatchedWritePipeline:
         self,
         store,
         batch_size: int = 32,
-        flush_interval_minutes: float = 1.0,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if batch_size < 1:
             raise GraphStoreError(f"batch_size must be >= 1, got {batch_size}")
-        if flush_interval_minutes <= 0:
-            raise GraphStoreError(
-                f"flush_interval_minutes must be > 0, got {flush_interval_minutes}"
-            )
         self.store = store
         self.batch_size = int(batch_size)
-        self.flush_interval_minutes = float(flush_interval_minutes)
         self._targets = store.shards
         # A fleet of one needs no routing call per message.
         self._route = store.shard_index_of if len(self._targets) > 1 else None
@@ -188,7 +185,7 @@ class BatchedWritePipeline:
 
     def tick(self, now_minutes: float) -> int:
         """Tick-bounded trigger: flush everything when the interval elapsed."""
-        if now_minutes - self._last_flush_minute >= self.flush_interval_minutes:
+        if now_minutes - self._last_flush_minute >= FLUSH_INTERVAL_MINUTES:
             return self.flush(now_minutes)
         return 0
 

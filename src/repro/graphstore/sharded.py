@@ -88,7 +88,7 @@ class ShardedGraphStore:
     ----------
     num_shards:
         Number of independent stores (>= 1).
-    on_path_complete / registry:
+    registry:
         As for :class:`GraphStore`.  All shards report into the same
         registry, so the ``graphstore.*`` counters aggregate across the
         fleet.
@@ -103,7 +103,6 @@ class ShardedGraphStore:
     def __init__(
         self,
         num_shards: int = 4,
-        on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         registry: Optional[MetricsRegistry] = None,
         backends: Optional[Sequence[GraphStoreBackend]] = None,
     ) -> None:
@@ -116,8 +115,6 @@ class ShardedGraphStore:
         self.num_shards = int(num_shards)
         self.telemetry = registry if registry is not None else get_registry()
         self._path_complete_subscribers: List[Callable[[MessageUid], None]] = []
-        if on_path_complete is not None:
-            self._path_complete_subscribers.append(on_path_complete)
         self.shards: Tuple[GraphStore, ...] = tuple(
             GraphStore(
                 registry=self.telemetry,

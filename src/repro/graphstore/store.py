@@ -47,7 +47,7 @@ the equivalence tests compare against.
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.errors import GraphStoreError, StoreBackendError
@@ -66,27 +66,19 @@ EdgeTriple = Tuple[str, str, str]
 class GraphNode:
     """A node in the causal graph: ``〈uid_M, info_M〉`` per the paper.
 
-    ``info`` carries the message type, source/destination components and
-    (optionally) payload metadata.  One node is allocated per observed
-    message, so this is a ``__slots__`` class with ``is_response``
-    precomputed at construction.
+    ``info_M`` is the message type and the source/destination
+    components.  One node is allocated per observed message, so this is
+    a ``__slots__`` class with ``is_response`` precomputed at
+    construction.
     """
 
-    __slots__ = ("uid", "msg_type", "src", "dest", "info", "is_response")
+    __slots__ = ("uid", "msg_type", "src", "dest", "is_response")
 
-    def __init__(
-        self,
-        uid: MessageUid,
-        msg_type: str,
-        src: str,
-        dest: str,
-        info: Optional[Mapping[str, object]] = None,
-    ) -> None:
+    def __init__(self, uid: MessageUid, msg_type: str, src: str, dest: str) -> None:
         self.uid = uid
         self.msg_type = msg_type
         self.src = src
         self.dest = dest
-        self.info: Mapping[str, object] = {} if info is None else info
         #: Whether this node is a response to the external client.
         self.is_response = dest == CLIENT
 
@@ -100,7 +92,6 @@ class GraphNode:
             and self.msg_type == other.msg_type
             and self.src == other.src
             and self.dest == other.dest
-            and dict(self.info) == dict(other.info)
         )
 
     def __hash__(self) -> int:
@@ -109,7 +100,7 @@ class GraphNode:
     def __repr__(self) -> str:
         return (
             f"GraphNode(uid={self.uid!r}, msg_type={self.msg_type!r}, "
-            f"src={self.src!r}, dest={self.dest!r}, info={self.info!r})"
+            f"src={self.src!r}, dest={self.dest!r})"
         )
 
 
@@ -162,13 +153,13 @@ class GraphStore:
     (:mod:`repro.graphstore.sharded`) as a fleet of one, so callers need
     not tell it from a :class:`~repro.graphstore.sharded.ShardedGraphStore`.
 
+    Subscribers registered via :meth:`subscribe_path_complete` are
+    called with the *root uid* whenever a response node is inserted,
+    signalling that the causal graph rooted there can be extracted (the
+    tracker subscribes).
+
     Parameters
     ----------
-    on_path_complete:
-        Callback invoked with the *root uid* whenever a response node is
-        inserted, signalling that the causal graph rooted there can be
-        extracted (the profiler subscribes to this).  Additional
-        subscribers register via :meth:`subscribe_path_complete`.
     registry:
         Telemetry registry the store reports into (the process default
         when omitted).
@@ -183,7 +174,6 @@ class GraphStore:
 
     def __init__(
         self,
-        on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         registry: Optional[MetricsRegistry] = None,
         backend: Optional[GraphStoreBackend] = None,
     ) -> None:
@@ -197,8 +187,6 @@ class GraphStore:
         # ghosts).
         self._dangling_effects: Set[MessageUid] = set()
         self._path_complete_subscribers: List[Callable[[MessageUid], None]] = []
-        if on_path_complete is not None:
-            self._path_complete_subscribers.append(on_path_complete)
         self.backend = backend if backend is not None else MemoryBackend()
         # The hot path pays one is-None check; only journaling backends
         # receive the per-mutation hooks.  ``_journal_write`` is the

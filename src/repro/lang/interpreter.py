@@ -114,13 +114,9 @@ class ReplicaState:
 
     __slots__ = ("values", "provenance")
 
-    def __init__(
-        self,
-        values: Dict[str, object],
-        provenance: Optional[Dict[str, Taint]] = None,
-    ) -> None:
+    def __init__(self, values: Dict[str, object]) -> None:
         self.values = values
-        self.provenance: Dict[str, Taint] = {} if provenance is None else provenance
+        self.provenance: Dict[str, Taint] = {}
 
     @classmethod
     def from_component(cls, component: Component) -> "ReplicaState":

@@ -245,9 +245,9 @@ class Call(Expr):
 
     The paper pre-analyses the Java standard library to find side-effect
     free APIs (``Math.sqrt``, ``Math.log`` in Fig. 4) so they need not be
-    re-analysed.  Our analogue is :class:`LibraryRegistry`: calls to *pure*
-    registered functions propagate dependence only through their arguments;
-    calls to functions not registered as pure are rejected at validation
+    re-analysed.  Our analogue is :class:`LibraryRegistry`: a registered
+    function counts as analysed and propagates dependence only through its
+    arguments; calls to unregistered functions are rejected at validation
     time, mirroring the paper's requirement that unknown library code be
     analysed before DCA can run.
     """
@@ -280,28 +280,19 @@ class LibraryRegistry:
     """Registry of library functions callable from IR expressions.
 
     Mirrors the paper's pre-analysis of ``java.*``: a function registered
-    here with ``pure=True`` is known to have no side effects and no hidden
-    control/data flow, so DCA treats it as a pure dependence conduit from
-    arguments to result.
+    here is known to have no side effects and no hidden control/data flow,
+    so DCA treats it as a pure dependence conduit from arguments to result.
     """
 
     def __init__(self) -> None:
         self._functions: Dict[str, Callable[..., object]] = {}
-        self._pure: Set[str] = set()
 
-    def register(self, name: str, fn: Callable[..., object], pure: bool = True) -> None:
+    def register(self, name: str, fn: Callable[..., object]) -> None:
         """Register ``fn`` under ``name``.  Re-registration overwrites."""
         self._functions[name] = fn
-        if pure:
-            self._pure.add(name)
-        else:
-            self._pure.discard(name)
 
     def is_registered(self, name: str) -> bool:
         return name in self._functions
-
-    def is_pure(self, name: str) -> bool:
-        return name in self._pure
 
     def lookup(self, name: str) -> Callable[..., object]:
         try:
@@ -593,7 +584,7 @@ class Application:
     receives it (the front-end in the paper's terminology).  Validation
     checks that every :class:`Send` destination exists and has a handler
     for the sent message type, and that every :class:`Call` in every
-    expression refers to a registered pure library function.
+    expression refers to a registered library function.
     """
 
     def __init__(
@@ -653,11 +644,6 @@ class Application:
                 if not self.library.is_registered(call.func):
                     raise IRError(
                         f"{comp.name}.{handler.msg_type}: call to unregistered library function {call.func!r}"
-                    )
-                if not self.library.is_pure(call.func):
-                    raise IRError(
-                        f"{comp.name}.{handler.msg_type}: call to impure library function {call.func!r}; "
-                        "DCA requires library code to be analysed (registered pure) before use"
                     )
 
     def _validate_send(self, comp: Component, handler: Handler, send: Send) -> None:

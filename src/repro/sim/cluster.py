@@ -4,8 +4,8 @@ Elastic scaling is not instantaneous — steps S2/S3 of the paper's
 elasticity loop (requesting resources, provisioning components on them)
 take time.  :class:`ComponentGroup` models a replica group whose node
 count changes through a provisioning pipeline: scale-ups become *pending*
-and turn ready after ``provision_delay_minutes``; scale-downs drain after
-``deprovision_delay_minutes`` (the paper observes that SLA violations do
+and turn ready after :data:`PROVISION_DELAY_MINUTES`; scale-downs drain
+after :data:`DEPROVISION_DELAY_MINUTES` (the paper observes that SLA violations do
 not occur while workload decreases precisely because not-yet-released
 excess capacity keeps serving).
 
@@ -21,6 +21,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
+
+#: Minutes from a scale-up request until the new nodes serve, and from a
+#: scale-down until the drained nodes stop being paid for.
+PROVISION_DELAY_MINUTES = 2.0
+DEPROVISION_DELAY_MINUTES = 1.0
 
 
 @dataclass(frozen=True)
@@ -119,19 +124,13 @@ class ComponentGroup:
             )
         return failed
 
-    def apply_target(
-        self,
-        target: int,
-        now_minutes: float,
-        provision_delay_minutes: float,
-        deprovision_delay_minutes: float,
-    ) -> None:
+    def apply_target(self, target: int, now_minutes: float) -> None:
         """Move toward ``target`` nodes, respecting delays and bounds."""
         target = max(self.spec.min_nodes, min(self.spec.max_nodes, int(target)))
         current = self.ready + self.pending
         if target > current:
             add = target - current
-            eta = now_minutes + provision_delay_minutes
+            eta = now_minutes + PROVISION_DELAY_MINUTES
             self._pending.append((eta, add))
             if self.tap is not None:
                 self.tap.emit(
@@ -155,7 +154,7 @@ class ComponentGroup:
                 removable = min(remove, self.ready - self.spec.min_nodes)
                 if removable > 0:
                     self.ready -= removable
-                    self._draining.append((now_minutes + deprovision_delay_minutes, removable))
+                    self._draining.append((now_minutes + DEPROVISION_DELAY_MINUTES, removable))
                     if self.tap is not None:
                         self.tap.emit(
                             "drain_started",
@@ -182,23 +181,13 @@ class ComponentGroup:
 class Cluster:
     """All component groups of one application deployment."""
 
-    def __init__(
-        self,
-        deployments: Dict[str, DeploymentSpec],
-        provision_delay_minutes: float = 2.0,
-        deprovision_delay_minutes: float = 1.0,
-        tap=None,
-    ) -> None:
+    def __init__(self, deployments: Dict[str, DeploymentSpec], tap=None) -> None:
         if not deployments:
             raise SimulationError("cluster requires at least one component deployment")
-        if provision_delay_minutes < 0 or deprovision_delay_minutes < 0:
-            raise SimulationError("provisioning delays must be >= 0")
         self.groups: Dict[str, ComponentGroup] = {
             name: ComponentGroup(name, spec, tap=tap)
             for name, spec in sorted(deployments.items())
         }
-        self.provision_delay_minutes = float(provision_delay_minutes)
-        self.deprovision_delay_minutes = float(deprovision_delay_minutes)
 
     def advance(self, now_minutes: float) -> None:
         for group in self.groups.values():
@@ -209,12 +198,7 @@ class Cluster:
             group = self.groups.get(component)
             if group is None:
                 raise SimulationError(f"scaling target for unknown component {component!r}")
-            group.apply_target(
-                target,
-                now_minutes,
-                self.provision_delay_minutes,
-                self.deprovision_delay_minutes,
-            )
+            group.apply_target(target, now_minutes)
 
     def fail_component(self, component: str, count: int) -> int:
         """Crash up to ``count`` ready nodes of ``component``.

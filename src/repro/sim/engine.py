@@ -66,6 +66,14 @@ INTERVAL_MINUTES = 1.0
 #: converged-replay ingestion (:mod:`repro.sim.events`).
 ENGINES = ("tick", "event")
 
+#: Latency model: each hop of a request's trace adds ``NETWORK_HOP_MS``,
+#: and a derived SLA (no ``sla_latency_ms``) is ``SLA_LATENCY_FACTOR``
+#: times the slowest request class's unloaded latency.
+NETWORK_HOP_MS = 2.0
+SLA_LATENCY_FACTOR = 10.0
+#: Utilisation the Agility metric's ``Req_min`` node count is sized for.
+REQ_MIN_UTILIZATION = 0.75
+
 
 @dataclass
 class SimulationConfig:
@@ -73,12 +81,6 @@ class SimulationConfig:
 
     duration_minutes: int = 450
     sla_latency_ms: Optional[float] = None
-    sla_latency_factor: float = 10.0
-    network_hop_ms: float = 2.0
-    req_min_utilization: float = 0.75
-    provision_delay_minutes: float = 2.0
-    deprovision_delay_minutes: float = 1.0
-    count_infrastructure: bool = False
     max_live_traces_per_class: int = 1
     node_failure_rate_per_min: float = 0.0
     failure_seed: int = 0
@@ -100,10 +102,6 @@ class SimulationConfig:
             raise SimulationError(
                 "max_live_traces_per_class must be >= 1, "
                 f"got {self.max_live_traces_per_class}"
-            )
-        if not 0 < self.req_min_utilization <= 1:
-            raise SimulationError(
-                f"req_min_utilization must be in (0, 1], got {self.req_min_utilization}"
             )
         if not 0.0 <= self.node_failure_rate_per_min < 1.0:
             # The rate is *per minute*; the engine derives the per-interval
@@ -281,18 +279,12 @@ class ClusterSimulator:
         missing = set(app.components) - set(deployments)
         if missing:
             raise SimulationError(f"deployments missing for components: {sorted(missing)}")
-        self.cluster = Cluster(
-            deployments,
-            provision_delay_minutes=self.config.provision_delay_minutes,
-            deprovision_delay_minutes=self.config.deprovision_delay_minutes,
-            tap=tap,
-        )
+        self.cluster = Cluster(deployments, tap=tap)
         self._calibration_runtime = (
             dca.runtime if dca is not None else ApplicationRuntime(app)
         )
         self._traces: Dict[str, RequestTrace] = {}
         self._backlog_ms: Dict[str, float] = {name: 0.0 for name in app.components}
-        self._infra_nodes = 0
         self._recent_totals: List[float] = []
         self._failure_rng = _random.Random(self.config.failure_seed * 1_000_003 + 17)
         self.nodes_failed_total = 0
@@ -323,11 +315,11 @@ class ClusterSimulator:
             trace = self._trace_for(class_name)
             base = sum(
                 self.app.components[c].service_cost for c in trace.components
-            ) + self.config.network_hop_ms * (trace.depth + 1)
+            ) + NETWORK_HOP_MS * (trace.depth + 1)
             worst = max(worst, base)
         if worst <= 0:
             raise SimulationError("could not derive an SLA: request classes have no cost")
-        return self.config.sla_latency_factor * worst
+        return SLA_LATENCY_FACTOR * worst
 
     @property
     def sla_latency_ms(self) -> float:
@@ -381,7 +373,6 @@ class ClusterSimulator:
             decision = self.manager.decide(observation)
             self.manager.on_interval_end(observation)
             self.cluster.apply_targets(dict(decision.targets), now)
-            self._infra_nodes = decision.infrastructure_nodes
         self._m_intervals.inc()
         self._m_requests.inc(record.external_arrivals)
         self._m_sampled.inc(record.sampled_requests)
@@ -420,13 +411,11 @@ class ClusterSimulator:
 
         decreasing = self._workload_decreasing(total_arrivals)
 
-        infra_recorded = self._infra_nodes if self.config.count_infrastructure else 0
         record = IntervalRecord(
             time_minutes=now,
             external_arrivals=total_arrivals,
             class_arrivals=dict(arrivals),
             components=comp_intervals,
-            infra_nodes=infra_recorded,
             sla_violation_fraction=sla_fraction,
             app_latency_ms=app_latency,
             workload_decreasing=decreasing,
@@ -600,7 +589,7 @@ class ClusterSimulator:
             stations[comp] = station
 
             req_min = nodes_required(
-                base_demand.get(comp, 0.0), node_cap, self.config.req_min_utilization
+                base_demand.get(comp, 0.0), node_cap, REQ_MIN_UTILIZATION
             )
             serial = group.spec.serial_limit
             if serial is not None:
@@ -659,7 +648,7 @@ class ClusterSimulator:
             if count <= 0:
                 continue
             trace = self._trace_for(class_name)
-            latency = self.config.network_hop_ms * (trace.depth + 1)
+            latency = NETWORK_HOP_MS * (trace.depth + 1)
             for comp in trace.components:
                 station = stations.get(comp)
                 inflation = station.inflation if station is not None else 1.0

@@ -63,7 +63,6 @@ class IntervalRecord:
     external_arrivals: float
     class_arrivals: Mapping[str, int]
     components: Mapping[str, ComponentInterval]
-    infra_nodes: int
     sla_violation_fraction: float
     app_latency_ms: float
     workload_decreasing: bool
@@ -71,7 +70,7 @@ class IntervalRecord:
 
     @property
     def excess(self) -> float:
-        return sum(c.excess_nodes for c in self.components.values()) + self.infra_nodes
+        return sum(c.excess_nodes for c in self.components.values())
 
     @property
     def shortage(self) -> float:

@@ -38,6 +38,9 @@ from repro.telemetry import MetricsRegistry
 #: Environment variable naming a directory for JSON diff artifacts.
 PARITY_DIFF_DIR_ENV = "PARITY_DIFF_DIR"
 
+#: Differences a diff helper lists before it stops looking.
+DIFF_LIMIT = 20
+
 #: Keys every dumped parity artifact must carry; a JSON file missing any
 #: of them was not written by :meth:`ParityReport.to_dict` (truncated
 #: write, disk full, wrong file) and must not be interpreted.
@@ -113,7 +116,7 @@ def _record_dict(record) -> Dict[str, object]:
     return out
 
 
-def diff_results(tick: SimulationResult, event: SimulationResult, limit: int = 20) -> List[str]:
+def diff_results(tick: SimulationResult, event: SimulationResult) -> List[str]:
     """Field-level differences between two IntervalRecord streams."""
     diffs: List[str] = []
     if len(tick.records) != len(event.records):
@@ -127,12 +130,12 @@ def diff_results(tick: SimulationResult, event: SimulationResult, limit: int = 2
             va, vb = getattr(a, f.name), getattr(b, f.name)
             if va != vb:
                 diffs.append(f"interval[{i}].{f.name}: tick={va!r} event={vb!r}")
-                if len(diffs) >= limit:
+                if len(diffs) >= DIFF_LIMIT:
                     return diffs
     return diffs
 
 
-def diff_snapshots(tick: Dict[str, object], event: Dict[str, object], limit: int = 20) -> List[str]:
+def diff_snapshots(tick: Dict[str, object], event: Dict[str, object]) -> List[str]:
     """Differences between two telemetry snapshots, volatile keys excluded."""
     diffs: List[str] = []
     a_metrics = tick.get("metrics", {})
@@ -144,7 +147,7 @@ def diff_snapshots(tick: Dict[str, object], event: Dict[str, object], limit: int
         va, vb = a_metrics.get(key), b_metrics.get(key)
         if va != vb:
             diffs.append(f"metric {key}: tick={va!r} event={vb!r}")
-            if len(diffs) >= limit:
+            if len(diffs) >= DIFF_LIMIT:
                 break
     return diffs
 
@@ -161,7 +164,6 @@ def run_engine_parity(
     max_live_traces_per_class: Optional[int] = None,
     profiler_mode: str = "exact",
     interval_minutes: Optional[float] = None,
-    diff_dir: Optional[str] = None,
 ) -> ParityReport:
     """Run one seeded configuration under both engines and diff them.
 
@@ -173,8 +175,7 @@ def run_engine_parity(
     (``start <= minute < end``) and both engines must agree at exactly
     ``end_minute`` for any interval length (the event engine snaps
     crash/delivery timestamps to interval boundaries).  On divergence
-    the report is written to ``diff_dir`` (or ``$PARITY_DIFF_DIR``) as
-    JSON.
+    the report is written to ``$PARITY_DIFF_DIR`` as JSON.
     """
     from repro.apps.catalog import load_scenario
     from repro.evalx.experiment import ExperimentConfig, build_simulator
@@ -237,12 +238,13 @@ def run_engine_parity(
                 report.diff_records.append(
                     {"interval": i, "tick": _record_dict(a), "event": _record_dict(b)}
                 )
-        _dump_report(report, diff_dir)
+        _dump_report(report)
     return report
 
 
-def _dump_report(report: ParityReport, diff_dir: Optional[str]) -> Optional[str]:
-    """Write a diverging report as a JSON artifact; return its path."""
+def _dump_report(report: ParityReport, diff_dir: Optional[str] = None) -> Optional[str]:
+    """Write a diverging report as a JSON artifact into ``diff_dir`` (else
+    ``$PARITY_DIFF_DIR``, else nowhere); return its path."""
     target = diff_dir if diff_dir is not None else os.environ.get(PARITY_DIFF_DIR_ENV)
     if not target:
         return None

@@ -28,7 +28,6 @@ Design constraints:
 from __future__ import annotations
 
 import json
-import threading
 import time
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -65,19 +64,10 @@ def _render_key(name: str, label_key: Tuple[Tuple[str, str], ...]) -> str:
     return f"{name}{{{inner}}}"
 
 
-def _locked(fn, lock):
-    def locked_call(*args, **kwargs):
-        with lock:
-            return fn(*args, **kwargs)
-    return locked_call
-
-
 class Metric:
     """Base: a named instrument with a frozen label set."""
 
     kind = "metric"
-    #: Methods serialised behind a lock by :meth:`_bind_lock`.
-    _MUTATORS: Tuple[str, ...] = ()
 
     def __init__(self, name: str, labels: LabelMapping = None) -> None:
         if not name:
@@ -88,18 +78,6 @@ class Metric:
         # Labels are frozen after construction, so the rendered key is
         # computed once rather than on every registry/snapshot access.
         self._key = _render_key(name, label_key)
-
-    def _bind_lock(self, lock: "threading.Lock") -> None:
-        """Serialise this instrument's mutators behind ``lock``.
-
-        Shadowing the bound methods on the instance keeps the unlocked
-        (single-threaded, default) hot path free of any branch or lock
-        acquisition — only registries built with ``thread_safe=True`` pay
-        for synchronisation.
-        """
-        self.lock = lock
-        for attr in self._MUTATORS:
-            setattr(self, attr, _locked(getattr(self, attr), lock))
 
     @property
     def key(self) -> str:
@@ -130,7 +108,6 @@ class Counter(Metric):
     """Monotonically increasing count of events."""
 
     kind = "counter"
-    _MUTATORS = ("inc",)
 
     def __init__(self, name: str, labels: LabelMapping = None) -> None:
         super().__init__(name, labels)
@@ -172,7 +149,6 @@ class Gauge(Metric):
     """Point-in-time value that can move both ways (depths, sizes)."""
 
     kind = "gauge"
-    _MUTATORS = ("set", "inc", "dec")
 
     def __init__(self, name: str, labels: LabelMapping = None) -> None:
         super().__init__(name, labels)
@@ -183,9 +159,6 @@ class Gauge(Metric):
 
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
     @property
     def value(self) -> float:
@@ -221,7 +194,6 @@ class Histogram(Metric):
     """
 
     kind = "histogram"
-    _MUTATORS = ("observe", "merge", "accumulate")
 
     def __init__(
         self,
@@ -313,7 +285,7 @@ class Histogram(Metric):
             )
         tallies = [int(buckets[str(bound)]) for bound in self.bounds]
         tallies.append(int(buckets.get("+Inf", 0)))
-        self._accumulate(
+        self.accumulate(
             int(data["count"]), float(data["sum"]), tallies, data.get("min"), data.get("max")
         )
 
@@ -324,11 +296,6 @@ class Histogram(Metric):
         ``bounds`` order (:meth:`apply` checks its length).  Scaling equals
         ``times`` successive adds only for an integral ``total``.
         """
-        self._accumulate(count, total, buckets, low, high, times)
-
-    def _accumulate(self, count, total, buckets, low, high, times=1) -> None:
-        # Unlocked: ``merge`` and ``accumulate`` sit behind one non-reentrant
-        # lock on thread-safe registries, so neither may call the other.
         for i, tally in enumerate(buckets):
             self._bucket_counts[i] += tally * times
         self._count += count * times
@@ -420,19 +387,14 @@ class MetricsRegistry:
     aggregate metrics across a whole simulation while holding direct
     references for hot-path updates.
 
-    Concurrency: instrument *creation* is always serialised (it is cold
-    path — callers cache the handles).  Instrument *updates* are only
-    synchronised when the registry is built with ``thread_safe=True``,
-    which binds a per-instrument lock around every mutator; the default
-    single-threaded registry keeps the zero-overhead hot path.  Process
-    workers don't share memory at all — each runs its own registry and
-    the parent folds the results together via :meth:`merge_snapshot`.
+    Concurrency: a registry is single-threaded, with no lock on any
+    path.  Process workers don't share memory at all — each runs its
+    own registry and the parent folds the results together via
+    :meth:`merge_snapshot`.
     """
 
-    def __init__(self, thread_safe: bool = False) -> None:
+    def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
-        self.thread_safe = bool(thread_safe)
-        self._create_lock = threading.Lock()
 
     # -- get-or-create -----------------------------------------------------------
 
@@ -440,13 +402,7 @@ class MetricsRegistry:
         key = _render_key(name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            with self._create_lock:
-                metric = self._metrics.get(key)
-                if metric is None:
-                    metric = cls(name, labels=labels, **kwargs)
-                    if self.thread_safe:
-                        metric._bind_lock(threading.Lock())
-                    self._metrics[key] = metric
+            metric = self._metrics[key] = cls(name, labels=labels, **kwargs)
         if not isinstance(metric, cls):
             raise TelemetryError(
                 f"metric {key!r} already registered as {metric.kind}, not {cls.kind}"
@@ -493,8 +449,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, object]:
         """Point-in-time export: ``{"schema": 1, "metrics": {key: {...}}}``."""
-        with self._create_lock:
-            keys = sorted(self._metrics)
+        keys = sorted(self._metrics)
         return {
             "schema": SCHEMA_VERSION,
             "metrics": {key: self._metrics[key].to_dict() for key in keys},

@@ -59,9 +59,6 @@ class WorkloadGenerator:
         All request classes referenced by the mix.
     seed:
         Seed for the Poisson arrival draws.
-    deterministic:
-        If True, skip the Poisson draw and emit rounded expectations
-        (useful for tests needing exact counts).
     """
 
     def __init__(
@@ -70,7 +67,6 @@ class WorkloadGenerator:
         mix: StepMixSchedule,
         classes: Sequence[RequestClass],
         seed: int = 0,
-        deterministic: bool = False,
     ) -> None:
         self.pattern = pattern
         self.mix = mix
@@ -82,7 +78,6 @@ class WorkloadGenerator:
         missing = set(mix.class_names()) - set(self.classes)
         if missing:
             raise WorkloadError(f"mix references unknown request classes: {sorted(missing)}")
-        self.deterministic = bool(deterministic)
         self._rng = np.random.default_rng(seed)
 
     def expected_arrivals(self, t_minutes: float) -> Dict[str, float]:
@@ -94,8 +89,6 @@ class WorkloadGenerator:
     def arrivals(self, t_minutes: float) -> Dict[str, int]:
         """Drawn per-class arrival counts for the minute at ``t_minutes``."""
         expected = self.expected_arrivals(t_minutes)
-        if self.deterministic:
-            return {name: int(round(rate)) for name, rate in expected.items()}
         out: Dict[str, int] = {}
         for name in sorted(expected):
             rate = expected[name]

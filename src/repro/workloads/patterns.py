@@ -25,6 +25,10 @@ from repro.errors import WorkloadError
 #: Total duration of the paper's experimental run, in minutes.
 RUN_MINUTES = 450.0
 
+#: Period of the cyclic portions, and plateau length of the step-wise one.
+CYCLE_MINUTES = 50.0
+STEP_MINUTES = 10.0
+
 PatternFn = Callable[[float], float]
 
 
@@ -32,25 +36,15 @@ def _clamp01(x: float) -> float:
     return max(0.0, min(1.0, x))
 
 
-def cyclic_pattern(t_minutes: float, period: float = 50.0, base: float = 0.45, amplitude: float = 0.35) -> float:
+def cyclic_pattern(t_minutes: float, base: float = 0.45, amplitude: float = 0.35) -> float:
     """Continuous cyclic variation: a sine around ``base``."""
-    if period <= 0:
-        raise WorkloadError(f"period must be positive, got {period}")
-    return _clamp01(base + amplitude * math.sin(2.0 * math.pi * t_minutes / period))
+    return _clamp01(base + amplitude * math.sin(2.0 * math.pi * t_minutes / CYCLE_MINUTES))
 
 
-def stepwise_cyclic_pattern(
-    t_minutes: float,
-    period: float = 50.0,
-    base: float = 0.45,
-    amplitude: float = 0.35,
-    step_minutes: float = 10.0,
-) -> float:
-    """Cyclic variation quantised into plateaus of ``step_minutes``."""
-    if step_minutes <= 0:
-        raise WorkloadError(f"step_minutes must be positive, got {step_minutes}")
-    quantised_t = math.floor(t_minutes / step_minutes) * step_minutes
-    return cyclic_pattern(quantised_t, period=period, base=base, amplitude=amplitude)
+def stepwise_cyclic_pattern(t_minutes: float, base: float = 0.45, amplitude: float = 0.35) -> float:
+    """Cyclic variation quantised into plateaus of :data:`STEP_MINUTES`."""
+    quantised_t = math.floor(t_minutes / STEP_MINUTES) * STEP_MINUTES
+    return cyclic_pattern(quantised_t, base=base, amplitude=amplitude)
 
 
 def paper_pattern(t_minutes: float) -> float:
@@ -111,19 +105,18 @@ class MixPhase:
 
 
 class StepMixSchedule:
-    """Request-class mix over time: stepped or continuously drifting.
+    """Request-class mix over time, drifting between phase anchors.
 
     Workload spikes "are seldom uniformly distributed over all search
     terms" (Section II-A): hot causal paths shift over time, which is
     what makes uniform scaling wasteful and proportional scaling
-    valuable.  With ``interpolate=True`` (the default for the evaluation
-    scenarios) the mix drifts *linearly* between phase anchors — real
+    valuable.  The mix drifts *linearly* between phase anchors — real
     workload mixes move continuously, and continuous drift is what makes
     a stale causal-path profile pay a price every minute rather than
     only at a few step edges.
     """
 
-    def __init__(self, phases: Sequence[MixPhase], interpolate: bool = True) -> None:
+    def __init__(self, phases: Sequence[MixPhase]) -> None:
         if not phases:
             raise WorkloadError("StepMixSchedule requires at least one phase")
         ordered = sorted(phases, key=lambda p: p.start_minute)
@@ -136,7 +129,6 @@ class StepMixSchedule:
             if any(w < 0 for w in phase.weights.values()):
                 raise WorkloadError(f"mix phase at {phase.start_minute} has negative weights")
         self._phases: List[MixPhase] = list(ordered)
-        self.interpolate = bool(interpolate)
 
     def _normalised(self, phase: MixPhase) -> Dict[str, float]:
         total = sum(phase.weights.values())
@@ -153,7 +145,7 @@ class StepMixSchedule:
                 nxt = phase
                 break
         prev_mix = self._normalised(prev)
-        if not self.interpolate or nxt is None:
+        if nxt is None:
             return prev_mix
         span = nxt.start_minute - prev.start_minute
         if span <= 0:

@@ -69,8 +69,7 @@ class TestCalibration:
         with pytest.raises(SimulationError):
             calibrate_overhead_model(
                 app, marketcetera.request_classes(),
-                full_overhead=0.3, marginal_overhead_at_5pct=0.6,
-                fixed_fraction=0.4,
+                full_overhead=0.02, marginal_overhead_at_5pct=0.6,
             )
 
 

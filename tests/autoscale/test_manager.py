@@ -28,12 +28,8 @@ class TestScalingDecision:
 
 class TestClampTargets:
     def test_clamps_both_ends(self):
-        out = clamp_targets({"a": 0, "b": 999}, min_nodes=1, max_nodes=100)
-        assert out == {"a": 1, "b": 100}
-
-    def test_invalid_range(self):
-        with pytest.raises(ElasticityError):
-            clamp_targets({}, min_nodes=5, max_nodes=1)
+        out = clamp_targets({"a": 0, "b": 20_000})
+        assert out == {"a": 1, "b": 10_000}
 
     def test_identity_within_range(self):
         assert clamp_targets({"a": 7}) == {"a": 7}

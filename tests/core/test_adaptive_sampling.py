@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sampling import (
+    ADAPTIVE_MAX_RATE,
+    ADAPTIVE_MIN_RATE,
     AdaptiveSamplingController,
     PreferentialPathSampler,
     RequestSampler,
@@ -16,11 +18,7 @@ class TestAdaptiveController:
         with pytest.raises(ElasticityError):
             AdaptiveSamplingController(target_overhead=0)
         with pytest.raises(ElasticityError):
-            AdaptiveSamplingController(min_rate=0.5, max_rate=0.1)
-        with pytest.raises(ElasticityError):
-            AdaptiveSamplingController(gain=0)
-        with pytest.raises(ElasticityError):
-            AdaptiveSamplingController(max_step_ratio=1.0)
+            AdaptiveSamplingController(target_overhead=1.0)
 
     def test_converges_to_overhead_target(self):
         ctrl = AdaptiveSamplingController(target_overhead=0.05)
@@ -39,7 +37,7 @@ class TestAdaptiveController:
         assert ctrl.update(0.5, 0.20) < 0.5
 
     def test_step_bounded(self):
-        ctrl = AdaptiveSamplingController(target_overhead=0.05, max_step_ratio=1.5)
+        ctrl = AdaptiveSamplingController(target_overhead=0.05)
         assert ctrl.update(0.10, 10.0) >= 0.10 / 1.5 - 1e-12
         assert ctrl.update(0.10, 1e-9) <= 0.10 * 1.5 + 1e-12
 
@@ -48,19 +46,19 @@ class TestAdaptiveController:
         assert ctrl.update(0.05, 0.0) > 0.05
 
     def test_rate_bounds_respected(self):
-        ctrl = AdaptiveSamplingController(min_rate=0.02, max_rate=0.5)
-        assert ctrl.update(0.03, 10.0) >= 0.02
+        ctrl = AdaptiveSamplingController()
+        assert ctrl.update(0.011, 10.0) == ADAPTIVE_MIN_RATE
         rate = 0.5
         for _ in range(10):
             rate = ctrl.update(rate, 1e-6)
-        assert rate <= 0.5
+        assert rate == ADAPTIVE_MAX_RATE
 
     @given(st.floats(0.01, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=100)
     def test_output_always_in_bounds(self, rate, overhead):
         ctrl = AdaptiveSamplingController()
         out = ctrl.update(rate, overhead)
-        assert ctrl.min_rate <= out <= ctrl.max_rate
+        assert ADAPTIVE_MIN_RATE <= out <= ADAPTIVE_MAX_RATE
 
 
 class TestPreferentialSampler:

@@ -7,6 +7,7 @@ from repro.core.dca import analyze_application
 from repro.core.paths import enumerate_causal_paths
 from repro.profiling.profiler import CausalPathProfiler
 from repro.sim.runtime import ApplicationRuntime
+from repro.sim.tap import SimTap
 from repro.workloads.generator import RequestClass
 
 
@@ -45,14 +46,14 @@ class TestTrackerPipeline:
             tracker.observe_all(trace.messages)
         assert tracker.store.node_count() == 0  # all graphs evicted
 
-    def test_eviction_can_be_disabled(self, pipeline_app):
-        dca = analyze_application(pipeline_app)
-        runtime = ApplicationRuntime(pipeline_app, dca_result=dca)
-        profiler = CausalPathProfiler(enumerate_causal_paths(pipeline_app))
-        tracker = DirectCausalityTracker(profiler, evict_completed=False)
+    def test_tap_sees_a_completed_graphs_members(self, tracker_setup):
+        runtime, profiler, tracker = tracker_setup
+        tracker.tap = SimTap()
         trace = runtime.execute_request(REQUEST, sampled=True)
         tracker.observe_all(trace.messages)
-        assert tracker.store.node_count() == trace.total_messages()
+        [event] = [e for e in tracker.tap if e.kind == "path_completed"]
+        assert sorted(event.data["members"]) == sorted(repr(m.uid) for m in trace.messages)
+        assert tracker.store.node_count() == 0
 
     def test_unsampled_messages_ignored(self, tracker_setup):
         runtime, profiler, tracker = tracker_setup

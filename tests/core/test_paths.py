@@ -81,7 +81,7 @@ class TestEnumeration:
         with b.on("ping", "m") as h:
             h.send("pong", "A", {"retry": 0})
         app = AppBuilder("t").component(a).component(b).entry("go", "A").build()
-        paths = enumerate_causal_paths(app, max_repeats=2)
+        paths = enumerate_causal_paths(app)
         assert paths["go"]  # terminated and produced signatures
 
     def test_every_request_type_enumerated(self, pubsub_app):

@@ -25,14 +25,10 @@ class TestShardProfile:
     def test_observe_accumulates(self, pipeline_app):
         profile = ShardProfile()
         profile.observe(self._trace(pipeline_app, 1))
-        profile.observe(self._trace(pipeline_app, 2), weight=3)
+        for _ in range(3):
+            profile.observe(self._trace(pipeline_app, 2))
         assert profile.requests_observed == 4
         assert sum(profile.counts["B"]) == 4
-
-    def test_weight_validation(self, pipeline_app):
-        profile = ShardProfile()
-        with pytest.raises(ElasticityError):
-            profile.observe(self._trace(pipeline_app, 1), weight=0)
 
     def test_shard_count_mismatch_rejected(self, pipeline_app):
         profile = ShardProfile()
@@ -122,8 +118,6 @@ class TestSelectiveBeatsUniform:
     def test_agility_validation(self):
         with pytest.raises(ElasticityError):
             shard_allocation_agility([1], [100.0], node_capacity=0)
-        with pytest.raises(ElasticityError):
-            shard_allocation_agility([1], [100.0], 1_000.0, target_utilization=0)
 
 
 class TestEndToEndShardProfile:

@@ -51,6 +51,11 @@ class TestConstruction:
         with pytest.raises(EvaluationError):
             ExperimentConfig(duration_minutes=0)
 
+    def test_store_dir_needs_the_log_backend(self, tmp_path):
+        with pytest.raises(EvaluationError, match="--store-backend log"):
+            ExperimentConfig(store_dir=str(tmp_path))
+        assert ExperimentConfig(store_backend="log", store_dir=str(tmp_path)).store_dir
+
     def test_sim_fields_it_owns_conflict_instead_of_being_overwritten(self):
         """A ``sim`` that sets a field the experiment config also carries
         gets an error, not a silent tick/exact/450-minute run."""

@@ -78,6 +78,15 @@ class TestTables:
         assert "hedwig" in text
         assert "3.00%" in text
 
+    def test_fig5_table_has_a_column_pair_per_measured_rate(self):
+        m = OverheadMeasurement("hedwig", 0.5, 0.03, 0.02, 0.04)
+        header = fig5_table({"hedwig": {0.5: m, 0.1: m, 0.125: m}}).splitlines()[0]
+        assert header.split() == [
+            "Application", "DCA-50%", "range", "DCA-50%", "mean", "DCA-10%", "range",
+            "DCA-10%", "mean", "DCA-12.5%", "range", "DCA-12.5%", "mean",
+        ]
+        assert "-" not in fig5_table({"hedwig": {0.5: m}}).splitlines()[-1].split()
+
     def test_fig8_table(self):
         res = _result([_record(comps={"a": _comp(provisioned=7, req=5)})], "CloudWatch")
         text = fig8_table({"hedwig": {"CloudWatch": res}})

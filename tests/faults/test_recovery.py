@@ -15,7 +15,6 @@ from repro.core.elasticity import ProfileStalenessDetector, StalenessPolicy
 from repro.core.paths import enumerate_causal_paths
 from repro.faults import FaultInjector, FaultPlan
 from repro.graphstore.store import GraphStore
-from repro.lang.message import MessageUid
 from repro.profiling.profiler import CausalPathProfiler
 from repro.sim.runtime import ApplicationRuntime
 from repro.telemetry import MetricsRegistry

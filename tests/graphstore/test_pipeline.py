@@ -63,8 +63,6 @@ class TestBatchedWritePipeline:
         store = GraphStore(registry=MetricsRegistry())
         with pytest.raises(GraphStoreError):
             BatchedWritePipeline(store, batch_size=0)
-        with pytest.raises(GraphStoreError):
-            BatchedWritePipeline(store, flush_interval_minutes=0.0)
 
     def test_size_bound_flush(self):
         registry = MetricsRegistry()
@@ -84,14 +82,12 @@ class TestBatchedWritePipeline:
     def test_tick_bound_flush(self):
         registry = MetricsRegistry()
         store = GraphStore(registry=registry)
-        pipeline = BatchedWritePipeline(
-            store, batch_size=100, flush_interval_minutes=2.0, registry=registry
-        )
+        pipeline = BatchedWritePipeline(store, batch_size=100, registry=registry)
         for msg in _roots(5):
             pipeline.submit(msg)
-        assert pipeline.tick(1.0) == 0  # interval not yet elapsed
+        assert pipeline.tick(0.5) == 0  # interval not yet elapsed
         assert store.node_count() == 0
-        assert pipeline.tick(2.0) == 5
+        assert pipeline.tick(1.0) == 5
         assert store.node_count() == 5
         assert pipeline.buffered == 0
 

@@ -92,7 +92,8 @@ class TestGraphStore:
 
     def test_completion_callback_on_response(self):
         seen = []
-        store = GraphStore(on_path_complete=seen.append)
+        store = GraphStore()
+        store.subscribe_path_complete(seen.append)
         root = _msg(1, src=EXTERNAL, dest="A")
         response = _msg(2, src="A", dest=CLIENT, causes=[root.uid], root=root.uid)
         store.add_message(root)
@@ -133,13 +134,14 @@ class TestGraphStore:
 
     def test_subscribe_path_complete_multiple_subscribers_in_order(self):
         calls = []
-        store = GraphStore(on_path_complete=lambda root: calls.append(("ctor", root)))
-        store.subscribe_path_complete(lambda root: calls.append(("sub", root)))
+        store = GraphStore()
+        store.subscribe_path_complete(lambda root: calls.append(("first", root)))
+        store.subscribe_path_complete(lambda root: calls.append(("second", root)))
         root = _msg(1, src=EXTERNAL, dest="A")
         response = _msg(2, src="A", dest=CLIENT, causes=[root.uid], root=root.uid)
         store.add_message(root)
         store.add_message(response)
-        assert calls == [("ctor", root.uid), ("sub", root.uid)]
+        assert calls == [("first", root.uid), ("second", root.uid)]
 
 
 class TestEvictGraphEdgeCases:

@@ -211,15 +211,6 @@ class TestApplication:
         with pytest.raises(IRError, match="unregistered"):
             Application("t", [comp], {"go": "A"})
 
-    def test_impure_call_rejected(self):
-        lib = default_library()
-        lib.register("launch_missiles", lambda: None, pure=False)
-        comp = Component(
-            "A", handlers=[Handler("go", "m", [Assign("x", Call("launch_missiles"))])]
-        )
-        with pytest.raises(IRError, match="impure"):
-            Application("t", [comp], {"go": "A"}, library=lib)
-
     def test_unknown_message_param_rejected(self):
         comp = Component(
             "A", handlers=[Handler("go", "m", [Assign("x", Field("other", "f"))])]
@@ -252,10 +243,3 @@ class TestLibrary:
     def test_lookup_unknown(self):
         with pytest.raises(IRError):
             default_library().lookup("nope")
-
-    def test_purity_tracking(self):
-        lib = default_library()
-        assert lib.is_pure("sqrt")
-        lib.register("impure_thing", lambda: None, pure=False)
-        assert lib.is_registered("impure_thing")
-        assert not lib.is_pure("impure_thing")

@@ -24,7 +24,7 @@ class TestComponentGroup:
 
     def test_scale_up_goes_pending_then_ready(self):
         g = self._group(initial_nodes=5)
-        g.apply_target(8, now_minutes=0.0, provision_delay_minutes=2.0, deprovision_delay_minutes=1.0)
+        g.apply_target(8, now_minutes=0.0)
         assert g.ready == 5
         assert g.pending == 3
         g.advance(1.0)
@@ -35,7 +35,7 @@ class TestComponentGroup:
 
     def test_scale_down_drains(self):
         g = self._group(initial_nodes=8)
-        g.apply_target(5, 0.0, 2.0, 1.0)
+        g.apply_target(5, 0.0)
         assert g.ready == 5
         assert g.draining == 3
         assert g.provisioned == 8  # still paying for draining nodes
@@ -45,20 +45,20 @@ class TestComponentGroup:
 
     def test_scale_down_cancels_pending_first(self):
         g = self._group(initial_nodes=5)
-        g.apply_target(10, 0.0, 5.0, 1.0)
+        g.apply_target(10, 0.0)
         assert g.pending == 5
-        g.apply_target(7, 0.5, 5.0, 1.0)
+        g.apply_target(7, 0.5)
         assert g.pending == 2
         assert g.ready == 5  # no ready node was drained
 
     def test_min_nodes_respected(self):
         g = self._group(initial_nodes=3, min_nodes=2)
-        g.apply_target(0, 0.0, 2.0, 1.0)
+        g.apply_target(0, 0.0)
         assert g.ready >= 2
 
     def test_max_nodes_respected(self):
         g = self._group(initial_nodes=3, max_nodes=5)
-        g.apply_target(100, 0.0, 2.0, 1.0)
+        g.apply_target(100, 0.0)
         assert g.ready + g.pending == 5
 
     def test_serial_limit_caps_effective_nodes(self):
@@ -72,7 +72,7 @@ class TestComponentGroup:
 
     def test_idempotent_target(self):
         g = self._group(initial_nodes=5)
-        g.apply_target(5, 0.0, 2.0, 1.0)
+        g.apply_target(5, 0.0)
         assert g.pending == 0
         assert g.draining == 0
 
@@ -82,10 +82,6 @@ class TestCluster:
         with pytest.raises(SimulationError):
             Cluster({})
 
-    def test_negative_delays_rejected(self):
-        with pytest.raises(SimulationError):
-            Cluster({"a": DeploymentSpec()}, provision_delay_minutes=-1)
-
     def test_unknown_target_rejected(self):
         cluster = Cluster({"a": DeploymentSpec()})
         with pytest.raises(SimulationError):
@@ -94,10 +90,9 @@ class TestCluster:
     def test_advance_applies_to_all_groups(self):
         cluster = Cluster(
             {"a": DeploymentSpec(initial_nodes=2), "b": DeploymentSpec(initial_nodes=2)},
-            provision_delay_minutes=1.0,
         )
         cluster.apply_targets({"a": 4, "b": 5}, 0.0)
-        cluster.advance(1.0)
+        cluster.advance(2.0)
         assert cluster.group("a").ready == 4
         assert cluster.group("b").ready == 5
 

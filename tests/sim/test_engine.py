@@ -7,8 +7,9 @@ from repro.core.regression import MachineSpec
 from repro.errors import SimulationError
 from repro.sim.cluster import DeploymentSpec
 from repro.sim.engine import ClusterSimulator, DCABundle, SimulationConfig
-from repro.workloads.generator import RequestClass, WorkloadGenerator
+from repro.workloads.generator import RequestClass
 from repro.workloads.patterns import MixPhase, ScaledPattern, StepMixSchedule
+from tests.workloads._fake_generator import ExpectedArrivalsGenerator
 
 
 class HoldManager(ElasticityManager):
@@ -31,11 +32,10 @@ MACHINE = MachineSpec(capacity_ms_per_minute=1_000.0)
 
 def _generator(pipeline_app, rate=100.0):
     classes = [RequestClass("go", "start", {"x": 5})]
-    return WorkloadGenerator(
+    return ExpectedArrivalsGenerator(
         ScaledPattern(lambda t: 1.0, rate, rate),
         StepMixSchedule([MixPhase(0.0, {"go": 1.0})]),
         classes,
-        deterministic=True,
     )
 
 
@@ -113,12 +113,11 @@ class TestEngineBasics:
         sustained drop (3-minute window means), never on a single noisy
         minute."""
         classes = [RequestClass("go", "start", {"x": 5})]
-        generator = WorkloadGenerator(
+        generator = ExpectedArrivalsGenerator(
             # High for 5 minutes, then a sustained 50% drop.
             ScaledPattern(lambda t: 1.0 if t < 5 else 0.5, 0.0, 100.0),
             StepMixSchedule([MixPhase(0.0, {"go": 1.0})]),
             classes,
-            deterministic=True,
         )
         sim = ClusterSimulator(
             pipeline_app,
@@ -187,17 +186,4 @@ class TestDCAIntegration:
                 return ScalingDecision(targets=decision.targets, infrastructure_nodes=3)
 
         result = _simulator(pipeline_app, manager=InfraManager(), duration=3).run()
-        assert all(r.infra_nodes == 0 for r in result.records)
-
-    def test_infrastructure_counted_when_enabled(self, pipeline_app):
-        class InfraManager(HoldManager):
-            def decide(self, observation):
-                decision = super().decide(observation)
-                return ScalingDecision(targets=decision.targets, infrastructure_nodes=3)
-
-        result = _simulator(
-            pipeline_app, manager=InfraManager(), duration=3, count_infrastructure=True
-        ).run()
-        # The first interval records the infra of the previous decision (0).
-        assert result.records[0].infra_nodes == 0
-        assert all(r.infra_nodes == 3 for r in result.records[1:])
+        assert result.records == _simulator(pipeline_app, duration=3).run().records

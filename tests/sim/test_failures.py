@@ -7,8 +7,9 @@ from repro.autoscale.elasticrmi import ElasticRMIManager
 from repro.core.regression import MachineSpec
 from repro.sim.cluster import ComponentGroup, DeploymentSpec
 from repro.sim.engine import ClusterSimulator, SimulationConfig
-from repro.workloads.generator import RequestClass, WorkloadGenerator
+from repro.workloads.generator import RequestClass
 from repro.workloads.patterns import MixPhase, ScaledPattern, StepMixSchedule
+from tests.workloads._fake_generator import ExpectedArrivalsGenerator
 
 MACHINE = MachineSpec(capacity_ms_per_minute=1_000.0)
 
@@ -37,11 +38,10 @@ class TestFailNodes:
 
 def _sim(pipeline_app, manager, failure_rate, duration=60, rate=100.0):
     classes = [RequestClass("go", "start", {"x": 5})]
-    generator = WorkloadGenerator(
+    generator = ExpectedArrivalsGenerator(
         ScaledPattern(lambda t: 1.0, rate, rate),
         StepMixSchedule([MixPhase(0.0, {"go": 1.0})]),
         classes,
-        deterministic=True,
     )
     deployments = {name: DeploymentSpec(initial_nodes=3) for name in pipeline_app.components}
     return ClusterSimulator(

@@ -23,14 +23,13 @@ def _comp(name="a", base=1000.0, overhead=0.0, provisioned=5, ready=5, req=5, pe
     )
 
 
-def _record(time=0.0, comps=None, arrivals=100.0, sla_frac=0.0, infra=0, decreasing=False):
+def _record(time=0.0, comps=None, arrivals=100.0, sla_frac=0.0, decreasing=False):
     comps = comps if comps is not None else {"a": _comp()}
     return IntervalRecord(
         time_minutes=time,
         external_arrivals=arrivals,
         class_arrivals={"c": int(arrivals)},
         components=comps,
-        infra_nodes=infra,
         sla_violation_fraction=sla_frac,
         app_latency_ms=100.0,
         workload_decreasing=decreasing,
@@ -65,10 +64,6 @@ class TestIntervalRecord:
         assert r.excess == 3
         assert r.shortage == 2
         assert r.agility_contribution == 5
-
-    def test_infra_counts_as_excess(self):
-        r = _record(infra=2)
-        assert r.excess == 2
 
     def test_overhead_fraction(self):
         r = _record(comps={"a": _comp(base=1000.0, overhead=100.0)})

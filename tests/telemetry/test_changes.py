@@ -27,7 +27,7 @@ KINDS = {
     "gauge": (
         lambda: Gauge("g"),
         [("set", 9.0)],
-        [("set", 4.0), ("inc", 2.0), ("dec", 1.0)],
+        [("set", 4.0), ("inc", 2.0), ("inc", -1.0)],
     ),
     "histogram": (
         lambda: Histogram("h", buckets=BOUNDS),

@@ -40,7 +40,7 @@ class TestGauge:
         g = MetricsRegistry().gauge("depth")
         g.set(10)
         g.inc(2.5)
-        g.dec()
+        g.inc(-1)
         assert g.value == 11.5
 
 

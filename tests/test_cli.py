@@ -127,6 +127,16 @@ class TestStoreBackendOptions:
         ) == 1
         assert "store_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "hedwig", "--duration", "3"],
+        ["chaos", "--cells", "1", "--repeats", "1", "--duration", "6"],
+    ], ids=["simulate", "chaos"])
+    def test_store_dir_on_the_memory_backend_is_an_error(self, command, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(command + ["--store-dir", str(store)]) == 1
+        assert "--store-backend log" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "hedwig", "--store-backend", "titan"])

@@ -6,7 +6,16 @@ import textwrap
 
 import pytest
 
-from benchmarks.reach import census, keep_problems, package_settings, unset_settings
+from benchmarks import reach
+from benchmarks.reach import (
+    SETTING_KINDS,
+    SETTINGS_KEEP,
+    census,
+    keep_problems,
+    package_settings,
+    settings_problems,
+    unset_settings,
+)
 
 CORE = '''
 def live():
@@ -133,6 +142,12 @@ class Store:
         self.mode = mode
 
 
+class Switch:
+    def __init__(self, on=False, level=None):
+        self.on = bool(on)
+        self.level = level if level is not None else 3
+
+
 def build(config, flag=False, *, retries=1):
     return Store(config.size, mode="w")
 
@@ -144,12 +159,14 @@ def _hidden(x=1):
 TOOL = '''
 import argparse
 
-from setfix import Config, Store, build
+from setfix import Config, Store, Switch, build
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--retries", type=int)
 config = Config(1, 5)
 Store("p", limit=3)
+switch = Switch()
+switch.level = 5
 
 
 def run(flag, seed):
@@ -157,12 +174,19 @@ def run(flag, seed):
 '''
 
 
-def test_pins_the_unset_settings(tmp_path):
+@pytest.fixture
+def settings_package(tmp_path):
+    """``setfix``: a package of settings and a tool dir that sets some."""
     package = tmp_path / "src" / "setfix"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text(textwrap.dedent(SETTINGS))
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "run.py").write_text(textwrap.dedent(TOOL))
+    return package, [str(tmp_path / "src"), str(tmp_path / "tools")]
+
+
+def test_pins_the_unset_settings(settings_package):
+    package, roots = settings_package
     settings = package_settings(str(package))
     assert [(s.owner, s.name) for s in settings] == [
         ("Config", "depth"),
@@ -170,16 +194,57 @@ def test_pins_the_unset_settings(tmp_path):
         ("Config", "seed"),
         ("Store.__init__", "limit"),
         ("Store.__init__", "mode"),
+        ("Switch.__init__", "on"),
+        ("Switch.__init__", "level"),
         ("build", "flag"),
         ("build", "retries"),
     ]
-    unset = unset_settings(settings, [str(tmp_path / "src"), str(tmp_path / "tools")])
+    unset = unset_settings(settings, roots)
     # depth: positionally; limit: by keyword; mode: by keyword inside the
-    # package; retries: a --flag.  flag=flag, seed=seed and
-    # width=config.width only forward a value, so flag and width stay
-    # unset, and so does seed (no call passes it another way).
+    # package; level: an attribute assigned outside Switch.__init__;
+    # retries: a --flag.  flag=flag, seed=seed and width=config.width only
+    # forward a value, so flag and width stay unset, and so does seed (no
+    # call passes it another way).  Switch.__init__ storing its own
+    # parameter (self.on = bool(on)) sets nothing, so on stays unset.
     assert [(s.owner, s.name) for s in unset] == [
         ("Config", "width"),
         ("Config", "seed"),
+        ("Switch.__init__", "on"),
         ("build", "flag"),
     ]
+
+
+def test_check_fails_on_an_unkept_and_a_stale_setting(settings_package, monkeypatch, capsys):
+    package, roots = settings_package
+    monkeypatch.setattr(reach, "PACKAGE_DIR", str(package))
+    monkeypatch.setattr(reach, "NAME_ROOTS", roots)
+    monkeypatch.setattr(reach, "repo_entry_points", lambda tmp: [])
+    monkeypatch.setattr(reach, "KEEP", {})
+    kept = {
+        "Config.width": "input: a fixture field",
+        "Config.seed": "input: a fixture field",
+        "Switch.__init__.on": "entry: a fixture switch",
+        "build.flag": "policy: a fixture flag",
+    }
+    monkeypatch.setattr(reach, "SETTINGS_KEEP", kept)
+    assert reach.main(["--check"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(reach, "SETTINGS_KEEP", {
+        **{k: v for k, v in kept.items() if k != "build.flag"},
+        "Store.__init__.limit": "safety: set by the tool",
+    })
+    assert reach.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "set by no non-test file, not in SETTINGS_KEEP: build.flag",
+        "in SETTINGS_KEEP, set or gone: Store.__init__.limit",
+    ]
+
+
+def test_keep_reasons_name_a_kind(settings_package):
+    package, roots = settings_package
+    unset = unset_settings(package_settings(str(package)), roots)
+    keys = sorted(s.key for s in unset)
+    assert settings_problems(unset, {key: "only tests set it" for key in keys}) == [
+        f"SETTINGS_KEEP reason of no known kind: {key}" for key in keys
+    ]
+    assert all(reason.partition(":")[0] in SETTING_KINDS for reason in SETTINGS_KEEP.values())

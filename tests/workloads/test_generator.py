@@ -10,13 +10,12 @@ from repro.workloads.patterns import MixPhase, ScaledPattern, StepMixSchedule
 CLASSES = [RequestClass("a", "ra", {}), RequestClass("b", "rb", {})]
 
 
-def _generator(seed=0, deterministic=False, low=100.0, high=100.0):
+def _generator(seed=0, low=100.0, high=100.0):
     return WorkloadGenerator(
         ScaledPattern(lambda t: 1.0, low, high),
         StepMixSchedule([MixPhase(0.0, {"a": 3, "b": 1})]),
         CLASSES,
         seed=seed,
-        deterministic=deterministic,
     )
 
 
@@ -50,10 +49,6 @@ class TestArrivals:
         expected = g.expected_arrivals(0.0)
         assert expected["a"] == pytest.approx(75.0)
         assert expected["b"] == pytest.approx(25.0)
-
-    def test_deterministic_mode_rounds_expectation(self):
-        g = _generator(deterministic=True)
-        assert g.arrivals(0.0) == {"a": 75, "b": 25}
 
     def test_poisson_draws_are_seeded(self):
         g1 = _generator(seed=5)

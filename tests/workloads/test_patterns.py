@@ -42,8 +42,8 @@ class TestPatterns:
         assert paper_pattern(389.0) < paper_pattern(361.0) - 0.5
 
     def test_stepwise_is_quantised(self):
-        a = stepwise_cyclic_pattern(3.0, step_minutes=10.0)
-        b = stepwise_cyclic_pattern(9.0, step_minutes=10.0)
+        a = stepwise_cyclic_pattern(3.0)
+        b = stepwise_cyclic_pattern(9.0)
         assert a == b
 
     def test_negative_time_rejected(self):
@@ -69,14 +69,6 @@ class TestScaledPattern:
 
 
 class TestMixSchedules:
-    def test_step_mode_is_piecewise_constant(self):
-        mix = StepMixSchedule(
-            [MixPhase(0.0, {"a": 1, "b": 1}), MixPhase(100.0, {"a": 3, "b": 1})],
-            interpolate=False,
-        )
-        assert mix.mix(50.0) == {"a": 0.5, "b": 0.5}
-        assert mix.mix(150.0) == {"a": 0.75, "b": 0.25}
-
     def test_interpolation_blends_linearly(self):
         mix = StepMixSchedule(
             [MixPhase(0.0, {"a": 1, "b": 0.0001}), MixPhase(100.0, {"a": 0.0001, "b": 1})],
