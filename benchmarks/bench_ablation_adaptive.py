@@ -77,7 +77,8 @@ def test_preferential_sampling_rescues_rare_paths(benchmark):
     def simulate():
         pref = PreferentialPathSampler(0.05, seed=3)
         pref.update_rates(shares)
-        uni = RequestSampler(0.05, seed=3)
+        # One stream, like each of the preferential sampler's types.
+        uni = RequestSampler(0.05, num_front_ends=1, seed=3)
         pref_rare = uni_rare = 0
         minutes = 60
         for _ in range(minutes):

@@ -4,13 +4,11 @@
 extremely efficient … the time complexity of determining the causal
 graph induced by a message M is O(|causal graph(M)|)."
 
-These microbenchmarks exercise the uid hash index directly: node lookup,
-edge insertion, BFS extraction at two graph sizes (near-linear scaling is
-the observable consequence of O(1) hops).  Root-sharding across stores
-is measured in ``bench_shard_pipeline.py``.
+The store's unit of work is an index lookup, so the observable form of
+O(1) hops is a lookup count that grows linearly with the causal graph.
+Counting lookups, not timing them, keeps the claim free of host noise;
+root-sharding across stores is measured in ``bench_shard_pipeline.py``.
 """
-
-import pytest
 
 from repro.graphstore.query import causal_graph_bfs
 from repro.graphstore.store import GraphStore
@@ -19,15 +17,15 @@ from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry
 
 
-def _linear_chain(store, length, start_seq=1):
+def _linear_chain(store, length):
     """Insert a root→…→response chain of ``length`` messages."""
-    root = Message(MessageUid("h", 1, start_seq), "req", EXTERNAL, "C0")
+    root = Message(MessageUid("h", 1, 1), "req", EXTERNAL, "C0")
     store.add_message(root)
     prev = root
     for i in range(1, length):
         dest = CLIENT if i == length - 1 else f"C{i}"
         msg = Message(
-            MessageUid("h", 1, start_seq + i),
+            MessageUid("h", 1, 1 + i),
             f"m{i}",
             f"C{i - 1}",
             dest,
@@ -37,37 +35,6 @@ def _linear_chain(store, length, start_seq=1):
         store.add_message(msg)
         prev = msg
     return root
-
-
-def test_bench_uid_index_lookup(benchmark):
-    store = GraphStore()
-    root = _linear_chain(store, 1000)
-    uid = MessageUid("h", 1, 500)
-
-    result = benchmark(lambda: store.get_node(uid))
-    assert result is not None
-
-
-def test_bench_edge_insertion(benchmark):
-    registry = MetricsRegistry()
-    edges = registry.counter("graphstore.edges_added")
-
-    def insert_chain():
-        before = edges.value
-        _linear_chain(GraphStore(registry=registry), 500)
-        return edges.value - before
-
-    assert benchmark(insert_chain) == 499
-
-
-@pytest.mark.parametrize("size", [100, 1000])
-def test_bench_bfs_scales_with_graph_size(benchmark, size):
-    store = GraphStore()
-    root = _linear_chain(store, size)
-
-    result = benchmark(lambda: causal_graph_bfs(store, root.uid))
-    assert len(result.nodes) == size
-    assert result.complete
 
 
 def test_bfs_work_is_linear_in_graph_size(benchmark):
@@ -91,4 +58,3 @@ def test_bfs_work_is_linear_in_graph_size(benchmark):
     ratio_2 = work[800] / work[400]
     assert 1.8 < ratio_1 < 2.2
     assert 1.8 < ratio_2 < 2.2
-

@@ -10,9 +10,9 @@ tick/event wall-clock ratios are reported (``extra_info`` and the
 printed table) but not gated: a ratio falls whenever the live path it
 divides by gets cheaper.
 
-The event engine's absolute wall time is what the regression gate
-holds: ``test_bench_event_engine_suite`` against
-``benchmarks/baseline.json``.
+``test_bench_event_engine_suite`` records the event engine's own wall
+time in the CI artifact; no threshold reads it.  Speed is judged by the
+paired end-to-end runs of ``benchmarks/pairs.py``.
 """
 
 import gc
@@ -96,7 +96,7 @@ def test_bench_event_engine_speedup(benchmark):
 
 
 def test_bench_event_engine_suite(benchmark):
-    """Gate anchor: the event engine's own wall time over the suite."""
+    """The event engine's own wall time over the suite (reported)."""
 
     def run():
         total = 0

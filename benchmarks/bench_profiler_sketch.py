@@ -6,8 +6,8 @@ scaled to CI budgets) drives the gated claim: the ``exact`` tier's
 ``counts_between(now - window, now)``, which walks every minute table —
 measured ~7x — and the two agree cell for cell.
 
-The wall time lands in ``BENCH_profiler_sketch.json`` and feeds the
-regression gate alongside the other benchmark files.
+The wall time lands in ``BENCH_profiler_sketch.json`` as a report;
+only the ratio above is asserted.
 """
 
 import time

@@ -8,8 +8,7 @@ the suite runs three ways: the fast path (cutover enabled), the same
 config with the cutover disabled (convergence streak pushed out of
 reach), and the tick oracle.  Both event runs must stay bit-identical
 to tick, and the fast path must deliver at least a **3x aggregate**
-wall-clock speedup over the no-cutover run (measured headroom ~13x on
-the baseline machine).
+wall-clock speedup over the no-cutover run (measured headroom ~13x).
 """
 
 import gc
@@ -133,7 +132,7 @@ def test_bench_replay_prod_speedup(benchmark):
 
 
 def test_bench_replay_prod_suite(benchmark):
-    """Gate anchor: fast-path wall time over the production-config suite."""
+    """Fast-path wall time over the production-config suite (reported)."""
 
     def run():
         total = 0

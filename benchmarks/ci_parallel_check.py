@@ -8,8 +8,8 @@ configuration, and fails if the whole sweep blows a wall-clock budget.
 The budget is deliberately loose (shared CI runners are noisy); the
 assertion exists to catch the parallel path degrading to something
 pathological (serialised workers, per-worker re-imports in a loop,
-snapshot-merge blowups), not to benchmark it — the regression gate in
-``check_regression.py`` owns fine-grained timing.
+snapshot-merge blowups), not to benchmark it — speed is judged by the
+paired end-to-end runs of ``benchmarks/pairs.py``.
 
 Usage::
 

@@ -85,7 +85,7 @@ def _telemetry_snapshot(request):
     snapshot is stored in ``benchmark.extra_info`` afterwards, so the
     ``BENCH_*.json`` perf trajectories carry the run's internal counters
     (graph-store writes, BFS hops, profiler recordings, …) alongside
-    wall-clock stats.  CI's regression gate reads both.
+    wall-clock stats.
     """
     get_registry().reset()
     yield

@@ -2,8 +2,8 @@
 
     python3 benchmarks/pairs.py <parent-ref> [--workload W ...] [--pairs N] [--seed S] [--trace]
 
-The protocol every performance claim in this repository is made under
-(ROADMAP ground rules; the choosing-metrics guide, section 8): clone
+The protocol every performance claim in this repository is made under,
+and CI's regression check (the parent is the pull request's base): clone
 ``<parent-ref>`` into a temporary directory and copy this working tree
 (tracked files plus untracked ones git does not ignore, uncommitted
 edits included) into a sibling one, then for each workload run
@@ -37,7 +37,10 @@ per side and prints, per layer, each side's median ``self_s`` — only where
 the layer's ``calls`` agree, since a layer that did different work has no
 comparable time — and every exact metric (``result_digest``,
 ``failed_share``, the work counts) whose value differs between the sides.
-It exits 1 if ``result_digest`` differs.
+
+It exits 1 if any end-to-end metric of any workload reads ``worse``, if
+the change side failed more runs than the parent side, or (with
+``--trace``) if ``result_digest`` differs; ``unresolved`` does not fail.
 
 Only *calls* the benchmark, so it lives outside ``e2e_bench/``.  The
 temporary checkouts honour ``TMPDIR``.
@@ -217,7 +220,7 @@ def main(argv=None) -> int:
     seconds = float(manifest["run_seconds"])  # the benchmark's run length, not a knob
 
     root = tempfile.mkdtemp(prefix="pairs-")
-    digest_differs = False
+    failing = False
     try:
         sides = prepare_sides(args.parent_ref, root)
         for workload in workloads:
@@ -228,6 +231,7 @@ def main(argv=None) -> int:
             failed = {side: sum(run["failed"] for run in runs[side]) for side in runs}
             print(f"\n{workload}  seed {args.seed}, {args.pairs} pairs x {seconds:g} s, "
                   f"failed parent/change {failed['parent']}/{failed['change']}")
+            failing = failing or failed["change"] > failed["parent"]
             for metric in manifest["end_to_end"]:
                 name = metric["name"]
                 values = {
@@ -236,6 +240,7 @@ def main(argv=None) -> int:
                 wins, losses, word = verdict(
                     values["parent"], values["change"], metric["better"], metric["bound"]
                 )
+                failing = failing or word == "worse"
                 share_low, share_high = wilson_interval(wins, args.pairs)
                 print(f"  {name} ({metric['unit']}, {metric['better']} is better, "
                       f"bound {metric['bound']:.0%}): {word}; change won {wins}, "
@@ -257,11 +262,11 @@ def main(argv=None) -> int:
                         run = measure(sides[side], workload, args.seed, seconds, trace=True)
                         traced[side].append(run["metrics"])
                 lines, differs = traced_report(traced["parent"], traced["change"])
-                digest_differs = digest_differs or differs
+                failing = failing or differs
                 print("\n".join(lines))
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    return 1 if digest_differs else 0
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

@@ -30,11 +30,11 @@ is no longer test-only.  A run takes about 15 s.
 It then lists every *settable value* no file outside ``tests/`` sets: a
 defaulted field of a public dataclass, or a defaulted parameter of a
 public function, method or ``__init__``.  A value counts as set when any
-non-test file (the roots of (b)) passes a keyword of its name to any
-call, uses its name as a string dict key or subscript, assigns an
+non-test file (the roots of (b)) calls a def or class of the owner's
+name with a keyword of its name or enough positional arguments to reach
+it, uses its name as a string dict key or subscript, assigns an
 attribute of its name outside a def declaring a parameter of that name,
-declares a ``--flag`` of its name, or calls a def or class of the
-owner's name with enough positional arguments to reach it.  Forwarding
+or declares a ``--flag`` of its name.  Forwarding
 is not setting: a keyword or attribute whose value is an attribute of
 the same name, or the enclosing function's parameter of that name
 (``seed=cfg.seed``, ``mode=mode``), counts for nothing, and neither does
@@ -81,6 +81,7 @@ KEEP: Dict[str, str] = {
     "graphstore.sharded.ShardedGraphStore.all_uids":
         "read-only probe of which nodes a store holds",
     "graphstore.pipeline.DeadLetterQueue.dropped": "read-only probe of the queue's bound",
+    "apps.catalog.AppScenario.request_class": "read-only lookup of a scenario's class by name",
     "profiling.profiler.CausalPathProfiler.paths_for_request":
         "read-only probe of per-request path counts",
     "sim.replicas.ReplicatedApplicationRuntime.replica_state":
@@ -120,9 +121,22 @@ SETTINGS_KEEP: Dict[str, str] = {
         "fault-window boundary at other interval lengths",
     "apps.catalog.AppScenario.machine": "input: the scenario's machine type",
     "apps.catalog.AppScenario.num_front_ends": "input: the scenario's front-end count",
-    "core.sampling.RequestSampler.__init__.num_front_ends":
-        "input: AppScenario.num_front_ends reaches it",
-    "sim.engine.DCABundle.create.num_front_ends": "input: AppScenario.num_front_ends reaches it",
+    "sim.engine.DCABundle.create.overhead_model": "input: AppScenario.overhead_model reaches it",
+    "sim.engine.DCABundle.create.fault_plan": "input: build_simulator's fault plan reaches it",
+    **{f"core.instrument.InstrumentedComponent.__init__.{name}":
+       f"input: ApplicationRuntime's {name} reaches it" for name in ("overhead_model", "sampling_rate")},
+    "sim.engine.SimulationConfig.sla_latency_ms":
+        "input: a deployment's SLA target (unset: derived from the slowest class)",
+    "tracing.spans.Span.true_parent": "input: record_emit's ground-truth parent reaches it",
+    **{f"workloads.patterns.cyclic_pattern.{name}":
+       f"input: the Fig. 7 workload's {name}; stepwise_cyclic_pattern forwards paper_pattern's"
+       for name in ("base", "amplitude")},
+    "lang.interpreter.Interpreter.__init__.track_all":
+        "entry: bench_ablation_whole_program's full-tracking arm, through its helper",
+    "sim.parity.run_engine_parity.fault_plan":
+        "entry: the tick-vs-event oracle's fault schedule (faulted parity cells)",
+    **{f"graphstore.backend.{owner}.create": "safety: reopen a journal to recover it"
+       for owner in ("make_backend", "shard_backends")},
     "core.regression.MachineSpec.cpu_ghz": "input: the machine type's clock",
     "core.regression.MachineSpec.ram_gb": "input: the machine type's memory",
     "core.regression.MachineSpec.network_gbps": "input: the machine type's network",
@@ -151,7 +165,7 @@ SETTINGS_KEEP: Dict[str, str] = {
     )},
     **{f"core.elasticity.StalenessPolicy.{name}": f"{_STALE} {name}" for name in (
         "min_recent_samples", "recent_horizon_minutes", "max_record_age_minutes",
-        "stale_after_intervals",
+        "stale_after_intervals", "fresh_after_intervals",
     )},
     "core.elasticity.DCAElasticityManager.__init__.capacity_model": f"{_DCA} capacity model",
     **{f"autoscale.cloudwatch.CloudWatchConfig.{name}": f"{_CW} {name}" for name in (
@@ -429,6 +443,7 @@ def package_settings(package_dir: str) -> List[Setting]:
 def unset_settings(settings: Sequence[Setting], roots: Sequence[str]) -> List[Setting]:
     """The settings no file under ``roots`` (tests and this file excepted) sets."""
     named: Set[str] = set()
+    keywords: Set[Tuple[str, str]] = set()  # (callee name, keyword) of every call
     reach: Dict[str, float] = {}  # callee name -> most positional arguments seen
 
     def forwarded(name: str, value: ast.AST, params: Collection[str]) -> bool:
@@ -438,11 +453,11 @@ def unset_settings(settings: Sequence[Setting], roots: Sequence[str]) -> List[Se
 
     def scan(node: ast.AST, params: Collection[str]) -> None:
         if isinstance(node, ast.Call):
-            named.update(
-                kw.arg for kw in node.keywords
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords.update(
+                (callee, kw.arg) for kw in node.keywords
                 if kw.arg and not forwarded(kw.arg, kw.value, params)
             )
-            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
             if any(isinstance(a, ast.Starred) for a in node.args):
                 reach[callee] = float("inf")
             else:
@@ -480,7 +495,8 @@ def unset_settings(settings: Sequence[Setting], roots: Sequence[str]) -> List[Se
                 scan(_parse(path), ())
     return [
         s for s in settings
-        if s.name not in named and not (0 <= s.position < reach.get(s.callee, 0))
+        if s.name not in named and (s.callee, s.name) not in keywords
+        and not (0 <= s.position < reach.get(s.callee, 0))
     ]
 
 

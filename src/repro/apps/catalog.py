@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.dca import DCAResult, analyze_application
+from repro.core.dca import analyze_application
 from repro.core.instrument import OverheadModel
 from repro.core.regression import MachineSpec
 from repro.errors import SimulationError
@@ -79,7 +79,6 @@ def calibrate_overhead_model(
     classes: List[RequestClass],
     full_overhead: float,
     marginal_overhead_at_5pct: float,
-    dca_result: Optional[DCAResult] = None,
     class_weights: Optional[Mapping[str, float]] = None,
 ) -> OverheadModel:
     """Solve the overhead model against the paper's Fig. 5 anchors.
@@ -108,7 +107,7 @@ def calibrate_overhead_model(
             f"full_overhead {full_overhead} must exceed the fixed fraction "
             f"{FIXED_OVERHEAD_FRACTION}"
         )
-    analysis = dca_result or analyze_application(app)
+    analysis = analyze_application(app)
     # Measure the instruction mix with a unit-cost model.
     probe = ApplicationRuntime(
         app,

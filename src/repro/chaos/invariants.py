@@ -129,9 +129,7 @@ def check_no_resurrection(events: Iterable) -> List[Violation]:
     return violations
 
 
-def check_fallback_reengagement(
-    events: Iterable, fresh_after_intervals: int = 2
-) -> List[Violation]:
+def check_fallback_reengagement(events: Iterable, fresh_after_intervals: int) -> List[Violation]:
     """The staleness fallback releases promptly once the profile recovers.
 
     The detector emits one ``staleness`` event per interval carrying the

@@ -49,7 +49,7 @@ class RequestSampler:
         Base seed for determinism.
     """
 
-    def __init__(self, rate: float, num_front_ends: int = 1, seed: int = 0) -> None:
+    def __init__(self, rate: float, num_front_ends: int, seed: int = 0) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ElasticityError(f"sampling rate must be in [0, 1], got {rate}")
         if num_front_ends < 1:
@@ -159,6 +159,12 @@ class AdaptiveSamplingController:
         return max(ADAPTIVE_MIN_RATE, min(ADAPTIVE_MAX_RATE, proposed))
 
 
+#: Front ends behind each request type's stream in
+#: :class:`PreferentialPathSampler`: it stratifies by type, not by front
+#: end, so every type draws from one stream.
+PER_TYPE_FRONT_ENDS = 1
+
+
 class PreferentialPathSampler:
     """Stratified sampling: rare request types get higher sampling rates.
 
@@ -212,7 +218,9 @@ class PreferentialPathSampler:
             sampler = self._samplers.get(t)
             if sampler is None or abs(sampler.rate - rate) > 1e-12:
                 self._samplers[t] = RequestSampler(
-                    min(1.0, rate), seed=self._seed + (zlib_crc(t) % 65_536)
+                    min(1.0, rate),
+                    PER_TYPE_FRONT_ENDS,
+                    seed=self._seed + (zlib_crc(t) % 65_536),
                 )
         return dict(rates)
 
@@ -221,7 +229,9 @@ class PreferentialPathSampler:
         sampler = self._samplers.get(request_type)
         if sampler is None:
             sampler = RequestSampler(
-                self.budget_rate, seed=self._seed + (zlib_crc(request_type) % 65_536)
+                self.budget_rate,
+                PER_TYPE_FRONT_ENDS,
+                seed=self._seed + (zlib_crc(request_type) % 65_536),
             )
             self._samplers[request_type] = sampler
         return sampler.sample_count(arrivals, front_end_index=front_end_index)

@@ -34,7 +34,6 @@ from repro.lang.ir import (
     Field,
     Handler,
     If,
-    LibraryRegistry,
     Send,
     Skip,
     Stmt,
@@ -241,9 +240,8 @@ class ComponentBuilder:
 class AppBuilder:
     """Fluent construction of an :class:`~repro.lang.ir.Application`."""
 
-    def __init__(self, name: str, library: Optional[LibraryRegistry] = None) -> None:
+    def __init__(self, name: str) -> None:
         self._name = name
-        self._library = library
         self._components: List[Component] = []
         self._entries: Dict[str, str] = {}
 
@@ -263,4 +261,4 @@ class AppBuilder:
 
     def build(self) -> Application:
         """Materialise and validate the application."""
-        return Application(self._name, self._components, self._entries, library=self._library)
+        return Application(self._name, self._components, self._entries)

@@ -592,7 +592,6 @@ class Application:
         name: str,
         components: Iterable[Component],
         entry_points: Mapping[str, str],
-        library: Optional[LibraryRegistry] = None,
     ) -> None:
         if not name:
             raise IRError("application requires a non-empty name")
@@ -607,7 +606,7 @@ class Application:
         self.entry_points: Dict[str, str] = dict(entry_points)
         if not self.entry_points:
             raise IRError(f"application {name!r} has no entry points")
-        self.library = library or default_library()
+        self.library = default_library()
         self.validate()
 
     # -- validation --------------------------------------------------------

@@ -135,16 +135,16 @@ class DCABundle:
     sampler: RequestSampler
     tracker: DirectCausalityTracker
     profiler: CausalPathProfiler
-    fault_injector: Optional[FaultInjector] = None
+    fault_injector: Optional[FaultInjector]
 
     @classmethod
     def create(
         cls,
         app: Application,
         sampling_rate: float,
+        num_front_ends: int,
         overhead_model: Optional[OverheadModel] = None,
         window_minutes: float = 60.0,
-        num_front_ends: int = 4,
         seed: int = 0,
         registry: Optional[MetricsRegistry] = None,
         fault_plan: Optional[FaultPlan] = None,

@@ -258,7 +258,7 @@ def _dump_report(report: ParityReport, diff_dir: Optional[str] = None) -> Option
     return path
 
 
-# -- artifact loading (hardened; mirrors check_regression's input gates) -------
+# -- artifact loading (hardened: a bad artifact raises, never reads clean) -----
 
 
 def load_json_artifact(path: str, kind: str, required_keys: Sequence[str]) -> Dict[str, object]:
@@ -270,9 +270,8 @@ def load_json_artifact(path: str, kind: str, required_keys: Sequence[str]) -> Di
     not JSON, not a JSON object, or missing any of ``required_keys``
     raises :class:`~repro.errors.ParityArtifactError` naming ``kind``,
     ``path`` and the reason — never returning a dict a caller could
-    misread as a clean run.  This mirrors the ``check_regression``
-    hardening for ``BENCH_*.json`` inputs: silent passes on corrupt CI
-    artifacts are worse than failures.
+    misread as a clean run: silent passes on corrupt CI artifacts are
+    worse than failures.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -11,7 +11,7 @@ hashing a payload field (partitioned/sharded components).
 
 The mesoscale simulator keeps modelling replica groups by capacity; this
 runtime exists to *observe* replica-level phenomena — hot-shard
-concentration, per-replica provenance isolation — at message resolution.
+concentration, per-replica state isolation — at message resolution.
 
 Replica state (round-robin cursors, per-replica interpreter state, uid
 factories) is shared by every request class executing through the
@@ -29,8 +29,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from repro.core.dca import DCAResult
-from repro.core.instrument import InstrumentedComponent, OverheadModel
 from repro.errors import SimulationError
 from repro.lang.interpreter import Interpreter, ReplicaState
 from repro.lang.ir import CLIENT, EXTERNAL, Application
@@ -67,18 +65,15 @@ class ReplicatedTrace:
 class ReplicatedApplicationRuntime:
     """Message-level runtime with per-component replica groups.
 
-    Each replica has its own :class:`ReplicaState` (values + provenance),
-    so state written on one replica is invisible on its siblings — the
-    source of the hot-shard effects Section II-A describes.
+    Each replica has its own :class:`ReplicaState`, so state written on
+    one replica is invisible on its siblings — the source of the
+    hot-shard effects Section II-A describes.
     """
 
     def __init__(
         self,
         app: Application,
         replicas: Mapping[str, ReplicaSpec],
-        dca_result: Optional[DCAResult] = None,
-        overhead_model: Optional[OverheadModel] = None,
-        sampling_rate: float = 1.0,
         max_messages_per_request: int = 100_000,
     ) -> None:
         self.app = app
@@ -93,8 +88,7 @@ class ReplicatedApplicationRuntime:
         self._rr_cursor: Dict[str, int] = {name: 0 for name in app.components}
         self._states: Dict[str, List[ReplicaState]] = {}
         self._uid_factories: Dict[str, List[UidFactory]] = {}
-        self._handlers: Dict[str, object] = {}
-        self._instrumented = dca_result is not None
+        self._interpreters: Dict[str, Interpreter] = {}
         for idx, (name, component) in enumerate(sorted(app.components.items()), start=1):
             spec = self.specs[name]
             self._states[name] = [
@@ -104,19 +98,7 @@ class ReplicatedApplicationRuntime:
                 UidFactory(f"10.{idx}.0.{replica + 1}", replica + 1)
                 for replica in range(spec.count)
             ]
-            if dca_result is not None:
-                analysis = dca_result.per_component.get(name)
-                if analysis is None:
-                    raise SimulationError(f"DCA result missing component {name!r}")
-                self._handlers[name] = InstrumentedComponent(
-                    component,
-                    analysis,
-                    app.library,
-                    overhead_model=overhead_model,
-                    sampling_rate=sampling_rate,
-                )
-            else:
-                self._handlers[name] = Interpreter(component, app.library)
+            self._interpreters[name] = Interpreter(component, app.library)
 
     # -- routing ------------------------------------------------------------------
 
@@ -175,11 +157,7 @@ class ReplicatedApplicationRuntime:
             counts[component][replica] += 1
             state = self._states[component][replica]
             uid_factory = self._uid_factories[component][replica]
-            handler = self._handlers[component]
-            if self._instrumented:
-                outcome = handler.handle(state, message, uid_factory).outcome  # type: ignore[union-attr]
-            else:
-                outcome = handler.handle(state, message, uid_factory)  # type: ignore[union-attr]
+            outcome = self._interpreters[component].handle(state, message, uid_factory)
             queue.extend(outcome.emitted)
         return ReplicatedTrace(
             request_class=request.name,

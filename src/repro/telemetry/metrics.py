@@ -7,7 +7,7 @@ their internal counters.  This module is the single mechanism: a
 :class:`MetricsRegistry` hands out named, optionally labelled metric
 instruments and renders a point-in-time :meth:`~MetricsRegistry.snapshot`
 with a stable, schema-versioned JSON shape that the CLI, the benchmark
-harness, and CI's regression gate all consume.
+harness, and the end-to-end benchmark all consume.
 
 Design constraints:
 
@@ -34,7 +34,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ReproError
 
 #: Version of the snapshot JSON shape.  Bump only with a migration note
-#: in docs/architecture.md; CI's regression gate checks it.
+#: in docs/architecture.md.
 SCHEMA_VERSION = 1
 
 #: Default histogram bucket upper bounds (seconds-flavoured, Prometheus

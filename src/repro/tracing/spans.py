@@ -79,7 +79,6 @@ class TemporalSpanTracer:
         time_ms: float,
         duration_ms: float,
         trace_root: int,
-        true_parent: Optional[SpanId] = None,
     ) -> Span:
         """Open a span for a message received at ``component``."""
         span = Span(
@@ -88,7 +87,6 @@ class TemporalSpanTracer:
             msg_type=msg_type,
             start_ms=time_ms,
             end_ms=time_ms + max(0.0, duration_ms),
-            true_parent=true_parent,
         )
         self.spans[span.span_id] = span
         self._active.setdefault(component, []).append((span.span_id, span.start_ms, span.end_ms))

@@ -101,7 +101,7 @@ class TestFallbackReengagement:
 
     def test_no_staleness_events_passes(self):
         assert check_fallback_reengagement([_ev(0.0, "replica_init",
-                                                component="a", ready=2)]) == []
+                                                component="a", ready=2)], 2) == []
 
     def test_release_within_budget_passes(self):
         budget = 2 + REENGAGE_SLACK

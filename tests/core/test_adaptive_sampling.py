@@ -111,7 +111,7 @@ class TestPreferentialSampler:
         arrivals = {"hot": 900, "rare": 100}
         pref = PreferentialPathSampler(0.10, seed=3)
         pref.update_rates(shares)
-        uni = RequestSampler(0.10, seed=3)
+        uni = RequestSampler(0.10, num_front_ends=1, seed=3)  # one stream, as per type
         pref_counts = {
             t: sum(pref.sample_count(t, arrivals[t]) for _ in range(30)) for t in shares
         }

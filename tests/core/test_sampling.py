@@ -6,13 +6,17 @@ from hypothesis import given, settings, strategies as st
 from repro.core.sampling import RequestSampler
 from repro.errors import ElasticityError
 
+#: Most tests here pin the draws of one front end's stream; the ones
+#: about the per-front-end split say how many front ends they use.
+ONE_STREAM = 1
+
 
 class TestValidation:
     def test_rate_bounds(self):
         with pytest.raises(ElasticityError):
-            RequestSampler(-0.1)
+            RequestSampler(-0.1, ONE_STREAM)
         with pytest.raises(ElasticityError):
-            RequestSampler(1.1)
+            RequestSampler(1.1, ONE_STREAM)
 
     def test_front_end_count(self):
         with pytest.raises(ElasticityError):
@@ -28,12 +32,12 @@ class TestValidation:
 
 class TestDecisions:
     def test_rate_one_samples_everything(self):
-        s = RequestSampler(1.0)
+        s = RequestSampler(1.0, ONE_STREAM)
         assert all(s.should_sample() for _ in range(100))
         assert s.sampled == s.decisions == 100
 
     def test_rate_zero_samples_nothing(self):
-        s = RequestSampler(0.0)
+        s = RequestSampler(0.0, ONE_STREAM)
         assert not any(s.should_sample() for _ in range(100))
 
     def test_determinism_by_seed(self):
@@ -44,12 +48,12 @@ class TestDecisions:
         assert seq_a == seq_b
 
     def test_different_seeds_differ(self):
-        a = RequestSampler(0.5, seed=1)
-        b = RequestSampler(0.5, seed=2)
+        a = RequestSampler(0.5, ONE_STREAM, seed=1)
+        b = RequestSampler(0.5, ONE_STREAM, seed=2)
         assert [a.should_sample() for _ in range(64)] != [b.should_sample() for _ in range(64)]
 
     def test_empirical_rate_near_target(self):
-        s = RequestSampler(0.2, seed=7)
+        s = RequestSampler(0.2, ONE_STREAM, seed=7)
         hits = sum(s.should_sample() for _ in range(20_000))
         assert 0.18 < hits / 20_000 < 0.22
 
@@ -71,28 +75,28 @@ class TestDecisions:
 
 class TestSampleCount:
     def test_exact_at_extremes(self):
-        s = RequestSampler(1.0)
+        s = RequestSampler(1.0, ONE_STREAM)
         assert s.sample_count(57) == 57
-        z = RequestSampler(0.0)
+        z = RequestSampler(0.0, ONE_STREAM)
         assert z.sample_count(57) == 0
 
     def test_zero_arrivals(self):
-        s = RequestSampler(0.5)
+        s = RequestSampler(0.5, ONE_STREAM)
         assert s.sample_count(0) == 0
 
     def test_negative_arrivals_rejected(self):
-        s = RequestSampler(0.5)
+        s = RequestSampler(0.5, ONE_STREAM)
         with pytest.raises(ElasticityError):
             s.sample_count(-1)
 
     def test_small_counts_within_bounds(self):
-        s = RequestSampler(0.5, seed=3)
+        s = RequestSampler(0.5, ONE_STREAM, seed=3)
         for _ in range(50):
             n = s.sample_count(20)
             assert 0 <= n <= 20
 
     def test_large_counts_use_normal_approximation(self):
-        s = RequestSampler(0.1, seed=3)
+        s = RequestSampler(0.1, ONE_STREAM, seed=3)
         draws = [s.sample_count(10_000) for _ in range(30)]
         mean = sum(draws) / len(draws)
         assert 900 < mean < 1100
@@ -101,6 +105,6 @@ class TestSampleCount:
     @given(st.integers(0, 5000), st.floats(0.01, 0.99))
     @settings(max_examples=50)
     def test_count_never_exceeds_arrivals(self, arrivals, rate):
-        s = RequestSampler(rate, seed=11)
+        s = RequestSampler(rate, ONE_STREAM, seed=11)
         n = s.sample_count(arrivals)
         assert 0 <= n <= arrivals

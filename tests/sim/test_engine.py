@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.catalog import AppScenario
 from repro.autoscale.manager import ElasticityManager, ScalingDecision
 from repro.core.regression import MachineSpec
 from repro.errors import SimulationError
@@ -134,7 +135,7 @@ class TestEngineBasics:
 
 class TestDCAIntegration:
     def test_bundle_wires_profiler(self, pipeline_app):
-        bundle = DCABundle.create(pipeline_app, sampling_rate=1.0)
+        bundle = DCABundle.create(pipeline_app, 1.0, AppScenario.num_front_ends)
         sim = ClusterSimulator(
             pipeline_app,
             _generator(pipeline_app, rate=50.0),
@@ -151,7 +152,7 @@ class TestDCAIntegration:
         assert sum(counts.values()) > 0
 
     def test_sampled_requests_recorded(self, pipeline_app):
-        bundle = DCABundle.create(pipeline_app, sampling_rate=0.1, seed=3)
+        bundle = DCABundle.create(pipeline_app, 0.1, AppScenario.num_front_ends, seed=3)
         sim = ClusterSimulator(
             pipeline_app,
             _generator(pipeline_app, rate=200.0),
@@ -166,7 +167,7 @@ class TestDCAIntegration:
         assert 0 < total_sampled < 1000 * 0.5  # roughly 10% of 1000
 
     def test_overhead_demand_positive_when_instrumented(self, pipeline_app):
-        bundle = DCABundle.create(pipeline_app, sampling_rate=1.0)
+        bundle = DCABundle.create(pipeline_app, 1.0, AppScenario.num_front_ends)
         sim = ClusterSimulator(
             pipeline_app,
             _generator(pipeline_app, rate=50.0),

@@ -101,6 +101,19 @@ class TestSimulationResult:
             _record(comps={"a": _comp(provisioned=6, req=5)}),
         ]
         assert self._result(records).zero_agility_fraction() == 0.5
+        # Three of four intervals provisioned exactly: a share that is not
+        # its own complement.
+        records = [
+            _record(comps={"a": _comp(provisioned=5, req=5)}),
+            _record(comps={"a": _comp(provisioned=4, ready=4, req=5)}),
+            _record(comps={"a": _comp(provisioned=7, req=7)}),
+            _record(comps={"a": _comp(provisioned=2, req=2)}),
+        ]
+        assert self._result(records).zero_agility_fraction() == 0.75
+
+    def test_sla_violation_series_is_a_percentage_per_interval(self):
+        records = [_record(time=0.0, sla_frac=0.25), _record(time=1.0, sla_frac=0.0)]
+        assert self._result(records).sla_violation_series() == [(0.0, 25.0), (1.0, 0.0)]
 
     def test_overhead_stats(self):
         records = [_record(comps={"a": _comp(base=1000, overhead=f)}) for f in (50.0, 100.0, 150.0)]
@@ -120,6 +133,15 @@ class TestSimulationResult:
             _record(sla_frac=0.0, decreasing=True),
         ]
         assert self._result(records).decreasing_interval_violations() == 0.0
+        # Decreasing intervals only, weighted by arrivals:
+        # (0.2 * 100 + 0.05 * 300) / (100 + 300) = 35 / 400 = 8.75 %; the
+        # rising interval's 50 % is left out.
+        records = [
+            _record(sla_frac=0.5, decreasing=False),
+            _record(sla_frac=0.2, arrivals=100.0, decreasing=True),
+            _record(sla_frac=0.05, arrivals=300.0, decreasing=True),
+        ]
+        assert self._result(records).decreasing_interval_violations() == pytest.approx(8.75)
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=30))
     def test_agility_non_negative_and_zero_iff_exact(self, pairs):

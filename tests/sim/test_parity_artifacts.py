@@ -2,8 +2,7 @@
 
 A CI job that points at ``$PARITY_DIFF_DIR`` and finds a truncated or
 malformed artifact must fail loudly — an empty diff JSON read as "no
-diffs" would convert a crashed parity run into a silent pass.  Mirrors
-the ``check_regression`` input gates for ``BENCH_*.json``.
+diffs" would convert a crashed parity run into a silent pass.
 """
 
 import json

@@ -2,19 +2,14 @@
 
 import pytest
 
-from repro.core.dca import analyze_application
 from repro.errors import SimulationError
 from repro.sim.replicas import ReplicaSpec, ReplicatedApplicationRuntime
 from repro.workloads.generator import RequestClass
 
 
-def _runtime(pipeline_app, b_replicas=4, routing_field=None, dca=False):
+def _runtime(pipeline_app, b_replicas=4, routing_field=None):
     specs = {"B": ReplicaSpec(count=b_replicas, routing_field=routing_field)}
-    return ReplicatedApplicationRuntime(
-        pipeline_app,
-        specs,
-        dca_result=analyze_application(pipeline_app) if dca else None,
-    )
+    return ReplicatedApplicationRuntime(pipeline_app, specs)
 
 
 class TestSpecs:
@@ -94,12 +89,6 @@ class TestPerReplicaState:
         # Round-robin: replica 0 saw acc=5, replica 1 saw acc=12.
         assert runtime.replica_state("B", 0).values["last"] == 5
         assert runtime.replica_state("B", 1).values["last"] == 12
-
-    def test_provenance_isolated_when_instrumented(self, pipeline_app):
-        runtime = _runtime(pipeline_app, b_replicas=2, dca=True)
-        runtime.execute_request(RequestClass("go", "start", {"x": 5}))
-        a0 = runtime.replica_state("A", 0)
-        assert "acc" in a0.provenance  # A has one replica and tracked acc
 
     def test_unknown_replica_lookup(self, pipeline_app):
         runtime = _runtime(pipeline_app)

@@ -161,3 +161,42 @@ def test_trace_exits_1_when_the_result_digest_differs(monkeypatch, capsys):
     code, out, _ = _run_main(monkeypatch, capsys, _traced(digest=43.0))
     assert code == 1
     assert "result_digest: parent [42.0] change [43.0]" in out
+
+
+def _exit_code(monkeypatch, change_metrics, change_failed=0):
+    """``main``'s exit status over four untraced pairs where every parent
+    run reads 1.0 and every change run reads ``change_metrics``."""
+
+    def fake_measure(checkout, workload, seed, seconds, trace=False):
+        if checkout == "P":
+            return {"failed": 0, "metrics": _untraced()}
+        metrics = _untraced()
+        for name, value in change_metrics.items():
+            metrics[name] = {"value": value, "unit": "x"}
+        return {"failed": change_failed, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "prepare_sides", lambda ref, root: {"parent": "P", "change": "C"})
+    monkeypatch.setattr(pairs, "measure", fake_measure)
+    return pairs.main(["HEAD", "--workload", "ingest_live", "--pairs", "4"])
+
+
+def test_exit_status_fails_on_one_worse_metric_or_more_failed_change_runs(monkeypatch, capsys):
+    assert _exit_code(monkeypatch, {}) == 0  # every metric "no worse"
+    assert _exit_code(monkeypatch, {"messages_per_s": 0.5}) == 1  # "worse"
+    assert _exit_code(monkeypatch, {"peak_rss_mb": 2.0}) == 1  # "worse", lower is better
+    assert _exit_code(monkeypatch, {"messages_per_s": 2.0}) == 0  # "better (every run)"
+    assert _exit_code(monkeypatch, {}, change_failed=1) == 1
+    # Every change run is fast or slow by turns: the spread hides any
+    # verdict, so "unresolved" does not fail the check.
+    flip = iter([0.4, 1.6] * 2)
+
+    def noisy(checkout, workload, seed, seconds, trace=False):
+        metrics = _untraced()
+        if checkout == "C":
+            metrics["messages_per_s"] = {"value": next(flip), "unit": "x"}
+        return {"failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "measure", noisy)
+    assert pairs.main(["HEAD", "--workload", "ingest_live", "--pairs", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "messages_per_s (msg/s, higher is better, bound 25%): unresolved" in out

@@ -248,3 +248,35 @@ def test_keep_reasons_name_a_kind(settings_package):
         f"SETTINGS_KEEP reason of no known kind: {key}" for key in keys
     ]
     assert all(reason.partition(":")[0] in SETTING_KINDS for reason in SETTINGS_KEEP.values())
+
+
+def test_a_keyword_sets_only_its_callees_setting(tmp_path):
+    package = tmp_path / "src" / "kwfix"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(textwrap.dedent('''
+        from dataclasses import dataclass
+
+
+        @dataclass
+        class DeploymentSpec:
+            max_nodes: int = 100
+
+
+        class Cluster:
+            def __init__(self, max_nodes=50):
+                self.limit = max_nodes
+
+
+        def plan(max_nodes=20):
+            return max_nodes
+    '''))
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(
+        "from kwfix import DeploymentSpec, plan\n\nDeploymentSpec(max_nodes=80)\nplan()\n"
+    )
+    roots = [str(tmp_path / "src"), str(tmp_path / "tools")]
+    unset = unset_settings(package_settings(str(package)), roots)
+    assert [(s.owner, s.name) for s in unset] == [
+        ("Cluster.__init__", "max_nodes"),
+        ("plan", "max_nodes"),
+    ]

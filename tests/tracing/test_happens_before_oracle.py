@@ -30,7 +30,7 @@ import pytest
 
 import repro.evalx.experiment as experiment
 from repro.apps import ecommerce, fig4, universal_search
-from repro.apps.catalog import load_scenario
+from repro.apps.catalog import AppScenario, load_scenario
 from repro.chaos.matrix import ChaosMatrix, MatrixConfig
 from repro.chaos.runner import run_cell
 from repro.evalx.experiment import ExperimentConfig, build_simulator
@@ -160,7 +160,9 @@ EXAMPLES = {
 
 def _run_example(name: str, requests: int) -> None:
     build, classes = EXAMPLES[name]
-    runtime = DCABundle.create(build(), sampling_rate=1.0, registry=MetricsRegistry()).runtime
+    runtime = DCABundle.create(
+        build(), 1.0, AppScenario.num_front_ends, registry=MetricsRegistry()
+    ).runtime
     cycle = classes()
     for index in range(requests):
         runtime.execute_request(cycle[index % len(cycle)])
